@@ -101,8 +101,9 @@ def run_parity(setup=None) -> Dict[str, float]:
     np.testing.assert_allclose(gjf, gjc, rtol=GRAD_RTOL, atol=1e-12)
     np.testing.assert_allclose(gmf, gmc, rtol=GRAD_RTOL, atol=1e-12)
     # End-to-end: a short joint BiSMO-NMN run (inner SO steps, exact
-    # HVPs through the create_graph fallback, outer Adam updates) must
-    # produce the same loss trace on both graphs.
+    # HVPs and mixed products from each engine's intensity basis and
+    # mask adjoint, outer Adam updates) must produce the same loss trace
+    # on both engines.
     traces = []
     for objective in (fused, composed):
         solver = BiSMO(

@@ -16,7 +16,7 @@ map ``A`` is ``A^H g``.
 from __future__ import annotations
 
 import builtins
-from typing import Any, Callable, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -60,6 +60,9 @@ __all__ = [
     "incoherent_image",
     "incoherent_image_stack",
     "incoherent_image_composed",
+    "incoherent_mask_adjoint",
+    "basis_combine",
+    "basis_contract",
     "getitem",
     "scatter",
     "matmul",
@@ -153,7 +156,10 @@ def add(a: ArrayLike, b: ArrayLike) -> Tensor:
     a, b = _binary_inputs(a, b)
 
     def vjp(g: Tensor) -> Tuple[Optional[Tensor], ...]:
-        return (sum_to(g, a.shape), sum_to(g, b.shape))
+        return (
+            sum_to(g, a.shape) if a.requires_grad else None,
+            sum_to(g, b.shape) if b.requires_grad else None,
+        )
 
     return _make(a.data + b.data, (a, b), vjp, "add")
 
@@ -162,7 +168,10 @@ def sub(a: ArrayLike, b: ArrayLike) -> Tensor:
     a, b = _binary_inputs(a, b)
 
     def vjp(g: Tensor) -> Tuple[Optional[Tensor], ...]:
-        return (sum_to(g, a.shape), sum_to(neg(g), b.shape))
+        return (
+            sum_to(g, a.shape) if a.requires_grad else None,
+            sum_to(neg(g), b.shape) if b.requires_grad else None,
+        )
 
     return _make(a.data - b.data, (a, b), vjp, "sub")
 
@@ -179,9 +188,12 @@ def neg(x: ArrayLike) -> Tensor:
 def mul(a: ArrayLike, b: ArrayLike) -> Tensor:
     a, b = _binary_inputs(a, b)
 
+    # Binary VJPs skip inputs that do not require grad: ``grad`` would
+    # discard those gradients, and one of them may be a large constant
+    # (a (B, S, N, N) intensity basis, a pupil stack).
     def vjp(g: Tensor) -> Tuple[Optional[Tensor], ...]:
-        ga = sum_to(mul(g, conj(b)), a.shape)
-        gb = sum_to(mul(g, conj(a)), b.shape)
+        ga = sum_to(mul(g, conj(b)), a.shape) if a.requires_grad else None
+        gb = sum_to(mul(g, conj(a)), b.shape) if b.requires_grad else None
         return (ga, gb)
 
     return _make(a.data * b.data, (a, b), vjp, "mul")
@@ -191,8 +203,12 @@ def div(a: ArrayLike, b: ArrayLike) -> Tensor:
     a, b = _binary_inputs(a, b)
 
     def vjp(g: Tensor) -> Tuple[Optional[Tensor], ...]:
-        ga = sum_to(div(g, conj(b)), a.shape)
-        gb = sum_to(neg(mul(g, conj(div(a, mul(b, b))))), b.shape)
+        ga = sum_to(div(g, conj(b)), a.shape) if a.requires_grad else None
+        gb = (
+            sum_to(neg(mul(g, conj(div(a, mul(b, b))))), b.shape)
+            if b.requires_grad
+            else None
+        )
         return (ga, gb)
 
     return _make(a.data / b.data, (a, b), vjp, "div")
@@ -638,10 +654,9 @@ def _stream_forward_one(
 
 def _stream_backward_one(
     bk: Any,
-    gd: np.ndarray,
+    terms: Sequence[Tuple[np.ndarray, np.ndarray]],
     fm: Any,
     kern: np.ndarray,
-    w: np.ndarray,
     csize: int,
     cp: Any,
     reps: Any,
@@ -650,11 +665,15 @@ def _stream_backward_one(
 ) -> Optional[Any]:
     """One stack's streamed gradient contributions (graph-free).
 
-    Recomputes the per-chunk coherent fields from ``fm`` (a backend
-    array) and returns the *frequency-domain* mask-gradient accumulator
-    as a backend array (the caller applies the final IFFT once, summed
-    over stacks), adding weight-gradient contributions into the host
-    vector ``gw`` in place when it is not None.
+    ``terms`` is a sequence of ``(w, gd)`` pairs — source weights
+    ``(S,)`` and upstream image gradient ``(B, N, N)`` — and the mask
+    gradient is that of ``sum_t <I(M; w_t), gd_t>``: every term rides
+    the same recomputed per-chunk coherent fields.  Recomputes the
+    fields from ``fm`` (a backend array) and returns the
+    *frequency-domain* mask-gradient accumulator as a backend array
+    (the caller applies the final IFFT once, summed over stacks),
+    adding the first term's weight gradient into the host vector ``gw``
+    in place when it is not None.
     """
     s, n = kern.shape[0], kern.shape[-1]
     b = fm.shape[0]
@@ -662,34 +681,40 @@ def _stream_backward_one(
     need_w = gw is not None
     # Conjugate pairing additionally needs a real upstream gradient
     # (the mirrored-term identity conjugates g); fall back otherwise.
-    gd_complex = np.iscomplexobj(gd)
+    gd_complex = builtins.any(np.iscomplexobj(gd) for _, gd in terms)
     use_pairs = reps is not None and not gd_complex
     if use_pairs:
         kern_h = kern[reps]
         mates = cp[reps]
         is_pair = mates != reps
-        w_direct, w_mirror = w[reps], np.where(is_pair, w[mates], 0.0)
         r = reps.size
     else:
         kern_h, r = kern, s
     kern_r = bk.from_host(kern_h)
-    gd_dev = bk.from_host(gd)
-    gdr = gd_dev.reshape(b, nn, 1)
+    if need_w:
+        gdr = bk.from_host(terms[0][1]).reshape(b, nn, 1)
     acc: Any = None
     acc_mirror: Any = None
+    # Per term: (2 * upstream, weighted conj kernels, mirrored kernels).
+    # The w_s factor commutes with the FFT, so it folds into the
+    # per-chunk conj-kernel contraction (one pass fewer per block).
+    # The weighted kernels are assembled host-side (cached real
+    # constants) and transferred once per backward pass.
+    prepared: List[Tuple[Any, Any, Any]] = []
     if need_mask:
-        gd2 = 2.0 * gd_dev  # (B, N, N)
         acc = bk.zeros((b, n, n), bk.complex128)
-        # The w_s factor commutes with the FFT, so it folds into the
-        # per-chunk conj-kernel contraction (one pass fewer per block).
-        # The weighted kernels are assembled host-side (cached real
-        # constants) and transferred once per backward pass.
         if use_pairs:
-            wkc = bk.from_host(w_direct[:, None, None] * kern_h)
-            wkc_mirror = bk.from_host(w_mirror[:, None, None] * kern_h)
             acc_mirror = bk.zeros((b, n, n), bk.complex128)
-        else:
-            wkc = bk.from_host(w[:, None, None] * np.conj(kern))
+        for w, gd in terms:
+            gd2 = 2.0 * bk.from_host(gd)  # (B, N, N)
+            if use_pairs:
+                w_mirror = np.where(is_pair, w[mates], 0.0)
+                wkc = bk.from_host(w[reps][:, None, None] * kern_h)
+                wkc_mirror = bk.from_host(w_mirror[:, None, None] * kern_h)
+            else:
+                wkc = bk.from_host(w[:, None, None] * np.conj(kern))
+                wkc_mirror = None
+            prepared.append((gd2, wkc, wkc_mirror))
     chunks = _obs_counter("imaging.chunks")
     iffts = _obs_counter("imaging.ifft2")
     ffts = _obs_counter("imaging.fft2")
@@ -720,18 +745,21 @@ def _stream_backward_one(
                 else:
                     # reprolint: allow[R4] gw is a private per-stack accumulator the caller allocates; never a saved tensor
                     gw[lo:hi] += val
-            if need_mask:
-                fields *= gd2[:, None]  # in-place: no second block temp
-                t = bk.fft2(fields, overwrite_x=True)
+            for ti, (gd2, wkc, wkc_mirror) in enumerate(prepared):
+                if ti == len(prepared) - 1:
+                    fields *= gd2[:, None]  # in-place: no second block temp
+                    block = fields
+                else:
+                    block = fields * gd2[:, None]
+                t = bk.fft2(block, overwrite_x=True)
                 acc += bk.einsum("cij,bcij->bij", wkc[lo:hi], t)
                 if use_pairs:
                     acc_mirror += bk.einsum(
                         "cij,bcij->bij", wkc_mirror[lo:hi], t
                     )
+                ffts.inc()
         chunks.inc()
         iffts.inc()
-        if need_mask:
-            ffts.inc()
     if need_mask and use_pairs:
         # Mate term: conj(H_s')*FFT(2 w g conj(F_s)) == the direct
         # term conjugated and frequency-reversed (one pass total).
@@ -781,13 +809,16 @@ def incoherent_image(
     is ignored (exact fallback) for complex masks, complex kernels, or
     a complex upstream gradient.
 
-    Double backward: the streamed VJP returns graph-free gradients, so
-    when the backward pass itself must be differentiable — ``ad.grad(...,
-    create_graph=True)`` in the BiSMO HVP/mixed-JVP oracles and the
-    unroll path — the VJP detects grad-recording mode and falls back to
-    rebuilding the exact composed-op gradient expressions, which carry
-    their own graph.  The fallback costs the composed path's memory but
-    only runs where second-order products are requested.
+    Double backward: the streamed VJP returns graph-free gradients.  When
+    the backward pass itself must be differentiable (``ad.grad(...,
+    create_graph=True)``), the VJP detects grad-recording mode and falls
+    back to rebuilding the exact composed-op gradient expressions, which
+    carry their own graph but cost the composed path's memory.  Only the
+    BiSMO unroll path, objectives without an intensity basis and the
+    gradcheck oracles take that fallback.  BiSMO's exact HVP and
+    mixed-product oracles cut the graph at the aerial image instead:
+    they work from the FFT-free intensity basis and reach the mask
+    through the graph-free :func:`incoherent_mask_adjoint`.
     """
     mask = as_tensor(mask)
     pupil_stack = as_tensor(pupil_stack)
@@ -816,51 +847,183 @@ def incoherent_image(
         if is_grad_enabled():
             # create_graph backward: fall back to the composed-op
             # gradient expressions so the returned grads are themselves
-            # differentiable (exact HVPs / unroll hypergradients).
+            # differentiable (the unroll path and the gradcheck oracles).
             return _incoherent_vjp_composed(g, mask, pupil_stack, weights)
-        return _incoherent_vjp_streamed(
-            bk, g, mask, pupil_stack, weights, fm, csize, cp, reps
+        gm, gw = _stream_adjoint(
+            bk,
+            fm,
+            (pupil_stack.data,),
+            ((cp, reps),),
+            [(weights.data, g.data[None, None] if single else g.data[None])],
+            csize,
+            mask.requires_grad,
+            weights.requires_grad,
+            "incoherent_image",
         )
+        return (_wrap_grad(gm, single), None, _wrap_grad(gw, False))
 
     return _make(
         out_data, (mask, pupil_stack, weights), vjp, "incoherent_image"
     )
 
 
-def _incoherent_vjp_streamed(
-    bk: Any,
-    g: Tensor,
+def _wrap_grad(arr: Optional[np.ndarray], single: bool) -> Optional[Tensor]:
+    if arr is None:
+        return None
+    return Tensor(arr[0] if single else arr)
+
+
+def _stack_setup(
     mask: Tensor,
-    pupil_stack: Tensor,
-    weights: Tensor,
-    fm: Any,
-    csize: int,
-    cp: Any,
-    reps: Any,
-) -> Tuple[Optional[Tensor], ...]:
-    """Graph-free streamed gradients (first-order backward hot path)."""
-    host = _get_backend().HOST
-    s = pupil_stack.shape[0]
-    single = mask.ndim == 2
-    gd = g.data[None] if single else g.data
-    need_mask = mask.requires_grad
-    gw: Any = (
-        host.zeros(
-            s, np.complex128 if np.iscomplexobj(gd) else np.float64
+    stacks: Sequence[Tensor],
+    s: int,
+    chunk: Optional[int],
+    conj_pairs: Optional[Sequence[Optional[np.ndarray]]],
+) -> Tuple[Any, Any, int, Tuple[Tuple[Any, Any], ...]]:
+    """``(fftlib, backend, chunk, per-stack pairing)`` of a streamed
+    multi-stack pass, with the chunk and pairing arguments validated."""
+    if conj_pairs is None:
+        conj_pairs = (None,) * len(stacks)
+    elif len(conj_pairs) != len(stacks):
+        raise ValueError(
+            f"conj_pairs must have one entry per stack "
+            f"({len(stacks)}); got {len(conj_pairs)}"
         )
-        if weights.requires_grad
-        else None
+    fl = _get_fftlib()
+    csize = fl.get_stream_chunk() if chunk is None else int(chunk)
+    if csize < 1:
+        raise ValueError(f"chunk must be >= 1; got {csize}")
+    pair_info = tuple(
+        _pair_setup(cp_f, s, not mask.is_complex and not st.is_complex)
+        for st, cp_f in zip(stacks, conj_pairs)
     )
-    with _obs_span("imaging.vjp", op="incoherent_image", s=s):
-        acc = _stream_backward_one(
-            bk, gd, fm, pupil_stack.data, weights.data, csize, cp, reps,
-            need_mask, gw,
-        )
-        gm_out = None
+    return fl, _get_backend().active_backend(), csize, pair_info
+
+
+def _stream_adjoint(
+    bk: Any,
+    fm: Any,
+    kernels: Sequence[np.ndarray],
+    pair_info: Sequence[Tuple[Any, Any]],
+    terms: Sequence[Tuple[np.ndarray, np.ndarray]],
+    csize: int,
+    need_mask: bool,
+    need_w: bool,
+    op: str,
+) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """Graph-free streamed adjoint of the incoherent image, summed over
+    kernel stacks (the condition axis) and ``terms``.
+
+    ``terms`` holds ``(w, g)`` pairs: source weights ``(S,)`` and an
+    upstream gradient ``(F, B, N, N)`` with one plane per stack.  Returns
+    ``(gm, gw)``: the ``(B, N, N)`` host mask gradient of ``sum_t sum_f
+    <I_f(M; w_t), g_t[f]>`` (one final IFFT for every stack and term)
+    and the first term's ``(S,)`` weight gradient; either is None when
+    not requested.
+
+    Each stack's pass runs with *private* accumulation buffers (its own
+    frequency-domain mask-gradient accumulator and weight-gradient
+    vector), fanned out across the condition pool; the cross-stack
+    reductions then run here in fixed stack order.  The per-stack
+    buffers make an N-thread backward bitwise identical to the serial
+    one — the reduction tree does not depend on scheduling.  A
+    ``MemoryError`` inside a pass halves the chunk and retries it
+    (:func:`repro.optics.fftlib.run_with_chunk_fallback`).
+    """
+    fl = _get_fftlib()
+    host = _get_backend().HOST
+    s = kernels[0].shape[0]
+    gw_dtype = (
+        np.complex128 if np.iscomplexobj(terms[0][1]) else np.float64
+    )
+
+    def _backward_one(fi: int) -> Tuple[Any, Any]:
+        cp_f, reps_f = pair_info[fi]
+        stack_terms = [(w, g[fi]) for w, g in terms]
+
+        def _attempt(c: int) -> Tuple[Any, Any]:
+            # Fresh accumulators per attempt: a MemoryError mid-pass must
+            # not leave half-accumulated gradients behind for the
+            # halved-chunk retry to double-count.
+            gw_f = host.zeros(s, gw_dtype) if need_w else None
+            acc = _stream_backward_one(
+                bk, stack_terms, fm, kernels[fi], c, cp_f, reps_f,
+                need_mask, gw_f,
+            )
+            return acc, gw_f
+
+        if len(kernels) == 1:
+            return fl.run_with_chunk_fallback(_attempt, csize)
+        with _obs_span("engine.condition", index=fi):
+            return fl.run_with_chunk_fallback(_attempt, csize)
+
+    with _obs_span("imaging.vjp", op=op, stacks=len(kernels)):
+        results = fl.map_conditions(_backward_one, len(kernels))
+        acc_total: Any = None
+        gw: Any = None
+        for acc, gw_f in results:  # fixed stack-order reduction
+            if need_mask:
+                acc_total = acc if acc_total is None else acc_total + acc
+            if need_w:
+                gw = gw_f if gw is None else gw + gw_f
+        gm = None
         if need_mask:
-            gm = bk.to_host(bk.ifft2(acc, overwrite_x=True))
-            gm_out = Tensor(gm[0] if single else gm)
-    return (gm_out, None, Tensor(gw) if gw is not None else None)
+            gm = bk.to_host(bk.ifft2(acc_total, overwrite_x=True))
+    return gm, gw
+
+
+def incoherent_mask_adjoint(
+    mask: ArrayLike,
+    pupil_stacks: Sequence[ArrayLike],
+    terms: Sequence[Tuple[ArrayLike, ArrayLike]],
+    conj_pairs: Sequence[Optional[np.ndarray]],
+) -> np.ndarray:
+    """Graph-free mask gradient of several weighted incoherent images.
+
+    With ``I_f(M; w) = sum_s w_s |IFFT2(H^f_s FFT2(M))|^2`` for the F
+    kernel stacks ``pupil_stacks`` and ``terms = [(w_t, g_t), ...]``
+    (``w_t`` real ``(S,)`` weights, ``g_t`` an ``(F, [B,] N, N)``
+    upstream gradient with one plane per stack), returns
+
+        d/dM  sum_t sum_f  < I_f(M; w_t), g_t[f] >
+
+    shaped like ``mask``, as a numpy array (real for a real mask).  It
+    is the streamed VJP of
+    :func:`incoherent_image_stack` with several (weights, upstream)
+    pairs folded into one pass: every term rides the same recomputed
+    coherent fields, and all terms and stacks share one mask FFT and one
+    final IFFT.  BiSMO's exact mixed second-order product is one such
+    call with two terms.  ``conj_pairs`` takes one entry per stack, as
+    in :func:`incoherent_image_stack` (None for an unpaired stack); the
+    chunk size is the scoped :func:`repro.optics.fftlib.get_stream_chunk`.
+    """
+    mask = as_tensor(mask)
+    stacks = tuple(as_tensor(p) for p in pupil_stacks)
+    if not stacks or not terms:
+        raise ValueError("incoherent_mask_adjoint needs stacks and terms")
+    single = mask.ndim == 2
+    host_terms: List[Tuple[np.ndarray, np.ndarray]] = []
+    for w, g in terms:
+        wt, gt = as_tensor(w), as_tensor(g)
+        for st in stacks:
+            s, n = _check_incoherent_args(mask, st, wt)
+        if gt.shape != (len(stacks),) + mask.shape:
+            raise ValueError(
+                f"upstream gradient must be {(len(stacks),) + mask.shape}; "
+                f"got {gt.shape}"
+            )
+        host_terms.append((wt.data, gt.data[:, None] if single else gt.data))
+    _, bk, csize, pair_info = _stack_setup(mask, stacks, s, None, conj_pairs)
+    fm = bk.fft2(bk.from_host(mask.data[None] if single else mask.data))
+    gm, _ = _stream_adjoint(
+        bk, fm, [st.data for st in stacks], pair_info, host_terms, csize,
+        True, False, "incoherent_mask_adjoint",
+    )
+    if gm is None:
+        raise RuntimeError("the streamed adjoint returned no mask gradient")
+    if not mask.is_complex:
+        gm = np.ascontiguousarray(gm.real)  # dL/dRe(M): a real gradient
+    return gm[0] if single else gm
 
 
 def _incoherent_vjp_composed(
@@ -870,8 +1033,8 @@ def _incoherent_vjp_composed(
 
     Rebuilds the coherent fields with graph-recording functional ops and
     expresses the exact gradient formulas with them, so the returned
-    tensors can be differentiated again (the property BiSMO's exact
-    HVP / mixed-JVP oracles and the unroll path rely on).
+    tensors can be differentiated again (the property the BiSMO unroll
+    path and the composed second-order reference oracle rely on).
     """
     s, n = pupil_stack.shape[0], pupil_stack.shape[-1]
     single = mask.ndim == 2
@@ -945,22 +1108,7 @@ def incoherent_image_stack(
         raise ValueError("incoherent_image_stack needs at least one stack")
     for st in stacks:
         s, n = _check_incoherent_args(mask, st, weights)
-    if conj_pairs is None:
-        conj_pairs = (None,) * len(stacks)
-    elif len(conj_pairs) != len(stacks):
-        raise ValueError(
-            f"conj_pairs must have one entry per stack "
-            f"({len(stacks)}); got {len(conj_pairs)}"
-        )
-    fl = _get_fftlib()
-    bk = _get_backend().active_backend()
-    csize = fl.get_stream_chunk() if chunk is None else int(chunk)
-    if csize < 1:
-        raise ValueError(f"chunk must be >= 1; got {csize}")
-    pair_info = tuple(
-        _pair_setup(cp_f, s, not mask.is_complex and not st.is_complex)
-        for st, cp_f in zip(stacks, conj_pairs)
-    )
+    fl, bk, csize, pair_info = _stack_setup(mask, stacks, s, chunk, conj_pairs)
     single = mask.ndim == 2
     tiles = mask.data[None] if single else mask.data
     b = tiles.shape[0]
@@ -997,79 +1145,25 @@ def incoherent_image_stack(
     def vjp(g: Tensor) -> Tuple[Optional[Tensor], ...]:
         if is_grad_enabled():
             return _incoherent_stack_vjp_composed(g, mask, stacks, weights)
-        return _incoherent_stack_vjp_streamed(
-            bk, g, mask, stacks, weights, fm, csize, pair_info
+        gm, gw = _stream_adjoint(
+            bk,
+            fm,
+            [st.data for st in stacks],
+            pair_info,
+            [(w, g.data[:, None] if single else g.data)],
+            csize,
+            mask.requires_grad,
+            weights.requires_grad,
+            "incoherent_image_stack",
+        )
+        return (
+            (_wrap_grad(gm, single),)
+            + (None,) * len(stacks)
+            + (_wrap_grad(gw, False),)
         )
 
     return _make(
         out_data, (mask,) + stacks + (weights,), vjp, "incoherent_image_stack"
-    )
-
-
-def _incoherent_stack_vjp_streamed(
-    bk: Any,
-    g: Tensor,
-    mask: Tensor,
-    stacks: Tuple[Tensor, ...],
-    weights: Tensor,
-    fm: Any,
-    csize: int,
-    pair_info: Tuple,
-) -> Tuple[Optional[Tensor], ...]:
-    """Graph-free streamed gradients summed over the condition axis.
-
-    Each stack's backward pass runs with *private* accumulation buffers
-    (its own frequency-domain mask-gradient accumulator and its own
-    weight-gradient vector), fanned out across the condition pool; the
-    cross-stack reductions then run here in fixed stack order.  The
-    per-stack buffers make an N-thread backward bitwise identical to
-    the serial one — the reduction tree does not depend on scheduling.
-    """
-    fl = _get_fftlib()
-    host = _get_backend().HOST
-    s = stacks[0].shape[0]
-    single = mask.ndim == 2
-    gd = g.data[:, None] if single else g.data  # (F, B, N, N)
-    need_mask = mask.requires_grad
-    need_w = weights.requires_grad
-    gw_dtype = np.complex128 if np.iscomplexobj(gd) else np.float64
-
-    def _backward_one(fi: int) -> Tuple[Any, Any]:
-        cp_f, reps_f = pair_info[fi]
-
-        def _attempt(c: int) -> Tuple[Any, Any]:
-            # Fresh accumulators per attempt: a MemoryError mid-pass must
-            # not leave half-accumulated gradients behind for the
-            # halved-chunk retry to double-count.
-            gw_f = host.zeros(s, gw_dtype) if need_w else None
-            acc = _stream_backward_one(
-                bk, gd[fi], fm, stacks[fi].data, weights.data, c, cp_f,
-                reps_f, need_mask, gw_f,
-            )
-            return acc, gw_f
-
-        with _obs_span("engine.condition", index=fi):
-            return fl.run_with_chunk_fallback(_attempt, csize)
-
-    with _obs_span(
-        "imaging.vjp", op="incoherent_image_stack", stacks=len(stacks)
-    ):
-        results = fl.map_conditions(_backward_one, len(stacks))
-    gw: Any = host.zeros(s, gw_dtype) if need_w else None
-    acc_total: Any = (
-        bk.zeros(tuple(fm.shape), bk.complex128) if need_mask else None
-    )
-    for acc, gw_f in results:  # fixed stack-order reduction
-        if need_mask:
-            acc_total += acc
-        if need_w:
-            gw += gw_f
-    gm_out = None
-    if need_mask:
-        gm = bk.to_host(bk.ifft2(acc_total, overwrite_x=True))
-        gm_out = Tensor(gm[0] if single else gm)
-    return (gm_out,) + (None,) * len(stacks) + (
-        Tensor(gw) if gw is not None else None,
     )
 
 
@@ -1104,6 +1198,70 @@ def _incoherent_stack_vjp_composed(
             gm_f = reshape(gm, (n, n)) if single else gm
             gm_out = gm_f if gm_out is None else add(gm_out, gm_f)
     return (gm_out,) + (None,) * len(stacks) + (gw_out,)
+
+
+# ----------------------------------------------------------------------
+# intensity-basis contractions (FFT-free Abbe aerials at a fixed mask)
+# ----------------------------------------------------------------------
+def _check_basis(basis: Tensor) -> Tuple[int, int, int]:
+    """Validate a ``(B, S, N, N)`` basis; return ``(B, S, N * N)``."""
+    if basis.ndim != 4:
+        raise ValueError(f"basis must be (B, S, N, N); got {basis.shape}")
+    if basis.is_complex:
+        raise TypeError("basis must be real")
+    if basis.requires_grad:
+        raise ValueError(
+            "basis contractions do not propagate gradients to the basis "
+            "(a constant at a fixed mask); detach it first"
+        )
+    b, s, n1, n2 = basis.shape
+    return b, s, n1 * n2
+
+
+def basis_combine(basis: ArrayLike, w: ArrayLike) -> Tensor:
+    """Weighted sum over the source axis: ``out[b] = sum_s w_s basis[b, s]``.
+
+    ``basis`` is a constant ``(B, S, N, N)`` array and ``w`` an ``(S,)``
+    vector; the result is ``(B, N, N)``.  At a fixed mask, Abbe's aerial
+    image is exactly this linear map of the normalized source weights
+    (see :meth:`repro.optics.abbe.AbbeImaging.source_intensity_basis`),
+    evaluated with one BLAS pass over the basis and no FFT.  The VJP is
+    :func:`basis_contract` and vice versa, so both record a graph and
+    differentiate to any order.
+    """
+    basis, w = as_tensor(basis), as_tensor(w)
+    b, s, p = _check_basis(basis)
+    if w.shape != (s,):
+        raise ValueError(f"weights must be ({s},); got {w.shape}")
+    out = np.matmul(w.data, basis.data.reshape(b, s, p))
+
+    def vjp(g: Tensor) -> Tuple[Optional[Tensor], ...]:
+        return (None, basis_contract(basis, g) if w.requires_grad else None)
+
+    return _make(
+        out.reshape((b,) + basis.shape[2:]), (basis, w), vjp, "basis_combine"
+    )
+
+
+def basis_contract(basis: ArrayLike, g: ArrayLike) -> Tensor:
+    """Adjoint of :func:`basis_combine`: ``out[s] = sum_b <basis[b, s], g[b]>``.
+
+    ``g`` is ``(B, N, N)``, the result ``(S,)``: the source-weight
+    gradient of an image-space upstream gradient.  Its VJP is
+    :func:`basis_combine`.
+    """
+    basis, g = as_tensor(basis), as_tensor(g)
+    b, s, p = _check_basis(basis)
+    if g.shape != (b,) + basis.shape[2:]:
+        raise ValueError(
+            f"g must be {(b,) + basis.shape[2:]}; got {g.shape}"
+        )
+    out = (basis.data.reshape(b, s, p) @ g.data.reshape(b, p, 1))[:, :, 0]
+
+    def vjp(h: Tensor) -> Tuple[Optional[Tensor], ...]:
+        return (None, basis_combine(basis, h) if g.requires_grad else None)
+
+    return _make(out.sum(axis=0), (basis, g), vjp, "basis_contract")
 
 
 # ----------------------------------------------------------------------
@@ -1146,8 +1304,8 @@ def matmul(a: ArrayLike, b: ArrayLike) -> Tensor:
         raise ValueError("matmul supports 2-D operands only")
 
     def vjp(g: Tensor) -> Tuple[Optional[Tensor], ...]:
-        ga = matmul(g, _transpose(conj(b)))
-        gb = matmul(_transpose(conj(a)), g)
+        ga = matmul(g, _transpose(conj(b))) if a.requires_grad else None
+        gb = matmul(_transpose(conj(a)), g) if b.requires_grad else None
         return (ga, gb)
 
     return _make(a.data @ b.data, (a, b), vjp, "matmul")

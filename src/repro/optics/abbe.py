@@ -38,6 +38,7 @@ import numpy as np
 from .. import autodiff as ad
 from ..autodiff import functional as F
 from ..obs import span as obs_span
+from ..utils.memory import require_memory
 from .config import OpticalConfig
 from .engine import MaskLike, as_tile_batch, incoherent_sum_fast
 from .source import SourceGrid
@@ -183,6 +184,17 @@ class AbbeImaging:
         """Extract the valid-point weight vector ``j_s`` from a source image."""
         return F.getitem(source, self._valid_index)
 
+    def normalized_weights(self, source: ad.Tensor) -> ad.Tensor:
+        """Normalized source weights ``j_s / (sum_s j_s + eps)``.
+
+        The weights every differentiable aerial uses: a clear field then
+        images at intensity 1 for any source shape.  Normalizing the
+        ``(S,)`` vector instead of the ``(B, N, N)`` output keeps the
+        division off the big array.
+        """
+        j = self.source_weights(source)
+        return F.div(j, F.add(F.sum(j), _EPS))
+
     def aerial(self, mask: ad.Tensor, source: Optional[ad.Tensor] = None) -> ad.Tensor:
         """Aerial image intensity for mask(s) and source (N_j, N_j).
 
@@ -193,10 +205,7 @@ class AbbeImaging:
         """
         if source is None:
             raise ValueError("AbbeImaging.aerial requires a source image")
-        j = self.source_weights(source)
-        # Normalizing the (S,) weight vector instead of the (B, N, N)
-        # output keeps the division off the big array.
-        jn = F.div(j, F.add(F.sum(j), _EPS))
+        jn = self.normalized_weights(source)
         if self.fused:
             return F.incoherent_image(
                 mask, self._pupil_stack, jn, conj_pairs=self._conj_pairs
@@ -257,8 +266,7 @@ class AbbeImaging:
             conditions = focus_values
         if source is None:
             raise ValueError("AbbeImaging.aerial_conditions requires a source")
-        j = self.source_weights(source)
-        jn = F.div(j, F.add(F.sum(j), _EPS))
+        jn = self.normalized_weights(source)
         stacks_pairs = self.condition_stacks(conditions)
         if not self.fused:
             aerials = [
@@ -346,30 +354,19 @@ class AbbeImaging:
         bk = abk.active_backend()
         tiles, _ = as_tile_batch(masks, self.config.mask_size)
         kernels = self._pupil_stack.data if pupil_stack is None else pupil_stack
+        shape = (tiles.shape[0],) + kernels.shape
+        require_memory(
+            8 * int(np.prod(shape)), f"{shape} float64 intensity basis"
+        )
         fm = bk.fft2(bk.from_host(tiles))  # (B, N, N)
         kern = bk.from_host(kernels)
-        out = abk.HOST.empty((tiles.shape[0],) + kernels.shape, np.float64)
+        out = abk.HOST.empty(shape, np.float64)
         # Tile-at-a-time keeps the working set cache-sized; per-tile
         # results are bitwise identical to the full-stack transform.
         for b in range(tiles.shape[0]):
             fields = bk.ifft2(kern * fm[b], overwrite_x=True)
             out[b] = bk.to_host(bk.abs2(fields))
         return out  # (B, S, N, N)
-
-    def aerial_from_basis(self, basis: ad.Tensor, source: ad.Tensor) -> ad.Tensor:
-        """Differentiable aerial from a fixed intensity basis (FFT-free).
-
-        Equal to the batched :meth:`aerial` at the mask that produced
-        ``basis`` as a *function* of the source (same derivatives, hence
-        exact inner-Hessian oracles) and numerically to fp rounding, but
-        the graph touches only the source parameters — the cheap path
-        for source-only gradients.
-        """
-        j = self.source_weights(source)
-        norm = F.add(F.sum(j), _EPS)
-        s = self.num_source_points
-        jw = F.reshape(F.div(j, norm), (1, s, 1, 1))
-        return F.sum(F.mul(jw, basis), axis=1)  # (B, N, N)
 
     def aerial_loop(self, mask: ad.Tensor, source: ad.Tensor) -> ad.Tensor:
         """Reference per-source-point loop (slow path).

@@ -26,6 +26,7 @@ import scipy.sparse.linalg
 from .. import autodiff as ad
 from ..autodiff import functional as F
 from ..obs import span as obs_span
+from ..utils.seed import seeded_rng
 from .config import OpticalConfig
 from .engine import (
     CONDITION_MEMO_MAX,
@@ -99,7 +100,10 @@ def socs_kernels(
         vals, vecs = vals[::-1], vecs[:, ::-1]
         vals, vecs = vals[:q], vecs[:, :q]
     else:
-        vals, vecs = scipy.sparse.linalg.eigsh(tcc, k=q, which="LA")
+        # A seeded start vector: ARPACK's default random one would make
+        # two decompositions of one TCC differ at ~1e-15.
+        v0 = seeded_rng("hopkins", "socs", p).standard_normal(p)
+        vals, vecs = scipy.sparse.linalg.eigsh(tcc, k=q, which="LA", v0=v0)
         order = np.argsort(vals)[::-1]
         vals, vecs = vals[order], vecs[:, order]
     vals = np.clip(vals, 0.0, None)  # PSD up to numerical noise

@@ -20,6 +20,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ..utils.memory import require_memory
 from .config import OpticalConfig
 from .source import SourceGrid
 from .zernike import PupilAberration, defocus_exponent
@@ -56,6 +57,10 @@ def shifted_pupil_stack(
     """
     fx, fy = config.freq_grid()
     off_x, off_y = grid.freq_offsets(config)
+    shape = (off_x.size,) + fx.shape
+    require_memory(
+        8 * off_x.size * fx.size, f"{shape} float64 shifted pupil stack"
+    )
     fc = config.cutoff_freq
     # (S, N, N) via broadcasting; bool -> float64 for autodiff multiplies.
     shifted_sq = (fx[None, :, :] + off_x[:, None, None]) ** 2 + (

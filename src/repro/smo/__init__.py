@@ -19,6 +19,7 @@ from .objective import (
     HopkinsMOObjective,
     LoopedSMOObjective,
     ProcessWindowSMOObjective,
+    SourceBasisLoss,
     dose_resist,
     robust_corner_loss,
     smo_loss_from_aerial,
@@ -50,6 +51,7 @@ __all__ = [
     "HopkinsMOObjective",
     "LoopedSMOObjective",
     "ProcessWindowSMOObjective",
+    "SourceBasisLoss",
     "ROBUST_MODES",
     "AdaptiveCornerWeights",
     "adaptive_corner_update",

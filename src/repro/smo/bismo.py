@@ -13,9 +13,13 @@ truncated Neumann series (:mod:`repro.smo.nmn`) and conjugate gradient
 (:mod:`repro.smo.cg`); each outer iteration
 
 1. unrolls ``T`` inner SO steps to track theta_J* (Alg. 2 line 2),
-2. builds a :class:`HypergradientContext` — one differentiable forward/
-   backward giving the direct gradients plus exact HVP / mixed-JVP
-   oracles via double backward,
+2. builds a :class:`HypergradientContext` — the loss, the direct
+   gradients and exact HVP / mixed-product oracles.  theta_M is fixed
+   for the whole outer iteration, so the FFT-free intensity basis the
+   inner SO loop already uses (:class:`SourceBasisLoss`) carries them:
+   the graph is cut at the aerial image, HVPs are double backwards
+   over the basis and the loss tail, and the mask side is one streamed
+   mask-adjoint pass — no ``create_graph`` backward through imaging,
 3. forms the hypergradient and updates theta_M (Alg. 2 line 13).
 
 Since the paper sets ``L_so := L_mo := L_smo`` (Eq. (9)), one loss graph
@@ -46,6 +50,7 @@ from .objective import (
     AbbeSMOObjective,
     BatchedSMOObjective,
     ProcessWindowSMOObjective,
+    SourceBasisLoss,
     adaptive_corner_update,
 )
 from .parametrization import init_theta_mask, init_theta_source
@@ -55,27 +60,48 @@ __all__ = ["HypergradientContext", "BiSMO"]
 
 
 class HypergradientContext:
-    """Differentiable first-order state at (theta_J, theta_M).
+    """First-order state at (theta_J, theta_M) plus second-order oracles.
 
-    Wraps one loss evaluation with ``create_graph=True`` and exposes:
+    Exposes:
 
-    * ``grad_j`` / ``grad_m`` — direct gradients (numpy copies),
+    * ``loss_value``, ``grad_j`` / ``grad_m`` — the loss and its direct
+      gradients (numpy copies),
     * :meth:`hvp` — exact inner Hessian-vector products
       ``(d^2 L_so / d theta_J^2) @ p``,
     * :meth:`mixed_vjp` — exact mixed products
-      ``(d^2 L_so / d theta_M d theta_J) @ w`` (shape of theta_M),
+      ``(d^2 L_so / d theta_M d theta_J) @ w`` (shape of theta_M).
 
-    both computed by a second backward pass through the gradient graph
-    (``hvp_mode="exact"``), or by central differences of fresh gradient
-    evaluations (``hvp_mode="fd"``, cheaper in memory — the DARTS trick).
     The oracles feed every hypergradient strategy: finite-difference
     (:mod:`repro.smo.fd`), truncated Neumann series (:mod:`repro.smo.nmn`)
     and conjugate gradient (:mod:`repro.smo.cg`).
 
+    ``hvp_mode="exact"`` with an intensity basis — a
+    :class:`SourceBasisLoss` from the objective's ``source_only_loss``
+    or passed as ``so_loss_fn`` — cuts the graph at the aerial image.
+    With ``A(M, c) = sum_s c_s X_s(M)`` linear in the normalized source
+    weights ``jhat``, ``T`` the loss tail below ``A`` and ``G = dT/dA``:
+
+    * the loss, ``grad_j`` and every HVP come from the basis, with no
+      FFT (a double backward over ``theta_J -> jhat -> A -> T``);
+    * ``grad_m`` is one streamed mask-adjoint pass with the term
+      ``(jhat, G)``;
+    * ``mixed_vjp(w) = grad_M <A(M, delta), G> + grad_M <A(M, jhat), G'>``
+      with ``delta = J_jhat w`` and ``G' = (d^2 T / dA^2) A(M, delta)``
+      (a double backward over the tail only): one mask-adjoint pass
+      with two terms.
+
+    This is exact for any tail (sum, log-sum-exp max and adaptive
+    corner weights alike), because ``A`` is linear in ``jhat`` and ``T``
+    sees only ``A``.  Objectives without a basis (``LoopedSMOObjective``,
+    duck-typed objectives) use the composed reference instead: one loss
+    evaluation with ``create_graph=True`` and a second backward through
+    its gradient graph.  ``hvp_mode="fd"`` takes central differences of
+    fresh gradient evaluations (cheaper in memory — the DARTS trick).
+
     ``objective`` is any SMO objective exposing ``loss(theta_j,
     theta_m)`` — single-tile :class:`AbbeSMOObjective` or a batched
     multi-clip objective, in which case ``theta_m`` is a ``(B, N, N)``
-    stack and every oracle flows through the fused batched graph.
+    stack.
     """
 
     def __init__(
@@ -94,51 +120,93 @@ class HypergradientContext:
         self.fd_eps = fd_eps
         self._tj = ad.Tensor(theta_j, requires_grad=True)
         self._tm = ad.Tensor(theta_m, requires_grad=True)
+        self._so_gj_graph: Optional[ad.Tensor] = None
+        # ``so_loss_fn`` lets the driver share one basis across the whole
+        # outer iteration; otherwise the objective's factory builds it.
+        # In fd mode it carries the theta_J-only gradient evaluations.
+        if so_loss_fn is None:
+            so_loss_fn = _source_only_loss(objective, theta_m)
+        self._so_loss_fn = so_loss_fn
+        create = hvp_mode == "exact"
+        self._basis = (
+            so_loss_fn
+            if create and isinstance(so_loss_fn, SourceBasisLoss)
+            else None
+        )
+        if self._basis is not None:
+            self._init_from_basis(self._basis, theta_j)
+            return
         loss = objective.loss(self._tj, self._tm)
         self.loss_value = float(loss.data)
-        create = hvp_mode == "exact"
         gj, gm = ad.grad(loss, [self._tj, self._tm], create_graph=create)
         self._gj_graph = gj if create else None
         self.grad_j = gj.data.copy()
         self.grad_m = gm.data.copy()
-        # Source-only HVP oracle: objectives that can express the loss as
-        # a function of theta_J alone through a fixed intensity basis
-        # (Abbe is linear in the source weights) provide a far cheaper,
-        # FFT-free graph for the inner Hessian.  Exact — same function of
-        # theta_J, so identical second derivatives.  ``so_loss_fn`` lets
-        # the driver share one basis across the whole outer iteration;
-        # otherwise the objective's ``source_only_loss`` factory is used.
-        if so_loss_fn is None:
-            factory = getattr(objective, "source_only_loss", None)
-            so_loss_fn = factory(theta_m) if factory is not None else None
-        self._so_loss_fn = so_loss_fn
-        self._so_tj: Optional[ad.Tensor] = None
-        self._so_gj_graph: Optional[ad.Tensor] = None
-        if create and so_loss_fn is not None:
-            so_tj = ad.Tensor(theta_j, requires_grad=True)
-            (so_gj,) = ad.grad(so_loss_fn(so_tj), [so_tj], create_graph=True)
-            self._so_tj, self._so_gj_graph = so_tj, so_gj
+
+    def _init_from_basis(
+        self, basis: SourceBasisLoss, theta_j: np.ndarray
+    ) -> None:
+        """Exact state from the intensity basis (graph cut at ``A``)."""
+        tj = ad.Tensor(theta_j, requires_grad=True)
+        jn = basis.weights(tj)
+        aerials = basis.aerials(jn)
+        loss = basis.tail(aerials)
+        self.loss_value = float(loss.data)
+        # HVP graph theta_J -> jhat -> A -> T: FFT-free.
+        (gj,) = ad.grad(loss, [tj], create_graph=True)
+        self._so_tj, self._so_gj_graph = tj, gj
+        self.grad_j = gj.data.copy()
+        # The tail alone, from leaf aerials: G = dT/dA with its graph, for
+        # G' = (d^2 T / dA^2) A(M, delta) in mixed_vjp.
+        self._a = [ad.Tensor(a.data, requires_grad=True) for a in aerials]
+        self._g = ad.grad(basis.tail(self._a), self._a, create_graph=True)
+        # J_jhat^T u for a free leaf u: differentiating <J^T u, w> in u
+        # gives the forward product J_jhat w from two reverse passes.
+        self._u = ad.Tensor(np.zeros(jn.shape), requires_grad=True)
+        (self._jt_u,) = ad.grad(
+            jn, [tj], grad_output=self._u, create_graph=True
+        )
+        self._jn = jn.data
+        self.grad_m = basis.mask_grad([(self._jn, [g.data for g in self._g])])
 
     # -- second-order oracles -------------------------------------------
     def hvp(self, p: np.ndarray) -> np.ndarray:
         """(d^2 L_so / d theta_J^2) @ p."""
-        if self.hvp_mode == "exact":
-            if self._so_gj_graph is not None:
-                inner = F.dot(self._so_gj_graph, ad.Tensor(p))
-                (h,) = ad.grad(inner, [self._so_tj], allow_unused=True)
-                return np.zeros_like(p) if h is None else h.data
-            inner = F.dot(self._gj_graph, ad.Tensor(p))
-            (h,) = ad.grad(inner, [self._tj], allow_unused=True)
-            return np.zeros_like(p) if h is None else h.data
-        return self._fd_second_order(p, wrt="j")
+        if self.hvp_mode != "exact":
+            return self._fd_second_order(p, wrt="j")
+        if self._basis is not None:
+            graph, leaf = self._so_gj_graph, self._so_tj
+        else:
+            graph, leaf = self._gj_graph, self._tj
+        (h,) = ad.grad(F.dot(graph, ad.Tensor(p)), [leaf], allow_unused=True)
+        return np.zeros_like(p) if h is None else h.data
 
     def mixed_vjp(self, w: np.ndarray) -> np.ndarray:
         """(d^2 L_so / d theta_M d theta_J) @ w — gradient-fusion term."""
-        if self.hvp_mode == "exact":
-            inner = F.dot(self._gj_graph, ad.Tensor(w))
-            (m,) = ad.grad(inner, [self._tm], allow_unused=True)
-            return np.zeros_like(self._tm.data) if m is None else m.data
-        return self._fd_second_order(w, wrt="m")
+        if self.hvp_mode != "exact":
+            return self._fd_second_order(w, wrt="m")
+        if self._basis is not None:
+            return self._mixed_from_basis(w)
+        inner = F.dot(self._gj_graph, ad.Tensor(w))
+        (m,) = ad.grad(inner, [self._tm], allow_unused=True)
+        return np.zeros_like(self._tm.data) if m is None else m.data
+
+    def _mixed_from_basis(self, w: np.ndarray) -> np.ndarray:
+        """``grad_M <A(M, delta), G> + grad_M <A(M, jhat), G'>``."""
+        basis = self._basis
+        (delta,) = ad.grad(F.dot(self._jt_u, ad.Tensor(w)), [self._u])
+        inner: Optional[ad.Tensor] = None
+        for g, a_delta in zip(self._g, basis.aerials(delta)):  # FFT-free
+            term = F.dot(g, a_delta)
+            inner = term if inner is None else F.add(inner, term)
+        g2 = ad.grad(inner, self._a, allow_unused=True)
+        g_prime = [
+            np.zeros_like(a.data) if g is None else g.data
+            for g, a in zip(g2, self._a)
+        ]
+        return basis.mask_grad(
+            [(delta.data, [g.data for g in self._g]), (self._jn, g_prime)]
+        )
 
     def _fd_second_order(self, vec: np.ndarray, wrt: str) -> np.ndarray:
         """Central difference of the relevant first-order gradient while
@@ -161,6 +229,11 @@ class HypergradientContext:
                 (g,) = ad.grad(loss, [target])
             outs.append(g.data)
         return (outs[0] - outs[1]) / (2.0 * h)
+
+
+def _source_only_loss(objective, theta_m: np.ndarray) -> Optional[Callable]:
+    factory = getattr(objective, "source_only_loss", None)
+    return factory(theta_m) if factory is not None else None
 
 
 HypergradientFn = Callable[
@@ -346,15 +419,12 @@ class BiSMO:
                 "solver.iter", solver=self.method_name, iteration=it
             ):
                 # ---- Alg. 2 line 2: unroll T inner SO steps -----------
-                # theta_M is fixed for the whole outer iteration, so a
-                # batched objective's FFT-free source-only closure (one
-                # intensity basis, shared with the HVP oracle below)
-                # carries every inner step and Hessian product of this
-                # iteration.
-                so_factory = getattr(self.objective, "source_only_loss", None)
-                so_loss = (
-                    so_factory(theta_m) if so_factory is not None else None
-                )
+                # theta_M is fixed for the whole outer iteration, so the
+                # objective's FFT-free source-only loss (one intensity
+                # basis, shared with the hypergradient oracles below)
+                # carries every inner step and second-order product of
+                # this iteration.
+                so_loss = _source_only_loss(self.objective, theta_m)
                 if so_loss is not None:
                     for _ in range(self.unroll_steps):
                         tj = ad.Tensor(theta_j, requires_grad=True)

@@ -26,7 +26,7 @@ loss nor its backward retains a ``(B, S, N, N)`` field stack.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,6 +55,7 @@ __all__ = [
     "BatchedSMOObjective",
     "LoopedSMOObjective",
     "ProcessWindowSMOObjective",
+    "SourceBasisLoss",
     "ROBUST_MODES",
 ]
 
@@ -294,6 +295,21 @@ def windowed_corner_loss(
     conditions = window.conditions()
     stack = engine.aerial_conditions(mask, source, conditions)
     aerials = [F.getitem(stack, fi) for fi in range(len(conditions))]
+    return _robust_window_loss(
+        aerials, target, window, config, robust, tau, weights
+    )
+
+
+def _robust_window_loss(
+    aerials: Sequence[ad.Tensor],
+    target: ad.Tensor,
+    window: ProcessWindow,
+    config: OpticalConfig,
+    robust: str,
+    tau: float,
+    weights: Optional[np.ndarray],
+) -> Tuple[ad.Tensor, np.ndarray]:
+    """``(robust_loss, corner_matrix)`` from per-condition aerials."""
     losses, matrix = _corner_loss_terms(aerials, target, window, config)
     return robust_corner_loss(losses, window, robust, tau, weights), matrix
 
@@ -424,6 +440,111 @@ def adaptive_corner_update(
     return adaptive.weights.copy()
 
 
+class SourceBasisLoss:
+    """The SMO loss at a fixed ``theta_M`` as an FFT-free function of
+    ``theta_J``, plus the mask adjoint BiSMO's exact oracles need.
+
+    Abbe's aerial image at each pupil condition ``f`` is linear in the
+    normalized source weights: ``A_f(M, c) = sum_s c_s X_f[:, s](M)``
+    with the intensity basis ``X_f`` of
+    :meth:`repro.optics.abbe.AbbeImaging.source_intensity_basis`.  At a
+    fixed mask the bases are constants, so calling this object as
+    ``loss_j(theta_j)`` evaluates the loss with no FFT: one
+    :func:`~repro.autodiff.functional.basis_combine` per condition,
+    then the objective's loss *tail* ``T`` (resist, corner and robust
+    reductions; it stashes the objective's per-tile and per-corner
+    diagnostics as ``loss()`` does).
+
+    Parts, as :class:`repro.smo.bismo.HypergradientContext` uses them:
+
+    * :meth:`weights` — ``jhat(theta_J)``, as a graph;
+    * :meth:`aerials` — ``A_f(M, c)``;
+    * :attr:`tail` — ``T``, a map from the per-condition aerials
+      (shaped like the masks) to the scalar loss;
+    * :meth:`mask_grad` — the ``theta_M`` gradient of ``sum_t sum_f
+      <A_f(M, c_t), G_t[f]>``: one streamed mask-adjoint pass
+      (:func:`~repro.autodiff.functional.incoherent_mask_adjoint`)
+      chained through ``mask_from_theta``'s VJP.
+
+    ``stacks``/``conj_pairs`` are the per-condition kernel stacks the
+    engine images with, ``masks`` the mask tensor whose graph reaches
+    the leaf ``theta_m``.
+    """
+
+    def __init__(
+        self,
+        engine: ImagingEngine,
+        config: OpticalConfig,
+        theta_m: np.ndarray,
+        tail: Callable[[Sequence[ad.Tensor]], ad.Tensor],
+        conditions: Sequence,
+    ):
+        self.engine = engine
+        self.config = config
+        self.tail = tail
+        with ad.enable_grad():
+            self.theta_m = ad.Tensor(theta_m, requires_grad=True)
+            self.masks = mask_from_theta(self.theta_m, config)
+        pairs = engine.condition_stacks(conditions)
+        self.stacks = [stack for stack, _ in pairs]
+        self.conj_pairs = [cp for _, cp in pairs]
+        self.bases = [
+            ad.Tensor(engine.source_intensity_basis(self.masks.data, st.data))
+            for st in self.stacks
+        ]
+
+    @classmethod
+    def maybe(
+        cls,
+        engine: ImagingEngine,
+        config: OpticalConfig,
+        theta_m: np.ndarray,
+        tail: Callable[[Sequence[ad.Tensor]], ad.Tensor],
+        conditions: Optional[Sequence] = None,
+    ) -> Optional["SourceBasisLoss"]:
+        """The basis loss, or ``None`` for an engine without an intensity
+        basis.  ``conditions`` defaults to the engine's own pupil
+        condition."""
+        needed = (
+            "source_intensity_basis",
+            "condition_stacks",
+            "normalized_weights",
+        )
+        if not all(hasattr(engine, name) for name in needed):
+            return None
+        if conditions is None:
+            conditions = (getattr(engine, "aberration", 0.0),)
+        return cls(engine, config, theta_m, tail, conditions)
+
+    def weights(self, theta_j: ad.Tensor) -> ad.Tensor:
+        """Normalized source weights ``jhat(theta_J)`` (a graph)."""
+        source = source_from_theta(theta_j, self.config)
+        return self.engine.normalized_weights(source)
+
+    def aerials(self, c: ad.Tensor) -> List[ad.Tensor]:
+        """``A_f(M, c)`` for every condition, shaped like the masks."""
+        shape = self.masks.shape
+        out = [F.basis_combine(x, c) for x in self.bases]
+        return [a if a.shape == shape else F.reshape(a, shape) for a in out]
+
+    def __call__(self, theta_j: ad.Tensor) -> ad.Tensor:
+        return self.tail(self.aerials(self.weights(theta_j)))
+
+    def mask_grad(
+        self, terms: Sequence[Tuple[np.ndarray, Sequence[np.ndarray]]]
+    ) -> np.ndarray:
+        """``d/dtheta_M  sum_t sum_f <A_f(M, c_t), G_t[f]>`` for terms
+        ``(c_t, [G_t[f] per condition])``, in one mask-adjoint pass."""
+        gm = F.incoherent_mask_adjoint(
+            self.masks.data,
+            self.stacks,
+            [(c, np.stack(g)) for c, g in terms],
+            conj_pairs=self.conj_pairs,
+        )
+        (g,) = ad.grad(self.masks, [self.theta_m], grad_output=ad.Tensor(gm))
+        return g.data
+
+
 class ProcessWindowSMOObjective:
     """Robust SMO loss across a dose x aberration :class:`ProcessWindow`.
 
@@ -445,10 +566,9 @@ class ProcessWindowSMOObjective:
     (joint multi-clip robust SMO — per-tile robust losses ride every
     iteration record, and the ``(C, B)`` corner matrix is stashed on
     ``last_corner_losses`` for the harness report).  Differentiable in
-    both parameters, including the second-order products BiSMO needs
-    (the stack primitive's ``create_graph`` fallback), and exposes the
-    FFT-free ``source_only_loss`` inner oracle through per-focus
-    intensity bases.
+    both parameters to any order; ``source_only_loss`` exposes the
+    FFT-free per-condition intensity bases that BiSMO's inner steps and
+    exact hypergradient oracles work from.
     """
 
     def __init__(
@@ -526,6 +646,17 @@ class ProcessWindowSMOObjective:
             total = F.div(total, float(self.num_tiles))
         return total
 
+    def _tail(self, aerials: Sequence[ad.Tensor]) -> ad.Tensor:
+        """The loss below the per-condition aerial images: per-corner
+        resists, the robust reduction and the batch reduction.  Stashes
+        the corner matrix and per-tile losses."""
+        return self._reduce(
+            *_robust_window_loss(
+                aerials, self.target, self.window, self.config,
+                self.robust, self.tau, self._robust_weights(),
+            )
+        )
+
     def loss(self, theta_j: ad.Tensor, theta_m: ad.Tensor) -> ad.Tensor:
         """Robust L_smo across the window (one fused condition stack)."""
         self._check_theta_m(theta_m)
@@ -557,22 +688,15 @@ class ProcessWindowSMOObjective:
         self._check_theta_m(theta_m)
         source = source_from_theta(theta_j, self.config)
         mask = mask_from_theta(theta_m, self.config)
-        j = self.engine.source_weights(source)
-        jn = F.div(j, F.add(F.sum(j), 1e-12))
-        aerials = [
-            F.incoherent_image(mask, stack, jn, conj_pairs=pairs)
-            for stack, pairs in self.engine.condition_stacks(
-                self.window.conditions()
-            )
-        ]
-        losses, matrix = _corner_loss_terms(
-            aerials, self.target, self.window, self.config
+        jn = self.engine.normalized_weights(source)
+        return self._tail(
+            [
+                F.incoherent_image(mask, stack, jn, conj_pairs=pairs)
+                for stack, pairs in self.engine.condition_stacks(
+                    self.window.conditions()
+                )
+            ]
         )
-        total = robust_corner_loss(
-            losses, self.window, self.robust, self.tau,
-            weights=self._robust_weights(),
-        )
-        return self._reduce(total, matrix)
 
     # ------------------------------------------------------------------
     def corner_loss_matrix(
@@ -587,50 +711,24 @@ class ProcessWindowSMOObjective:
         sq = (resists - self.target.data) ** 2
         return sq.sum(axis=(-2, -1)).reshape(self.window.num_corners, -1)
 
-    def source_only_loss(self, theta_m: np.ndarray):
-        """FFT-free robust source-only closure at fixed ``theta_M``.
+    def source_only_loss(self, theta_m: np.ndarray) -> Optional["SourceBasisLoss"]:
+        """The robust loss at fixed ``theta_M`` as an FFT-free function of
+        ``theta_J``: a :class:`SourceBasisLoss` with one intensity basis
+        per distinct pupil condition of the window (Abbe's aerial is
+        linear in the normalized source weights at every condition).
 
-        Extends ``BatchedSMOObjective.source_only_loss`` across the
-        condition axis: Abbe's aerial is linear in the normalized source
-        weights at *every* pupil condition, so one intensity basis per
-        distinct condition makes the whole robust loss an FFT-free
-        function of ``theta_J`` — the cheap inner-SO / inner-Hessian
-        oracle BiSMO uses.  Adaptive corner weights are read at *call*
-        time, so the closure tracks the minimax ascent across outer
-        iterations.  Returns ``None`` for custom engines that do not
-        expose an intensity basis.
+        Call it as ``loss_j(theta_j)`` for the cheap inner-SO and
+        inner-Hessian oracle; BiSMO's exact hypergradient oracles also
+        take their mask adjoint from it.  Adaptive corner weights are
+        read at *call* time, so the object tracks the minimax ascent.
+        Returns ``None`` for custom engines that do not expose an
+        intensity basis.
         """
-        engine = self.engine
-        if not (
-            hasattr(engine, "source_intensity_basis")
-            and hasattr(engine, "aerial_from_basis")
-            and hasattr(engine, "condition_stacks")
-        ):
-            return None
-        with ad.no_grad():
-            masks = mask_from_theta(ad.Tensor(theta_m), self.config).data
-        bases = [
-            ad.Tensor(engine.source_intensity_basis(masks, stack.data))
-            for stack, _ in engine.condition_stacks(self.window.conditions())
-        ]
-
-        def loss_j(theta_j: ad.Tensor) -> ad.Tensor:
-            source = source_from_theta(theta_j, self.config)
-            aerials = [
-                engine.aerial_from_basis(basis, source) for basis in bases
-            ]
-            losses, matrix = _corner_loss_terms(
-                aerials, self.target, self.window, self.config
-            )
-            total = robust_corner_loss(
-                losses, self.window, self.robust, self.tau,
-                weights=self._robust_weights(),
-            )
-            if self.reduction == "mean":
-                total = F.div(total, float(self.num_tiles))
-            return total
-
-        return loss_j
+        self._check_theta_m(theta_m)
+        return SourceBasisLoss.maybe(
+            self.engine, self.config, theta_m, self._tail,
+            self.window.conditions(),
+        )
 
     def images(
         self, theta_j: np.ndarray, theta_m: np.ndarray
@@ -713,12 +811,21 @@ class AbbeSMOObjective:
         else:
             self.engine = engine_for(config, "abbe")
 
+    def _tail(self, aerials: Sequence[ad.Tensor]) -> ad.Tensor:
+        (aerial,) = aerials
+        return smo_loss_from_aerial(aerial, self.target, self.config)
+
     def loss(self, theta_j: ad.Tensor, theta_m: ad.Tensor) -> ad.Tensor:
         """L_smo as an autodiff scalar (differentiable in both thetas)."""
         source = source_from_theta(theta_j, self.config)
         mask = mask_from_theta(theta_m, self.config)
-        aerial = self.engine.aerial(mask, source)
-        return smo_loss_from_aerial(aerial, self.target, self.config)
+        return self._tail([self.engine.aerial(mask, source)])
+
+    def source_only_loss(self, theta_m: np.ndarray) -> Optional["SourceBasisLoss"]:
+        """The loss at fixed ``theta_M`` as an FFT-free function of
+        ``theta_J``: a :class:`SourceBasisLoss` over a ``B = 1``
+        intensity basis, or ``None`` for engines without one."""
+        return SourceBasisLoss.maybe(self.engine, self.config, theta_m, self._tail)
 
     def images(self, theta_j: np.ndarray, theta_m: np.ndarray) -> Dict[str, np.ndarray]:
         """All intermediate images at the current parameters.
@@ -921,15 +1028,24 @@ class BatchedSMOObjective:
         #: derived from that call's aerial at no extra imaging cost.
         self.last_tile_losses: Optional[np.ndarray] = None
 
-    def loss(self, theta_j: ad.Tensor, theta_m: ad.Tensor) -> ad.Tensor:
-        """Batch SMO loss; ``theta_m`` is a ``(B, N, N)`` parameter stack."""
+    def _check_theta_m(self, theta_m) -> None:
         if theta_m.ndim != 3 or theta_m.shape[0] != self.num_tiles:
             raise ValueError(
                 f"theta_m must be ({self.num_tiles}, N, N); got {theta_m.shape}"
             )
+
+    def loss(self, theta_j: ad.Tensor, theta_m: ad.Tensor) -> ad.Tensor:
+        """Batch SMO loss; ``theta_m`` is a ``(B, N, N)`` parameter stack."""
+        self._check_theta_m(theta_m)
         source = source_from_theta(theta_j, self.config)
         masks = mask_from_theta(theta_m, self.config)
-        aerial = self.engine.aerial(masks, source)  # (B, N, N), one fused stack
+        # (B, N, N), one fused stack
+        return self._tail([self.engine.aerial(masks, source)])
+
+    def _tail(self, aerials: Sequence[ad.Tensor]) -> ad.Tensor:
+        """The loss below the ``(B, N, N)`` aerial; stashes the per-tile
+        losses of this evaluation."""
+        (aerial,) = aerials
         self.last_tile_losses = _tile_losses_from_aerial(
             aerial.data, self.targets.data, self.config
         )
@@ -943,35 +1059,23 @@ class BatchedSMOObjective:
         images = self.images(theta_j, theta_m)
         return _tile_loss_vector(images, self.targets.data, self.config)
 
-    def source_only_loss(self, theta_m: np.ndarray):
-        """FFT-free source-only loss closure at a fixed ``theta_M`` stack.
+    def source_only_loss(self, theta_m: np.ndarray) -> Optional["SourceBasisLoss"]:
+        """The loss at a fixed ``theta_M`` stack as an FFT-free function
+        of ``theta_J``.
 
         Abbe's aerial is linear in the normalized source weights, so at
         fixed masks the per-source-point intensity basis ``X[b, s]`` is a
-        constant; the returned closure rebuilds ``L_smo(theta_J)`` from
-        ``X`` with a graph that never touches an FFT.  Exactly equal to
-        ``loss(theta_j, theta_m)`` as a function of ``theta_j`` — this is
-        the cheap inner-Hessian (HVP) oracle BiSMO uses in joint mode.
-        Returns ``None`` when the engine cannot expose the basis
-        (e.g. Hopkins, where the source is baked into the TCC).
+        constant.  The returned :class:`SourceBasisLoss`, called as
+        ``loss_j(theta_j)``, rebuilds ``L_smo(theta_J)`` from ``X`` with
+        a graph that never touches an FFT — exactly ``loss(theta_j,
+        theta_m)`` as a function of ``theta_j``.  It is BiSMO's inner-SO
+        and inner-Hessian oracle, and the source of its exact
+        hypergradients.  Returns ``None`` when the engine cannot expose
+        the basis (e.g. Hopkins, where the source is baked into the
+        TCC).
         """
-        if not hasattr(self.engine, "source_intensity_basis") or not hasattr(
-            self.engine, "aerial_from_basis"
-        ):
-            return None
-        with ad.no_grad():
-            masks = mask_from_theta(ad.Tensor(theta_m), self.config).data
-        basis = ad.Tensor(self.engine.source_intensity_basis(masks))
-
-        def loss_j(theta_j: ad.Tensor) -> ad.Tensor:
-            source = source_from_theta(theta_j, self.config)
-            aerial = self.engine.aerial_from_basis(basis, source)
-            total = smo_loss_from_aerial(aerial, self.targets, self.config)
-            if self.reduction == "mean":
-                total = F.div(total, float(self.num_tiles))
-            return total
-
-        return loss_j
+        self._check_theta_m(theta_m)
+        return SourceBasisLoss.maybe(self.engine, self.config, theta_m, self._tail)
 
     def images(self, theta_j: np.ndarray, theta_m: np.ndarray) -> Dict[str, np.ndarray]:
         """Batched intermediate images, all ``(B, N, N)`` (no graph)."""
@@ -993,12 +1097,13 @@ class LoopedSMOObjective:
     stack) but each tile builds its own single-tile graph — the
     pre-batching consumer pattern.  Each per-tile graph still rides the
     engine's fused ``incoherent_image`` node, so the loop-vs-batch gap
-    it measures isolates graph-count overhead, not op fusion.  It also deliberately omits the
-    FFT-free ``source_only_loss`` HVP oracle, exactly as the per-clip
-    code it stands in for.  Kept as the equivalence oracle for the
-    batched solver tests and the wall-clock baseline of
-    ``benchmarks/bench_joint_smo.py``; production code should use the
-    fused batched objective.
+    it measures isolates graph-count overhead, not op fusion.  It also
+    deliberately omits ``source_only_loss``, exactly as the per-clip
+    code it stands in for, so BiSMO runs the composed ``create_graph``
+    oracle on it.  Kept as the equivalence oracle for the batched
+    solver tests and the basis hypergradient oracles, and as the
+    wall-clock baseline of ``benchmarks/bench_joint_smo.py``;
+    production code should use the fused batched objective.
     """
 
     def __init__(
@@ -1023,10 +1128,7 @@ class LoopedSMOObjective:
 
     def loss(self, theta_j: ad.Tensor, theta_m: ad.Tensor) -> ad.Tensor:
         """Sum of B independent single-tile graphs (the slow path)."""
-        if theta_m.ndim != 3 or theta_m.shape[0] != self.num_tiles:
-            raise ValueError(
-                f"theta_m must be ({self.num_tiles}, N, N); got {theta_m.shape}"
-            )
+        self._batched._check_theta_m(theta_m)
         total: Optional[ad.Tensor] = None
         per_tile = np.empty(self.num_tiles)
         for i, objective in enumerate(self._per_tile):

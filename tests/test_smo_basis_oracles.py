@@ -1,0 +1,421 @@
+"""BiSMO's exact oracles from the intensity basis.
+
+The exact hypergradient oracles cut the graph at the aerial image: the
+loss, ``grad_j`` and every HVP come from the FFT-free intensity basis,
+and the mask side is one streamed mask-adjoint pass.  These tests pin
+them against the composed ``create_graph`` oracle (objectives with the
+basis hidden), against central differences, and check that no
+``create_graph`` backward runs through the imaging primitives.  They
+also cover the autodiff pieces underneath: the constant-input skip of
+the binary ops, the ``basis_combine``/``basis_contract`` pair and the
+multi-term ``incoherent_mask_adjoint``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+import repro.autodiff as ad
+from repro.autodiff import functional as F
+from repro.optics import (
+    AbbeImaging,
+    OpticalConfig,
+    ProcessWindow,
+    SourceGrid,
+    annular,
+    cache,
+)
+from repro.optics.pupil import shifted_pupil_stack
+from repro.smo import (
+    AbbeSMOObjective,
+    BatchedSMOObjective,
+    BiSMO,
+    LoopedSMOObjective,
+    ProcessWindowSMOObjective,
+    init_theta_mask,
+    init_theta_source,
+)
+from repro.smo.bismo import HypergradientContext
+from repro.smo.objective import SourceBasisLoss
+from repro.utils import memory
+from repro.utils.seed import seeded_rng
+
+RTOL = 1e-10
+
+
+class ComposedOnly:
+    """An objective with its intensity basis hidden: BiSMO and
+    HypergradientContext then run the composed ``create_graph`` oracle."""
+
+    def __init__(self, objective):
+        self._objective = objective
+
+    def __getattr__(self, name):
+        if name == "source_only_loss":
+            raise AttributeError(name)
+        return getattr(self._objective, name)
+
+
+def _setup(preset: str, tiles: int = 2):
+    cfg = OpticalConfig.preset(preset)
+    rng = seeded_rng("basis-oracles", preset)
+    n = cfg.mask_size
+    targets = (rng.random((tiles, n, n)) > 0.6).astype(np.float64)
+    source = annular(SourceGrid.from_config(cfg), cfg.sigma_out, cfg.sigma_in)
+    theta_j = init_theta_source(source, cfg)
+    theta_j = theta_j + 0.05 * rng.standard_normal(source.shape)
+    theta_m = np.stack([init_theta_mask(t, cfg) for t in targets])
+    theta_m = theta_m + 0.3 * rng.standard_normal(theta_m.shape)
+    return cfg, targets, source, theta_j, theta_m
+
+
+@pytest.fixture(scope="module")
+def tiny():
+    return _setup("tiny")
+
+
+WINDOW = ProcessWindow.from_grid((0.97, 1.0, 1.03), (0.0, 40.0))
+
+
+def _objectives(cfg, targets, theta_m):
+    """(name, objective, composed reference, theta_m) per target kind."""
+    single = AbbeSMOObjective(cfg, targets[0])
+    out = [
+        ("single", single, ComposedOnly(single), theta_m[0]),
+        (
+            "batched",
+            BatchedSMOObjective(cfg, targets),
+            LoopedSMOObjective(cfg, targets),
+            theta_m,
+        ),
+    ]
+    for robust in ("sum", "max", "adaptive"):
+        pw = ProcessWindowSMOObjective(
+            cfg, targets, WINDOW, robust=robust, tau=50.0
+        )
+        out.append((f"pw-{robust}", pw, ComposedOnly(pw), theta_m))
+    pw1 = ProcessWindowSMOObjective(
+        cfg, targets[0], WINDOW, robust="max", tau=50.0
+    )
+    out.append(("pw-single-max", pw1, ComposedOnly(pw1), theta_m[0]))
+    return out
+
+
+def _close(actual, expected):
+    expected = np.asarray(expected, dtype=np.float64)
+    scale = max(float(np.abs(expected).max()), 1e-300)
+    np.testing.assert_allclose(actual, expected, rtol=RTOL, atol=RTOL * scale)
+
+
+# ----------------------------------------------------------------------
+# autodiff pieces
+# ----------------------------------------------------------------------
+class TestConstantInputSkip:
+    @pytest.mark.parametrize("op", [F.add, F.sub, F.mul, F.div, F.matmul])
+    def test_binary_vjps_return_none_for_constants(self, op):
+        rng = seeded_rng("constant-skip")
+        a = ad.Tensor(rng.random((3, 3)) + 1.0, requires_grad=True)
+        b = ad.Tensor(rng.random((3, 3)) + 1.0)
+        g = ad.Tensor(np.ones((3, 3)))
+        ga, gb = op(a, b)._vjp(g)
+        assert ga is not None and gb is None
+        ga, gb = op(b, a)._vjp(g)
+        assert ga is None and gb is not None
+
+    def test_double_backward_unchanged(self):
+        """The skip drops only gradients ``grad`` would discard."""
+        x = ad.Tensor(np.array([0.3, -0.7, 1.1]), requires_grad=True)
+        c = ad.Tensor(np.array([2.0, 3.0, 5.0]))
+        loss = F.sum(F.mul(F.div(F.mul(x, x), c), F.sub(x, c)))
+        (g,) = ad.grad(loss, [x], create_graph=True)
+        v = np.array([1.0, -2.0, 0.5])
+        (h,) = ad.grad(F.dot(g, ad.Tensor(v)), [x])
+        xd, cd = x.data, c.data
+        hess_diag = (6.0 * xd - 2.0 * cd) / cd
+        np.testing.assert_allclose(h.data, hess_diag * v, rtol=1e-12)
+
+
+class TestBasisOps:
+    def _basis(self, b=2, s=5, n=4):
+        rng = seeded_rng("basis-ops", b, s, n)
+        return ad.Tensor(rng.random((b, s, n, n))), rng
+
+    def test_values_and_adjoint_identity(self):
+        basis, rng = self._basis()
+        w = rng.standard_normal(5)
+        g = rng.standard_normal((2, 4, 4))
+        combined = F.basis_combine(basis, w).data
+        np.testing.assert_allclose(
+            combined, np.einsum("bsij,s->bij", basis.data, w), rtol=1e-13
+        )
+        contracted = F.basis_contract(basis, g).data
+        np.testing.assert_allclose(
+            contracted, np.einsum("bsij,bij->s", basis.data, g), rtol=1e-13
+        )
+        assert np.vdot(combined, g) == pytest.approx(
+            np.vdot(w, contracted), rel=1e-13
+        )
+
+    def test_gradcheck(self):
+        basis, rng = self._basis()
+        w = ad.Tensor(rng.standard_normal(5))
+        g = ad.Tensor(rng.standard_normal((2, 4, 4)))
+        assert ad.gradcheck(
+            lambda t: F.sum(F.power(F.basis_combine(basis, t), 3.0)), [w]
+        )
+        assert ad.gradcheck(
+            lambda t: F.sum(F.exp(F.basis_contract(basis, t))), [g]
+        )
+
+    def test_double_backward(self):
+        """Exact HVPs through both ops (each one's VJP is the other)."""
+        basis, rng = self._basis()
+        x = basis.data.reshape(2, 5, 16)
+        w0 = rng.standard_normal(5)
+        v = rng.standard_normal(5)
+        assert np.allclose(
+            ad.hvp(lambda t: F.sum(F.power(F.basis_combine(basis, t), 2.0)),
+                   ad.Tensor(w0), ad.Tensor(v)).data,
+            2.0 * np.einsum("bsp,btp,t->s", x, x, v),
+            rtol=1e-12,
+        )
+        g0 = rng.standard_normal((2, 4, 4))
+        u = rng.standard_normal((2, 4, 4))
+        hv = ad.hvp(
+            lambda t: F.sum(F.power(F.basis_contract(basis, t), 2.0)),
+            ad.Tensor(g0), ad.Tensor(u),
+        ).data
+        expected = 2.0 * np.einsum(
+            "bsp,s->bp", x, np.einsum("csp,cp->s", x, u.reshape(2, 16))
+        ).reshape(2, 4, 4)
+        np.testing.assert_allclose(hv, expected, rtol=1e-12)
+
+    def test_rejects_a_differentiable_basis(self):
+        basis, _ = self._basis()
+        leaf = ad.Tensor(basis.data, requires_grad=True)
+        with pytest.raises(ValueError):
+            F.basis_combine(leaf, np.ones(5))
+        with pytest.raises(ValueError):
+            F.basis_combine(basis, np.ones(4))
+
+
+class TestMaskAdjoint:
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_terms_fold_into_one_pass(self, tiny_config, batched):
+        """The multi-term adjoint equals the sum of one-term adjoints,
+        and a one-term adjoint equals the stack primitive's VJP."""
+        cfg = tiny_config
+        engine = AbbeImaging(cfg)
+        pairs = engine.condition_stacks((0.0, 40.0))
+        stacks = [st for st, _ in pairs]
+        conj = [cp for _, cp in pairs]
+        rng = seeded_rng("mask-adjoint", batched)
+        n = cfg.mask_size
+        shape = (2, n, n) if batched else (n, n)
+        mask = rng.random(shape)
+        s = stacks[0].shape[0]
+        terms = [
+            (rng.random(s), rng.standard_normal((2,) + shape)),
+            (rng.standard_normal(s), rng.standard_normal((2,) + shape)),
+        ]
+        both = F.incoherent_mask_adjoint(mask, stacks, terms, conj_pairs=conj)
+        parts = [
+            F.incoherent_mask_adjoint(mask, stacks, [t], conj_pairs=conj)
+            for t in terms
+        ]
+        np.testing.assert_allclose(
+            both, parts[0] + parts[1], rtol=1e-11, atol=1e-12
+        )
+        m = ad.Tensor(mask, requires_grad=True)
+        w, g = terms[0]
+        out = F.incoherent_image_stack(m, stacks, w, conj_pairs=conj)
+        (gm,) = ad.grad(out, [m], grad_output=ad.Tensor(g))
+        np.testing.assert_allclose(parts[0], gm.data, rtol=1e-11, atol=1e-12)
+
+    def test_shape_validation(self, tiny_config):
+        engine = AbbeImaging(tiny_config)
+        (stack, _), = engine.condition_stacks((0.0,))
+        n = tiny_config.mask_size
+        with pytest.raises(ValueError):
+            F.incoherent_mask_adjoint(
+                np.ones((n, n)), [stack],
+                [(np.ones(stack.shape[0]), np.ones((2, n, n)))], [None],
+            )
+
+
+# ----------------------------------------------------------------------
+# oracles vs the composed create_graph oracle and central differences
+# ----------------------------------------------------------------------
+class TestOracleParity:
+    def test_source_only_loss_is_a_basis_object(self, tiny):
+        cfg, targets, _, theta_j, theta_m = tiny
+        single = AbbeSMOObjective(cfg, targets[0])
+        basis = single.source_only_loss(theta_m[0])
+        assert isinstance(basis, SourceBasisLoss)
+        assert basis.bases[0].shape[0] == 1
+        with ad.no_grad():
+            full = single.loss(ad.Tensor(theta_j), ad.Tensor(theta_m[0])).item()
+            fast = basis(ad.Tensor(theta_j)).item()
+        assert fast == pytest.approx(full, rel=1e-12)
+
+    @pytest.mark.parametrize("kw", [{}, dict(process_window=WINDOW)])
+    def test_wrongly_shaped_theta_m_raises(self, tiny, kw):
+        """The exact oracles never call ``loss()``, so the basis factory
+        keeps its theta_M shape check: one mask must not be silently
+        broadcast against every target."""
+        cfg, targets, source, _, theta_m = tiny
+        solver = BiSMO(cfg, targets, method="nmn", **kw)
+        with pytest.raises(ValueError, match="theta_m must be"):
+            solver.run(source, iterations=1, theta_m0=theta_m[0])
+
+    def test_oracles_match_composed(self, tiny):
+        cfg, targets, _, theta_j, theta_m = tiny
+        rng = seeded_rng("oracle-parity")
+        p = rng.standard_normal(theta_j.shape)
+        w = rng.standard_normal(theta_j.shape)
+        for name, objective, reference, tm in _objectives(cfg, targets, theta_m):
+            ctx = HypergradientContext(objective, theta_j, tm)
+            ref = HypergradientContext(reference, theta_j, tm)
+            assert ctx._basis is not None, name
+            assert ref._basis is None, name
+            _close(ctx.loss_value, ref.loss_value)
+            _close(ctx.grad_j, ref.grad_j)
+            _close(ctx.grad_m, ref.grad_m)
+            _close(ctx.hvp(p), ref.hvp(p))
+            _close(ctx.mixed_vjp(w), ref.mixed_vjp(w))
+
+    @pytest.mark.parametrize("robust", ["sum", "max"])
+    def test_mixed_vjp_matches_central_differences(self, tiny, robust):
+        """(d^2 L / d theta_M d theta_J) w == d/dh grad_m(theta_J + h w)."""
+        cfg, targets, _, theta_j, theta_m = tiny
+        pw = ProcessWindowSMOObjective(
+            cfg, targets, WINDOW, robust=robust, tau=50.0
+        )
+        w = seeded_rng("mixed-fd").standard_normal(theta_j.shape)
+        w /= np.linalg.norm(w)
+        mixed = HypergradientContext(pw, theta_j, theta_m).mixed_vjp(w)
+        h = 1e-4
+        plus = HypergradientContext(pw, theta_j + h * w, theta_m).grad_m
+        minus = HypergradientContext(pw, theta_j - h * w, theta_m).grad_m
+        fd = (plus - minus) / (2.0 * h)
+        assert np.abs(mixed - fd).max() <= 1e-5 * np.abs(mixed).max()
+
+
+class TestNoCreateGraphThroughImaging:
+    @pytest.mark.parametrize("method", ["nmn", "cg", "fd"])
+    def test_exact_mode_never_takes_the_composed_fallback(
+        self, tiny, monkeypatch, method
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("create_graph backward through imaging")
+
+        monkeypatch.setattr(F, "_incoherent_vjp_composed", forbidden)
+        monkeypatch.setattr(F, "_incoherent_stack_vjp_composed", forbidden)
+        cfg, targets, source, _, _ = tiny
+        kinds = [
+            dict(target=targets[0]),
+            dict(target=targets),
+            dict(
+                target=targets, process_window=WINDOW, robust="max",
+                robust_tau=50.0,
+            ),
+        ]
+        for kw in kinds:
+            target = kw.pop("target")
+            solver = BiSMO(cfg, target, method=method, terms=2, **kw)
+            result = solver.run(source, iterations=2)
+            assert np.all(np.isfinite(result.losses))
+        # the guard is live: the composed oracle trips it
+        tm = init_theta_mask(targets[0], cfg)
+        with pytest.raises(AssertionError, match="create_graph"):
+            HypergradientContext(
+                ComposedOnly(AbbeSMOObjective(cfg, targets[0])),
+                init_theta_source(source, cfg), tm,
+            )
+
+
+class TestBiSMOTracesMatchComposed:
+    """Whole BiSMO runs with the basis oracles stay within 1e-10 of the
+    composed-oracle runs: loss traces, per-tile losses and the adaptive
+    corner weights."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        return _setup("small")
+
+    @pytest.mark.parametrize(
+        "method,kw",
+        [
+            ("nmn", {}),
+            ("cg", {}),
+            ("fd", {}),
+            (
+                "nmn",
+                dict(process_window=WINDOW, robust="adaptive", robust_tau=1.0),
+            ),
+        ],
+    )
+    def test_traces(self, small, method, kw):
+        cfg, targets, source, _, _ = small
+        fast = BiSMO(cfg, targets, method=method, terms=3, **kw)
+        slow = BiSMO(cfg, targets, method=method, terms=3, **kw)
+        slow.objective = ComposedOnly(slow.objective)
+        a = fast.run(source, iterations=3)
+        b = slow.run(source, iterations=3)
+        _close(a.losses, b.losses)
+        for ra, rb in zip(a.history, b.history):
+            _close(ra.tile_losses, rb.tile_losses)
+            if ra.corner_weights is not None or rb.corner_weights is not None:
+                _close(ra.corner_weights, rb.corner_weights)
+        _close(a.theta_m, b.theta_m)
+
+
+# ----------------------------------------------------------------------
+# satellites: sized refusal, deterministic SOCS
+# ----------------------------------------------------------------------
+class TestSizedRefusal:
+    def test_pupil_stack_and_basis_refuse_with_both_sizes(
+        self, tiny_config, monkeypatch
+    ):
+        engine = AbbeImaging(tiny_config)
+        grid = SourceGrid.from_config(tiny_config)
+        monkeypatch.setattr(memory, "available_bytes", lambda: 1024)
+        with pytest.raises(MemoryError, match=r"needs .* but only .*1024 b"):
+            shifted_pupil_stack(tiny_config, grid)
+        masks = np.ones((2, tiny_config.mask_size, tiny_config.mask_size))
+        with pytest.raises(MemoryError, match="intensity basis"):
+            engine.source_intensity_basis(masks)
+
+    def test_paper_preset_refuses_before_allocating(self, monkeypatch):
+        cfg = OpticalConfig.preset("paper")
+        monkeypatch.setattr(memory, "available_bytes", lambda: 8 * 1024**3)
+        sized = r"\(901, 2048, 2048\).*28\.2 GiB"
+        with pytest.raises(MemoryError, match=sized):
+            shifted_pupil_stack(cfg, SourceGrid.from_config(cfg))
+
+    def test_streamed_passes_never_check(self, tiny_config, monkeypatch):
+        """Inside the streamed passes MemoryError means "halve the chunk";
+        the refusal must not fire there."""
+        engine = AbbeImaging(tiny_config)
+        monkeypatch.setattr(memory, "available_bytes", lambda: 1024)
+        n = tiny_config.mask_size
+        mask = ad.Tensor(np.full((n, n), 0.5), requires_grad=True)
+        source = ad.Tensor(np.ones((tiny_config.source_size,) * 2))
+        (g,) = ad.grad(F.sum(engine.aerial(mask, source)), [mask])
+        assert np.all(np.isfinite(g.data))
+
+    def test_unknown_memory_never_refuses(self, monkeypatch):
+        monkeypatch.setattr(memory, "available_bytes", lambda: None)
+        memory.require_memory(1 << 60, "anything")
+
+
+def test_cold_socs_builds_are_bitwise_equal(tiny_config, tiny_source):
+    """A seeded ARPACK start vector makes SOCS decompositions repeat."""
+    cache.clear()
+    w1, k1, _ = cache.socs(tiny_config, tiny_source, 8)
+    cache.clear()
+    w2, k2, _ = cache.socs(tiny_config, tiny_source, 8)
+    cache.clear()
+    assert w1.tobytes() == w2.tobytes()
+    assert k1.data.tobytes() == k2.data.tobytes()
