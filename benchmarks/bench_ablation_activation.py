@@ -17,7 +17,7 @@ from repro.autodiff import functional as F
 from repro.harness.runner import _annular_source, _target_image
 from repro.opt import make_optimizer
 from repro.smo import (
-    AbbeSMOObjective,
+    ProcessWindowSMOObjective,
     init_theta_mask,
     init_theta_source,
     mask_from_theta,
@@ -56,7 +56,7 @@ def test_activation_ablation(benchmark, settings, datasets):
     clip = datasets[0][0]
     target = _target_image(clip, cfg)
     source = _annular_source(cfg)
-    objective = AbbeSMOObjective(cfg, target)
+    objective = ProcessWindowSMOObjective(cfg, target)
 
     def run_both():
         sig = _optimize_mask(

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.harness.runner import _annular_source, _target_image
-from repro.smo import AbbeSMOObjective, BiSMO
+from repro.smo import BiSMO, ProcessWindowSMOObjective
 
 from conftest import BENCH_ITERS
 
@@ -24,7 +24,7 @@ def test_unroll_terms_sweep(benchmark, settings, datasets, unroll, terms):
     clip = datasets[0][0]
     target = _target_image(clip, cfg)
     source = _annular_source(cfg)
-    objective = AbbeSMOObjective(cfg, target)
+    objective = ProcessWindowSMOObjective(cfg, target)
 
     def run():
         solver = BiSMO(

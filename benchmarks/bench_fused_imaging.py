@@ -52,7 +52,7 @@ import repro.autodiff as ad
 from repro.harness.runner import _annular_source
 from repro.layouts import dataset_by_name, tile_stack
 from repro.optics import AbbeImaging, OpticalConfig, backend, fftlib
-from repro.smo import BatchedSMOObjective, BiSMO
+from repro.smo import BiSMO, ProcessWindowSMOObjective
 from repro.smo.parametrization import init_theta_mask, init_theta_source
 from bench_env import env_flag, env_int, env_str
 
@@ -75,15 +75,19 @@ def _setup(scale: str = SCALE, num_tiles: int = NUM_TILES):
     source = _annular_source(cfg)
     theta_j = init_theta_source(source, cfg)
     theta_m = init_theta_mask(targets, cfg)
-    fused = BatchedSMOObjective(cfg, targets, engine=AbbeImaging(cfg))
-    composed = BatchedSMOObjective(
+    fused = ProcessWindowSMOObjective(
+        cfg, targets, engine=AbbeImaging(cfg)
+    )
+    composed = ProcessWindowSMOObjective(
         cfg, targets, engine=AbbeImaging(cfg, fused=False)
     )
     return cfg, targets, source, theta_j, theta_m, fused, composed
 
 
 def _loss_and_grads(
-    objective: BatchedSMOObjective, theta_j: np.ndarray, theta_m: np.ndarray
+    objective: ProcessWindowSMOObjective,
+    theta_j: np.ndarray,
+    theta_m: np.ndarray,
 ) -> Tuple[float, np.ndarray, np.ndarray]:
     tj = ad.Tensor(theta_j, requires_grad=True)
     tm = ad.Tensor(theta_m, requires_grad=True)

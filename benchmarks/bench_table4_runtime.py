@@ -50,9 +50,9 @@ def test_abbe_mo_iteration(benchmark, imaging_setup):
     engine = AbbeImaging(cfg)
     theta_j = ad.Tensor(init_theta_source(source, cfg))
     theta_m = init_theta_mask(target, cfg)
-    from repro.smo import AbbeSMOObjective
+    from repro.smo import ProcessWindowSMOObjective
 
-    objective = AbbeSMOObjective(cfg, target, engine=engine)
+    objective = ProcessWindowSMOObjective(cfg, target, engine=engine)
 
     def step():
         tm = ad.Tensor(theta_m, requires_grad=True)

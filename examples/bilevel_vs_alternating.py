@@ -15,7 +15,7 @@ from repro.harness import ascii_plot
 from repro.harness.figures import FigureSeries
 from repro.layouts import iccad13
 from repro.optics import OpticalConfig, SourceGrid, annular, binarize
-from repro.smo import AMSMO, AbbeSMOObjective, BiSMO
+from repro.smo import AMSMO, BiSMO, ProcessWindowSMOObjective
 
 
 def main() -> None:
@@ -25,7 +25,7 @@ def main() -> None:
     target = binarize(rasterize(clip.rects, grid))
     source_grid = SourceGrid.from_config(config)
     source = annular(source_grid, config.sigma_out, config.sigma_in)
-    objective = AbbeSMOObjective(config, target)
+    objective = ProcessWindowSMOObjective(config, target)
 
     series = []
 

@@ -14,7 +14,12 @@ from repro.geometry import GridSpec, grid_to_rects, rasterize
 from repro.layouts import dumps, iccad13
 from repro.metrics import l2_error_nm2, pvb_nm2
 from repro.optics import OpticalConfig, SourceGrid, annular, binarize
-from repro.smo import AbbeMO, AbbeSMOObjective, HopkinsMO, init_theta_source
+from repro.smo import (
+    AbbeMO,
+    HopkinsMO,
+    ProcessWindowSMOObjective,
+    init_theta_source,
+)
 
 
 def main() -> None:
@@ -25,7 +30,7 @@ def main() -> None:
     source_grid = SourceGrid.from_config(config)
     source = annular(source_grid, config.sigma_out, config.sigma_in)
 
-    judge = AbbeSMOObjective(config, target)
+    judge = ProcessWindowSMOObjective(config, target)
 
     results = {}
     for name, solver in (

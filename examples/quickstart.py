@@ -17,7 +17,7 @@ from repro.geometry import GridSpec, rasterize
 from repro.layouts import iccad13
 from repro.metrics import epe_report, l2_error_nm2, pvb_nm2
 from repro.optics import OpticalConfig, SourceGrid, annular, binarize
-from repro.smo import AbbeSMOObjective, BiSMO
+from repro.smo import BiSMO, ProcessWindowSMOObjective
 
 
 def main() -> None:
@@ -41,8 +41,9 @@ def main() -> None:
         f"in {result.runtime_seconds:.1f}s"
     )
 
-    # Judge the final (source, mask) pair with the lossless Abbe model.
-    objective = AbbeSMOObjective(config, target)
+    # Judge the final (source, mask) pair with the lossless Abbe model
+    # (the SMO objective's default window is the paper's loss).
+    objective = ProcessWindowSMOObjective(config, target)
     theta_m_binary = np.where(result.theta_m >= 0, 1e3, -1e3)  # manufacturable mask
     images = objective.images(result.theta_j, theta_m_binary)
     l2 = l2_error_nm2(images["resist"], target, config)

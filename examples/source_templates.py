@@ -22,7 +22,7 @@ from repro.optics import (
     quasar,
 )
 from repro.smo import (
-    AbbeSMOObjective,
+    ProcessWindowSMOObjective,
     SourceOptimizer,
     init_theta_mask,
     init_theta_source,
@@ -44,7 +44,7 @@ def main() -> None:
     grid = GridSpec(config.mask_size, config.pixel_nm)
     target = binarize(rasterize(clip.rects, grid))
     source_grid = SourceGrid.from_config(config)
-    objective = AbbeSMOObjective(config, target)
+    objective = ProcessWindowSMOObjective(config, target)
     theta_m = init_theta_mask(target, config)
 
     templates = {

@@ -33,7 +33,7 @@ DECLARED_ENV_VARS: Dict[str, str] = {
     "REPRO_COND_WORKERS": "process-condition fan-out worker threads",
     "REPRO_WORKER_BUDGET": "global cap on cond workers x FFT workers",
     # -- array backend (read by repro.optics.backend) ------------------
-    "REPRO_BACKEND": "array backend selection: numpy|torch|cupy|strict",
+    "REPRO_BACKEND": "array backend selection: numpy|torch|strict",
     # -- resilience knobs (read by repro.harness.resilience) -----------
     "REPRO_CELL_TIMEOUT": "harness per-cell wall-clock timeout in seconds (0 = off)",
     "REPRO_MAX_RETRIES": "harness per-cell retry budget for transient faults",
@@ -51,10 +51,6 @@ DECLARED_ENV_VARS: Dict[str, str] = {
     "BISMO_BENCH_FIG3_STEPS": "Fig. 3 convergence bench step override",
     "BISMO_BENCH_FIG5_CLIPS": "Fig. 5 pattern-sweep clip-count override",
     "BISMO_BENCH_FIG5_STEPS": "Fig. 5 pattern-sweep step override",
-    "BISMO_JOINT_SCALE": "joint-SMO bench scale: tiny|small|paper",
-    "BISMO_JOINT_CLIPS": "joint-SMO bench tile-count override",
-    "BISMO_JOINT_ITERS": "joint-SMO bench iteration override",
-    "BISMO_JOINT_CHECK_ONLY": "joint-SMO bench: parity only, no wall-clock gate",
     "BISMO_FUSED_SCALE": "fused-imaging bench scale: small|paper",
     "BISMO_FUSED_TILES": "fused-imaging bench tile-count override",
     "BISMO_FUSED_CHECK_ONLY": "fused-imaging bench: parity only, no wall-clock gate",

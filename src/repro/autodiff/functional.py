@@ -1119,15 +1119,19 @@ def incoherent_image_stack(
 
     def _forward_one(fi: int) -> np.ndarray:
         cp_f, reps_f = pair_info[fi]
-        # MemoryError inside the streamed block -> halve the chunk and
-        # retry once (chunk-invariant result, see fftlib).
-        with _obs_span("engine.condition", index=fi):
-            return fl.run_with_chunk_fallback(
-                lambda c: _stream_forward_one(
-                    bk, fm, stacks[fi].data, w, c, cp_f, reps_f
-                ),
-                csize,
+
+        def _attempt(c: int) -> np.ndarray:
+            return _stream_forward_one(
+                bk, fm, stacks[fi].data, w, c, cp_f, reps_f
             )
+
+        # MemoryError inside the streamed block -> halve the chunk and
+        # retry once (chunk-invariant result, see fftlib).  A single
+        # stack is no condition fan-out, so it opens no condition span.
+        if len(stacks) == 1:
+            return fl.run_with_chunk_fallback(_attempt, csize)
+        with _obs_span("engine.condition", index=fi):
+            return fl.run_with_chunk_fallback(_attempt, csize)
 
     # Independent per-stack passes: fan out across the condition pool
     # (inline when serial) — each writes its own slot, so the stacking

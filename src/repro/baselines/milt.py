@@ -75,7 +75,9 @@ class MultiLevelILT:
         # One minimax ascent shared across all refinement levels, so the
         # dual weights keep their state through each level's objective.
         self.adaptive_weights = AdaptiveCornerWeights.maybe(
-            process_window, robust, robust_tau
+            process_window or ProcessWindow.from_config(config),
+            robust,
+            robust_tau,
         )
         self.level_configs = self._valid_levels(config, levels)
         if process_window is not None and len(self.level_configs) > 1:

@@ -17,16 +17,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .. import autodiff as ad
-from ..autodiff import functional as F
 from ..obs import observe_iteration
 from ..obs import span as obs_span
 from ..opt import make_optimizer
 from ..utils.timing import tick
-from ..optics import OpticalConfig, ProcessWindow, engine_for
+from ..optics import OpticalConfig, ProcessCorner, ProcessWindow, engine_for
 from ..smo.objective import (
     AdaptiveCornerWeights,
     adaptive_corner_update,
-    dose_resist,
     live_corner_weights,
     robust_tile_losses,
     windowed_corner_loss,
@@ -45,11 +43,13 @@ class NILTBaseline:
     fused multi-tile forward — one ``incoherent_image`` node over the
     SOCS kernel stack per step — with per-tile losses in every record.
 
-    ``process_window`` turns the objective into *robust printability*:
-    the same per-corner L2 terms reduced across the dose x focus grid
-    (corner weights are absolute — no extra ``gamma`` factor).  It
-    remains structurally NILT: no PVB term, just printability evaluated
-    at every corner instead of the nominal condition alone.
+    The loss runs through the shared window path with a one-corner
+    nominal window at weight ``gamma``: ``gamma * || Z_nom - Z_t ||^2``.
+    ``process_window`` turns it into *robust printability*: the same
+    per-corner L2 terms reduced across the dose x focus grid (corner
+    weights are absolute — no extra ``gamma`` factor).  It remains
+    structurally NILT: no PVB term, just printability evaluated at every
+    corner instead of the nominal condition alone.
     """
 
     method_name = "NILT"
@@ -73,50 +73,40 @@ class NILTBaseline:
         # one (config, source) pair decompose the TCC exactly once.
         self.engine = engine_for(config, "hopkins", source=source, num_kernels=num_kernels)
         self._opt = make_optimizer(optimizer, lr)
-        self.window = process_window
+        self.window = process_window or ProcessWindow(
+            (ProcessCorner(1.0, 0.0, config.gamma, "nominal"),)
+        )
         self.robust = robust
         self.robust_tau = float(robust_tau)
         self._last_tile_losses: Optional[np.ndarray] = None
-        #: ``(C, B)`` corner matrix of the latest windowed evaluation.
+        #: ``(C, B)`` corner matrix of the latest evaluation.
         self.last_corner_losses: Optional[np.ndarray] = None
         #: Live minimax corner weights (``robust="adaptive"`` only).
         self.adaptive_weights = AdaptiveCornerWeights.maybe(
-            process_window, robust, self.robust_tau
+            self.window, robust, self.robust_tau
         )
 
     def _robust_weights(self) -> Optional[np.ndarray]:
         return live_corner_weights(self.adaptive_weights)
 
     def _loss(self, theta_m: ad.Tensor) -> ad.Tensor:
-        mask = mask_from_theta(theta_m, self.config)
-        if self.window is not None:
-            total, matrix = windowed_corner_loss(
-                self.engine,
-                self.config,
-                mask,
-                self.target,
-                self.window,
-                self.robust,
-                self.robust_tau,
+        total, matrix = windowed_corner_loss(
+            self.engine,
+            self.config,
+            mask_from_theta(theta_m, self.config),
+            self.target,
+            self.window,
+            self.robust,
+            self.robust_tau,
+            weights=self._robust_weights(),
+        )
+        self.last_corner_losses = matrix
+        if self.target.ndim == 3:  # any stack, including B=1
+            self._last_tile_losses = robust_tile_losses(
+                matrix, self.window, self.robust, self.robust_tau,
                 weights=self._robust_weights(),
             )
-            self.last_corner_losses = matrix
-            if self.target.ndim == 3:
-                self._last_tile_losses = robust_tile_losses(
-                    matrix, self.window, self.robust, self.robust_tau,
-                    weights=self._robust_weights(),
-                )
-            return total
-        aerial = self.engine.aerial(mask)
-        z = dose_resist(aerial, self.config, 1.0)
-        if self.target.ndim == 3:  # any stack, including B=1
-            # Per-tile diagnostics straight from the graph's resist image
-            # (no extra imaging forward).
-            self._last_tile_losses = self.config.gamma * (
-                (z.data - self.target.data) ** 2
-            ).sum(axis=(1, 2))
-        # Nominal printability only — no PVB term (Neural-ILT's objective).
-        return F.mul(F.sum(F.power(F.sub(z, self.target), 2.0)), self.config.gamma)
+        return total
 
     def run(
         self,

@@ -49,10 +49,9 @@ from ..optics import OpticalConfig, ProcessWindow, SourceGrid, annular
 from ..smo import (
     AMSMO,
     AbbeMO,
-    AbbeSMOObjective,
-    BatchedSMOObjective,
     BiSMO,
     HopkinsMO,
+    ProcessWindowSMOObjective,
     SMOResult,
     init_theta_source,
 )
@@ -190,14 +189,15 @@ def _target_image(clip: Clip, config: OpticalConfig) -> np.ndarray:
 
 def batched_objective(
     clips: Sequence[Clip], settings: RunSettings
-) -> BatchedSMOObjective:
-    """Batched SMO objective over a clip suite, sharing the cached engine.
+) -> ProcessWindowSMOObjective:
+    """SMO objective over a clip suite's tile stack, sharing the cached
+    engine.
 
     One objective, one ``(B, N, N)`` target stack, one fused forward per
     loss evaluation — the harness entry point for multi-tile runs.
     """
     targets = tile_stack(clips, settings.config)
-    return BatchedSMOObjective(settings.config, targets)
+    return ProcessWindowSMOObjective(settings.config, targets)
 
 
 def _annular_source(config: OpticalConfig) -> np.ndarray:
@@ -279,7 +279,7 @@ def evaluate_final(
     clip: Clip,
     settings: RunSettings,
     source_fallback: Optional[np.ndarray] = None,
-    objective: Optional[AbbeSMOObjective] = None,
+    objective: Optional[ProcessWindowSMOObjective] = None,
     binary_mask: bool = True,
 ) -> Dict[str, float]:
     """Judge a finished run's (mask, source) under the lossless Abbe model.
@@ -293,7 +293,7 @@ def evaluate_final(
     target = _target_image(clip, cfg)
     # The default judge engine comes from the optics cache: one pupil
     # stack for every evaluation in a sweep, however many objectives exist.
-    objective = objective or AbbeSMOObjective(cfg, target)
+    objective = objective or ProcessWindowSMOObjective(cfg, target)
     theta_j = result.theta_j
     if theta_j is None:
         src = source_fallback if source_fallback is not None else _annular_source(cfg)
@@ -319,7 +319,7 @@ def run_clip(
     clip: Clip,
     settings: RunSettings,
     dataset_name: str = "",
-    objective: Optional[AbbeSMOObjective] = None,
+    objective: Optional[ProcessWindowSMOObjective] = None,
 ) -> RunRecord:
     """Run one method on one clip and evaluate all paper metrics."""
     cfg = settings.config

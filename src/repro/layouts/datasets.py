@@ -85,7 +85,7 @@ def tile_stack(clips: Sequence[Clip], config: "OpticalConfig") -> np.ndarray:
 
     This is the batched-run companion of the harness' per-clip target
     rasterization: the result feeds directly into
-    :class:`repro.smo.BatchedSMOObjective` and the engines' multi-tile
+    :class:`repro.smo.ProcessWindowSMOObjective` and the engines' multi-tile
     ``aerial`` path.  Every clip must match the optical tile size.
     """
     from ..optics.resist import binarize

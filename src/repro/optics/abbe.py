@@ -297,7 +297,8 @@ class AbbeImaging:
         """Graph-free condition-axis forward, matching
         :meth:`aerial_conditions` numerically (inference/judge path).
         Per-condition passes fan out across the
-        :func:`repro.optics.fftlib.map_conditions` thread pool."""
+        :func:`repro.optics.fftlib.map_conditions` thread pool; a single
+        condition runs inline and opens no condition spans."""
         from . import fftlib
 
         if focus_values is not None:
@@ -314,17 +315,20 @@ class AbbeImaging:
         stacks_pairs = self.condition_stacks(conditions)
 
         def _one_condition(fi: int) -> np.ndarray:
-            with obs_span("engine.condition", index=fi):
-                return incoherent_sum_fast(
-                    tiles, stacks_pairs[fi][0].data, j, norm
-                )
-
-        with obs_span(
-            "engine.conditions", engine="abbe", n=len(stacks_pairs)
-        ):
-            out = np.stack(
-                fftlib.map_conditions(_one_condition, len(stacks_pairs))
+            return incoherent_sum_fast(
+                tiles, stacks_pairs[fi][0].data, j, norm
             )
+
+        def _traced_condition(fi: int) -> np.ndarray:
+            with obs_span("engine.condition", index=fi):
+                return _one_condition(fi)
+
+        count = len(stacks_pairs)
+        if count == 1:  # no fan-out, so no condition spans
+            out = _one_condition(0)[None]
+        else:
+            with obs_span("engine.conditions", engine="abbe", n=count):
+                out = np.stack(fftlib.map_conditions(_traced_condition, count))
         return out[:, 0] if single else out
 
     def source_intensity_basis(

@@ -6,8 +6,8 @@ incoherent_image` / ``incoherent_image_stack``), the engines' fast
 paths, ``source_intensity_basis`` and the optics cache's grid builders
 allocate arrays, run FFTs and move data between the host and a compute
 device.  The kernels themselves are written with plain Python operators
-(slicing, broadcasting, ``@``, ``+=``) that numpy arrays and torch /
-cupy tensors implement identically, so one backend object — supplying
+(slicing, broadcasting, ``@``, ``+=``) that numpy arrays and torch
+tensors implement identically, so one backend object — supplying
 allocation, elementwise ``|x|^2``, reductions, FFT dispatch and
 host/device transfer — is all that changes between a CPU run and a GPU
 run.
@@ -30,10 +30,6 @@ Backends
     Frozen cached constants (read-only arrays such as pupil stacks)
     are transferred once and memoized per backend instance.
 
-``cupy``
-    Availability-gated stub with the same method set; every array op
-    is routed, but it is exercised only where cupy (and a GPU) exist.
-
 ``strict``
     A test double wrapping numpy: every array produced by the seam is
     tagged with an ``ndarray`` subclass, FFT entry points **raise**
@@ -43,7 +39,7 @@ Backends
     prove the BiSMO hot path performs zero out-of-seam array ops and
     that conjugate-pair FFT halving has not regressed.
 
-Selection is per-run via ``REPRO_BACKEND=numpy|torch|cupy|strict`` (read
+Selection is per-run via ``REPRO_BACKEND=numpy|torch|strict`` (read
 once at import; this module is a registered raw env reader) or scoped
 with the :func:`use_backend` context manager.  ``HOST`` is the numpy
 backend singleton, importable by hot-path modules for declared
@@ -68,7 +64,6 @@ __all__ = [
     "ArrayBackend",
     "NumpyBackend",
     "TorchBackend",
-    "CupyBackend",
     "StrictBackend",
     "BackendSeamError",
     "HOST",
@@ -85,7 +80,7 @@ __all__ = [
 ]
 
 #: Backend-native array handle: ``np.ndarray`` for numpy/strict,
-#: ``torch.Tensor`` for torch, ``cupy.ndarray`` for cupy.
+#: ``torch.Tensor`` for torch.
 Array = Any
 
 
@@ -424,96 +419,6 @@ class TorchBackend(ArrayBackend):
 
 
 # ----------------------------------------------------------------------
-# cupy — stub with the full method set, exercised only where cupy exists
-# ----------------------------------------------------------------------
-class CupyBackend(ArrayBackend):
-    """CuPy device arrays; every op routed, gated on cupy availability."""
-
-    name = "cupy"
-
-    def __init__(self) -> None:
-        import cupy
-
-        self._cp = cupy
-
-    @classmethod
-    def is_available(cls) -> bool:
-        try:
-            import cupy  # noqa: F401
-        except Exception:
-            return False
-        return True
-
-    def synchronize(self) -> None:
-        self._cp.cuda.get_current_stream().synchronize()
-
-    @property
-    def float64(self) -> Any:
-        return self._cp.float64
-
-    @property
-    def complex128(self) -> Any:
-        return self._cp.complex128
-
-    def from_host(self, x: Any) -> Array:
-        return self._cp.asarray(np.asarray(x))
-
-    def to_host(self, x: Array) -> np.ndarray:
-        return np.asarray(self._cp.asnumpy(x))
-
-    def zeros(self, shape: Any, dtype: Any) -> Array:
-        return self._cp.zeros(tuple(shape), dtype=dtype)
-
-    def empty(self, shape: Any, dtype: Any) -> Array:
-        return self._cp.empty(tuple(shape), dtype=dtype)
-
-    def asarray(self, x: Any, dtype: Any = None) -> Array:
-        return self._cp.asarray(x, dtype=dtype)
-
-    def abs2(self, x: Array) -> Array:
-        cp = self._cp
-        if x.dtype.kind == "c":
-            out = cp.square(x.real)
-            out += cp.square(x.imag)
-            return out
-        return cp.square(x)
-
-    def conj(self, x: Array) -> Array:
-        return self._cp.conj(x)
-
-    def astype(self, x: Array, dtype: Any) -> Array:
-        return x.astype(dtype, copy=False)
-
-    def iscomplex(self, x: Array) -> bool:
-        return bool(x.dtype.kind == "c")
-
-    def sum(self, x: Array, axis: Optional[int] = None) -> Array:
-        return self._cp.sum(x, axis=axis)
-
-    def einsum(self, spec: str, *operands: Array) -> Array:
-        return self._cp.einsum(spec, *operands)
-
-    def fft2(self, x: Array, overwrite_x: bool = False) -> Array:
-        return self._cp.fft.fft2(x, axes=(-2, -1))
-
-    def ifft2(self, x: Array, overwrite_x: bool = False) -> Array:
-        return self._cp.fft.ifft2(x, axes=(-2, -1))
-
-    def fftfreq(self, n: int, d: float = 1.0) -> Array:
-        return self._cp.fft.fftfreq(n, d=d)
-
-    def freq_reverse(self, x: Array) -> Array:
-        return self._cp.roll(x[..., ::-1, ::-1], shift=(1, 1), axis=(-2, -1))
-
-    def describe(self) -> Dict[str, Any]:
-        return {
-            "backend": self.name,
-            "device": "cuda",
-            "cupy_version": str(self._cp.__version__),
-        }
-
-
-# ----------------------------------------------------------------------
 # strict — instrumented numpy wrapper proving seam discipline in tests
 # ----------------------------------------------------------------------
 class _StrictArray(np.ndarray):
@@ -746,5 +651,4 @@ HOST = NumpyBackend()
 register_backend("numpy", lambda: HOST)
 register_backend("strict", StrictBackend)
 register_backend("torch", TorchBackend, TorchBackend.is_available)
-register_backend("cupy", CupyBackend, CupyBackend.is_available)
 _STATE["backend"] = env_default_backend()

@@ -12,12 +12,9 @@ from .parametrization import (
 )
 from .objective import (
     ROBUST_MODES,
-    AbbeSMOObjective,
     AdaptiveCornerWeights,
     adaptive_corner_update,
-    BatchedSMOObjective,
     HopkinsMOObjective,
-    LoopedSMOObjective,
     ProcessWindowSMOObjective,
     SourceBasisLoss,
     dose_resist,
@@ -46,10 +43,7 @@ __all__ = [
     "init_theta_source",
     "cosine_activation",
     "mask_from_theta_cosine",
-    "AbbeSMOObjective",
-    "BatchedSMOObjective",
     "HopkinsMOObjective",
-    "LoopedSMOObjective",
     "ProcessWindowSMOObjective",
     "SourceBasisLoss",
     "ROBUST_MODES",

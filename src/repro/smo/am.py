@@ -26,8 +26,6 @@ from ..opt import make_optimizer
 from ..utils.timing import tick
 from ..optics import OpticalConfig, ProcessWindow
 from .objective import (
-    AbbeSMOObjective,
-    BatchedSMOObjective,
     HopkinsMOObjective,
     ProcessWindowSMOObjective,
     adaptive_corner_update,
@@ -60,11 +58,11 @@ class AMSMO:
         Optional pre-built SMO objective (single-tile or batched);
         overrides the default built from ``target``.
     process_window:
-        Optional :class:`repro.optics.ProcessWindow`: both phases then
-        alternate on the robust dose x aberration loss
-        (:class:`ProcessWindowSMOObjective` for the Abbe phases, the
-        windowed :class:`HopkinsMOObjective` for the Hopkins MO phase);
-        ``robust`` / ``robust_tau`` select the corner reduction.  Under
+        The :class:`repro.optics.ProcessWindow` both phases alternate
+        on (:class:`ProcessWindowSMOObjective` for the Abbe phases,
+        :class:`HopkinsMOObjective` for the Hopkins MO phase); ``None``
+        is the paper's Eq. (8) window.  ``robust`` / ``robust_tau``
+        select the corner reduction.  Under
         ``robust="adaptive"`` one :class:`AdaptiveCornerWeights` ascent
         is shared across both phases (and across Hopkins TCC rebuilds),
         stepping once per recorded iteration.
@@ -83,7 +81,7 @@ class AMSMO:
         so_optimizer: str = "sgd",
         mo_optimizer: str = "adam",
         num_kernels: Optional[int] = None,
-        objective: Optional[AbbeSMOObjective] = None,
+        objective: Optional[ProcessWindowSMOObjective] = None,
         process_window: Optional[ProcessWindow] = None,
         robust: str = "sum",
         robust_tau: float = 1.0,
@@ -104,16 +102,9 @@ class AMSMO:
         self.process_window = process_window
         self.robust = robust
         self.robust_tau = robust_tau
-        if objective is not None:
-            self.objective = objective
-        elif process_window is not None:
-            self.objective = ProcessWindowSMOObjective(
-                config, self.target, process_window, robust=robust, tau=robust_tau
-            )
-        elif self.target.ndim == 3:
-            self.objective = BatchedSMOObjective(config, self.target)
-        else:
-            self.objective = AbbeSMOObjective(config, self.target)
+        self.objective = objective or ProcessWindowSMOObjective(
+            config, self.target, process_window, robust=robust, tau=robust_tau
+        )
         self.method_name = (
             "AM-SMO(Abbe-Abbe)" if mode == "abbe-abbe" else "AM-SMO(Abbe-Hopkins)"
         )

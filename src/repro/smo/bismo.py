@@ -25,11 +25,10 @@ truncated Neumann series (:mod:`repro.smo.nmn`) and conjugate gradient
 Since the paper sets ``L_so := L_mo := L_smo`` (Eq. (9)), one loss graph
 serves both levels.
 
-Joint multi-clip SMO: passing a ``(B, N, N)`` target stack (or a
-:class:`repro.smo.objective.BatchedSMOObjective`) optimizes one shared
-``theta_J`` against a ``(B, N, N)`` ``theta_M`` stack; hypergradients
-and HVPs flow through the fused batched forward and every
-:class:`IterationRecord` carries the per-tile loss vector.
+Joint multi-clip SMO: passing a ``(B, N, N)`` target stack optimizes
+one shared ``theta_J`` against a ``(B, N, N)`` ``theta_M`` stack;
+hypergradients and HVPs flow through the fused batched forward and
+every :class:`IterationRecord` carries the per-tile loss vector.
 """
 
 from __future__ import annotations
@@ -47,8 +46,6 @@ from ..opt import make_optimizer
 from ..optics import OpticalConfig, ProcessWindow
 from ..utils.timing import tick
 from .objective import (
-    AbbeSMOObjective,
-    BatchedSMOObjective,
     ProcessWindowSMOObjective,
     SourceBasisLoss,
     adaptive_corner_update,
@@ -92,21 +89,21 @@ class HypergradientContext:
 
     This is exact for any tail (sum, log-sum-exp max and adaptive
     corner weights alike), because ``A`` is linear in ``jhat`` and ``T``
-    sees only ``A``.  Objectives without a basis (``LoopedSMOObjective``,
-    duck-typed objectives) use the composed reference instead: one loss
+    sees only ``A``.  Objectives without a basis (duck-typed objectives,
+    such as the per-tile loop oracle of the tests) use the composed
+    reference instead: one loss
     evaluation with ``create_graph=True`` and a second backward through
     its gradient graph.  ``hvp_mode="fd"`` takes central differences of
     fresh gradient evaluations (cheaper in memory — the DARTS trick).
 
     ``objective`` is any SMO objective exposing ``loss(theta_j,
-    theta_m)`` — single-tile :class:`AbbeSMOObjective` or a batched
-    multi-clip objective, in which case ``theta_m`` is a ``(B, N, N)``
-    stack.
+    theta_m)`` — usually :class:`ProcessWindowSMOObjective`, whose
+    ``theta_m`` is a ``(B, N, N)`` stack for a multi-clip target.
     """
 
     def __init__(
         self,
-        objective: AbbeSMOObjective,
+        objective: ProcessWindowSMOObjective,
         theta_j: np.ndarray,
         theta_m: np.ndarray,
         hvp_mode: str = "exact",
@@ -266,8 +263,7 @@ class BiSMO:
     ----------
     target:
         Binary target image ``(N, N)``, or a ``(B, N, N)`` stack for
-        joint multi-clip SMO (one shared source, a ``theta_M`` stack;
-        the default objective becomes :class:`BatchedSMOObjective`).
+        joint multi-clip SMO (one shared source, a ``theta_M`` stack).
     method:
         ``"fd"`` (Eq. (13)), ``"nmn"`` (truncated Neumann, Eq. (16)),
         ``"cg"`` (Eq. (18)) or ``"unroll"`` (reverse-mode reference).
@@ -286,15 +282,19 @@ class BiSMO:
     damping:
         Tikhonov damping added to the inner Hessian in the CG solve.
     process_window:
-        Optional :class:`repro.optics.ProcessWindow`: both bilevel
-        levels then optimize the robust loss across the dose x
-        aberration corner grid (:class:`ProcessWindowSMOObjective`; one
-        fused condition stack per evaluation, hypergradients and HVPs
-        flow through the condition axis).  ``robust`` / ``robust_tau``
-        select the corner reduction — weighted sum, smooth worst case,
-        or ``"adaptive"``: an outer exponentiated-gradient ascent on the
-        corner weights (one step per outer iteration, trajectory in the
-        records) that closes the loop on true worst-case SMO.
+        The :class:`repro.optics.ProcessWindow` both bilevel levels
+        optimize across (:class:`ProcessWindowSMOObjective`; one fused
+        condition stack per evaluation, hypergradients and HVPs flow
+        through the condition axis).  ``None`` is the paper's Eq. (8)
+        window, :meth:`~repro.optics.ProcessWindow.from_config`.
+        ``robust`` / ``robust_tau`` select the corner reduction —
+        weighted sum, smooth worst case, or ``"adaptive"``: an outer
+        exponentiated-gradient ascent on the corner weights (one step
+        per outer iteration, trajectory in the records) that closes the
+        loop on true worst-case SMO.
+    objective:
+        A pre-built objective; overrides the one built from ``target``,
+        ``process_window`` and ``robust``.
     """
 
     def __init__(
@@ -310,7 +310,7 @@ class BiSMO:
         outer_optimizer: str = "adam",
         hvp_mode: str = "exact",
         damping: float = 0.0,
-        objective: Optional[AbbeSMOObjective] = None,
+        objective: Optional[ProcessWindowSMOObjective] = None,
         process_window: Optional[ProcessWindow] = None,
         robust: str = "sum",
         robust_tau: float = 1.0,
@@ -318,16 +318,9 @@ class BiSMO:
     ):
         self.config = config
         self.target = np.asarray(target, dtype=np.float64)
-        if objective is not None:
-            self.objective = objective
-        elif process_window is not None:
-            self.objective = ProcessWindowSMOObjective(
-                config, self.target, process_window, robust=robust, tau=robust_tau
-            )
-        elif self.target.ndim == 3:
-            self.objective = BatchedSMOObjective(config, self.target)
-        else:
-            self.objective = AbbeSMOObjective(config, self.target)
+        self.objective = objective or ProcessWindowSMOObjective(
+            config, self.target, process_window, robust=robust, tau=robust_tau
+        )
         self.method = method.lower()
         self.seed = int(seed)
         self._hyper_fn = _resolve_method(method)

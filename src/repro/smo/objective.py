@@ -14,14 +14,24 @@ once and evaluate the three dose corners as ``sigmoid(beta * (d^2 * I -
 I_tr))``, which is algebraically identical to three forward passes but
 3x cheaper.
 
-All objectives consume any :class:`repro.optics.ImagingEngine`; default
+The paper's loss is one process window: the nominal corner at weight
+``gamma`` plus the two dose corners at weight ``eta``
+(:meth:`repro.optics.ProcessWindow.from_config`).  Every SMO loss, Abbe
+and Hopkins, therefore runs through one window path,
+:func:`windowed_corner_loss`: :class:`ProcessWindowSMOObjective` is the
+one Abbe SMO objective (single tile or a ``(B, N, N)`` stack, the
+default window or any dose x aberration grid) and
+:class:`HopkinsMOObjective` its baked-source counterpart.
+:func:`smo_loss_from_aerial` keeps the Eq. (7)-(8) formula as the
+reference the parity tests compare against.
+
+Objectives consume any :class:`repro.optics.ImagingEngine`; default
 engines come from the shared optics cache, and every inference-only
-entry point (``images()``) rides the engines' graph-free fast path.
-:class:`BatchedSMOObjective` evaluates a whole ``(B, N, N)`` layout
-batch as one loss through the engines' fused multi-tile forward — since
-PR 3 a single :func:`repro.autodiff.functional.incoherent_image` node
-per evaluation (streamed forward, hand-written VJP), so neither the
-loss nor its backward retains a ``(B, S, N, N)`` field stack.
+entry point (``images()``) rides the engines' graph-free fast path.  A
+loss evaluation is one fused
+:func:`repro.autodiff.functional.incoherent_image_stack` node (streamed
+forward, hand-written VJP), so neither the loss nor its backward
+retains a ``(B, S, N, N)`` field stack.
 """
 
 from __future__ import annotations
@@ -39,7 +49,6 @@ from ..optics import (
     SourceGrid,
     engine_for,
 )
-from ..optics.abbe import AbbeImaging
 from .parametrization import mask_from_theta, source_from_theta
 
 __all__ = [
@@ -50,10 +59,7 @@ __all__ = [
     "windowed_corner_loss",
     "AdaptiveCornerWeights",
     "adaptive_corner_update",
-    "AbbeSMOObjective",
     "HopkinsMOObjective",
-    "BatchedSMOObjective",
-    "LoopedSMOObjective",
     "ProcessWindowSMOObjective",
     "SourceBasisLoss",
     "ROBUST_MODES",
@@ -115,31 +121,26 @@ def _resist_images_fast(
         }
 
 
-def _tile_loss_vector(
-    images: Dict[str, np.ndarray], targets: np.ndarray, config: OpticalConfig
-) -> np.ndarray:
-    """Per-tile ``gamma * L2 + eta * L_pvb`` from batched resist images."""
-    axes = (1, 2)
-    l2 = ((images["resist"] - targets) ** 2).sum(axis=axes)
-    pvb = ((images["resist_max"] - targets) ** 2).sum(axis=axes) + (
-        (images["resist_min"] - targets) ** 2
-    ).sum(axis=axes)
-    return config.gamma * l2 + config.eta * pvb
+def _check_target(target: np.ndarray, config: OpticalConfig) -> np.ndarray:
+    """``target`` as float64, validated as ``(N, N)`` or ``(B, N, N)``."""
+    target = np.asarray(target, dtype=np.float64)
+    n = config.mask_size
+    if target.ndim not in (2, 3) or target.shape[-2:] != (n, n):
+        raise ValueError(
+            f"target must be ({n}, {n}) or (B, {n}, {n}); got {target.shape}"
+        )
+    return target
 
 
-def _tile_losses_from_aerial(
-    aerial: np.ndarray, targets: np.ndarray, config: OpticalConfig
-) -> np.ndarray:
-    """Per-tile losses straight from a ``(B, N, N)`` aerial (no graph).
-
-    This is how batched objectives deliver per-tile diagnostics *for
-    free*: the aerial was already computed for the scalar loss, so the
-    per-tile split costs three resist sigmoids and a few sums — no extra
-    imaging forward.
-    """
-    with ad.no_grad():
-        images = _resist_images_fast(aerial, config)
-    return _tile_loss_vector(images, targets, config)
+def _check_theta_m(theta_m, target: ad.Tensor) -> None:
+    """Reject a ``theta_M`` not shaped like the target: broadcasting a
+    ``(B, N, N)`` stack against one tile (or one mask against a stack)
+    would silently optimize the wrong problem."""
+    if tuple(theta_m.shape) != tuple(target.shape):
+        raise ValueError(
+            f"theta_m must be shaped like the target {tuple(target.shape)}; "
+            f"got {tuple(theta_m.shape)}"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -281,9 +282,9 @@ def windowed_corner_loss(
 ) -> Tuple[ad.Tensor, np.ndarray]:
     """One fused condition-axis evaluation of a robust window loss.
 
-    The single shared implementation behind every windowed objective
-    (:class:`ProcessWindowSMOObjective`, the windowed
-    :class:`HopkinsMOObjective`, the robust NILT baseline): one
+    The single shared implementation behind every SMO loss
+    (:class:`ProcessWindowSMOObjective`, :class:`HopkinsMOObjective`,
+    the NILT baseline; the paper's loss is the default window): one
     ``engine.aerial_conditions`` stack (shared mask spectrum across the
     window's distinct pupil conditions — defocus *and* general Zernike
     aberrations), per-corner ``dose**2`` resists with per-corner
@@ -342,18 +343,13 @@ class AdaptiveCornerWeights:
 
     @classmethod
     def maybe(
-        cls,
-        window: Optional[ProcessWindow],
-        robust: str,
-        rate: float,
+        cls, window: ProcessWindow, robust: str, rate: float
     ) -> Optional["AdaptiveCornerWeights"]:
         """The standard consumer wiring: an ascent instance iff
-        ``robust == "adaptive"`` and a window exists, else ``None``.
-        Every windowed objective/baseline builds (or inherits) its
-        adaptive weights through this one idiom."""
-        if robust != "adaptive" or window is None:
-            return None
-        return cls(window, rate=rate)
+        ``robust == "adaptive"``, else ``None``.  Every objective and
+        baseline builds (or inherits) its adaptive weights through this
+        one idiom."""
+        return cls(window, rate=rate) if robust == "adaptive" else None
 
     def __init__(
         self, window: ProcessWindow, rate: float = 1.0, floor: float = 1e-3
@@ -500,11 +496,10 @@ class SourceBasisLoss:
         config: OpticalConfig,
         theta_m: np.ndarray,
         tail: Callable[[Sequence[ad.Tensor]], ad.Tensor],
-        conditions: Optional[Sequence] = None,
+        conditions: Sequence,
     ) -> Optional["SourceBasisLoss"]:
         """The basis loss, or ``None`` for an engine without an intensity
-        basis.  ``conditions`` defaults to the engine's own pupil
-        condition."""
+        basis."""
         needed = (
             "source_intensity_basis",
             "condition_stacks",
@@ -512,8 +507,6 @@ class SourceBasisLoss:
         )
         if not all(hasattr(engine, name) for name in needed):
             return None
-        if conditions is None:
-            conditions = (getattr(engine, "aberration", 0.0),)
         return cls(engine, config, theta_m, tail, conditions)
 
     def weights(self, theta_j: ad.Tensor) -> ad.Tensor:
@@ -546,29 +539,35 @@ class SourceBasisLoss:
 
 
 class ProcessWindowSMOObjective:
-    """Robust SMO loss across a dose x aberration :class:`ProcessWindow`.
+    """The SMO loss ``L_smo(theta_J, theta_M)`` — the one Abbe objective.
 
-    The condition-axis counterpart of :class:`AbbeSMOObjective` /
-    :class:`BatchedSMOObjective`: one evaluation images every distinct
-    pupil condition of the window — defocus and general Zernike
-    aberrations alike — through the engine's fused ``aerial_conditions``
-    stack (a single mask-spectrum FFT shared by all conditions), applies
-    each corner's exact ``dose**2`` scaling (and calibrated resist
-    threshold, when set) in the resist model, and reduces the per-corner
-    losses with :func:`robust_corner_loss`.  With the default window
-    (:meth:`ProcessWindow.from_config`) and ``robust="sum"`` this equals
-    the classic SMO loss exactly.  ``robust="adaptive"`` attaches an
-    :class:`AdaptiveCornerWeights` ascent (``tau`` becomes the EG rate)
-    that solvers step once per outer iteration via
-    :func:`adaptive_corner_update`.
+    This single callable backs SO, MO and every BiSMO level (the paper
+    uses the same objective at both levels, Eq. (9)); which parameter a
+    solver differentiates decides the role.  It is a robust loss across
+    a dose x aberration :class:`ProcessWindow`, and the paper's loss is
+    its default window (:meth:`ProcessWindow.from_config`): the nominal
+    corner at weight ``gamma`` plus the +/-2 % dose corners at weight
+    ``eta``, so ``robust="sum"`` gives ``gamma * L2 + eta * L_pvb``.
 
-    ``target`` may be a single ``(N, N)`` tile or a ``(B, N, N)`` stack
-    (joint multi-clip robust SMO — per-tile robust losses ride every
-    iteration record, and the ``(C, B)`` corner matrix is stashed on
-    ``last_corner_losses`` for the harness report).  Differentiable in
-    both parameters to any order; ``source_only_loss`` exposes the
-    FFT-free per-condition intensity bases that BiSMO's inner steps and
-    exact hypergradient oracles work from.
+    One evaluation images every distinct pupil condition of the window —
+    defocus and general Zernike aberrations alike — through the engine's
+    fused ``aerial_conditions`` stack (a single mask-spectrum FFT shared
+    by all conditions), applies each corner's exact ``dose**2`` scaling
+    (and calibrated resist threshold, when set) in the resist model, and
+    reduces the per-corner losses with :func:`robust_corner_loss`.
+    ``robust="adaptive"`` attaches an :class:`AdaptiveCornerWeights`
+    ascent (``tau`` becomes the EG rate) that solvers step once per
+    outer iteration via :func:`adaptive_corner_update`.
+
+    ``target`` is a single ``(N, N)`` tile or a ``(B, N, N)`` stack
+    (joint multi-clip SMO: one shared source, the loss summed over
+    tiles); ``theta_M`` must have the target's shape.  Every evaluation
+    stashes the ``(C, B)`` corner matrix on ``last_corner_losses`` and,
+    for a stack, the per-tile losses on ``last_tile_losses``, at no
+    extra imaging cost.  Differentiable in both parameters to any
+    order; ``source_only_loss`` exposes the FFT-free per-condition
+    intensity bases that BiSMO's inner steps and exact hypergradient
+    oracles work from.
     """
 
     def __init__(
@@ -579,35 +578,26 @@ class ProcessWindowSMOObjective:
         engine: Optional[ImagingEngine] = None,
         robust: str = "sum",
         tau: float = 1.0,
-        reduction: str = "sum",
     ):
         if robust not in ROBUST_MODES:
             raise ValueError(
                 f"unknown robust mode {robust!r}; choose {ROBUST_MODES}"
             )
-        if reduction not in ("sum", "mean"):
-            raise ValueError(f"unknown reduction {reduction!r}")
-        target = np.asarray(target, dtype=np.float64)
-        n = config.mask_size
-        if target.ndim not in (2, 3) or target.shape[-2:] != (n, n):
-            raise ValueError(
-                f"target must be ({n}, {n}) or (B, {n}, {n}); got {target.shape}"
-            )
+        target = _check_target(target, config)
         self.config = config
         self.window = window or ProcessWindow.from_config(config)
         self.robust = robust
         self.tau = float(tau)
-        self.reduction = reduction
         self._batched = target.ndim == 3
         self.num_tiles = target.shape[0] if self._batched else 1
-        self.target = self.targets = ad.Tensor(target)
+        self.target = ad.Tensor(target)
         self.engine = engine or engine_for(config, "abbe")
         if not hasattr(self.engine, "source_weights"):
             raise ValueError(
                 "ProcessWindowSMOObjective needs a source-differentiable "
                 "engine (the loss is a function of theta_J); for "
                 "baked-source Hopkins engines use "
-                "HopkinsMOObjective(..., window=...) instead"
+                "HopkinsMOObjective instead"
             )
         #: ``(C, B)`` per-corner / per-tile loss matrix of the latest
         #: :meth:`loss` call (C follows ``window.corners`` order).
@@ -624,15 +614,8 @@ class ProcessWindowSMOObjective:
         """Current corner-weight override (live adaptive weights)."""
         return live_corner_weights(self.adaptive_weights)
 
-    def _check_theta_m(self, theta_m) -> None:
-        if self._batched and (
-            theta_m.ndim != 3 or theta_m.shape[0] != self.num_tiles
-        ):
-            raise ValueError(
-                f"theta_m must be ({self.num_tiles}, N, N); got {theta_m.shape}"
-            )
-
-    def _reduce(self, total: ad.Tensor, matrix: np.ndarray) -> ad.Tensor:
+    def _stash(self, matrix: np.ndarray) -> None:
+        """Keep an evaluation's corner matrix and per-tile losses."""
         self.last_corner_losses = matrix
         self.last_tile_losses = (
             robust_tile_losses(
@@ -642,24 +625,21 @@ class ProcessWindowSMOObjective:
             if self._batched
             else None
         )
-        if self.reduction == "mean":
-            total = F.div(total, float(self.num_tiles))
-        return total
 
     def _tail(self, aerials: Sequence[ad.Tensor]) -> ad.Tensor:
         """The loss below the per-condition aerial images: per-corner
-        resists, the robust reduction and the batch reduction.  Stashes
-        the corner matrix and per-tile losses."""
-        return self._reduce(
-            *_robust_window_loss(
-                aerials, self.target, self.window, self.config,
-                self.robust, self.tau, self._robust_weights(),
-            )
+        resists and the robust reduction.  Stashes the corner matrix and
+        per-tile losses."""
+        total, matrix = _robust_window_loss(
+            aerials, self.target, self.window, self.config,
+            self.robust, self.tau, self._robust_weights(),
         )
+        self._stash(matrix)
+        return total
 
     def loss(self, theta_j: ad.Tensor, theta_m: ad.Tensor) -> ad.Tensor:
-        """Robust L_smo across the window (one fused condition stack)."""
-        self._check_theta_m(theta_m)
+        """L_smo across the window (one fused condition stack)."""
+        _check_theta_m(theta_m, self.target)
         source = source_from_theta(theta_j, self.config)
         mask = mask_from_theta(theta_m, self.config)
         total, matrix = windowed_corner_loss(
@@ -673,7 +653,8 @@ class ProcessWindowSMOObjective:
             source=source,
             weights=self._robust_weights(),
         )
-        return self._reduce(total, matrix)
+        self._stash(matrix)
+        return total
 
     def loss_reference(self, theta_j: ad.Tensor, theta_m: ad.Tensor) -> ad.Tensor:
         """Per-condition reference loop: one independent imaging pass per
@@ -685,7 +666,7 @@ class ProcessWindowSMOObjective:
         It evaluates *this objective's engine* (its pupil stacks and
         source grid), so parity holds for custom engines too.
         """
-        self._check_theta_m(theta_m)
+        _check_theta_m(theta_m, self.target)
         source = source_from_theta(theta_j, self.config)
         mask = mask_from_theta(theta_m, self.config)
         jn = self.engine.normalized_weights(source)
@@ -724,7 +705,7 @@ class ProcessWindowSMOObjective:
         Returns ``None`` for custom engines that do not expose an
         intensity basis.
         """
-        self._check_theta_m(theta_m)
+        _check_theta_m(theta_m, self.target)
         return SourceBasisLoss.maybe(
             self.engine, self.config, theta_m, self._tail,
             self.window.conditions(),
@@ -736,15 +717,15 @@ class ProcessWindowSMOObjective:
         """Nominal-dose images plus the full per-corner resist stack.
 
         The nominal keys (``aerial``/``resist``/``resist_min``/
-        ``resist_max``) match :class:`AbbeSMOObjective.images` so every
-        downstream consumer (harness judge, metrics) keeps working:
-        they are evaluated at the window's pupil condition *closest to
-        nominal* (smallest aberration magnitude — exactly the unaberrated
-        condition whenever the window contains one) and at the config's
-        nominal/min/max doses; ``corner_resists`` adds the
-        ``(C, [B,] N, N)`` stack across the window's actual corners
-        (honoring per-corner resist thresholds) and ``corner_aerials``
-        the per-condition aerial stack.
+        ``resist_max``, as :meth:`HopkinsMOObjective.images` returns
+        them) are what every downstream consumer (harness judge,
+        metrics) reads: they are evaluated at the window's pupil
+        condition *closest to nominal* (smallest aberration magnitude —
+        exactly the unaberrated condition whenever the window contains
+        one) and at the config's nominal/min/max doses;
+        ``corner_resists`` adds the ``(C, [B,] N, N)`` stack across the
+        window's actual corners (honoring per-corner resist thresholds)
+        and ``corner_aerials`` the per-condition aerial stack.
         """
         with ad.no_grad():
             source = source_from_theta(ad.Tensor(theta_j), self.config).data
@@ -778,71 +759,6 @@ class ProcessWindowSMOObjective:
         return images
 
 
-class AbbeSMOObjective:
-    """The unified Abbe-based SMO loss ``L_smo(theta_J, theta_M)``.
-
-    This single callable backs SO, MO and all BiSMO levels (the paper
-    uses the same objective at both levels, Eq. (9)); which parameter a
-    solver differentiates decides the role.
-    """
-
-    num_tiles: int = 1
-    #: Single-tile objectives never stash per-tile losses.
-    last_tile_losses: Optional[np.ndarray] = None
-
-    def __init__(
-        self,
-        config: OpticalConfig,
-        target: np.ndarray,
-        engine: Optional[ImagingEngine] = None,
-        source_grid: Optional[SourceGrid] = None,
-    ):
-        self.config = config
-        if target.shape != (config.mask_size, config.mask_size):
-            raise ValueError(
-                f"target shape {target.shape} != mask grid "
-                f"({config.mask_size}, {config.mask_size})"
-            )
-        self.target = ad.Tensor(np.asarray(target, dtype=np.float64))
-        if engine is not None:
-            self.engine = engine
-        elif source_grid is not None:
-            self.engine = AbbeImaging(config, source_grid)
-        else:
-            self.engine = engine_for(config, "abbe")
-
-    def _tail(self, aerials: Sequence[ad.Tensor]) -> ad.Tensor:
-        (aerial,) = aerials
-        return smo_loss_from_aerial(aerial, self.target, self.config)
-
-    def loss(self, theta_j: ad.Tensor, theta_m: ad.Tensor) -> ad.Tensor:
-        """L_smo as an autodiff scalar (differentiable in both thetas)."""
-        source = source_from_theta(theta_j, self.config)
-        mask = mask_from_theta(theta_m, self.config)
-        return self._tail([self.engine.aerial(mask, source)])
-
-    def source_only_loss(self, theta_m: np.ndarray) -> Optional["SourceBasisLoss"]:
-        """The loss at fixed ``theta_M`` as an FFT-free function of
-        ``theta_J``: a :class:`SourceBasisLoss` over a ``B = 1``
-        intensity basis, or ``None`` for engines without one."""
-        return SourceBasisLoss.maybe(self.engine, self.config, theta_m, self._tail)
-
-    def images(self, theta_j: np.ndarray, theta_m: np.ndarray) -> Dict[str, np.ndarray]:
-        """All intermediate images at the current parameters.
-
-        Inference-only: the aerial image comes from the engine's
-        graph-free fast path.
-        """
-        with ad.no_grad():
-            source = source_from_theta(ad.Tensor(theta_j), self.config).data
-            mask = mask_from_theta(ad.Tensor(theta_m), self.config).data
-        images = _resist_images_fast(
-            self.engine.aerial_fast(mask, source), self.config
-        )
-        images.update(source=source, mask=mask, target=self.target.data)
-        return images
-
-
 class HopkinsMOObjective:
     """Hopkins/SOCS mask-only objective (for MO baselines & hybrid AM-SMO).
 
@@ -854,19 +770,20 @@ class HopkinsMOObjective:
 
     ``target`` may be a single ``(N, N)`` tile or a ``(B, N, N)`` stack;
     a stack makes the objective joint over the batch (``theta_m`` must
-    then be a matching ``(B, N, N)`` parameter stack and the loss is the
-    sum over tiles, riding the engine's fused multi-tile forward).
+    have the target's shape and the loss is the sum over tiles, riding
+    the engine's fused multi-tile forward).
 
-    ``window`` switches the loss to the robust dose x aberration
-    reduction of :func:`robust_corner_loss` across a
-    :class:`ProcessWindow`: aberration corners ride the engine's fused
-    ``aerial_conditions`` stack (the aberrated SOCS kernels are exact
-    phase multiplies of the nominal decomposition — the arbitrary-D
-    identity, no TCC rebuild), dose corners share each condition pass.
-    ``robust`` / ``robust_tau`` pick weighted-sum, smooth worst-case, or
-    the adaptive minimax ascent (``adaptive_weights`` lets a driver like
-    AM-SMO share one live :class:`AdaptiveCornerWeights` across phases /
-    rebuilds; otherwise ``robust="adaptive"`` creates its own).
+    The loss is the robust dose x aberration reduction of
+    :func:`robust_corner_loss` across ``window``, by default the paper's
+    Eq. (8) window (:meth:`ProcessWindow.from_config`): aberration
+    corners ride the engine's fused ``aerial_conditions`` stack (the
+    aberrated SOCS kernels are exact phase multiplies of the nominal
+    decomposition — the arbitrary-D identity, no TCC rebuild), dose
+    corners share each condition pass.  ``robust`` / ``robust_tau`` pick
+    weighted-sum, smooth worst-case, or the adaptive minimax ascent
+    (``adaptive_weights`` lets a driver like AM-SMO share one live
+    :class:`AdaptiveCornerWeights` across phases / rebuilds; otherwise
+    ``robust="adaptive"`` creates its own).
     """
 
     def __init__(
@@ -887,24 +804,19 @@ class HopkinsMOObjective:
                 f"unknown robust mode {robust!r}; choose {ROBUST_MODES}"
             )
         self.config = config
-        target = np.asarray(target, dtype=np.float64)
-        n = config.mask_size
-        if target.ndim not in (2, 3) or target.shape[-2:] != (n, n):
-            raise ValueError(
-                f"target must be ({n}, {n}) or (B, {n}, {n}); got {target.shape}"
-            )
+        target = _check_target(target, config)
         self.num_tiles = target.shape[0] if target.ndim == 3 else 1
         self._batched = target.ndim == 3
         self.target = ad.Tensor(target)
         self._source_grid = source_grid
         self._num_kernels = num_kernels
-        self.window = window
+        self.window = window or ProcessWindow.from_config(config)
         self.robust = robust
         self.robust_tau = float(robust_tau)
         self.engine = engine or self._build_engine(source)
         #: Per-tile losses of the latest :meth:`loss` call (batched only).
         self.last_tile_losses: Optional[np.ndarray] = None
-        #: ``(C, B)`` corner/tile matrix of the latest windowed call.
+        #: ``(C, B)`` corner/tile matrix of the latest :meth:`loss` call.
         self.last_corner_losses: Optional[np.ndarray] = None
         #: Live minimax corner weights (``robust="adaptive"`` only); a
         #: caller-supplied instance (AM-SMO, MILT) takes precedence so
@@ -918,7 +830,7 @@ class HopkinsMOObjective:
         self.adaptive_weights = (
             adaptive_weights
             if adaptive_weights is not None
-            else AdaptiveCornerWeights.maybe(window, robust, robust_tau)
+            else AdaptiveCornerWeights.maybe(self.window, robust, robust_tau)
         )
 
     def _robust_weights(self) -> Optional[np.ndarray]:
@@ -940,44 +852,25 @@ class HopkinsMOObjective:
         self.engine = self._build_engine(source)
 
     def loss(self, theta_m: ad.Tensor) -> ad.Tensor:
-        if self._batched and (
-            theta_m.ndim != 3 or theta_m.shape[0] != self.num_tiles
-        ):
-            raise ValueError(
-                f"theta_m must be ({self.num_tiles}, N, N); got {theta_m.shape}"
-            )
-        mask = mask_from_theta(theta_m, self.config)
-        if self.window is not None:
-            total, matrix = windowed_corner_loss(
-                self.engine,
-                self.config,
-                mask,
-                self.target,
-                self.window,
-                self.robust,
-                self.robust_tau,
+        """The window loss of ``theta_m`` (one fused condition stack)."""
+        _check_theta_m(theta_m, self.target)
+        total, matrix = windowed_corner_loss(
+            self.engine,
+            self.config,
+            mask_from_theta(theta_m, self.config),
+            self.target,
+            self.window,
+            self.robust,
+            self.robust_tau,
+            weights=self._robust_weights(),
+        )
+        self.last_corner_losses = matrix
+        if self._batched:
+            self.last_tile_losses = robust_tile_losses(
+                matrix, self.window, self.robust, self.robust_tau,
                 weights=self._robust_weights(),
             )
-            self.last_corner_losses = matrix
-            if self._batched:
-                self.last_tile_losses = robust_tile_losses(
-                    matrix, self.window, self.robust, self.robust_tau,
-                    weights=self._robust_weights(),
-                )
-            return total
-        aerial = self.engine.aerial(mask)
-        if self._batched:
-            self.last_tile_losses = _tile_losses_from_aerial(
-                aerial.data, self.target.data, self.config
-            )
-        return smo_loss_from_aerial(aerial, self.target, self.config)
-
-    def tile_losses(self, theta_m: np.ndarray) -> np.ndarray:
-        """Per-tile loss vector ``(B,)`` via the inference fast path."""
-        if not self._batched:
-            raise ValueError("tile_losses needs a (B, N, N) target stack")
-        images = self.images(theta_m)
-        return _tile_loss_vector(images, self.target.data, self.config)
+        return total
 
     def images(self, theta_m: np.ndarray) -> Dict[str, np.ndarray]:
         with ad.no_grad():
@@ -985,165 +878,3 @@ class HopkinsMOObjective:
         images = _resist_images_fast(self.engine.aerial_fast(mask), self.config)
         images.update(mask=mask, target=self.target.data)
         return images
-
-
-class BatchedSMOObjective:
-    """Joint SMO loss over a batch of layout tiles sharing one source.
-
-    Evaluating B tiles through one engine call turns the whole layout
-    suite into a single fused FFT stack (and a single autodiff graph)
-    instead of a Python loop over per-tile objectives — the multi-tile
-    extension of the paper's Abbe batching.
-
-    Parameters
-    ----------
-    targets:
-        ``(B, N, N)`` stack of binary target tiles (see
-        :func:`repro.layouts.tile_stack`).
-    reduction:
-        ``"sum"`` (default) or ``"mean"`` over the batch.
-    """
-
-    def __init__(
-        self,
-        config: OpticalConfig,
-        targets: np.ndarray,
-        engine: Optional[ImagingEngine] = None,
-        reduction: str = "sum",
-    ):
-        targets = np.asarray(targets, dtype=np.float64)
-        n = config.mask_size
-        if targets.ndim != 3 or targets.shape[-2:] != (n, n):
-            raise ValueError(
-                f"targets must be (B, {n}, {n}); got shape {targets.shape}"
-            )
-        if reduction not in ("sum", "mean"):
-            raise ValueError(f"unknown reduction {reduction!r}")
-        self.config = config
-        self.reduction = reduction
-        self.num_tiles = targets.shape[0]
-        self.targets = ad.Tensor(targets)
-        self.engine = engine or engine_for(config, "abbe")
-        #: Per-tile loss vector of the most recent :meth:`loss` call,
-        #: derived from that call's aerial at no extra imaging cost.
-        self.last_tile_losses: Optional[np.ndarray] = None
-
-    def _check_theta_m(self, theta_m) -> None:
-        if theta_m.ndim != 3 or theta_m.shape[0] != self.num_tiles:
-            raise ValueError(
-                f"theta_m must be ({self.num_tiles}, N, N); got {theta_m.shape}"
-            )
-
-    def loss(self, theta_j: ad.Tensor, theta_m: ad.Tensor) -> ad.Tensor:
-        """Batch SMO loss; ``theta_m`` is a ``(B, N, N)`` parameter stack."""
-        self._check_theta_m(theta_m)
-        source = source_from_theta(theta_j, self.config)
-        masks = mask_from_theta(theta_m, self.config)
-        # (B, N, N), one fused stack
-        return self._tail([self.engine.aerial(masks, source)])
-
-    def _tail(self, aerials: Sequence[ad.Tensor]) -> ad.Tensor:
-        """The loss below the ``(B, N, N)`` aerial; stashes the per-tile
-        losses of this evaluation."""
-        (aerial,) = aerials
-        self.last_tile_losses = _tile_losses_from_aerial(
-            aerial.data, self.targets.data, self.config
-        )
-        total = smo_loss_from_aerial(aerial, self.targets, self.config)
-        if self.reduction == "mean":
-            total = F.div(total, float(self.num_tiles))
-        return total
-
-    def tile_losses(self, theta_j: np.ndarray, theta_m: np.ndarray) -> np.ndarray:
-        """Per-tile loss vector ``(B,)`` via the inference fast path."""
-        images = self.images(theta_j, theta_m)
-        return _tile_loss_vector(images, self.targets.data, self.config)
-
-    def source_only_loss(self, theta_m: np.ndarray) -> Optional["SourceBasisLoss"]:
-        """The loss at a fixed ``theta_M`` stack as an FFT-free function
-        of ``theta_J``.
-
-        Abbe's aerial is linear in the normalized source weights, so at
-        fixed masks the per-source-point intensity basis ``X[b, s]`` is a
-        constant.  The returned :class:`SourceBasisLoss`, called as
-        ``loss_j(theta_j)``, rebuilds ``L_smo(theta_J)`` from ``X`` with
-        a graph that never touches an FFT — exactly ``loss(theta_j,
-        theta_m)`` as a function of ``theta_j``.  It is BiSMO's inner-SO
-        and inner-Hessian oracle, and the source of its exact
-        hypergradients.  Returns ``None`` when the engine cannot expose
-        the basis (e.g. Hopkins, where the source is baked into the
-        TCC).
-        """
-        self._check_theta_m(theta_m)
-        return SourceBasisLoss.maybe(self.engine, self.config, theta_m, self._tail)
-
-    def images(self, theta_j: np.ndarray, theta_m: np.ndarray) -> Dict[str, np.ndarray]:
-        """Batched intermediate images, all ``(B, N, N)`` (no graph)."""
-        with ad.no_grad():
-            source = source_from_theta(ad.Tensor(theta_j), self.config).data
-            masks = mask_from_theta(ad.Tensor(theta_m), self.config).data
-        images = _resist_images_fast(
-            self.engine.aerial_fast(masks, source), self.config
-        )
-        images.update(source=source, mask=masks, target=self.targets.data)
-        return images
-
-
-class LoopedSMOObjective:
-    """Reference joint SMO loss: a Python loop over per-tile objectives.
-
-    Mathematically identical to :class:`BatchedSMOObjective` (same shared
-    ``theta_J``, same summed loss over the ``(B, N, N)`` ``theta_M``
-    stack) but each tile builds its own single-tile graph — the
-    pre-batching consumer pattern.  Each per-tile graph still rides the
-    engine's fused ``incoherent_image`` node, so the loop-vs-batch gap
-    it measures isolates graph-count overhead, not op fusion.  It also
-    deliberately omits ``source_only_loss``, exactly as the per-clip
-    code it stands in for, so BiSMO runs the composed ``create_graph``
-    oracle on it.  Kept as the equivalence oracle for the batched
-    solver tests and the basis hypergradient oracles, and as the
-    wall-clock baseline of ``benchmarks/bench_joint_smo.py``;
-    production code should use the fused batched objective.
-    """
-
-    def __init__(
-        self,
-        config: OpticalConfig,
-        targets: np.ndarray,
-        engine: Optional[ImagingEngine] = None,
-        reduction: str = "sum",
-    ):
-        self._batched = BatchedSMOObjective(config, targets, engine, reduction)
-        self.config = config
-        self.reduction = reduction
-        self.num_tiles = self._batched.num_tiles
-        self.targets = self._batched.targets
-        self.engine = self._batched.engine
-        self._per_tile = [
-            AbbeSMOObjective(config, t, engine=self.engine)
-            for t in self.targets.data
-        ]
-        #: Per-tile loss vector of the most recent :meth:`loss` call.
-        self.last_tile_losses: Optional[np.ndarray] = None
-
-    def loss(self, theta_j: ad.Tensor, theta_m: ad.Tensor) -> ad.Tensor:
-        """Sum of B independent single-tile graphs (the slow path)."""
-        self._batched._check_theta_m(theta_m)
-        total: Optional[ad.Tensor] = None
-        per_tile = np.empty(self.num_tiles)
-        for i, objective in enumerate(self._per_tile):
-            li = objective.loss(theta_j, F.getitem(theta_m, i))
-            per_tile[i] = float(li.data)
-            total = li if total is None else F.add(total, li)
-        if total is None:
-            raise RuntimeError("LoopedSMOObjective has no tiles to accumulate")
-        self.last_tile_losses = per_tile
-        if self.reduction == "mean":
-            total = F.div(total, float(self.num_tiles))
-        return total
-
-    def tile_losses(self, theta_j: np.ndarray, theta_m: np.ndarray) -> np.ndarray:
-        return self._batched.tile_losses(theta_j, theta_m)
-
-    def images(self, theta_j: np.ndarray, theta_m: np.ndarray) -> Dict[str, np.ndarray]:
-        return self._batched.images(theta_j, theta_m)

@@ -17,7 +17,7 @@ from ..obs import span as obs_span
 from ..opt import make_optimizer
 from ..utils.timing import tick
 from ..optics import OpticalConfig
-from .objective import AbbeSMOObjective, BatchedSMOObjective
+from .objective import ProcessWindowSMOObjective
 from .parametrization import init_theta_source
 from .state import IterationRecord, SMOResult
 
@@ -40,16 +40,10 @@ class SourceOptimizer:
         target: np.ndarray,
         lr: float = 0.1,
         optimizer: str = "sgd",
-        objective: Optional[AbbeSMOObjective] = None,
+        objective: Optional[ProcessWindowSMOObjective] = None,
     ):
         self.config = config
-        target = np.asarray(target, dtype=np.float64)
-        if objective is not None:
-            self.objective = objective
-        elif target.ndim == 3:
-            self.objective = BatchedSMOObjective(config, target)
-        else:
-            self.objective = AbbeSMOObjective(config, target)
+        self.objective = objective or ProcessWindowSMOObjective(config, target)
         self._opt = make_optimizer(optimizer, lr)
 
     def run(

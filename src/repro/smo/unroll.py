@@ -18,13 +18,13 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import functional as F
-from .objective import AbbeSMOObjective
+from .objective import ProcessWindowSMOObjective
 
 __all__ = ["unrolled_hypergradient"]
 
 
 def unrolled_hypergradient(
-    objective: AbbeSMOObjective,
+    objective: ProcessWindowSMOObjective,
     theta_j: np.ndarray,
     theta_m: np.ndarray,
     steps: int,

@@ -12,7 +12,7 @@ import repro.autodiff as ad
 from repro.autodiff import functional as F
 from repro.autodiff.grad import gradcheck
 from repro.optics import AbbeImaging, OpticalConfig
-from repro.smo import BatchedSMOObjective
+from repro.smo import ProcessWindowSMOObjective
 from repro.smo.parametrization import init_theta_mask, init_theta_source
 
 S, N = 6, 12
@@ -222,7 +222,9 @@ class TestCreateGraphFallback:
         source = np.full((cfg.source_size,) * 2, 0.4)
         theta_j = init_theta_source(source, cfg)
         theta_m = init_theta_mask(targets, cfg)
-        objective = BatchedSMOObjective(cfg, targets, engine=AbbeImaging(cfg))
+        objective = ProcessWindowSMOObjective(
+            cfg, targets, engine=AbbeImaging(cfg)
+        )
         return cfg, theta_j, theta_m, objective
 
     def test_hvp_matches_basis_oracle(self, smo_setup):
@@ -246,8 +248,8 @@ class TestCreateGraphFallback:
         """Mixed second derivatives agree between the fused graph (via
         its fallback) and a fully composed graph."""
         cfg, theta_j, theta_m, objective = smo_setup
-        composed = BatchedSMOObjective(
-            cfg, objective.targets.data, engine=AbbeImaging(cfg, fused=False)
+        composed = ProcessWindowSMOObjective(
+            cfg, objective.target.data, engine=AbbeImaging(cfg, fused=False)
         )
         rng = np.random.default_rng(6)
         v = ad.Tensor(rng.standard_normal(theta_j.shape))

@@ -256,7 +256,7 @@ class TestCrossBackend:
 class TestBackendProtocol:
     def test_registry_and_availability(self):
         names = backend.registered_backends()
-        for expected in ("numpy", "strict", "torch", "cupy"):
+        for expected in ("numpy", "strict", "torch"):
             assert expected in names
         avail = backend.available_backends()
         assert "numpy" in avail and "strict" in avail

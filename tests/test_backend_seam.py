@@ -24,7 +24,7 @@ import pytest
 import repro.autodiff as ad
 from repro.autodiff import functional as F
 from repro.optics import AbbeImaging, OpticalConfig, backend, fftlib
-from repro.smo.objective import BatchedSMOObjective
+from repro.smo.objective import ProcessWindowSMOObjective
 from repro.smo.parametrization import init_theta_mask, init_theta_source
 
 N = 12
@@ -59,7 +59,9 @@ def smo_setup():
     source = np.full((cfg.source_size,) * 2, 0.4)
     theta_j = init_theta_source(source, cfg)
     theta_m = init_theta_mask(targets, cfg)
-    objective = BatchedSMOObjective(cfg, targets, engine=AbbeImaging(cfg))
+    objective = ProcessWindowSMOObjective(
+        cfg, targets, engine=AbbeImaging(cfg)
+    )
     return cfg, source, targets, theta_j, theta_m, objective
 
 

@@ -153,10 +153,10 @@ class TestAccounting:
 
     def test_objectives_share_one_engine(self, cfg, tiny_target):
         """Objective default engines route through the cache."""
-        from repro.smo import AbbeSMOObjective
+        from repro.smo import ProcessWindowSMOObjective
 
-        o1 = AbbeSMOObjective(cfg, tiny_target)
-        o2 = AbbeSMOObjective(cfg, tiny_target)
+        o1 = ProcessWindowSMOObjective(cfg, tiny_target)
+        o2 = ProcessWindowSMOObjective(cfg, tiny_target)
         assert o1.engine is o2.engine
 
     def test_clear_during_build_still_caches(self, cfg):

@@ -26,13 +26,14 @@ from repro.optics import (
 )
 from repro.smo import (
     AbbeMO,
-    AbbeSMOObjective,
-    BatchedSMOObjective,
     BiSMO,
     HopkinsMOObjective,
     ProcessWindowSMOObjective,
     init_theta_mask,
     init_theta_source,
+    mask_from_theta,
+    smo_loss_from_aerial,
+    source_from_theta,
 )
 from repro.smo.bismo import HypergradientContext
 
@@ -248,30 +249,42 @@ def pw_setup():
     return cfg, targets, source, theta_j, theta_m, window
 
 
+def _classic_loss(cfg, engine, target):
+    """The Eqs. (7)-(8) formula on the engine's own aerial image."""
+
+    def loss(tj: ad.Tensor, tm: ad.Tensor) -> ad.Tensor:
+        aerial = engine.aerial(
+            mask_from_theta(tm, cfg), source_from_theta(tj, cfg)
+        )
+        return smo_loss_from_aerial(aerial, ad.Tensor(target), cfg)
+
+    return loss
+
+
+def _assert_default_window_is_classic(cfg, target, theta_j, theta_m):
+    """The default window's loss equals the classic formula to 1e-12
+    and its gradients to 1e-10."""
+    pwo = ProcessWindowSMOObjective(cfg, target)
+    outs = []
+    for fn in (pwo.loss, _classic_loss(cfg, pwo.engine, target)):
+        tj = ad.Tensor(theta_j, requires_grad=True)
+        tm = ad.Tensor(theta_m, requires_grad=True)
+        loss = fn(tj, tm)
+        gj, gm = ad.grad(loss, [tj, tm])
+        outs.append((float(loss.data), gj.data, gm.data))
+    np.testing.assert_allclose(outs[0][0], outs[1][0], rtol=1e-12)
+    np.testing.assert_allclose(outs[0][1], outs[1][1], atol=1e-10)
+    np.testing.assert_allclose(outs[0][2], outs[1][2], atol=1e-10)
+
+
 class TestProcessWindowObjective:
     def test_default_window_equals_classic_loss(self, pw_setup):
         cfg, targets, _, theta_j, theta_m, _ = pw_setup
-        pwo = ProcessWindowSMOObjective(cfg, targets)
-        classic = BatchedSMOObjective(cfg, targets)
-        outs = []
-        for obj in (pwo, classic):
-            tj = ad.Tensor(theta_j, requires_grad=True)
-            tm = ad.Tensor(theta_m, requires_grad=True)
-            loss = obj.loss(tj, tm)
-            gj, gm = ad.grad(loss, [tj, tm])
-            outs.append((float(loss.data), gj.data, gm.data))
-        np.testing.assert_allclose(outs[0][0], outs[1][0], rtol=1e-12)
-        np.testing.assert_allclose(outs[0][1], outs[1][1], atol=1e-10)
-        np.testing.assert_allclose(outs[0][2], outs[1][2], atol=1e-10)
+        _assert_default_window_is_classic(cfg, targets, theta_j, theta_m)
 
-    def test_single_tile_default_window_equals_abbe_objective(self, pw_setup):
+    def test_single_tile_default_window_is_classic(self, pw_setup):
         cfg, targets, _, theta_j, theta_m, _ = pw_setup
-        pwo = ProcessWindowSMOObjective(cfg, targets[0])
-        classic = AbbeSMOObjective(cfg, targets[0])
-        with ad.no_grad():
-            a = pwo.loss(ad.Tensor(theta_j), ad.Tensor(theta_m[0])).data
-            b = classic.loss(ad.Tensor(theta_j), ad.Tensor(theta_m[0])).data
-        np.testing.assert_allclose(float(a), float(b), rtol=1e-12)
+        _assert_default_window_is_classic(cfg, targets[0], theta_j, theta_m[0])
 
     def test_robust_sum_matches_reference_loop(self, pw_setup):
         """The acceptance bar: fused C-corner loss == per-corner loop to
@@ -389,8 +402,6 @@ class TestProcessWindowObjective:
         cfg, targets, *_ = pw_setup
         with pytest.raises(ValueError):
             ProcessWindowSMOObjective(cfg, targets, robust="median")
-        with pytest.raises(ValueError):
-            ProcessWindowSMOObjective(cfg, targets, reduction="prod")
         pwo = ProcessWindowSMOObjective(cfg, targets)
         with pytest.raises(ValueError):
             pwo.loss(ad.Tensor(np.zeros(5)), ad.Tensor(targets[:1]))
@@ -568,6 +579,20 @@ class TestRobustSolversAndHarness:
         assert result.losses[-1] < result.losses[0]
         # per-tile robust losses ride the records
         assert result.final_tile_losses.shape == (2,)
+
+    def test_robust_applies_to_the_default_window(self, pw_setup):
+        """Without ``process_window`` the solvers optimize the paper's
+        window, and ``robust=`` reduces across its three corners."""
+        cfg, targets, source, *_ = pw_setup
+        mo = AbbeMO(cfg, targets, source, robust="adaptive")
+        bi = BiSMO(cfg, targets, method="nmn", terms=2, robust="adaptive")
+        for solver, result in (
+            (mo, mo.run(iterations=2)),
+            (bi, bi.run(source, iterations=2)),
+        ):
+            assert solver.objective.window == ProcessWindow.from_config(cfg)
+            weights = result.history[-1].corner_weights
+            assert weights is not None and weights.shape == (3,)
 
     def test_pvb_band_reduces_to_xor_for_two_corners(self, rng):
         cfg = OpticalConfig.preset("tiny")

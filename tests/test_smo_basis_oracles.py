@@ -28,10 +28,8 @@ from repro.optics import (
 )
 from repro.optics.pupil import shifted_pupil_stack
 from repro.smo import (
-    AbbeSMOObjective,
-    BatchedSMOObjective,
+    AbbeMO,
     BiSMO,
-    LoopedSMOObjective,
     ProcessWindowSMOObjective,
     init_theta_mask,
     init_theta_source,
@@ -40,6 +38,7 @@ from repro.smo.bismo import HypergradientContext
 from repro.smo.objective import SourceBasisLoss
 from repro.utils import memory
 from repro.utils.seed import seeded_rng
+from tests.oracles import LoopedSMOObjective
 
 RTOL = 1e-10
 
@@ -80,12 +79,12 @@ WINDOW = ProcessWindow.from_grid((0.97, 1.0, 1.03), (0.0, 40.0))
 
 def _objectives(cfg, targets, theta_m):
     """(name, objective, composed reference, theta_m) per target kind."""
-    single = AbbeSMOObjective(cfg, targets[0])
+    single = ProcessWindowSMOObjective(cfg, targets[0])
     out = [
         ("single", single, ComposedOnly(single), theta_m[0]),
         (
             "batched",
-            BatchedSMOObjective(cfg, targets),
+            ProcessWindowSMOObjective(cfg, targets),
             LoopedSMOObjective(cfg, targets),
             theta_m,
         ),
@@ -250,7 +249,7 @@ class TestMaskAdjoint:
 class TestOracleParity:
     def test_source_only_loss_is_a_basis_object(self, tiny):
         cfg, targets, _, theta_j, theta_m = tiny
-        single = AbbeSMOObjective(cfg, targets[0])
+        single = ProcessWindowSMOObjective(cfg, targets[0])
         basis = single.source_only_loss(theta_m[0])
         assert isinstance(basis, SourceBasisLoss)
         assert basis.bases[0].shape[0] == 1
@@ -268,6 +267,18 @@ class TestOracleParity:
         solver = BiSMO(cfg, targets, method="nmn", **kw)
         with pytest.raises(ValueError, match="theta_m must be"):
             solver.run(source, iterations=1, theta_m0=theta_m[0])
+
+    def test_stacked_theta_m_on_one_target_raises(self, tiny):
+        """A ``(3, N, N)`` theta_M must not broadcast against one
+        ``(N, N)`` target: three masks optimized for one clip."""
+        cfg, targets, source, _, theta_m = tiny
+        stacked = np.concatenate([theta_m, theta_m[:1]])
+        with pytest.raises(ValueError, match="theta_m must be"):
+            BiSMO(cfg, targets[0], method="nmn").run(
+                source, iterations=1, theta_m0=stacked
+            )
+        with pytest.raises(ValueError, match="theta_m must be"):
+            AbbeMO(cfg, targets[0], source).run(iterations=1, theta_m0=stacked)
 
     def test_oracles_match_composed(self, tiny):
         cfg, targets, _, theta_j, theta_m = tiny
@@ -330,7 +341,7 @@ class TestNoCreateGraphThroughImaging:
         tm = init_theta_mask(targets[0], cfg)
         with pytest.raises(AssertionError, match="create_graph"):
             HypergradientContext(
-                ComposedOnly(AbbeSMOObjective(cfg, targets[0])),
+                ComposedOnly(ProcessWindowSMOObjective(cfg, targets[0])),
                 init_theta_source(source, cfg), tm,
             )
 

@@ -1,5 +1,5 @@
-"""Tests for BatchedSMOObjective and the batched layout plumbing
-(layouts.tile_stack, harness.batched_objective)."""
+"""Tests for the SMO objective on a ``(B, N, N)`` tile stack and the
+batched layout plumbing (layouts.tile_stack, harness.batched_objective)."""
 
 from __future__ import annotations
 
@@ -11,8 +11,7 @@ from repro.harness import RunSettings, batched_objective
 from repro.layouts import dataset_by_name, tile_stack
 from repro.optics import OpticalConfig
 from repro.smo import (
-    AbbeSMOObjective,
-    BatchedSMOObjective,
+    ProcessWindowSMOObjective,
     init_theta_mask,
     init_theta_source,
 )
@@ -38,29 +37,21 @@ def thetas(cfg, targets, tiny_source):
 class TestBatchedObjective:
     def test_loss_equals_sum_of_per_tile_losses(self, cfg, targets, thetas):
         tj, tm = thetas
-        batched = BatchedSMOObjective(cfg, targets)
+        batched = ProcessWindowSMOObjective(cfg, targets)
         with ad.no_grad():
             total = batched.loss(ad.Tensor(tj), ad.Tensor(tm)).item()
             per_tile = sum(
-                AbbeSMOObjective(cfg, t).loss(ad.Tensor(tj), ad.Tensor(m)).item()
+                ProcessWindowSMOObjective(cfg, t)
+                .loss(ad.Tensor(tj), ad.Tensor(m))
+                .item()
                 for t, m in zip(targets, tm)
             )
         assert total == pytest.approx(per_tile, rel=1e-10)
 
-    def test_mean_reduction(self, cfg, targets, thetas):
-        tj, tm = thetas
-        total = BatchedSMOObjective(cfg, targets, reduction="sum")
-        mean = BatchedSMOObjective(cfg, targets, reduction="mean")
-        with ad.no_grad():
-            ratio = total.loss(ad.Tensor(tj), ad.Tensor(tm)).item() / mean.loss(
-                ad.Tensor(tj), ad.Tensor(tm)
-            ).item()
-        assert ratio == pytest.approx(len(targets), rel=1e-12)
-
     def test_gradients_match_per_tile(self, cfg, targets, thetas):
         """One batched graph == B per-tile graphs, for both parameters."""
         tj, tm = thetas
-        batched = BatchedSMOObjective(cfg, targets)
+        batched = ProcessWindowSMOObjective(cfg, targets)
         a = ad.Tensor(tj, requires_grad=True)
         b = ad.Tensor(tm, requires_grad=True)
         gj, gm = ad.grad(batched.loss(a, b), [a, b])
@@ -68,23 +59,31 @@ class TestBatchedObjective:
         for i, (t, m) in enumerate(zip(targets, tm)):
             ai = ad.Tensor(tj, requires_grad=True)
             bi = ad.Tensor(m, requires_grad=True)
-            gji, gmi = ad.grad(AbbeSMOObjective(cfg, t).loss(ai, bi), [ai, bi])
+            single = ProcessWindowSMOObjective(cfg, t)
+            gji, gmi = ad.grad(single.loss(ai, bi), [ai, bi])
             np.testing.assert_allclose(gm.data[i], gmi.data, atol=1e-6)
             gj_sum += gji.data
         np.testing.assert_allclose(gj.data, gj_sum, atol=1e-6)
 
     def test_tile_losses_vector(self, cfg, targets, thetas):
+        """``loss()`` stashes its own per-tile split; a single tile
+        stashes none."""
         tj, tm = thetas
-        batched = BatchedSMOObjective(cfg, targets)
-        per_tile = batched.tile_losses(tj, tm)
-        assert per_tile.shape == (len(targets),)
+        batched = ProcessWindowSMOObjective(cfg, targets)
         with ad.no_grad():
             total = batched.loss(ad.Tensor(tj), ad.Tensor(tm)).item()
+        per_tile = batched.last_tile_losses
+        assert per_tile.shape == (len(targets),)
         assert per_tile.sum() == pytest.approx(total, rel=1e-9)
+        single = ProcessWindowSMOObjective(cfg, targets[1])
+        with ad.no_grad():
+            alone = single.loss(ad.Tensor(tj), ad.Tensor(tm[1])).item()
+        assert per_tile[1] == pytest.approx(alone, rel=1e-10)
+        assert single.last_tile_losses is None
 
     def test_images_shapes(self, cfg, targets, thetas):
         tj, tm = thetas
-        images = BatchedSMOObjective(cfg, targets).images(tj, tm)
+        images = ProcessWindowSMOObjective(cfg, targets).images(tj, tm)
         b, n = len(targets), cfg.mask_size
         for key in ("aerial", "resist", "resist_min", "resist_max", "mask"):
             assert images[key].shape == (b, n, n), key
@@ -93,12 +92,12 @@ class TestBatchedObjective:
     def test_shape_validation(self, cfg, targets, thetas):
         tj, tm = thetas
         with pytest.raises(ValueError):
-            BatchedSMOObjective(cfg, targets[0])  # not a batch
-        with pytest.raises(ValueError):
-            BatchedSMOObjective(cfg, targets, reduction="median")
-        batched = BatchedSMOObjective(cfg, targets)
-        with pytest.raises(ValueError):
+            ProcessWindowSMOObjective(cfg, targets[:, :4])  # not the grid
+        batched = ProcessWindowSMOObjective(cfg, targets)
+        with pytest.raises(ValueError, match="theta_m must be"):
             batched.loss(ad.Tensor(tj), ad.Tensor(tm[:2]))  # wrong B
+        with pytest.raises(ValueError, match="theta_m must be"):
+            batched.loss(ad.Tensor(tj), ad.Tensor(tm[0]))  # one mask
 
 
 class TestTileStack:
@@ -129,9 +128,8 @@ class TestHarnessBatched:
         tj = init_theta_source(
             np.ones((settings.config.source_size,) * 2), settings.config
         )
-        tm = np.stack(
-            [init_theta_mask(t, settings.config) for t in objective.targets.data]
-        )
+        cfg = settings.config
+        tm = np.stack([init_theta_mask(t, cfg) for t in objective.target.data])
         with ad.no_grad():
             assert objective.loss(ad.Tensor(tj), ad.Tensor(tm)).item() > 0
 

@@ -8,10 +8,10 @@ import repro.autodiff as ad
 from repro.opt import Adam, ConstantLR, CosineLR, SGD, StepLR, apply_schedule
 from repro.optics import AbbeImaging, OpticalConfig
 from repro.smo import (
-    AbbeSMOObjective,
     BiSMO,
     GradientNormStopper,
     PlateauStopper,
+    ProcessWindowSMOObjective,
     RelativeImprovementStopper,
     init_theta_mask,
     init_theta_source,
@@ -45,7 +45,7 @@ class TestUnrolledHypergradient:
     def test_bismo_unroll_variant_decreases_loss(
         self, tiny_config, tiny_target, tiny_source
     ):
-        objective = AbbeSMOObjective(tiny_config, tiny_target)
+        objective = ProcessWindowSMOObjective(tiny_config, tiny_target)
         solver = BiSMO(
             tiny_config, tiny_target, method="unroll", unroll_steps=2,
             objective=objective,

@@ -1,6 +1,7 @@
-"""Joint multi-clip solver tests: batched-vs-looped equivalence for the
-bilevel and alternating solvers, per-tile loss records, the FFT-free
-source-only HVP oracle, and the unroll inner-optimizer guard."""
+"""Joint multi-clip solver tests: the one SMO objective on a clip stack
+against the per-clip loop oracle for the bilevel and alternating
+solvers, per-tile loss records, the FFT-free source-only HVP oracle,
+and the unroll inner-optimizer guard."""
 
 from __future__ import annotations
 
@@ -12,19 +13,18 @@ from repro.optics import OpticalConfig
 from repro.smo import (
     AMSMO,
     AbbeMO,
-    AbbeSMOObjective,
-    BatchedSMOObjective,
     BiSMO,
     HopkinsMO,
     HopkinsMOObjective,
     HypergradientContext,
-    LoopedSMOObjective,
+    ProcessWindowSMOObjective,
     SourceOptimizer,
     init_theta_mask,
     init_theta_source,
     unrolled_hypergradient,
 )
 from repro.baselines import MultiLevelILT, NILTBaseline
+from tests.oracles import LoopedSMOObjective
 
 
 @pytest.fixture(scope="module")
@@ -41,13 +41,13 @@ def cfg(tiny_config) -> OpticalConfig:
 
 
 class TestBatchedLoopedEquivalence:
-    """The fused batched execution must reproduce the per-clip loop."""
+    """The one objective on a stack must reproduce the per-clip loop."""
 
     @pytest.mark.parametrize("method", ["nmn", "fd", "cg"])
     def test_bismo_matches_per_clip_loop(self, method, cfg, targets, tiny_source):
         results = {}
         for name, obj_cls in (
-            ("batched", BatchedSMOObjective),
+            ("batched", ProcessWindowSMOObjective),
             ("looped", LoopedSMOObjective),
         ):
             solver = BiSMO(
@@ -70,7 +70,7 @@ class TestBatchedLoopedEquivalence:
     def test_amsmo_matches_per_clip_loop(self, cfg, targets, tiny_source):
         results = {}
         for name, obj_cls in (
-            ("batched", BatchedSMOObjective),
+            ("batched", ProcessWindowSMOObjective),
             ("looped", LoopedSMOObjective),
         ):
             solver = AMSMO(
@@ -89,16 +89,30 @@ class TestBatchedLoopedEquivalence:
         np.testing.assert_allclose(b.theta_m, l.theta_m, atol=1e-10)
 
     def test_batched_loss_equals_looped_loss(self, cfg, targets, tiny_source):
+        """Loss, per-tile losses and both gradients of the stack match
+        the per-tile loop oracle within 1e-10."""
+        rng = np.random.default_rng(5)
         tj = init_theta_source(tiny_source, cfg)
+        tj = tj + 0.05 * rng.standard_normal(tj.shape)
         tm = np.stack([init_theta_mask(t, cfg) for t in targets])
-        with ad.no_grad():
-            lb = BatchedSMOObjective(cfg, targets).loss(
-                ad.Tensor(tj), ad.Tensor(tm)
-            ).item()
-            ll = LoopedSMOObjective(cfg, targets).loss(
-                ad.Tensor(tj), ad.Tensor(tm)
-            ).item()
+        tm = tm + 0.3 * rng.standard_normal(tm.shape)
+        out = []
+        for objective in (
+            ProcessWindowSMOObjective(cfg, targets),
+            LoopedSMOObjective(cfg, targets),
+        ):
+            a = ad.Tensor(tj, requires_grad=True)
+            b = ad.Tensor(tm, requires_grad=True)
+            loss = objective.loss(a, b)
+            gj, gm = ad.grad(loss, [a, b])
+            tiles = objective.last_tile_losses
+            out.append((loss.item(), tiles, gj.data, gm.data))
+        (lb, tb, *grads_b), (ll, tl, *grads_l) = out
         assert lb == pytest.approx(ll, rel=1e-12)
+        np.testing.assert_allclose(tb, tl, rtol=1e-10)
+        for gb, gl in zip(grads_b, grads_l):
+            scale = np.abs(gl).max()
+            np.testing.assert_allclose(gb, gl, rtol=1e-10, atol=1e-10 * scale)
 
 
 class TestPerTileRecords:
@@ -173,7 +187,7 @@ class TestSourceOnlyOracle:
     function of theta_J at fixed theta_M."""
 
     def test_closure_matches_full_loss(self, cfg, targets, tiny_source):
-        objective = BatchedSMOObjective(cfg, targets)
+        objective = ProcessWindowSMOObjective(cfg, targets)
         tj = init_theta_source(tiny_source, cfg)
         tm = np.stack([init_theta_mask(t, cfg) for t in targets]) + 0.1
         closure = objective.source_only_loss(tm)
@@ -188,7 +202,9 @@ class TestSourceOnlyOracle:
             (cfg.source_size,) * 2
         )
         tm = np.stack([init_theta_mask(t, cfg) for t in targets])
-        ctx_fast = HypergradientContext(BatchedSMOObjective(cfg, targets), tj, tm)
+        ctx_fast = HypergradientContext(
+            ProcessWindowSMOObjective(cfg, targets), tj, tm
+        )
         ctx_full = HypergradientContext(LoopedSMOObjective(cfg, targets), tj, tm)
         assert ctx_fast._so_gj_graph is not None
         assert ctx_full._so_gj_graph is None
@@ -212,15 +228,22 @@ class TestHopkinsBatchedObjective:
         with ad.no_grad():
             total = hop.loss(ad.Tensor(tm)).item()
         assert hop.last_tile_losses.sum() == pytest.approx(total, rel=1e-9)
-        per_tile = hop.tile_losses(tm)
-        np.testing.assert_allclose(per_tile, hop.last_tile_losses, rtol=1e-9)
+        # The per-tile split is loss()'s own: each tile alone gives its
+        # entry (the default window, gamma * L2 + eta * L_pvb).
+        for i, t in enumerate(targets):
+            single = HopkinsMOObjective(cfg, t, tiny_source, num_kernels=8)
+            with ad.no_grad():
+                alone = single.loss(ad.Tensor(tm[i])).item()
+            assert hop.last_tile_losses[i] == pytest.approx(alone, rel=1e-9)
+        assert hop.last_corner_losses.shape == (3, len(targets))
 
     def test_shape_validation(self, cfg, targets):
         hop_single = HopkinsMOObjective(
             cfg, targets[0], np.ones((cfg.source_size,) * 2), num_kernels=4
         )
-        with pytest.raises(ValueError):
-            hop_single.tile_losses(init_theta_mask(targets[0], cfg))
+        with pytest.raises(ValueError, match="theta_m must be"):
+            with ad.no_grad():
+                hop_single.loss(ad.Tensor(init_theta_mask(targets, cfg)))
         hop = HopkinsMOObjective(
             cfg, targets, np.ones((cfg.source_size,) * 2), num_kernels=4
         )
@@ -241,7 +264,7 @@ class TestUnrollInnerOptimizerGuard:
             BiSMO(cfg, tiny_target, method="unroll", inner_optimizer="adam")
 
     def test_unrolled_hypergradient_rejects_non_sgd(self, cfg, tiny_target, tiny_source):
-        objective = AbbeSMOObjective(cfg, tiny_target)
+        objective = ProcessWindowSMOObjective(cfg, tiny_target)
         tj = init_theta_source(tiny_source, cfg)
         tm = init_theta_mask(tiny_target, cfg)
         with pytest.raises(ValueError, match="sgd"):

@@ -7,8 +7,8 @@ import repro.autodiff as ad
 from repro.autodiff import functional as F
 from repro.optics import AbbeImaging, OpticalConfig
 from repro.smo import (
-    AbbeSMOObjective,
     HopkinsMOObjective,
+    ProcessWindowSMOObjective,
     dose_resist,
     init_theta_mask,
     init_theta_source,
@@ -25,7 +25,7 @@ def cfg():
 
 @pytest.fixture(scope="module")
 def objective(cfg, tiny_target):
-    return AbbeSMOObjective(cfg, tiny_target)
+    return ProcessWindowSMOObjective(cfg, tiny_target)
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +97,7 @@ class TestLossStructure:
 
     def test_target_shape_mismatch_raises(self, cfg):
         with pytest.raises(ValueError):
-            AbbeSMOObjective(cfg, np.zeros((4, 4)))
+            ProcessWindowSMOObjective(cfg, np.zeros((4, 4)))
 
     def test_images_keys(self, objective, thetas):
         tj, tm = thetas
@@ -110,8 +110,16 @@ class TestLossStructure:
             "resist_min",
             "resist_max",
             "target",
+            "corner_aerials",
+            "corner_resists",
         }
         assert images["resist"].shape == images["target"].shape
+        # the default window's corners are the nominal and dose images
+        nominal_and_dose = ("resist", "resist_min", "resist_max")
+        np.testing.assert_array_equal(
+            images["corner_resists"],
+            np.stack([images[k] for k in nominal_and_dose]),
+        )
 
 
 class TestHopkinsObjective:
@@ -122,6 +130,33 @@ class TestHopkinsObjective:
         (g,) = ad.grad(loss, [tm])
         assert loss.item() > 0
         assert np.abs(g.data).max() > 0
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_default_window_equals_eq9_loss(
+        self, cfg, tiny_target, tiny_source, batched
+    ):
+        """The default window is the paper's loss: Eqs. (7)-(8) on the
+        Hopkins engine's aerial, loss to 1e-12, gradient to 1e-10."""
+        target = (
+            np.stack([tiny_target, tiny_target.T]) if batched else tiny_target
+        )
+        obj = HopkinsMOObjective(cfg, target, tiny_source, num_kernels=8)
+        rng = np.random.default_rng(3)
+        theta = init_theta_mask(target, cfg) + 0.3 * rng.standard_normal(
+            target.shape
+        )
+        tm = ad.Tensor(theta, requires_grad=True)
+        loss = obj.loss(tm)
+        (g,) = ad.grad(loss, [tm])
+        tm_ref = ad.Tensor(theta, requires_grad=True)
+        aerial = obj.engine.aerial(mask_from_theta(tm_ref, cfg))
+        ref = smo_loss_from_aerial(aerial, ad.Tensor(target), cfg)
+        (g_ref,) = ad.grad(ref, [tm_ref])
+        assert loss.item() == pytest.approx(ref.item(), rel=1e-12)
+        scale = np.abs(g_ref.data).max()
+        np.testing.assert_allclose(
+            g.data, g_ref.data, rtol=1e-10, atol=1e-10 * scale
+        )
 
     def test_rebuild_source_changes_loss(self, cfg, tiny_target, tiny_source):
         from repro.optics import SourceGrid, conventional

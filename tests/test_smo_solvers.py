@@ -8,9 +8,9 @@ from repro.optics import OpticalConfig
 from repro.smo import (
     AMSMO,
     AbbeMO,
-    AbbeSMOObjective,
     BiSMO,
     HopkinsMO,
+    ProcessWindowSMOObjective,
     SMOResult,
     SourceOptimizer,
     init_theta_mask,
@@ -20,7 +20,7 @@ from repro.smo import (
 
 @pytest.fixture(scope="module")
 def objective(tiny_config, tiny_target):
-    return AbbeSMOObjective(tiny_config, tiny_target)
+    return ProcessWindowSMOObjective(tiny_config, tiny_target)
 
 
 class TestMOOnly:
