@@ -14,8 +14,9 @@ sharing the whole imaging pass) must be
   streamed kernel pass) per corner —
 
 with loss/gradient parity to ``PARITY_RTOL`` against both that
-per-corner loop and the composed-op reference graph (a ``fused=False``
-engine building one ``incoherent_image_composed`` per condition).
+per-corner loop and the composed-op reference graph (the
+``ComposedAbbeImaging`` oracle of ``tests/oracles.py``, one
+``incoherent_image_composed`` per condition).
 Results are appended to ``BENCH_aberration.json`` via
 :mod:`bench_runner`.
 
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import sys
 import time
 from typing import Dict, Tuple
 
@@ -47,7 +49,7 @@ import repro.autodiff as ad
 from repro.autodiff import functional as F
 from repro.harness.runner import _annular_source
 from repro.layouts import dataset_by_name, tile_stack
-from repro.optics import AbbeImaging, OpticalConfig, ProcessWindow, fftlib
+from repro.optics import OpticalConfig, ProcessWindow, fftlib
 from repro.smo import ProcessWindowSMOObjective, dose_resist
 from repro.smo.objective import robust_corner_loss
 from repro.smo.parametrization import (
@@ -57,6 +59,10 @@ from repro.smo.parametrization import (
     source_from_theta,
 )
 from bench_env import env_flag, env_int, env_str
+
+# The composed-op reference engine is a test oracle (tests/oracles.py).
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from tests.oracles import ComposedAbbeImaging  # noqa: E402
 
 SCALE = env_str("BISMO_AB_SCALE", "small")
 NUM_TILES = env_int("BISMO_AB_TILES", 4)
@@ -130,7 +136,7 @@ def run_parity(setup=None) -> Dict[str, float]:
     """Fused stack == per-corner passes == composed-op reference."""
     cfg, window, targets, theta_j, theta_m, objective = setup or _setup()
     composed = ProcessWindowSMOObjective(
-        cfg, targets, window, engine=AbbeImaging(cfg, fused=False)
+        cfg, targets, window, engine=ComposedAbbeImaging(cfg)
     )
     lf, gjf, gmf = _grads(objective.loss, theta_j, theta_m)
     ln, gjn, gmn = _grads(
@@ -185,8 +191,6 @@ def _record(payload: Dict) -> None:
     try:
         from bench_runner import record_bench
     except ImportError:  # script run without benchmarks/ on sys.path
-        import sys
-
         sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
         from bench_runner import record_bench
 

@@ -5,10 +5,10 @@ suite as one ``(B, N, N)`` batch through the engine's fused multi-tile
 forward (plus the graph-free fast path) beats looping the single-tile
 engine over the suite — the acceptance bar is >= 2x for B = 8 tiles
 against the *pre-refactor* consumer pattern (per-tile composed-op
-graphs, ``AbbeImaging(cfg, fused=False)``).  Since PR 3 the fused
-``incoherent_image`` primitive has made even the per-tile *fused* loop
-nearly as fast as the batched fast path in no-grad mode, so that loop
-is reported for context but no longer gated.
+graphs, the ``ComposedAbbeImaging`` oracle of ``tests/oracles.py``).
+The fused imaging primitive has since made even the per-tile *fused*
+loop nearly as fast as the batched fast path in no-grad mode, so that
+loop is reported for context but no longer gated.
 
 Run like every other bench module, e.g.::
 
@@ -21,6 +21,8 @@ wall-clock gate (CI check mode on shared runners).
 
 from __future__ import annotations
 
+import os
+import sys
 import time
 
 import numpy as np
@@ -33,6 +35,10 @@ from repro.optics import cache, engine_for
 
 from conftest import BENCH_SCALE, BENCH_ITERS  # noqa: F401  (shared scale knobs)
 from bench_env import env_flag
+
+# The composed-op reference engine is a test oracle (tests/oracles.py).
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from tests.oracles import ComposedAbbeImaging  # noqa: E402
 
 NUM_TILES = 8
 CHECK_ONLY = env_flag("BISMO_BENCH_CHECK_ONLY")
@@ -101,10 +107,8 @@ def test_batched_speedup_and_parity(setup):
     """The acceptance bar: batched fast path >= 2x over the pre-refactor
     per-tile composed loop, identical images (the fused per-tile loop is
     reported for context — PR 3 closed most of its gap by design)."""
-    from repro.optics import AbbeImaging
-
     engine, tiles, source = setup
-    composed_engine = AbbeImaging(engine.config, fused=False)
+    composed_engine = ComposedAbbeImaging(engine.config)
     loop_result = _per_tile_loop(engine, tiles, source)
     composed_result = _per_tile_loop(composed_engine, tiles, source)
     fast_result = engine.aerial_fast(tiles, source)

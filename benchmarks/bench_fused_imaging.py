@@ -9,7 +9,8 @@ forward, hand-written recomputing VJP, fftlib dispatch) must be
 * >= 4x lower peak traced allocation,
 
 than the mathematically identical composed graph ``fft2 -> mul ->
-ifft2 -> abs2 -> mul -> sum`` (``AbbeImaging(..., fused=False)``),
+ifft2 -> abs2 -> mul -> sum`` (the ``ComposedAbbeImaging`` oracle of
+``tests/oracles.py``),
 with mask/source gradients matching to 1e-8 and BiSMO end-to-end loss
 traces unchanged to 1e-10.  Results are appended to
 ``BENCH_fused_imaging.json`` via :mod:`bench_runner` so future PRs
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import sys
 import time
 import tracemalloc
 from typing import Dict, Tuple
@@ -55,6 +57,10 @@ from repro.optics import AbbeImaging, OpticalConfig, backend, fftlib
 from repro.smo import BiSMO, ProcessWindowSMOObjective
 from repro.smo.parametrization import init_theta_mask, init_theta_source
 from bench_env import env_flag, env_int, env_str
+
+# The composed-op reference engine is a test oracle (tests/oracles.py).
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from tests.oracles import ComposedAbbeImaging  # noqa: E402
 
 SCALE = env_str("BISMO_FUSED_SCALE", "small")
 NUM_TILES = env_int("BISMO_FUSED_TILES", 8)
@@ -79,7 +85,7 @@ def _setup(scale: str = SCALE, num_tiles: int = NUM_TILES):
         cfg, targets, engine=AbbeImaging(cfg)
     )
     composed = ProcessWindowSMOObjective(
-        cfg, targets, engine=AbbeImaging(cfg, fused=False)
+        cfg, targets, engine=ComposedAbbeImaging(cfg)
     )
     return cfg, targets, source, theta_j, theta_m, fused, composed
 
@@ -182,8 +188,6 @@ def _record(payload: Dict) -> None:
     try:
         from bench_runner import record_bench
     except ImportError:  # script run without benchmarks/ on sys.path
-        import sys
-
         sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
         from bench_runner import record_bench
 

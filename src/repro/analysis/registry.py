@@ -28,7 +28,6 @@ DECLARED_ENV_VARS: Dict[str, str] = {
     # -- library knobs (read by repro.optics.fftlib) -------------------
     "REPRO_FFT_BACKEND": "FFT backend selection: auto|scipy|numpy",
     "REPRO_FFT_WORKERS": "scipy FFT worker threads per transform",
-    "REPRO_FFT_PRECISION": "FFT compute precision: double|single",
     "REPRO_FFT_CHUNK": "batch chunk size for stacked transforms",
     "REPRO_COND_WORKERS": "process-condition fan-out worker threads",
     "REPRO_WORKER_BUDGET": "global cap on cond workers x FFT workers",

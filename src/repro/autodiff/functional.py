@@ -623,12 +623,19 @@ def _stream_forward_one(
     """
     b, n = fm.shape[0], fm.shape[-1]
     if reps is None:
-        kern_h, w_h, r = kern, w, kern.shape[0]
+        kern_h, w_h = kern, w
     else:
         kern_h = kern[reps]  # (R, N, N) representatives, R ~ S/2
         mates = cp[reps]
         w_h = w[reps] + np.where(mates != reps, w[mates], 0.0)
-        r = reps.size
+    # A kernel whose (pair-summed) weight is exactly zero adds nothing to
+    # the sum, so it is skipped: exact, and binary template sources zero
+    # about half their points.  The VJP still visits every kernel (the
+    # weight gradient at a zero weight is not zero).
+    live = np.flatnonzero(w_h)
+    if live.size < w_h.size:
+        kern_h, w_h = kern_h[live], w_h[live]
+    r = w_h.size
     kern_r = bk.from_host(kern_h)
     w_eff = bk.from_host(w_h)
     nn = n * n
@@ -776,95 +783,17 @@ def incoherent_image(
 ) -> Tensor:
     """Fused weighted incoherent sum ``I[b] = sum_s w_s |IFFT2(H_s FFT2(M_b))|^2``.
 
-    One graph node replaces the six composed ops of
-    :func:`incoherent_image_composed`.  The forward streams over
-    source-axis chunks of ``chunk`` kernels (default
-    :func:`repro.optics.fftlib.get_stream_chunk`): each chunk is one
-    transient ``(B, chunk, N, N)`` transform block, so peak working
-    memory is ``O(B * chunk * N^2)`` instead of the composed path's
-    several *retained* ``O(B * S * N^2)`` intermediates; only the
-    ``(B, N, N)`` mask spectra are saved for the backward pass.
-
-    The hand-written VJP *recomputes* the per-chunk coherent fields
-    instead of retaining the field stack, emitting mask gradients
-
-    ``gM[b] = IFFT2( sum_s conj(H_s) * FFT2(2 w_s g[b] F[b,s]) )``
-
-    (the backward-normalization factors cancel) and weight gradients
-    ``gw[s] = sum_b <g[b], |F[b,s]|^2>`` with the same streamed chunk
-    loop.  ``mask`` may be real or complex, single ``(N, N)`` or
-    batched ``(B, N, N)``; ``weights`` must be real (pass normalized
-    source weights for Abbe, SOCS eigenvalues for Hopkins); the pupil
-    stack is treated as a constant (no gradient).
-
-    Conjugate-pair streaming: ``conj_pairs`` declares the frequency-
-    reversal pairing ``kernel_{conj_pairs[s]}(f) == kernel_s(-f)``
-    (Abbe's shifted pupils for a point-symmetric source grid satisfy
-    it; see ``AbbeImaging``).  For a *real* mask and *real* kernels the
-    paired field is the complex conjugate of its mate's — ``F[b,s'] ==
-    conj(F[b,s])`` — so only one kernel per pair is transformed and
-    both weights ride the shared field, halving the FFT work in the
-    forward and in the streamed VJP (the mirrored gradient term is
-    recovered with one frequency reversal per backward).  The pairing
-    is ignored (exact fallback) for complex masks, complex kernels, or
-    a complex upstream gradient.
-
-    Double backward: the streamed VJP returns graph-free gradients.  When
-    the backward pass itself must be differentiable (``ad.grad(...,
-    create_graph=True)``), the VJP detects grad-recording mode and falls
-    back to rebuilding the exact composed-op gradient expressions, which
-    carry their own graph but cost the composed path's memory.  Only the
-    BiSMO unroll path, objectives without an intensity basis and the
-    gradcheck oracles take that fallback.  BiSMO's exact HVP and
-    mixed-product oracles cut the graph at the aerial image instead:
-    they work from the FFT-free intensity basis and reach the mask
-    through the graph-free :func:`incoherent_mask_adjoint`.
+    The one-stack case of :func:`incoherent_image_stack`, shaped like
+    ``mask`` (``(N, N)`` or ``(B, N, N)``): one graph node in place of
+    the six composed ops of :func:`incoherent_image_composed`, with the
+    stack primitive's streamed forward and VJP.  ``conj_pairs`` is the
+    stack's ``+/-sigma`` pairing, or None.
     """
     mask = as_tensor(mask)
-    pupil_stack = as_tensor(pupil_stack)
-    weights = as_tensor(weights)
-    s, n = _check_incoherent_args(mask, pupil_stack, weights)
-    fl = _get_fftlib()
-    bk = _get_backend().active_backend()
-    csize = fl.get_stream_chunk() if chunk is None else int(chunk)
-    if csize < 1:
-        raise ValueError(f"chunk must be >= 1; got {csize}")
-    cp, reps = _pair_setup(
-        conj_pairs, s, not mask.is_complex and not pupil_stack.is_complex
+    out = incoherent_image_stack(
+        mask, [pupil_stack], weights, chunk, [conj_pairs]
     )
-    single = mask.ndim == 2
-    tiles = mask.data[None] if single else mask.data
-    # (B, N, N) spectra — the only saved activation (a backend array;
-    # the VJP closure reuses both it and the backend that produced it).
-    with _obs_span("imaging.forward", op="incoherent_image", s=s, n=n):
-        fm = bk.fft2(bk.from_host(tiles))
-        out = _stream_forward_one(
-            bk, fm, pupil_stack.data, weights.data, csize, cp, reps
-        )
-    out_data = out[0] if single else out
-
-    def vjp(g: Tensor) -> Tuple[Optional[Tensor], ...]:
-        if is_grad_enabled():
-            # create_graph backward: fall back to the composed-op
-            # gradient expressions so the returned grads are themselves
-            # differentiable (the unroll path and the gradcheck oracles).
-            return _incoherent_vjp_composed(g, mask, pupil_stack, weights)
-        gm, gw = _stream_adjoint(
-            bk,
-            fm,
-            (pupil_stack.data,),
-            ((cp, reps),),
-            [(weights.data, g.data[None, None] if single else g.data[None])],
-            csize,
-            mask.requires_grad,
-            weights.requires_grad,
-            "incoherent_image",
-        )
-        return (_wrap_grad(gm, single), None, _wrap_grad(gw, False))
-
-    return _make(
-        out_data, (mask, pupil_stack, weights), vjp, "incoherent_image"
-    )
+    return reshape(out, mask.shape)
 
 
 def _wrap_grad(arr: Optional[np.ndarray], single: bool) -> Optional[Tensor]:
@@ -1026,36 +955,6 @@ def incoherent_mask_adjoint(
     return gm[0] if single else gm
 
 
-def _incoherent_vjp_composed(
-    g: Tensor, mask: Tensor, pupil_stack: Tensor, weights: Tensor
-) -> Tuple[Optional[Tensor], ...]:
-    """Differentiable gradients via the composed ops (create_graph path).
-
-    Rebuilds the coherent fields with graph-recording functional ops and
-    expresses the exact gradient formulas with them, so the returned
-    tensors can be differentiated again (the property the BiSMO unroll
-    path and the composed second-order reference oracle rely on).
-    """
-    s, n = pupil_stack.shape[0], pupil_stack.shape[-1]
-    single = mask.ndim == 2
-    m3 = reshape(mask, (1, n, n)) if single else mask
-    b = m3.shape[0]
-    g4 = reshape(g, (1, 1, n, n)) if single else reshape(g, (b, 1, n, n))
-    p4 = reshape(pupil_stack, (1, s, n, n))
-    fields = ifft2(mul(p4, reshape(fft2(m3), (b, 1, n, n))))  # (B, S, N, N)
-    gm_out: Optional[Tensor] = None
-    gw_out: Optional[Tensor] = None
-    if weights.requires_grad:
-        gw_out = sum(mul(g4, abs2(fields)), axis=(0, 2, 3))
-    if mask.requires_grad:
-        wf = reshape(weights, (1, s, 1, 1))
-        gfields = mul(mul(g4, 2.0), mul(wf, fields))
-        # The fft2/ifft2 backward-normalization factors cancel exactly.
-        gm = ifft2(sum(mul(fft2(gfields), conj(p4)), axis=1))
-        gm_out = reshape(gm, (n, n)) if single else gm
-    return (gm_out, None, gw_out)
-
-
 def incoherent_image_stack(
     mask: ArrayLike,
     pupil_stacks: Sequence[ArrayLike],
@@ -1063,31 +962,63 @@ def incoherent_image_stack(
     chunk: Optional[int] = None,
     conj_pairs: Optional[Sequence[Optional[np.ndarray]]] = None,
 ) -> Tensor:
-    """Multi-condition fused incoherent imaging sharing ONE mask FFT.
+    """Fused weighted incoherent images sharing ONE mask FFT.
 
-    Computes ``out[f] = sum_s w_s |IFFT2(H^f_s FFT2(M))|^2`` for a
+    Computes ``out[f, b] = sum_s w_s |IFFT2(H^f_s FFT2(M_b))|^2`` for a
     *sequence* of F kernel stacks — the process-condition axis: each
-    stack is the shifted-pupil (or SOCS kernel) stack at one focus
-    condition, all sharing the same ``(S,)`` weights.  Output shape is
-    ``(F, B, N, N)`` for a batched mask, ``(F, N, N)`` for a single
-    tile.
+    stack is the shifted-pupil (or SOCS kernel) stack at one pupil
+    condition, all sharing the same real ``(S,)`` weights (normalized
+    source weights for Abbe, SOCS eigenvalues for Hopkins).  Output
+    shape is ``(F, B, N, N)`` for a batched mask, ``(F, N, N)`` for a
+    single tile; :func:`incoherent_image` is the F = 1 case.  ``mask``
+    may be real or complex; the kernel stacks are constants (no
+    gradient).  This is the one forward of the weighted incoherent sum:
+    every aerial image, with or without a graph, runs it.
 
-    The mask spectrum ``FFT2(M)`` is computed once and streamed through
-    every stack (and, in the hand-written VJP, every stack's recomputed
-    chunks accumulate into one frequency-domain mask gradient closed by
-    a single final IFFT) — evaluating F conditions costs F streamed
-    kernel passes plus *one* mask transform, not F independent
-    :func:`incoherent_image` calls.
+    Forward: the mask spectrum ``FFT2(M)`` is computed once and streamed
+    through every stack in source-axis chunks of ``chunk`` kernels
+    (default :func:`repro.optics.fftlib.get_stream_chunk`).  Each chunk
+    is one transient ``(B, chunk, N, N)`` transform block, so peak
+    working memory is ``O(B * chunk * N^2)`` instead of the composed
+    path's several *retained* ``O(B * S * N^2)`` intermediates; only the
+    ``(B, N, N)`` mask spectra are saved for the backward pass.  Kernels
+    whose weight is exactly zero are skipped (exact).
 
-    ``conj_pairs`` is an optional per-stack sequence: real stacks (zero
-    defocus) may carry the ``+/-sigma`` frequency-reversal pairing and
-    get the half-FFT streaming; complex (defocused) stacks pass None —
-    the conjugate *field* identity needs real kernels even though the
-    structural pairing survives defocus (the defocus phase is even).
-    Under ``ad.grad(create_graph=True)`` the VJP falls back to
-    composed-op gradient expressions (sharing one ``fft2(mask)`` graph
-    node across stacks), so second-order products through the condition
-    axis stay exactly differentiable.
+    Backward: the hand-written VJP *recomputes* the per-chunk coherent
+    fields instead of retaining them, emitting mask gradients
+
+    ``gM[b] = IFFT2( sum_f sum_s conj(H^f_s) * FFT2(2 w_s g[f,b] F[f,b,s]) )``
+
+    (the backward-normalization factors cancel; every stack's chunks
+    accumulate into one frequency-domain gradient closed by a single
+    final IFFT) and weight gradients ``gw[s] = sum_f sum_b <g[f,b],
+    |F[f,b,s]|^2>`` for every kernel, zero-weight ones included.
+
+    Conjugate-pair streaming: ``conj_pairs`` is an optional per-stack
+    sequence.  An entry declares the frequency-reversal pairing
+    ``kernel_{conj_pairs[s]}(f) == kernel_s(-f)`` (Abbe's shifted pupils
+    for a point-symmetric source grid satisfy it; see ``AbbeImaging``)
+    or is None.  For a *real* mask and *real* kernels the paired field
+    is the complex conjugate of its mate's — ``F[b,s'] == conj(F[b,s])``
+    — so only one kernel per pair is transformed and both weights ride
+    the shared field, halving the FFT work in the forward and in the
+    streamed VJP (the mirrored gradient term is recovered with one
+    frequency reversal per backward).  A pairing is always validated,
+    and ignored (exact fallback) for complex masks, complex kernels or a
+    complex upstream gradient: the structural pairing survives an even
+    aberration such as defocus, the conjugate *field* identity does not.
+
+    Double backward: the streamed VJP returns graph-free gradients.
+    When the backward pass itself must be differentiable (``ad.grad(...,
+    create_graph=True)``), the VJP detects grad-recording mode and falls
+    back to composed-op gradient expressions (sharing one ``fft2(mask)``
+    graph node across stacks), which carry their own graph but cost the
+    composed path's memory.  Only the BiSMO unroll path, objectives
+    without an intensity basis and the gradcheck oracles take that
+    fallback.  BiSMO's exact HVP and mixed-product oracles cut the graph
+    at the aerial image instead: they work from the FFT-free intensity
+    basis and reach the mask through the graph-free
+    :func:`incoherent_mask_adjoint`.
 
     Condition parallelism: the per-stack streamed passes are independent
     (they share only the read-only mask spectrum), so both the forward
@@ -1176,9 +1107,12 @@ def _incoherent_stack_vjp_composed(
 ) -> Tuple[Optional[Tensor], ...]:
     """Differentiable gradients for the stack primitive (create_graph).
 
-    Same strategy as :func:`_incoherent_vjp_composed`, applied per
-    condition with ONE shared ``fft2(mask)`` graph node, accumulating
-    mask/weight gradients across stacks with differentiable adds.
+    Rebuilds each condition's coherent fields with graph-recording
+    functional ops from ONE shared ``fft2(mask)`` graph node and
+    expresses the exact gradient formulas with them, accumulating
+    mask/weight gradients across stacks with differentiable adds, so
+    the returned tensors can be differentiated again (the property the
+    BiSMO unroll path and the composed second-order oracles rely on).
     """
     s, n = stacks[0].shape[0], stacks[0].shape[-1]
     single = mask.ndim == 2

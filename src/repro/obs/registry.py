@@ -23,10 +23,9 @@ DECLARED_SPANS: Dict[str, str] = {
     "harness.cell": "one harness sweep cell (run_matrix or process-window)",
     "harness.warmup": "optics cache warm-up for a sweep configuration",
     "solver.iter": "one outer solver iteration (all SMO/ILT loops)",
-    "engine.conditions": "aerial_conditions_fast fan-out over process conditions",
-    "engine.condition": "a single process-condition imaging pass",
     "imaging.forward": "fused incoherent-image forward pass",
     "imaging.vjp": "streamed incoherent-image backward pass",
+    "engine.condition": "one process-condition pass of a multi-condition imaging call",
     "fft.chunk": "one streamed FFT chunk inside a fused primitive",
 }
 

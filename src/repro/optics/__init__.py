@@ -34,7 +34,7 @@ from .pupil import (
     pupil,
     shifted_pupil_stack,
 )
-from .engine import ImagingEngine, as_tile_batch, engine_for, incoherent_sum_fast
+from .engine import ImagingEngine, as_tile_batch, engine_for
 from .abbe import AbbeImaging
 from .hopkins import HopkinsImaging, build_tcc, socs_kernels
 from .resist import binarize, calibrate_threshold, printed_area_nm2, resist_image
@@ -68,7 +68,6 @@ __all__ = [
     "ImagingEngine",
     "as_tile_batch",
     "engine_for",
-    "incoherent_sum_fast",
     "AbbeImaging",
     "HopkinsImaging",
     "build_tcc",

@@ -7,17 +7,21 @@ coherent image intensity:
 
 Because every source point's contribution is independent, the whole sum
 is evaluated as ONE fused graph node — the same structure the paper
-exploits on a GPU (Section 3.1 "Abbe acceleration").  Since PR 3 that
-node is :func:`repro.autodiff.functional.incoherent_image`: the forward
-streams over source-axis chunks and the hand-written VJP recomputes the
-per-chunk coherent fields, so neither direction retains a ``(B, S, N,
-N)`` stack; all transforms dispatch through
-:mod:`repro.optics.fftlib`.  For real masks the engine additionally
-hands the primitive its verified ``+/-sigma`` conjugate pairing
-(``F_{-sigma} = conj(F_{+sigma})`` when the pupils are real), halving
-the FFT work in both directions.  A per-point Python loop
-(:meth:`AbbeImaging.aerial_loop`) is kept for the acceleration
-benchmark, and ``fused=False`` restores the composed-op graph.
+exploits on a GPU (Section 3.1 "Abbe acceleration").  That node is
+:func:`repro.autodiff.functional.incoherent_image_stack`, one kernel
+stack per pupil condition: the forward streams over source-axis chunks
+and the hand-written VJP recomputes the per-chunk coherent fields, so
+neither direction retains a ``(B, S, N, N)`` stack; all transforms
+dispatch through the :mod:`repro.optics.backend` seam.  For real masks
+the engine additionally hands the primitive its verified ``+/-sigma``
+conjugate pairing (``F_{-sigma} = conj(F_{+sigma})`` when the pupils
+are real), halving the FFT work in both directions.
+:meth:`AbbeImaging.aerial_conditions` is the engine's one imaging
+method; ``aerial``, ``aerial_fast`` and ``aerial_conditions_fast``
+derive from it (:class:`repro.optics.engine.ImagingEngine`).  A
+per-point Python loop (:meth:`AbbeImaging.aerial_loop`) is kept for the
+acceleration benchmark, and :meth:`AbbeImaging.source_intensity_basis`
+returns the unreduced per-point intensities the BiSMO oracles contract.
 
 Total intensity is normalized by the summed source weight so a clear
 field images at intensity 1 for any source shape; this keeps a single
@@ -31,16 +35,15 @@ unless a custom source grid is supplied.
 from __future__ import annotations
 
 import threading
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import functional as F
-from ..obs import span as obs_span
 from ..utils.memory import require_memory
 from .config import OpticalConfig
-from .engine import MaskLike, as_tile_batch, incoherent_sum_fast
+from .engine import ImagingEngine, as_tile_batch
 from .source import SourceGrid
 
 __all__ = ["AbbeImaging"]
@@ -48,7 +51,7 @@ __all__ = ["AbbeImaging"]
 _EPS = 1e-12
 
 
-class AbbeImaging:
+class AbbeImaging(ImagingEngine):
     """Batched, autodiff-compatible Abbe imaging engine.
 
     Parameters
@@ -60,16 +63,10 @@ class AbbeImaging:
         and the shifted pupil stack are fetched from the shared optics
         cache, so engines with equal configs share one stack.
 
-    fused:
-        When True (default) :meth:`aerial` is one fused
-        :func:`repro.autodiff.functional.incoherent_image` node with a
-        streamed hand-written VJP; ``False`` selects the pre-fusion
-        composed-op graph (kept as the parity/benchmark reference —
-        see ``benchmarks/bench_fused_imaging.py``).
-
-    Both :meth:`aerial` arguments are autodiff tensors, so gradients flow
-    to the mask *and* the source — the property that Hopkins/SOCS lacks
-    and that enables joint SMO (Section 2.1 discussion).
+    Both :meth:`aerial_conditions` arguments are autodiff tensors, so
+    gradients flow to the mask *and* the source — the property that
+    Hopkins/SOCS lacks and that enables joint SMO (Section 2.1
+    discussion).
     """
 
     def __init__(
@@ -77,14 +74,12 @@ class AbbeImaging:
         config: OpticalConfig,
         source_grid: Optional[SourceGrid] = None,
         defocus_nm: float = 0.0,
-        fused: bool = True,
         aberration=None,
     ):
         from .zernike import PupilAberration
 
         config.validate_sampling()
         self.config = config
-        self.fused = bool(fused)
         # The engine's own pupil condition: the legacy defocus knob plus
         # an optional general aberration spec, canonicalized into one
         # PupilAberration (Z4 == wafer defocus).
@@ -195,54 +190,11 @@ class AbbeImaging:
         j = self.source_weights(source)
         return F.div(j, F.add(F.sum(j), _EPS))
 
-    def aerial(self, mask: ad.Tensor, source: Optional[ad.Tensor] = None) -> ad.Tensor:
-        """Aerial image intensity for mask(s) and source (N_j, N_j).
-
-        ``mask`` is a single ``(N, N)`` tile or a ``(B, N, N)`` tile
-        batch (a batch returns ``(B, N, N)`` intensities).  Differentiable
-        w.r.t. both arguments; intensity is normalized by the total
-        source weight (clear field -> 1.0).
-        """
-        if source is None:
-            raise ValueError("AbbeImaging.aerial requires a source image")
-        jn = self.normalized_weights(source)
-        if self.fused:
-            return F.incoherent_image(
-                mask, self._pupil_stack, jn, conj_pairs=self._conj_pairs
-            )
-        return F.incoherent_image_composed(mask, self._pupil_stack, jn)
-
-    def aerial_fast(
-        self, mask: MaskLike, source: Optional[MaskLike] = None
-    ) -> np.ndarray:
-        """Inference fast path: no autodiff graph, zero-weight points pruned.
-
-        Numerically matches :meth:`aerial` (pruning a source point whose
-        weight is exactly zero is exact), operates on plain numpy arrays
-        and returns one.  This is the path behind ``images()``, metric
-        evaluation and the harness judge.
-        """
-        if source is None:
-            raise ValueError("AbbeImaging.aerial_fast requires a source image")
-        src = source.data if isinstance(source, ad.Tensor) else np.asarray(source)
-        src = np.asarray(src, dtype=np.float64)
-        tiles, single = as_tile_batch(mask, self.config.mask_size)
-        j = src[self._valid_index]
-        out = incoherent_sum_fast(
-            tiles, self._pupil_stack.data, j, float(j.sum()) + _EPS
-        )
-        return out[0] if single else out
-
-    # ------------------------------------------------------------------
-    # process-condition axis
-    # ------------------------------------------------------------------
     def aerial_conditions(
         self,
         mask: ad.Tensor,
         source: ad.Tensor,
         conditions=(0.0,),
-        *,
-        focus_values=None,
     ) -> ad.Tensor:
         """Aerial stack across pupil conditions: ``(F, B, N, N)``.
 
@@ -252,84 +204,22 @@ class AbbeImaging:
         reach this layer (dose is an exact post-aerial ``dose**2``
         scaling applied by the resist model).  ``conditions`` entries
         are defocus floats or any
-        :meth:`repro.optics.zernike.PupilAberration.coerce` argument
-        (``focus_values`` is the legacy keyword alias).  Single
-        ``(N, N)`` masks return ``(F, N, N)``.  Differentiable w.r.t.
-        mask and source exactly like :meth:`aerial` (including
-        second-order products through the primitive's composed-op
-        ``create_graph`` fallback).  As with :meth:`aerial`,
-        ``fused=False`` engines build the composed-op reference graph
-        instead (one :func:`incoherent_image_composed` per condition,
-        scattered into the condition stack).
+        :meth:`repro.optics.zernike.PupilAberration.coerce` argument.
+        Single ``(N, N)`` masks return ``(F, N, N)``.  Differentiable
+        w.r.t. the mask and the source (including second-order products
+        through the primitive's composed-op ``create_graph`` fallback);
+        intensity is normalized by the total source weight (clear field
+        -> 1.0).
         """
-        if focus_values is not None:
-            conditions = focus_values
         if source is None:
             raise ValueError("AbbeImaging.aerial_conditions requires a source")
-        jn = self.normalized_weights(source)
         stacks_pairs = self.condition_stacks(conditions)
-        if not self.fused:
-            aerials = [
-                F.incoherent_image_composed(mask, stack, jn)
-                for stack, _ in stacks_pairs
-            ]
-            shape = (len(aerials),) + aerials[0].shape
-            total = None
-            for fi, aerial in enumerate(aerials):
-                part = F.scatter(aerial, fi, shape)
-                total = part if total is None else F.add(total, part)
-            return total
         return F.incoherent_image_stack(
             mask,
             [stack for stack, _ in stacks_pairs],
-            jn,
+            self.normalized_weights(source),
             conj_pairs=[pairs for _, pairs in stacks_pairs],
         )
-
-    def aerial_conditions_fast(
-        self,
-        mask: MaskLike,
-        source: MaskLike,
-        conditions=(0.0,),
-        *,
-        focus_values=None,
-    ) -> np.ndarray:
-        """Graph-free condition-axis forward, matching
-        :meth:`aerial_conditions` numerically (inference/judge path).
-        Per-condition passes fan out across the
-        :func:`repro.optics.fftlib.map_conditions` thread pool; a single
-        condition runs inline and opens no condition spans."""
-        from . import fftlib
-
-        if focus_values is not None:
-            conditions = focus_values
-        if source is None:
-            raise ValueError(
-                "AbbeImaging.aerial_conditions_fast requires a source"
-            )
-        src = source.data if isinstance(source, ad.Tensor) else np.asarray(source)
-        src = np.asarray(src, dtype=np.float64)
-        tiles, single = as_tile_batch(mask, self.config.mask_size)
-        j = src[self._valid_index]
-        norm = float(j.sum()) + _EPS
-        stacks_pairs = self.condition_stacks(conditions)
-
-        def _one_condition(fi: int) -> np.ndarray:
-            return incoherent_sum_fast(
-                tiles, stacks_pairs[fi][0].data, j, norm
-            )
-
-        def _traced_condition(fi: int) -> np.ndarray:
-            with obs_span("engine.condition", index=fi):
-                return _one_condition(fi)
-
-        count = len(stacks_pairs)
-        if count == 1:  # no fan-out, so no condition spans
-            out = _one_condition(0)[None]
-        else:
-            with obs_span("engine.conditions", engine="abbe", n=count):
-                out = np.stack(fftlib.map_conditions(_traced_condition, count))
-        return out[:, 0] if single else out
 
     def source_intensity_basis(
         self, masks: np.ndarray, pupil_stack: Optional[np.ndarray] = None

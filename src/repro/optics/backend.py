@@ -1,26 +1,25 @@
 """Pluggable array-backend seam for the imaging hot paths.
 
 :class:`ArrayBackend` is the single surface through which the fused
-incoherent-imaging primitives (:func:`repro.autodiff.functional.
-incoherent_image` / ``incoherent_image_stack``), the engines' fast
-paths, ``source_intensity_basis`` and the optics cache's grid builders
-allocate arrays, run FFTs and move data between the host and a compute
-device.  The kernels themselves are written with plain Python operators
-(slicing, broadcasting, ``@``, ``+=``) that numpy arrays and torch
-tensors implement identically, so one backend object — supplying
-allocation, elementwise ``|x|^2``, reductions, FFT dispatch and
-host/device transfer — is all that changes between a CPU run and a GPU
-run.
+incoherent-imaging primitive (:func:`repro.autodiff.functional.
+incoherent_image_stack`, behind every engine imaging method with or
+without a graph) and its streamed adjoint, ``source_intensity_basis``
+and the optics cache's grid builders allocate arrays, run FFTs and move
+data between the host and a compute device.  The kernels themselves are
+written with plain Python operators (slicing, broadcasting, ``@``,
+``+=``) that numpy arrays and torch tensors implement identically, so
+one backend object — supplying allocation, elementwise ``|x|^2``,
+reductions, FFT dispatch and host/device transfer — is all that changes
+between a CPU run and a GPU run.
 
 Backends
 --------
 ``numpy`` (default)
     Delegates every transform to :mod:`repro.optics.fftlib`, so the
-    scipy/numpy FFT choice, worker counts and the compute-precision
-    policy keep applying unchanged.  ``from_host``/``to_host`` are
-    identity views: routing the numpy path through the seam executes
-    the exact same numpy calls in the same order as before the seam
-    existed (bitwise-identical results).
+    scipy/numpy FFT choice and worker counts keep applying unchanged.
+    ``from_host``/``to_host`` are identity views: routing the numpy
+    path through the seam executes the exact same numpy calls in the
+    same order as before the seam existed (bitwise-identical results).
 
 ``torch``
     Optional; CPU now, CUDA when :func:`torch.cuda.is_available`.
@@ -95,9 +94,8 @@ class ArrayBackend:
     """Allocation, elementwise ops, reductions, FFTs and transfer.
 
     Subclasses implement the device-side methods; the base class owns
-    the *host* policies every backend shares: graph storage coercion
-    (``float64``/``complex128`` numpy arrays) and the host-prep dtype
-    pair from the fftlib precision policy.
+    the *host* policy every backend shares: graph storage coercion
+    (``float64``/``complex128`` numpy arrays).
     """
 
     name: str = "base"
@@ -131,10 +129,6 @@ class ArrayBackend:
         elif arr.dtype != np.float64:
             arr = arr.astype(np.float64)
         return arr
-
-    def compute_dtypes(self) -> Tuple[np.dtype, np.dtype]:
-        """Host-prep (float, complex) dtype pair per the fftlib policy."""
-        return fftlib.compute_dtypes()
 
     # -- dtype handles (backend-native) --------------------------------
     @property

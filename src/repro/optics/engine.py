@@ -2,34 +2,36 @@
 
 Every forward-model consumer in the codebase — the SMO objectives, the
 MO baselines, the benchmark harness — talks to a lithography simulator
-through the same small surface, the :class:`ImagingEngine` protocol:
+through the same small surface, the :class:`ImagingEngine` protocol.
+An engine defines ONE imaging method:
+
+``aerial_conditions(mask, source, conditions)``
+    The process-condition axis: a differentiable ``(F, [B,] N, N)``
+    aerial stack across the distinct pupil conditions of a
+    :class:`~repro.optics.config.ProcessWindow` — defocus floats or
+    general :class:`~repro.optics.zernike.PupilAberration` specs
+    (astigmatism, coma, spherical, raw phase maps) — evaluated as one
+    fused ``incoherent_image_stack`` node that shares a single
+    mask-spectrum FFT across all conditions.  ``mask`` may be a single
+    ``(N, N)`` tile or a ``(B, N, N)`` stack of tiles; the batched form
+    is one fused FFT stack rather than B independent passes (the
+    paper's Abbe batching, extended across tiles).  Engines whose
+    source is baked in (Hopkins/SOCS) take ``source=None``.  Dose
+    corners never reach the engines — dose is an exact post-aerial
+    ``dose**2`` scaling applied by the resist model, so corners sharing
+    an aberration share the entire imaging pass.
+
+and inherits the rest from the protocol, each derived from it:
 
 ``aerial(mask, source=None)``
-    Differentiable aerial intensity.  ``mask`` may be a single ``(N, N)``
-    tile or a ``(B, N, N)`` stack of tiles; the batched form is evaluated
-    as one fused FFT stack rather than B independent passes (the paper's
-    Abbe batching, extended across tiles).  Engines whose source is baked
-    in (Hopkins/SOCS) take ``source=None``.
+    The engine's own condition, shaped like ``mask``.
 
-``aerial_fast(mask, source=None)``
-    Inference-only fast path operating directly on numpy arrays: no
-    autodiff graph, no per-op tensor wrapping, and kernels/source points
-    with exactly zero weight are skipped (an *exact* reduction — a zero
-    weight contributes nothing to the incoherent sum).  Used by
-    ``images()``, metric evaluation and the harness judge.
-
-``aerial_conditions(mask, source, conditions)`` /
-``aerial_conditions_fast(...)``
-    The process-condition axis: a ``(F, B, N, N)`` aerial stack across
-    the distinct pupil conditions of a :class:`~repro.optics.config.
-    ProcessWindow` — defocus floats or general
-    :class:`~repro.optics.zernike.PupilAberration` specs (astigmatism,
-    coma, spherical, raw phase maps) — evaluated as one fused
-    ``incoherent_image_stack`` node that shares a single mask-spectrum
-    FFT across all conditions.  Dose corners never reach the engines —
-    dose is an exact post-aerial ``dose**2`` scaling applied by the
-    resist model, so corners sharing an aberration share the entire
-    imaging pass.
+``aerial_fast(mask, source=None)`` / ``aerial_conditions_fast(...)``
+    :meth:`aerial` / :meth:`aerial_conditions` on plain arrays, returning
+    numpy arrays: the same fused pass (kernels with exactly zero weight
+    skipped, conjugate pairs streamed once), run on fresh constant
+    tensors so no graph is recorded.  Used by ``images()``, metric
+    evaluation and the harness judge.
 
 Routing every consumer through this protocol is what lets batching and
 caching (:mod:`repro.optics.cache`) land everywhere at once.
@@ -37,20 +39,18 @@ caching (:mod:`repro.optics.cache`) land everywhere at once.
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, Tuple, Union, runtime_checkable
+from typing import Any, Optional, Protocol, Tuple, Union, runtime_checkable
 
 import numpy as np
 
 from .. import autodiff as ad
-from . import backend as abk
-from . import fftlib
+from ..autodiff import functional as F
 from .config import OpticalConfig
 
 __all__ = [
     "ImagingEngine",
     "MaskLike",
     "as_tile_batch",
-    "incoherent_sum_fast",
     "engine_for",
     "CONDITION_MEMO_MAX",
 ]
@@ -67,52 +67,73 @@ CONDITION_MEMO_MAX = 8
 
 @runtime_checkable
 class ImagingEngine(Protocol):
-    """Structural type implemented by :class:`AbbeImaging` and
-    :class:`HopkinsImaging` (and any future backend)."""
+    """Structural type of an imaging engine.
+
+    :class:`AbbeImaging` and :class:`HopkinsImaging` subclass it: each
+    defines :meth:`aerial_conditions` and inherits the methods derived
+    from it.
+    """
 
     config: OpticalConfig
-
-    def aerial(
-        self, mask: "ad.Tensor", source: Optional["ad.Tensor"] = None
-    ) -> "ad.Tensor":
-        """Differentiable aerial image for ``(N, N)`` or ``(B, N, N)`` masks."""
-        ...
-
-    def aerial_fast(
-        self, mask: MaskLike, source: Optional[MaskLike] = None
-    ) -> np.ndarray:
-        """Graph-free inference path, numerically matching :meth:`aerial`."""
-        ...
+    #: The engine's own pupil condition (what :meth:`aerial` images at).
+    aberration: Any
 
     def aerial_conditions(
         self,
-        mask: "ad.Tensor",
-        source: Optional["ad.Tensor"] = None,
-        conditions=(0.0,),
+        mask: MaskLike,
+        source: Optional[MaskLike] = None,
+        conditions: Any = (0.0,),
     ) -> "ad.Tensor":
         """Differentiable ``(F, [B,] N, N)`` aerial stack across pupil
         conditions (defocus floats or aberration specs), sharing one
         mask-spectrum FFT."""
         ...
 
+    def aerial(
+        self, mask: MaskLike, source: Optional[MaskLike] = None
+    ) -> "ad.Tensor":
+        """Differentiable aerial image at the engine's own condition, for
+        ``(N, N)`` or ``(B, N, N)`` masks."""
+        stack = self.aerial_conditions(mask, source, (self.aberration,))
+        return F.reshape(stack, stack.shape[1:])
+
+    def aerial_fast(
+        self, mask: MaskLike, source: Optional[MaskLike] = None
+    ) -> np.ndarray:
+        """Graph-free :meth:`aerial`, as a numpy array."""
+        return self.aerial_conditions_fast(mask, source, (self.aberration,))[0]
+
     def aerial_conditions_fast(
         self,
         mask: MaskLike,
         source: Optional[MaskLike] = None,
-        conditions=(0.0,),
+        conditions: Any = (0.0,),
     ) -> np.ndarray:
-        """Graph-free counterpart of :meth:`aerial_conditions`."""
-        ...
+        """Graph-free :meth:`aerial_conditions`, as a numpy array."""
+        tiles, single = as_tile_batch(mask, self.config.mask_size)
+        if isinstance(source, ad.Tensor):
+            source = source.data
+        # Fresh constant tensors: no graph is recorded, whatever the
+        # caller's grad mode.
+        stack = self.aerial_conditions(
+            ad.Tensor(tiles[0] if single else tiles),
+            None if source is None else ad.Tensor(source),
+            conditions,
+        )
+        return stack.data
 
 
 def as_tile_batch(mask: MaskLike, mask_size: int) -> Tuple[np.ndarray, bool]:
-    """Normalize a mask argument to a ``(B, N, N)`` float64 batch.
+    """Normalize a mask argument to a ``(B, N, N)`` batch.
 
+    Real masks become float64 and complex (phase-shift) masks complex128.
     Returns ``(batch, was_single)`` so callers can unwrap single-tile
     results; raises on any shape other than ``(N, N)`` / ``(B, N, N)``.
     """
     arr = mask.data if isinstance(mask, ad.Tensor) else np.asarray(mask)
-    arr = np.asarray(arr, dtype=np.float64)
+    arr = np.asarray(
+        arr, dtype=np.complex128 if np.iscomplexobj(arr) else np.float64
+    )
     if arr.ndim == 2:
         single = True
         arr = arr[None, :, :]
@@ -127,58 +148,6 @@ def as_tile_batch(mask: MaskLike, mask_size: int) -> Tuple[np.ndarray, bool]:
             f"mask tiles must be ({mask_size}, {mask_size}); got {arr.shape[-2:]}"
         )
     return arr, single
-
-
-def incoherent_sum_fast(
-    tiles: np.ndarray,
-    kernel_stack: np.ndarray,
-    weights: np.ndarray,
-    norm: float,
-) -> np.ndarray:
-    """Shared numpy kernel of both engines' fast paths.
-
-    Computes ``sum_k w_k |IFFT(kernel_k * FFT(tile))|^2 / norm`` for a
-    ``(B, N, N)`` tile batch.  Kernels with exactly zero weight are
-    pruned (exact), and tiles are processed one at a time so the working
-    set stays cache-sized instead of materializing a ``(B*K, N, N)``
-    intermediate.
-
-    All array ops route through the active
-    :mod:`repro.optics.backend` seam; the default numpy backend
-    dispatches transforms through :mod:`repro.optics.fftlib` (backend
-    and worker count are env/config-controlled), and this inference-only
-    path honors the fftlib compute-precision policy: under
-    ``fftlib.set_precision("single")`` the transforms run in
-    complex64 (scipy backend) and the result is cast back to float64.
-    """
-    bk = abk.active_backend()
-    active = np.nonzero(weights)[0]
-    if active.size < weights.size:
-        kernel_stack = kernel_stack[active]
-        weights = weights[active]
-    out = abk.HOST.empty(tiles.shape, np.float64)
-    if active.size == 0:
-        out.fill(0.0)
-        return out
-    ftype, ctype = bk.compute_dtypes()
-    tiles = tiles.astype(ctype if np.iscomplexobj(tiles) else ftype, copy=False)
-    kernel_stack = kernel_stack.astype(
-        ctype if np.iscomplexobj(kernel_stack) else ftype, copy=False
-    )
-    weights = weights.astype(ftype, copy=False)
-    flat = weights.size
-    n2 = tiles.shape[-2] * tiles.shape[-1]
-    kernels = bk.from_host(kernel_stack)
-    w = bk.from_host(weights)
-    spectra = bk.fft2(bk.from_host(tiles))  # (B, N, N)
-    for b in range(tiles.shape[0]):
-        fields = bk.ifft2(kernels * spectra[b], overwrite_x=True)
-        intensity = bk.abs2(fields)
-        out[b] = bk.to_host(
-            (w @ intensity.reshape(flat, n2)).reshape(tiles.shape[1:])
-        )
-    out /= norm
-    return out
 
 
 def engine_for(

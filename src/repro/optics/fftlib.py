@@ -17,22 +17,14 @@ hottest path.  ``fftlib`` centralizes the choice:
   CPU).  Per-transform results carry no cross-thread reductions, so
   multi-worker output is bitwise identical to serial output — the
   parallel-harness determinism guarantees survive.
-* **Precision** — an opt-in float32/complex64 compute policy for
-  *inference* paths (``REPRO_FFT_PRECISION`` in ``{"double",
-  "single"}`` / :func:`set_precision`).  Only consumers that
-  explicitly ask via :func:`compute_dtypes` (the graph-free
-  ``incoherent_sum_fast``) honor it; differentiable ops always run in
-  double so gradients and parity tests are unaffected.  With the numpy
-  backend single precision is best-effort (``np.fft`` computes in
-  double internally).
 * **Streaming chunk** — the source-axis chunk size used by the fused
-  :func:`repro.autodiff.functional.incoherent_image` primitive
+  :func:`repro.autodiff.functional.incoherent_image_stack` primitive
   (``REPRO_FFT_CHUNK`` / :func:`set_stream_chunk`).
 * **Condition workers** — the thread fan-out across *process-condition*
   kernel stacks (``REPRO_COND_WORKERS`` / :func:`set_condition_workers`;
   ``0`` = fill the worker budget).  The fused condition-axis primitive
-  and the engines' graph-free condition fast paths run their independent
-  per-stack passes on a persistent, lazily-created
+  (behind every engine's imaging methods, graph or graph-free) runs its
+  independent per-stack passes on a persistent, lazily-created
   ``ThreadPoolExecutor`` via :func:`map_conditions`; pocketfft releases
   the GIL, so the passes genuinely overlap.
 * **Unified worker budget** — one cap coordinating the three parallelism
@@ -81,9 +73,6 @@ __all__ = [
     "set_worker_budget",
     "effective_budget",
     "map_conditions",
-    "get_precision",
-    "set_precision",
-    "compute_dtypes",
     "get_stream_chunk",
     "set_stream_chunk",
     "run_with_chunk_fallback",
@@ -92,7 +81,6 @@ __all__ = [
 ]
 
 _BACKENDS = ("scipy", "numpy")
-_PRECISIONS = ("double", "single")
 
 
 def _env_backend() -> str:
@@ -122,18 +110,12 @@ def _env_int(var: str, default: int, minimum: int) -> int:
 _STATE: Dict[str, Any] = {
     "backend": _env_backend(),
     "workers": _env_int("REPRO_FFT_WORKERS", 0, 0),  # 0 = one per CPU
-    "precision": os.environ.get("REPRO_FFT_PRECISION", "double").strip().lower()
-    or "double",
     "chunk": _env_int("REPRO_FFT_CHUNK", 16, 1),
     # Condition-axis thread fan-out (0 = fill the worker budget) and the
     # unified per-process thread budget (0 = one per CPU).
     "cond_workers": _env_int("REPRO_COND_WORKERS", 0, 0),
     "budget": _env_int("REPRO_WORKER_BUDGET", 0, 0),
 }
-if _STATE["precision"] not in _PRECISIONS:
-    raise ValueError(
-        f"REPRO_FFT_PRECISION={_STATE['precision']!r}; choose from {_PRECISIONS}"
-    )
 
 
 # ----------------------------------------------------------------------
@@ -251,27 +233,6 @@ def effective_condition_workers(num_tasks: Optional[int] = None) -> int:
     return n
 
 
-def get_precision() -> str:
-    return str(_STATE["precision"])
-
-
-def set_precision(precision: str) -> None:
-    """``"double"`` (default) or ``"single"`` — inference paths only."""
-    precision = precision.strip().lower()
-    if precision not in _PRECISIONS:
-        raise ValueError(
-            f"unknown precision {precision!r}; choose from {_PRECISIONS}"
-        )
-    _STATE["precision"] = precision
-
-
-def compute_dtypes() -> Tuple[np.dtype, np.dtype]:
-    """``(float_dtype, complex_dtype)`` of the inference compute policy."""
-    if _STATE["precision"] == "single":
-        return np.dtype(np.float32), np.dtype(np.complex64)
-    return np.dtype(np.float64), np.dtype(np.complex128)
-
-
 def get_stream_chunk() -> int:
     """Source-axis chunk size for the streamed fused primitive."""
     return int(_STATE["chunk"])
@@ -313,7 +274,6 @@ def run_with_chunk_fallback(fn: Callable[[int], Any], csize: int) -> Any:
 def use(
     backend: Optional[str] = None,
     workers: Optional[int] = None,
-    precision: Optional[str] = None,
     chunk: Optional[int] = None,
     condition_workers: Optional[int] = None,
     budget: Optional[int] = None,
@@ -325,8 +285,6 @@ def use(
             set_backend(backend)
         if workers is not None:
             set_workers(workers)
-        if precision is not None:
-            set_precision(precision)
         if chunk is not None:
             set_stream_chunk(chunk)
         if condition_workers is not None:
@@ -344,7 +302,6 @@ def describe() -> Dict[str, Any]:
         "backend": get_backend(),
         "workers": get_workers(),
         "effective_workers": effective_workers(),
-        "precision": get_precision(),
         "stream_chunk": get_stream_chunk(),
         "condition_workers": get_condition_workers(),
         "effective_condition_workers": effective_condition_workers(),

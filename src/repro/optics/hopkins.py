@@ -12,6 +12,12 @@ AM-SMO comparator [13].
 Normalization matches :class:`repro.optics.abbe.AbbeImaging` (TCC divided
 by the total source weight), so a *full-rank* SOCS reproduces Abbe's
 aerial image to machine precision — a property the test-suite asserts.
+SOCS imaging is the same weighted incoherent sum as Abbe's, with the
+eigenvalues as weights and the (phased) eigenvector spectra as kernels,
+so :meth:`HopkinsImaging.aerial_conditions` is one
+:func:`repro.autodiff.functional.incoherent_image_stack` node and the
+engine's only imaging method; the rest derive from it
+(:class:`repro.optics.engine.ImagingEngine`).
 """
 
 from __future__ import annotations
@@ -25,15 +31,9 @@ import scipy.sparse.linalg
 
 from .. import autodiff as ad
 from ..autodiff import functional as F
-from ..obs import span as obs_span
 from ..utils.seed import seeded_rng
 from .config import OpticalConfig
-from .engine import (
-    CONDITION_MEMO_MAX,
-    MaskLike,
-    as_tile_batch,
-    incoherent_sum_fast,
-)
+from .engine import CONDITION_MEMO_MAX, ImagingEngine
 from .source import SourceGrid
 
 __all__ = ["HopkinsImaging", "build_tcc", "socs_kernels"]
@@ -115,11 +115,12 @@ def socs_kernels(
     return vals, kernels, tcc_trace
 
 
-class HopkinsImaging:
+class HopkinsImaging(ImagingEngine):
     """SOCS-truncated Hopkins imaging engine (mask-differentiable only).
 
     Implements the :class:`repro.optics.engine.ImagingEngine` protocol
-    with a baked-in source (``aerial`` rejects a ``source`` argument).
+    with a baked-in source (every imaging method rejects a ``source``
+    argument).
 
     Parameters
     ----------
@@ -144,12 +145,6 @@ class HopkinsImaging:
         condition therefore costs one elementwise phase multiply, never
         a TCC re-assembly or re-decomposition (the identity behind
         :meth:`condition_kernels`).
-    fused:
-        When True (default) :meth:`aerial` is one fused
-        :func:`repro.autodiff.functional.incoherent_image` node
-        (streamed forward, hand-written VJP); ``False`` selects the
-        pre-fusion composed-op graph kept as the parity/benchmark
-        reference.
     """
 
     def __init__(
@@ -158,14 +153,12 @@ class HopkinsImaging:
         source: np.ndarray,
         num_kernels: Optional[int] = None,
         source_grid: Optional[SourceGrid] = None,
-        fused: bool = True,
         defocus_nm: float = 0.0,
     ):
         from .zernike import PupilAberration
 
         config.validate_sampling()
         self.config = config
-        self.fused = bool(fused)
         self.aberration = PupilAberration.defocus(float(defocus_nm))
         self.defocus_nm = float(defocus_nm)
         if source_grid is None:
@@ -230,123 +223,32 @@ class HopkinsImaging:
             out.append(entry)
         return out
 
-    def aerial(self, mask: ad.Tensor, source: Optional[ad.Tensor] = None) -> ad.Tensor:
-        """Aerial image I = sum_q kappa_q |IFFT(Phi_q * FFT(M))|^2 (Eq. (4)).
-
-        ``mask`` is a single ``(N, N)`` tile or a ``(B, N, N)`` batch;
-        both ride one fused ``incoherent_image`` node (streamed over the
-        kernel axis, hand-written VJP).  ``source`` must be None: the
-        source is frozen into the TCC at construction.
-        """
-        if source is not None:
-            raise ValueError(
-                "HopkinsImaging bakes the source into the TCC; "
-                "rebuild the engine to change it"
-            )
-        if self.fused:
-            return F.incoherent_image(
-                mask, self._kernel_stack, self._weight_tensor
-            )
-        return F.incoherent_image_composed(
-            mask, self._kernel_stack, self._weight_tensor
-        )
-
-    def aerial_fast(
-        self, mask: MaskLike, source: Optional[MaskLike] = None
-    ) -> np.ndarray:
-        """Graph-free inference path; zero eigenvalues are pruned (exact)."""
-        if source is not None:
-            raise ValueError(
-                "HopkinsImaging bakes the source into the TCC; "
-                "rebuild the engine to change it"
-            )
-        tiles, single = as_tile_batch(mask, self.config.mask_size)
-        out = incoherent_sum_fast(
-            tiles, self._kernel_stack.data, self.weights, 1.0
-        )
-        return out[0] if single else out
-
-    # ------------------------------------------------------------------
-    # process-condition axis
-    # ------------------------------------------------------------------
     def aerial_conditions(
         self,
         mask: ad.Tensor,
         source: Optional[ad.Tensor] = None,
         conditions=(0.0,),
-        *,
-        focus_values=None,
     ) -> ad.Tensor:
         """Aerial stack across pupil conditions: ``(F, B, N, N)``.
 
-        One fused ``incoherent_image_stack`` node over the per-condition
-        phased SOCS kernel stacks (arbitrary aberrations — the
-        rank-preserving phase identity, see the class docstring),
+        ``I = sum_q kappa_q |IFFT(Phi_q * FFT(M))|^2`` (Eq. (4)) per
+        condition, as one fused ``incoherent_image_stack`` node over the
+        per-condition phased SOCS kernel stacks (arbitrary aberrations —
+        the rank-preserving phase identity, see the class docstring),
         sharing a single mask-spectrum FFT.  ``conditions`` entries are
-        defocus floats or any :meth:`PupilAberration.coerce` argument
-        (``focus_values`` is the legacy keyword alias).  ``source`` must
+        defocus floats or any :meth:`PupilAberration.coerce` argument.
+        Single ``(N, N)`` masks return ``(F, N, N)``.  ``source`` must
         be None (baked into the TCC); SOCS kernels carry no
         ``+/-sigma`` pairing, so no ``conj_pairs`` are passed.
-        ``fused=False`` engines build the composed-op reference graph
-        instead (one :func:`incoherent_image_composed` per condition,
-        scattered into the condition stack) — the same A/B oracle
-        switch as :meth:`aerial`.
         """
-        if focus_values is not None:
-            conditions = focus_values
         if source is not None:
             raise ValueError(
                 "HopkinsImaging bakes the source into the TCC; "
                 "rebuild the engine to change it"
             )
-        kernels = self.condition_kernels(conditions)
-        if not self.fused:
-            aerials = [
-                F.incoherent_image_composed(mask, kern, self._weight_tensor)
-                for kern in kernels
-            ]
-            shape = (len(aerials),) + aerials[0].shape
-            total = None
-            for fi, aerial in enumerate(aerials):
-                part = F.scatter(aerial, fi, shape)
-                total = part if total is None else F.add(total, part)
-            return total
-        return F.incoherent_image_stack(mask, kernels, self._weight_tensor)
-
-    def aerial_conditions_fast(
-        self,
-        mask: MaskLike,
-        source: Optional[MaskLike] = None,
-        conditions=(0.0,),
-        *,
-        focus_values=None,
-    ) -> np.ndarray:
-        """Graph-free condition-axis forward (inference/judge path).
-        Per-condition passes fan out across the
-        :func:`repro.optics.fftlib.map_conditions` thread pool."""
-        from . import fftlib
-
-        if focus_values is not None:
-            conditions = focus_values
-        if source is not None:
-            raise ValueError(
-                "HopkinsImaging bakes the source into the TCC; "
-                "rebuild the engine to change it"
-            )
-        tiles, single = as_tile_batch(mask, self.config.mask_size)
-        kernels = self.condition_kernels(conditions)
-
-        def _one_condition(fi: int) -> np.ndarray:
-            with obs_span("engine.condition", index=fi):
-                return incoherent_sum_fast(
-                    tiles, kernels[fi].data, self.weights, 1.0
-                )
-
-        with obs_span("engine.conditions", engine="hopkins", n=len(kernels)):
-            out = np.stack(
-                fftlib.map_conditions(_one_condition, len(kernels))
-            )
-        return out[:, 0] if single else out
+        return F.incoherent_image_stack(
+            mask, self.condition_kernels(conditions), self._weight_tensor
+        )
 
     @property
     def truncation_energy(self) -> float:

@@ -18,5 +18,5 @@ def work():
         obs.counter("imaging.chunks").inc()
         obs.gauge("solver.loss").set(0.5)
         rel_histogram("solver.iter_seconds").observe(0.01)
-    with obs.span("engine.conditions"):
+    with obs.span("imaging.forward"):
         return None

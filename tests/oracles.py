@@ -8,8 +8,47 @@ import numpy as np
 
 import repro.autodiff as ad
 from repro.autodiff import functional as F
-from repro.optics import ImagingEngine, OpticalConfig, engine_for
+from repro.optics import AbbeImaging, ImagingEngine, OpticalConfig, engine_for
 from repro.smo import mask_from_theta, smo_loss_from_aerial, source_from_theta
+
+
+def composed_condition_stack(mask, stacks, weights) -> ad.Tensor:
+    """Reference condition stack: one ``incoherent_image_composed`` graph
+    per kernel stack, scattered into an ``(F, [B,] N, N)`` tensor.
+
+    The pre-fusion graph ``fft2 -> mul -> ifft2 -> abs2 -> mul -> sum``
+    per condition, every ``(B, S, N, N)`` intermediate retained: the
+    oracle ``incoherent_image_stack`` is held to, values and gradients
+    (first and second order).
+    """
+    aerials = [F.incoherent_image_composed(mask, st, weights) for st in stacks]
+    shape = (len(aerials),) + tuple(aerials[0].shape)
+    total: Optional[ad.Tensor] = None
+    for fi, aerial in enumerate(aerials):
+        part = F.scatter(aerial, fi, shape)
+        total = part if total is None else F.add(total, part)
+    assert total is not None
+    return total
+
+
+class ComposedAbbeImaging(AbbeImaging):
+    """An Abbe engine whose every image is the composed-op reference graph.
+
+    Only :meth:`aerial_conditions` is overridden, so ``aerial``,
+    ``aerial_fast`` and ``aerial_conditions_fast`` follow it: objectives,
+    solvers and benchmarks built on this engine run the composed oracle
+    end to end.
+    """
+
+    def aerial_conditions(self, mask, source, conditions=(0.0,)):
+        if source is None:
+            raise ValueError(
+                "ComposedAbbeImaging.aerial_conditions requires a source"
+            )
+        stacks = [stack for stack, _ in self.condition_stacks(conditions)]
+        return composed_condition_stack(
+            mask, stacks, self.normalized_weights(source)
+        )
 
 
 class LoopedSMOObjective:

@@ -1,7 +1,9 @@
-"""Tests for the fused ``incoherent_image`` primitive: finite-difference
-gradcheck against the composed-op reference (real + complex masks, B=1
-and B=3), streamed-VJP parity, argument validation, and the documented
-``create_graph`` fallback (HVPs matching the FFT-free basis oracle)."""
+"""Tests for the fused ``incoherent_image`` primitive (the one-stack case
+of ``incoherent_image_stack``): finite-difference gradcheck against the
+composed-op reference (real + complex masks, B=1 and B=3), streamed-VJP
+parity, exact-zero weight pruning, argument validation, and the
+documented ``create_graph`` fallback (HVPs matching the FFT-free basis
+oracle)."""
 
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ from repro.autodiff.grad import gradcheck
 from repro.optics import AbbeImaging, OpticalConfig
 from repro.smo import ProcessWindowSMOObjective
 from repro.smo.parametrization import init_theta_mask, init_theta_source
+from tests.oracles import ComposedAbbeImaging
 
 S, N = 6, 12
 
@@ -29,6 +32,25 @@ def kernels() -> np.ndarray:
 @pytest.fixture(scope="module")
 def weights() -> np.ndarray:
     return np.linspace(1.0, 0.2, S)
+
+
+@pytest.fixture(scope="module")
+def paired_setup():
+    """Five real kernels in two conjugate pairs plus one self-paired."""
+    from repro.optics import fftlib
+
+    rng = np.random.default_rng(21)
+    k_reps = rng.standard_normal((3, N, N)) * 0.5  # real kernels
+    kernels = np.empty((5, N, N))
+    kernels[0] = k_reps[0]
+    kernels[1] = fftlib.freq_reverse(k_reps[0])
+    kernels[2] = k_reps[1]
+    kernels[3] = fftlib.freq_reverse(k_reps[1])
+    # Self-paired kernel: symmetric under frequency reversal.
+    kernels[4] = k_reps[2] + fftlib.freq_reverse(k_reps[2])
+    pairs = np.array([1, 0, 3, 2, 4])
+    weights = np.array([0.9, 0.4, 0.7, 0.2, 0.5])
+    return kernels, pairs, weights
 
 
 def _masks(batch: bool, complex_: bool) -> np.ndarray:
@@ -117,23 +139,6 @@ class TestGradients:
 class TestConjugatePairStreaming:
     """The +/-sigma field-conjugation shortcut for real masks."""
 
-    @pytest.fixture(scope="class")
-    def paired_setup(self):
-        from repro.optics import fftlib
-
-        rng = np.random.default_rng(21)
-        k_reps = rng.standard_normal((3, N, N)) * 0.5  # real kernels
-        kernels = np.empty((5, N, N))
-        kernels[0] = k_reps[0]
-        kernels[1] = fftlib.freq_reverse(k_reps[0])
-        kernels[2] = k_reps[1]
-        kernels[3] = fftlib.freq_reverse(k_reps[1])
-        # Self-paired kernel: symmetric under frequency reversal.
-        kernels[4] = k_reps[2] + fftlib.freq_reverse(k_reps[2])
-        pairs = np.array([1, 0, 3, 2, 4])
-        weights = np.array([0.9, 0.4, 0.7, 0.2, 0.5])
-        return kernels, pairs, weights
-
     @pytest.mark.parametrize("batch", [False, True])
     def test_paired_matches_unpaired(self, paired_setup, batch):
         kernels, pairs, weights = paired_setup
@@ -184,6 +189,32 @@ class TestConjugatePairStreaming:
         assert np.array_equal(pairs[pairs], np.arange(s))
         # Defocused stacks are complex: pairing must opt out.
         assert AbbeImaging(cfg, defocus_nm=80.0)._conj_pairs is None
+
+
+class TestZeroWeightPruning:
+    """Exact-zero weights skip their kernels in the forward only."""
+
+    @pytest.mark.parametrize("use_pairs", [False, True], ids=["unpaired", "paired"])
+    def test_vjp_keeps_every_kernel(self, paired_setup, use_pairs):
+        """Values and both gradients match the composed oracle, including
+        the (nonzero) weight gradient at the pruned kernels."""
+        kernels, pairs, _ = paired_setup
+        weights = np.array([0.4, 0.0, 0.3, 0.0, 0.3])
+        m = _masks(True, False)
+
+        def run(fn, **kw):
+            mt = ad.Tensor(m, requires_grad=True)
+            wt = ad.Tensor(weights, requires_grad=True)
+            out = fn(mt, kernels, wt, **kw)
+            gm, gw = ad.grad(F.sum(F.power(out, 2.0)), [mt, wt])
+            return out.data, gm.data, gw.data
+
+        fused = run(F.incoherent_image, conj_pairs=pairs if use_pairs else None)
+        composed = run(F.incoherent_image_composed)
+        for got, ref in zip(fused, composed):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        gw = fused[2]
+        assert np.all(np.abs(gw[weights == 0.0]) > 1e-3 * np.abs(gw).max())
 
 
 class TestValidation:
@@ -249,7 +280,7 @@ class TestCreateGraphFallback:
         its fallback) and a fully composed graph."""
         cfg, theta_j, theta_m, objective = smo_setup
         composed = ProcessWindowSMOObjective(
-            cfg, objective.target.data, engine=AbbeImaging(cfg, fused=False)
+            cfg, objective.target.data, engine=ComposedAbbeImaging(cfg)
         )
         rng = np.random.default_rng(6)
         v = ad.Tensor(rng.standard_normal(theta_j.shape))

@@ -11,12 +11,15 @@ the hot path:
   out-of-seam array ops — and remain *bitwise* identical to the numpy
   backend (strict tagging is a zero-copy ndarray view);
 * the fused primitive performs **exactly** the predicted number of
-  transforms, with the conjugate-pair reduction included — so a
-  pairing regression (re-transforming mirrored kernels) fails an
-  exact-count assertion here rather than only showing up in a bench.
+  transforms, with the conjugate-pair reduction and the forward's
+  zero-weight pruning included — so a pairing regression
+  (re-transforming mirrored kernels) fails an exact-count assertion
+  here rather than only showing up in a bench.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -144,8 +147,10 @@ class TestExactTransformCounts:
         assert paired_counts[1] < unpaired[1]
 
     def test_aerial_conditions_fast(self, smo_setup):
-        """Graph-free judge path: B mask transforms and B*S field
-        transforms per distinct pupil condition, nothing more."""
+        """Graph-free judge path: one mask FFT of B transforms shared by
+        every condition, then B field transforms per streamed kernel —
+        the nominal stack's conjugate-pair representatives, the
+        defocused (complex) stack's every source point."""
         cfg, source, targets, _, _, objective = smo_setup
         engine = objective.engine
         conditions = (0.0, 80.0)
@@ -156,13 +161,34 @@ class TestExactTransformCounts:
                 out = engine.aerial_conditions_fast(targets, source, conditions)
                 counts = dict(bk.counters)
         np.testing.assert_array_equal(out, ref)
-        n_cond = len(conditions)
         n_batch = targets.shape[0]
+        cp = engine._conj_pairs
         n_src = engine._pupil_stack.data.shape[0]
-        assert counts["fft2_calls"] == n_cond
-        assert counts["fft2_transforms"] == n_cond * n_batch
-        assert counts["ifft2_calls"] == n_cond * n_batch
-        assert counts["ifft2_transforms"] == n_cond * n_batch * n_src
+        n_reps = int(np.count_nonzero(cp >= np.arange(n_src)))
+        chunk = fftlib.get_stream_chunk()
+        assert counts["fft2_calls"] == 1
+        assert counts["fft2_transforms"] == n_batch
+        assert counts["ifft2_calls"] == (
+            math.ceil(n_reps / chunk) + math.ceil(n_src / chunk)
+        )
+        assert counts["ifft2_transforms"] == n_batch * (n_reps + n_src)
+
+    @pytest.mark.parametrize("use_pairs", [False, True], ids=["unpaired", "paired"])
+    def test_zero_weights_skip_forward_transforms(self, paired, use_pairs):
+        """A kernel whose (pair-summed) weight is exactly zero is never
+        transformed by the forward."""
+        kernels, pairs, _ = paired
+        weights = np.array([0.9, 0.4, 0.0, 0.0, 0.5])  # pair (2, 3) is zero
+        cp = pairs if use_pairs else None
+        live = 2 if use_pairs else 3  # reps {0, 4} vs kernels {0, 1, 4}
+        with backend.use_backend("strict") as bk:
+            bk.reset()
+            F.incoherent_image(
+                np.ones((3, N, N)), kernels, weights, chunk=CHUNK, conj_pairs=cp
+            )
+            counts = dict(bk.counters)
+        assert counts["fft2_transforms"] == 3
+        assert counts["ifft2_transforms"] == 3 * live
 
 
 class TestBismoIterationUnderStrict:

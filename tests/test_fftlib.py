@@ -1,6 +1,6 @@
 """Tests for the unified FFT dispatch layer (:mod:`repro.optics.fftlib`):
-backend selection, worker determinism, the inference precision policy,
-and policy plumbing into the imaging fast paths."""
+backend selection, worker determinism, the stream-chunk policy, and
+policy plumbing into the autodiff FFTs and the optics cache."""
 
 from __future__ import annotations
 
@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 from repro.optics import fftlib
-from repro.optics.engine import incoherent_sum_fast
 
 
 @pytest.fixture(autouse=True)
 def _restore_policy():
     """Every test runs against the default policy and restores it."""
-    with fftlib.use(backend="auto", workers=0, precision="double", chunk=16):
+    with fftlib.use(backend="auto", workers=0, chunk=16):
         yield
 
 
@@ -54,10 +53,10 @@ class TestBackends:
 
     def test_use_restores_state(self):
         before = fftlib.describe()
-        with fftlib.use(workers=3, precision="single", chunk=4):
+        with fftlib.use(workers=3, chunk=4, condition_workers=2):
             assert fftlib.get_workers() == 3
-            assert fftlib.get_precision() == "single"
             assert fftlib.get_stream_chunk() == 4
+            assert fftlib.get_condition_workers() == 2
         assert fftlib.describe() == before
 
     def test_use_restores_on_error(self):
@@ -86,39 +85,7 @@ class TestWorkers:
 
 
 class TestPrecisionPolicy:
-    def test_compute_dtypes(self):
-        assert fftlib.compute_dtypes() == (np.float64, np.complex128)
-        with fftlib.use(precision="single"):
-            assert fftlib.compute_dtypes() == (np.float32, np.complex64)
-        with pytest.raises(ValueError):
-            fftlib.set_precision("half")
-
-    def test_incoherent_sum_fast_honors_policy(self, rng):
-        tiles = rng.random((2, 16, 16))
-        kernels = rng.standard_normal((4, 16, 16)) * 0.4
-        weights = np.array([0.5, 0.0, 0.3, 0.2])  # includes an exact zero
-        ref = incoherent_sum_fast(tiles, kernels, weights, norm=1.0)
-        with fftlib.use(precision="single"):
-            single = incoherent_sum_fast(tiles, kernels, weights, norm=1.0)
-        assert ref.dtype == np.float64 and single.dtype == np.float64
-        np.testing.assert_allclose(single, ref, rtol=2e-4, atol=1e-5)
-        if fftlib.get_backend() == "scipy":
-            # complex64 transforms actually ran -> results differ in the
-            # low bits (np.fft computes in double regardless, documented
-            # best-effort behaviour of the numpy backend).
-            assert np.abs(single - ref).max() > 0
-
-    def test_incoherent_sum_fast_complex_tiles(self, rng):
-        """Complex (e.g. phase-shift) tiles keep their imaginary part
-        through the compute-dtype cast."""
-        tiles = rng.random((2, 16, 16)) + 1j * rng.random((2, 16, 16))
-        kernels = rng.standard_normal((3, 16, 16)) * 0.4
-        weights = np.array([0.6, 0.3, 0.1])
-        out = incoherent_sum_fast(tiles, kernels, weights, norm=1.0)
-        fields = np.fft.ifft2(kernels[None] * np.fft.fft2(tiles)[:, None])
-        ref = np.einsum("s,bsij->bij", weights, np.abs(fields) ** 2)
-        assert out.dtype == np.float64
-        np.testing.assert_allclose(out, ref, atol=1e-12)
+    """The compute policy beside backend and workers: the stream chunk."""
 
     def test_chunk_validation(self):
         with pytest.raises(ValueError):

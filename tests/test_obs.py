@@ -119,19 +119,19 @@ class TestSpans:
         main_tid = threading.get_ident()
         with obs.use(trace=True):
             with fftlib.use(condition_workers=2, budget=4):
-                with obs.span("engine.conditions"):
+                with obs.span("imaging.forward"):
                     tids = fftlib.map_conditions(task, 4)
             events = obs.drain_events()
         children = [ev for ev in events if ev["name"] == "engine.condition"]
         assert len(children) == 4
         # the fan-out left the caller's thread (the pool holds at least
         # one worker; on multi-core machines the groups spread further),
-        # yet every child still sees the ambient engine.conditions span
+        # yet every child still sees the ambient imaging.forward span
         # as its parent because map_conditions copies the context per
         # group
         assert main_tid not in set(tids)
         assert {ev["tid"] for ev in children} == set(tids)
-        assert {ev["parent"] for ev in children} == {"engine.conditions"}
+        assert {ev["parent"] for ev in children} == {"imaging.forward"}
         assert sorted(ev["args"]["index"] for ev in children) == [0, 1, 2, 3]
 
 

@@ -3,6 +3,8 @@ evaluation, the graph-free fast path, and the protocol surface."""
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -184,3 +186,46 @@ class TestFastPathParity:
         np.testing.assert_allclose(
             engine.aerial_fast(tiles[0], tiny_source), graph, atol=1e-12
         )
+
+    def test_condition_stack_fast_matches_graph(
+        self, abbe, hopkins, tiles, tiny_source
+    ):
+        """The graph-free condition stack is the graph one's values: Abbe
+        over a real, a defocused and a coma condition with the binary
+        annular source (exact-zero weights), Hopkins over two focus
+        values."""
+        abbe_conditions = (0.0, 60.0, {"Z7": 30.0})
+        assert np.count_nonzero(tiny_source[abbe.source_grid.valid] == 0.0) > 0
+        graph = abbe.aerial_conditions(
+            ad.Tensor(tiles), ad.Tensor(tiny_source), abbe_conditions
+        ).data
+        fast = abbe.aerial_conditions_fast(tiles, tiny_source, abbe_conditions)
+        assert fast.shape == (3,) + tiles.shape
+        np.testing.assert_allclose(fast, graph, rtol=0, atol=1e-12)
+        graph = hopkins.aerial_conditions(
+            ad.Tensor(tiles), conditions=(0.0, 60.0)
+        ).data
+        fast = hopkins.aerial_conditions_fast(tiles, conditions=(0.0, 60.0))
+        np.testing.assert_allclose(fast, graph, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("model", ["abbe", "hopkins"])
+    def test_fast_keeps_complex_mask_phase(
+        self, abbe, hopkins, tiles, tiny_source, model
+    ):
+        """A phase-shift mask keeps its phase on the graph-free path."""
+        rng = np.random.default_rng(4)
+        quarter_wave = np.where(rng.random(tiles[:2].shape) < 0.5, 1j, 1.0)
+        mask = tiles[:2] * quarter_wave
+        engine, source = (
+            (abbe, tiny_source) if model == "abbe" else (hopkins, None)
+        )
+        conditions = (0.0, 60.0)
+        graph = engine.aerial_conditions(
+            ad.Tensor(mask),
+            None if source is None else ad.Tensor(source),
+            conditions,
+        ).data
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast = engine.aerial_conditions_fast(mask, source, conditions)
+        np.testing.assert_allclose(fast, graph, rtol=0, atol=1e-12)

@@ -36,6 +36,7 @@ from repro.smo import (
     source_from_theta,
 )
 from repro.smo.bismo import HypergradientContext
+from tests.oracles import ComposedAbbeImaging, composed_condition_stack
 
 S, N = 6, 12
 
@@ -175,11 +176,11 @@ class TestIncoherentImageStack:
     def test_unfused_engine_builds_composed_condition_stack(
         self, tiny_config, tiny_source
     ):
-        """fused=False engines honor the flag on the condition axis too:
-        the composed-op reference graph matches the fused stack and
-        carries gradients."""
+        """The fused condition stack equals the composed-op oracle engine
+        (one ``incoherent_image_composed`` per condition), gradients
+        w.r.t. mask and source included."""
         fused = AbbeImaging(tiny_config)
-        composed = AbbeImaging(tiny_config, fused=False)
+        composed = ComposedAbbeImaging(tiny_config)
         rng = np.random.default_rng(6)
         m = rng.random((2, tiny_config.mask_size, tiny_config.mask_size))
         focus = (0.0, 55.0)
@@ -543,17 +544,23 @@ class TestHopkinsWindow:
     def test_hopkins_unfused_condition_stack_matches(
         self, tiny_config, tiny_source
     ):
-        """fused=False Hopkins engines honor the flag on the condition
-        axis: composed reference == fused stack, gradients included."""
+        """The fused Hopkins condition stack equals one
+        ``incoherent_image_composed`` per condition's phased SOCS
+        kernels, gradients included."""
         cfg = tiny_config
-        fused = HopkinsImaging(cfg, tiny_source, num_kernels=6)
-        composed = HopkinsImaging(cfg, tiny_source, num_kernels=6, fused=False)
+        hop = HopkinsImaging(cfg, tiny_source, num_kernels=6)
         rng = np.random.default_rng(12)
         m = rng.random((cfg.mask_size,) * 2)
+        focus = (0.0, 45.0)
         outs = []
-        for eng in (fused, composed):
+        for build in (
+            lambda mt: hop.aerial_conditions(mt, conditions=focus),
+            lambda mt: composed_condition_stack(
+                mt, hop.condition_kernels(focus), hop.weights
+            ),
+        ):
             mt = ad.Tensor(m, requires_grad=True)
-            stack = eng.aerial_conditions(mt, focus_values=(0.0, 45.0))
+            stack = build(mt)
             (gm,) = ad.grad(F.sum(F.power(stack, 2.0)), [mt])
             outs.append((stack.data, gm.data))
         np.testing.assert_allclose(outs[0][0], outs[1][0], atol=1e-12)

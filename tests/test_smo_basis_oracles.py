@@ -321,7 +321,6 @@ class TestNoCreateGraphThroughImaging:
         def forbidden(*args, **kwargs):
             raise AssertionError("create_graph backward through imaging")
 
-        monkeypatch.setattr(F, "_incoherent_vjp_composed", forbidden)
         monkeypatch.setattr(F, "_incoherent_stack_vjp_composed", forbidden)
         cfg, targets, source, _, _ = tiny
         kinds = [

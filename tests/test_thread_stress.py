@@ -40,7 +40,6 @@ def _fresh_state():
     with fftlib.use(
         backend="auto",
         workers=0,
-        precision="double",
         chunk=16,
         condition_workers=0,
         budget=0,
