@@ -5,9 +5,15 @@ independent, so with enough parallel lanes Abbe matches Hopkins' wall
 time.  On one CPU the analogue is batching the per-point FFTs into one
 vectorized stack; this bench quantifies the batched-vs-loop speedup and
 the remaining Abbe/Hopkins gap (~S/Q, Section 3.1's complexity ratio).
+The loop is the full-grid per-point reference of ``tests/oracles.py``:
+one N-point transform per source point, against the engine's batched
+fields on their K x K pupil crops.
 """
 
 from __future__ import annotations
+
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +22,10 @@ import repro.autodiff as ad
 from repro.autodiff import functional as F
 from repro.harness.runner import _annular_source, _target_image
 from repro.optics import AbbeImaging, HopkinsImaging
+
+# The full-grid per-point loop is a test oracle (tests/oracles.py).
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from tests.oracles import FullGridAbbeImaging  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -28,11 +38,11 @@ def setup(settings, datasets):
     hopkins = HopkinsImaging(cfg, source, num_kernels=cfg.socs_terms)
     mask = ad.Tensor(target)
     src = ad.Tensor(source)
-    return abbe, hopkins, mask, src
+    return abbe, hopkins, mask, src, FullGridAbbeImaging(cfg)
 
 
 def test_abbe_forward_batched(benchmark, setup):
-    abbe, _, mask, src = setup
+    abbe, _, mask, src, _ = setup
     with ad.no_grad():
         benchmark(lambda: abbe.aerial(mask, src).data)
     benchmark.extra_info["source_points"] = abbe.num_source_points
@@ -40,13 +50,13 @@ def test_abbe_forward_batched(benchmark, setup):
 
 def test_abbe_forward_loop(benchmark, setup):
     """The unbatched reference — the 'serial Abbe' the paper accelerates."""
-    abbe, _, mask, src = setup
+    _, _, mask, src, oracle = setup
     with ad.no_grad():
-        benchmark(lambda: abbe.aerial_loop(mask, src).data)
+        benchmark(lambda: oracle.aerial_loop(mask, src).data)
 
 
 def test_hopkins_forward(benchmark, setup):
-    _, hopkins, mask, _ = setup
+    _, hopkins, mask, _, _ = setup
     with ad.no_grad():
         benchmark(lambda: hopkins.aerial(mask).data)
     benchmark.extra_info["kernels"] = hopkins.num_kernels
@@ -54,7 +64,7 @@ def test_hopkins_forward(benchmark, setup):
 
 def test_abbe_forward_backward(benchmark, setup):
     """Forward + both gradients — the real per-iteration cost of SMO."""
-    abbe, _, mask, src = setup
+    abbe, _, mask, src, _ = setup
 
     def step():
         m = ad.Tensor(mask.data, requires_grad=True)
@@ -68,8 +78,8 @@ def test_abbe_forward_backward(benchmark, setup):
 
 def test_batched_equals_loop_result(setup):
     """Correctness guard for the acceleration: identical images."""
-    abbe, _, mask, src = setup
+    abbe, _, mask, src, oracle = setup
     with ad.no_grad():
         fast = abbe.aerial(mask, src).data
-        slow = abbe.aerial_loop(mask, src).data
+        slow = oracle.aerial_loop(mask, src).data
     np.testing.assert_allclose(fast, slow, atol=1e-12)

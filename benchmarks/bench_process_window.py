@@ -12,8 +12,9 @@ post-aerial) must be
   pre-condition-axis consumer pattern —
 
 with loss parity to 1e-10 and gradient parity to 1e-8 against both the
-naive loop and the per-focus reference loop
-(``ProcessWindowSMOObjective.loss_reference``).  A C=9 window over
+naive loop and the per-focus reference loop (``per_condition_loss`` of
+``tests/oracles.py``, run on its full-grid ``FullGridAbbeImaging``
+engine for parity).  A C=9 window over
 F=3 focus values does 3 imaging passes instead of 9, so the expected
 speedup is ~C/F; the gate is set below that to absorb resist-model
 overhead shared by both sides.  Results are appended to
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import sys
 import time
 from typing import Dict, Tuple
 
@@ -57,6 +59,10 @@ from repro.smo.parametrization import (
     source_from_theta,
 )
 from bench_env import env_flag, env_int, env_str
+
+# The per-condition reference loop is a test oracle (tests/oracles.py).
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from tests.oracles import FullGridAbbeImaging, per_condition_loss  # noqa: E402
 
 SCALE = env_str("BISMO_PW_SCALE", "small")
 NUM_TILES = env_int("BISMO_PW_TILES", 4)
@@ -116,13 +122,17 @@ def _naive_corner_loss_fn(cfg, window, targets):
 
 
 def run_parity(setup=None) -> Dict[str, float]:
-    """Fused == naive per-corner loop == per-focus reference loop."""
+    """Fused == naive per-corner loop == per-focus reference loop on the
+    full-grid oracle engine (whole-grid pupils, no crop)."""
     cfg, window, targets, theta_j, theta_m, objective = setup or _setup()
     lf, gjf, gmf = _grads(objective.loss, theta_j, theta_m)
     ln, gjn, gmn = _grads(
         _naive_corner_loss_fn(cfg, window, targets), theta_j, theta_m
     )
-    lr_, gjr, gmr = _grads(objective.loss_reference, theta_j, theta_m)
+    oracle = ProcessWindowSMOObjective(
+        cfg, targets, window, engine=FullGridAbbeImaging(cfg)
+    )
+    lr_, gjr, gmr = _grads(per_condition_loss(oracle), theta_j, theta_m)
     np.testing.assert_allclose(lf, ln, rtol=LOSS_RTOL)
     np.testing.assert_allclose(lf, lr_, rtol=LOSS_RTOL)
     np.testing.assert_allclose(gjf, gjn, rtol=GRAD_RTOL, atol=1e-12)
@@ -151,7 +161,7 @@ def run_perf(setup=None, rounds: int = 5) -> Dict[str, float]:
         return min(times)
 
     t_fused = best_of(objective.loss)
-    t_focus = best_of(objective.loss_reference)
+    t_focus = best_of(per_condition_loss(objective))
     t_naive = best_of(naive)
     return {
         "corners": window.num_corners,

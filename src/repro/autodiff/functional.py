@@ -19,8 +19,8 @@ import builtins
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from scipy.special import expit
 
-from ..obs import counter as _obs_counter
 from ..obs import span as _obs_span
 from .tensor import Tensor, as_tensor, is_grad_enabled
 
@@ -59,8 +59,10 @@ __all__ = [
     "ifft2",
     "incoherent_image",
     "incoherent_image_stack",
-    "incoherent_image_composed",
     "incoherent_mask_adjoint",
+    "incoherent_basis",
+    "kernel_offsets",
+    "expand_kernels",
     "basis_combine",
     "basis_contract",
     "getitem",
@@ -190,7 +192,7 @@ def mul(a: ArrayLike, b: ArrayLike) -> Tensor:
 
     # Binary VJPs skip inputs that do not require grad: ``grad`` would
     # discard those gradients, and one of them may be a large constant
-    # (a (B, S, N, N) intensity basis, a pupil stack).
+    # (a (B, R, K, K) intensity basis, a pupil stack).
     def vjp(g: Tensor) -> Tuple[Optional[Tensor], ...]:
         ga = sum_to(mul(g, conj(b)), a.shape) if a.requires_grad else None
         gb = sum_to(mul(g, conj(a)), b.shape) if b.requires_grad else None
@@ -285,26 +287,18 @@ def tanh(x: ArrayLike) -> Tensor:
 
 
 def sigmoid(x: ArrayLike) -> Tensor:
-    """Numerically stable logistic sigmoid ``1 / (1 + exp(-x))``."""
+    """Logistic sigmoid ``1 / (1 + exp(-x))`` (``scipy.special.expit``:
+    no overflow, exactly 0 and 1 at the far rails)."""
     x = as_tensor(x)
     if x.is_complex:
         raise TypeError("sigmoid expects a real tensor")
-    out_data = _stable_sigmoid(x.data)
+    out_data = expit(x.data)
 
     def vjp(g: Tensor) -> Tuple[Optional[Tensor], ...]:
         s = sigmoid(x)
         return (mul(g, mul(s, sub(1.0, s))),)
 
     return _make(out_data, (x,), vjp, "sigmoid")
-
-
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def relu(x: ArrayLike) -> Tensor:
@@ -517,18 +511,132 @@ def ifft2(x: ArrayLike) -> Tensor:
 # ----------------------------------------------------------------------
 # fused incoherent imaging (the Abbe / SOCS hot path)
 # ----------------------------------------------------------------------
+# Kernel crops: kernel s of an (S, K, K) stack with K < N is the K x K
+# frequency window around the integer bin centres[s], in centred order
+# (K and N even).  The window is one slice of the half-swapped mask
+# spectrum; its K-point transform is the field sampled on the K grid
+# times a unit-modulus phase that |.|^2 removes.  K exceeds twice the
+# widest field support, so the K-grid intensity resamples to N exactly.
+
+
+def kernel_offsets(k: int, n: int) -> np.ndarray:
+    """Bin offset from its centre of every sample along a kernel axis.
+
+    fftfreq order at ``k == n`` (the kernel is the whole grid), centred
+    order ``-k/2 .. k/2 - 1`` for a crop.
+    """
+    if k == n:
+        return (np.arange(n) + n // 2) % n - n // 2
+    return np.arange(-(k // 2), k - k // 2)
+
+
+def _window_starts(
+    shape: Tuple[int, ...], n: int, centres: Any
+) -> Optional[np.ndarray]:
+    """``(S, 2)`` top-left corners of the kernels' windows in the
+    half-swapped spectrum, or None for whole-grid kernels."""
+    s, k = shape[0], shape[-1]
+    if k == n:
+        if centres is not None and np.any(centres):
+            raise ValueError("whole-grid (K == N) kernels are centred on bin 0")
+        return None
+    c = np.asarray(centres)  # None -> a 0-d object array, rejected below
+    if k > n or k % 2 or n % 2 or c.shape != (s, 2) or c.dtype.kind not in "iu":
+        raise ValueError(
+            f"({s}, {k}, {k}) kernel crops of an {n}-point grid need even "
+            f"K < N and ({s}, 2) integer centres"
+        )
+    starts = n // 2 + c - k // 2
+    if np.any(starts < 0) or np.any(starts > n - k):
+        raise ValueError("a kernel crop's window leaves the frequency grid")
+    return starts
+
+
+def _half_swap(bk: Any, x: Any) -> Any:
+    """fftshift over the last two (even) axes; its own inverse."""
+    h, w = x.shape[-2] // 2, x.shape[-1] // 2
+    out = bk.empty(x.shape, x.dtype)
+    out[..., :h, :w] = x[..., h:, w:]
+    out[..., :h, w:] = x[..., h:, :w]
+    out[..., h:, :w] = x[..., :h, w:]
+    out[..., h:, w:] = x[..., :h, :w]
+    return out
+
+
+def _resample(bk: Any, x: Any, size: int, k: int) -> Any:
+    """``x`` on a ``size`` grid through the band ``|f| < k/2``, times
+    ``(K/N)^2``.
+
+    ``size = N`` upsamples a band-limited K-grid intensity exactly (its
+    fields carry an ``(N/K)^2`` amplitude); ``size = K`` is the adjoint
+    times ``(N/K)^2``: the low-pass that gives each field's mask adjoint
+    its whole-grid form.  The K grid's Nyquist bin, empty for a
+    band-limited intensity, is dropped both ways.  Real in, real out.
+    """
+    h, m = k // 2, x.shape[-1]
+    spec = bk.fft2(x)
+    band = bk.zeros(x.shape[:-2] + (size, size), bk.complex128)
+    halves = (
+        (slice(0, h), slice(0, h)),
+        (slice(size - h + 1, size), slice(m - h + 1, m)),
+    )
+    for rows_out, rows_in in halves:
+        for cols_out, cols_in in halves:
+            band[..., rows_out, cols_out] = spec[..., rows_in, cols_in]
+    y = bk.ifft2(band, overwrite_x=True)
+    return (y if bk.iscomplex(x) else y.real) * ((k / max(size, m)) ** 2)
+
+
+def _gather(
+    bk: Any, spec: Any, kern: Any, corners: Optional[list], lo: int, hi: int
+) -> Any:
+    """``(B, C, K, K)`` products of kernels ``lo:hi`` with their windows
+    of the ``(B, N, N)`` spectrum."""
+    if corners is None:  # whole-grid kernels: the window is the spectrum
+        return kern[lo:hi][None] * spec[:, None]
+    k = kern.shape[-1]
+    block = bk.empty((spec.shape[0], hi - lo, k, k), bk.complex128)
+    for i, (r0, c0) in enumerate(corners[lo:hi]):
+        block[:, i] = spec[:, r0 : r0 + k, c0 : c0 + k]
+    block *= kern[lo:hi]
+    return block
+
+
+def expand_kernels(kernels: Any, centres: Any, n: int) -> np.ndarray:
+    """Whole-grid ``(S, N, N)`` fftfreq-layout kernels from crops, sized
+    against available memory first (the composed ``create_graph``
+    fallback's input); whole-grid kernels return unchanged."""
+    from ..utils.memory import require_memory
+
+    kern = np.asarray(kernels)
+    starts = _window_starts(kern.shape, n, centres)
+    if starts is None:
+        return kern
+    s, k = kern.shape[0], kern.shape[-1]
+    shape = (s, n, n)
+    require_memory(
+        kern.itemsize * s * n * n, f"{shape} {kern.dtype} expanded pupil stack"
+    )
+    host = _get_backend().HOST
+    full = host.zeros(shape, kern.dtype)
+    for i, (r0, c0) in enumerate(starts.tolist()):
+        full[i, r0 : r0 + k, c0 : c0 + k] = kern[i]
+    return _half_swap(host, full)
+
+
 def _check_incoherent_args(
     mask: Tensor, pupil_stack: Tensor, weights: Tensor
 ) -> Tuple[int, int]:
-    """Validate shapes/dtypes shared by the fused and composed variants."""
+    """Validate shapes/dtypes of a fused pass; return ``(S, K)``."""
     if pupil_stack.ndim != 3 or pupil_stack.shape[-2] != pupil_stack.shape[-1]:
         raise ValueError(
-            f"pupil_stack must be (S, N, N); got {pupil_stack.shape}"
+            f"pupil_stack must be (S, K, K); got {pupil_stack.shape}"
         )
-    s, n = pupil_stack.shape[0], pupil_stack.shape[-1]
-    if mask.ndim not in (2, 3) or mask.shape[-2:] != (n, n):
+    s, k = pupil_stack.shape[0], pupil_stack.shape[-1]
+    n = mask.shape[-1] if mask.ndim else 0
+    if mask.ndim not in (2, 3) or mask.shape[-2] != n or n < k:
         raise ValueError(
-            f"mask must be ({n}, {n}) or (B, {n}, {n}); got {mask.shape}"
+            f"mask must be (N, N) or (B, N, N) with N >= {k}; got {mask.shape}"
         )
     if weights.shape != (s,):
         raise ValueError(f"weights must be ({s},); got {weights.shape}")
@@ -539,34 +647,7 @@ def _check_incoherent_args(
             "incoherent_image does not propagate gradients to the pupil "
             "stack (it is a cached optical constant); detach it first"
         )
-    return s, n
-
-
-def incoherent_image_composed(
-    mask: ArrayLike, pupil_stack: ArrayLike, weights: ArrayLike
-) -> Tensor:
-    """Reference incoherent sum from six composed autodiff ops.
-
-    Computes ``I[b] = sum_s w_s |IFFT2(H_s * FFT2(M_b))|^2`` as the
-    pre-fusion graph ``fft2 -> mul -> ifft2 -> abs2 -> mul -> sum`` that
-    the engines used through PR 2.  Every ``(B, S, N, N)`` intermediate
-    is materialized and retained by the backward graph — this is the
-    memory/time baseline :func:`incoherent_image` is benchmarked
-    against, and the oracle its gradients are tested against.
-    """
-    mask = as_tensor(mask)
-    pupil_stack = as_tensor(pupil_stack)
-    weights = as_tensor(weights)
-    s, n = _check_incoherent_args(mask, pupil_stack, weights)
-    single = mask.ndim == 2
-    m3 = reshape(mask, (1, n, n)) if single else mask
-    b = m3.shape[0]
-    spectra = mul(
-        reshape(pupil_stack, (1, s, n, n)), reshape(fft2(m3), (b, 1, n, n))
-    )
-    intensities = abs2(ifft2(spectra))  # (B, S, N, N)
-    out = sum(mul(reshape(weights, (1, s, 1, 1)), intensities), axis=1)
-    return reshape(out, (n, n)) if single else out
+    return s, k
 
 
 def _conj_pair_reps(conj_pairs: Any, s: int) -> np.ndarray:
@@ -603,31 +684,38 @@ def _pair_setup(
     return np.asarray(conj_pairs), reps_all
 
 
+def _fold_weights(w: np.ndarray, cp: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """Representatives' pair-summed weights: a mate rides its rep's field."""
+    mates = cp[reps]
+    return w[reps] + np.where(mates != reps, w[mates], 0.0)
+
+
 def _stream_forward_one(
     bk: Any,
-    fm: Any,
+    spec: Any,
     kern: np.ndarray,
     w: np.ndarray,
     csize: int,
     cp: Any,
     reps: Any,
+    starts: Optional[np.ndarray],
 ) -> np.ndarray:
     """Streamed weighted incoherent sum for ONE kernel stack.
 
-    ``fm`` is the precomputed ``(B, N, N)`` mask spectrum (a backend
-    array) — sharing it across kernel stacks is what lets the
-    multi-condition primitive reuse one mask FFT for every process
-    corner.  Kernel/weight selection runs host-side (``kern``/``w``
-    are host constants); the chunk loop runs entirely on ``bk`` and
-    the reduced ``(B, N, N)`` image returns to the host.
+    ``spec`` is the precomputed ``(B, N, N)`` mask spectrum (a backend
+    array; half-swapped for crops) — sharing it across kernel stacks is
+    what lets the multi-condition primitive reuse one mask FFT for every
+    process corner.  Kernel/weight selection runs host-side (``kern``/
+    ``w`` are host constants); the chunk loop runs entirely on ``bk``
+    and the reduced ``(B, N, N)`` image returns to the host.
     """
-    b, n = fm.shape[0], fm.shape[-1]
+    b, n, k = spec.shape[0], spec.shape[-1], kern.shape[-1]
     if reps is None:
         kern_h, w_h = kern, w
     else:
-        kern_h = kern[reps]  # (R, N, N) representatives, R ~ S/2
-        mates = cp[reps]
-        w_h = w[reps] + np.where(mates != reps, w[mates], 0.0)
+        kern_h = kern[reps]  # (R, K, K) representatives, R ~ S/2
+        w_h = _fold_weights(w, cp, reps)
+        starts = None if starts is None else starts[reps]
     # A kernel whose (pair-summed) weight is exactly zero adds nothing to
     # the sum, so it is skipped: exact, and binary template sources zero
     # about half their points.  The VJP still visits every kernel (the
@@ -635,56 +723,55 @@ def _stream_forward_one(
     live = np.flatnonzero(w_h)
     if live.size < w_h.size:
         kern_h, w_h = kern_h[live], w_h[live]
+        starts = None if starts is None else starts[live]
     r = w_h.size
     kern_r = bk.from_host(kern_h)
     w_eff = bk.from_host(w_h)
-    nn = n * n
-    out = bk.zeros((b, n, n), bk.float64)
-    chunks = _obs_counter("imaging.chunks")
-    iffts = _obs_counter("imaging.ifft2")
+    corners = None if starts is None else starts.tolist()
+    kk = k * k
+    out = bk.zeros((b, k, k), bk.float64)
     for lo in range(0, r, csize):
         hi = min(r, lo + csize)
-        with _obs_span("fft.chunk", lo=lo, hi=hi, pass_="forward"):
-            # One (B, C, N, N) transform block per chunk: big enough to
-            # amortize dispatch, small enough to stay transient.
-            fields = bk.ifft2(
-                kern_r[lo:hi][None] * fm[:, None], overwrite_x=True
-            )
-            intens = bk.abs2(fields)
-            out += (
-                w_eff[lo:hi] @ intens.reshape(b, hi - lo, nn)
-            ).reshape(b, n, n)
-        chunks.inc()
-        iffts.inc()
+        # One (B, C, K, K) transform block per chunk: big enough to
+        # amortize dispatch, small enough to stay transient.
+        fields = bk.ifft2(
+            _gather(bk, spec, kern_r, corners, lo, hi), overwrite_x=True
+        )
+        out += (
+            w_eff[lo:hi] @ bk.abs2(fields).reshape(b, hi - lo, kk)
+        ).reshape(b, k, k)
+    if k < n:
+        out = _resample(bk, out, n, k)
     return bk.to_host(out)
 
 
 def _stream_backward_one(
     bk: Any,
     terms: Sequence[Tuple[np.ndarray, np.ndarray]],
-    fm: Any,
+    spec: Any,
     kern: np.ndarray,
     csize: int,
     cp: Any,
     reps: Any,
     need_mask: bool,
     gw: Any,
+    starts: Optional[np.ndarray],
 ) -> Optional[Any]:
     """One stack's streamed gradient contributions (graph-free).
 
     ``terms`` is a sequence of ``(w, gd)`` pairs — source weights
     ``(S,)`` and upstream image gradient ``(B, N, N)`` — and the mask
     gradient is that of ``sum_t <I(M; w_t), gd_t>``: every term rides
-    the same recomputed per-chunk coherent fields.  Recomputes the
-    fields from ``fm`` (a backend array) and returns the
-    *frequency-domain* mask-gradient accumulator as a backend array
-    (the caller applies the final IFFT once, summed over stacks),
-    adding the first term's weight gradient into the host vector ``gw``
-    in place when it is not None.
+    the same recomputed per-chunk coherent fields (low-passed onto the
+    K grid for crops).  Returns the *frequency-domain* mask-gradient
+    accumulator, in the spectrum's layout, as a backend array (the
+    caller applies the final IFFT once, summed over stacks), adding the
+    first term's weight gradient into the host vector ``gw`` in place
+    when it is not None.
     """
-    s, n = kern.shape[0], kern.shape[-1]
-    b = fm.shape[0]
-    nn = n * n
+    s, n, k = kern.shape[0], spec.shape[-1], kern.shape[-1]
+    b = spec.shape[0]
+    kk = k * k
     need_w = gw is not None
     # Conjugate pairing additionally needs a real upstream gradient
     # (the mirrored-term identity conjugates g); fall back otherwise.
@@ -695,11 +782,18 @@ def _stream_backward_one(
         mates = cp[reps]
         is_pair = mates != reps
         r = reps.size
+        starts = None if starts is None else starts[reps]
     else:
         kern_h, r = kern, s
+    corners = None if starts is None else starts.tolist()
     kern_r = bk.from_host(kern_h)
+    grads = [bk.from_host(gd) for _, gd in terms]
+    if k < n:
+        grads = [_resample(bk, g, k, k) for g in grads]
     if need_w:
-        gdr = bk.from_host(terms[0][1]).reshape(b, nn, 1)
+        # <g, upsample(|F|^2)> = <adjoint(g), |F|^2>: (K/N)^2 * lowpass.
+        gdr = grads[0] * ((k / n) ** 2) if k < n else grads[0]
+        gdr = gdr.reshape(b, kk, 1)
     acc: Any = None
     acc_mirror: Any = None
     # Per term: (2 * upstream, weighted conj kernels, mirrored kernels).
@@ -712,8 +806,8 @@ def _stream_backward_one(
         acc = bk.zeros((b, n, n), bk.complex128)
         if use_pairs:
             acc_mirror = bk.zeros((b, n, n), bk.complex128)
-        for w, gd in terms:
-            gd2 = 2.0 * bk.from_host(gd)  # (B, N, N)
+        for (w, _), g in zip(terms, grads):
+            gd2 = 2.0 * g  # (B, K, K)
             if use_pairs:
                 w_mirror = np.where(is_pair, w[mates], 0.0)
                 wkc = bk.from_host(w[reps][:, None, None] * kern_h)
@@ -722,54 +816,53 @@ def _stream_backward_one(
                 wkc = bk.from_host(w[:, None, None] * np.conj(kern))
                 wkc_mirror = None
             prepared.append((gd2, wkc, wkc_mirror))
-    chunks = _obs_counter("imaging.chunks")
-    iffts = _obs_counter("imaging.ifft2")
-    ffts = _obs_counter("imaging.fft2")
     for lo in range(0, r, csize):
         hi = min(r, lo + csize)
-        with _obs_span("fft.chunk", lo=lo, hi=hi, pass_="backward"):
-            # Recomputed (B, C, N, N) block, never retained.
-            fields = bk.ifft2(
-                kern_r[lo:hi][None] * fm[:, None], overwrite_x=True
+        # Recomputed (B, C, K, K) block, never retained.
+        fields = bk.ifft2(
+            _gather(bk, spec, kern_r, corners, lo, hi), overwrite_x=True
+        )
+        if need_w:
+            intens = bk.abs2(fields)
+            if gd_complex:
+                intens = bk.astype(intens, bk.complex128)
+            val = bk.to_host(
+                bk.sum((intens.reshape(b, hi - lo, kk) @ gdr)[:, :, 0], axis=0)
             )
-            if need_w:
-                intens = bk.abs2(fields)
-                if gd_complex:
-                    intens = bk.astype(intens, bk.complex128)
-                val = bk.to_host(
-                    bk.sum(
-                        (intens.reshape(b, hi - lo, nn) @ gdr)[:, :, 0],
-                        axis=0,
-                    )
-                )
-                if use_pairs:
-                    # |F[s']|^2 == |F[s]|^2, so mates share the contraction.
-                    # reprolint: allow[R4] gw is a private per-stack accumulator the caller allocates; never a saved tensor
-                    gw[reps[lo:hi]] += val
-                    pc = is_pair[lo:hi]
-                    # reprolint: allow[R4] gw is a private per-stack accumulator the caller allocates; never a saved tensor
-                    gw[mates[lo:hi][pc]] += val[pc]
-                else:
-                    # reprolint: allow[R4] gw is a private per-stack accumulator the caller allocates; never a saved tensor
-                    gw[lo:hi] += val
-            for ti, (gd2, wkc, wkc_mirror) in enumerate(prepared):
-                if ti == len(prepared) - 1:
-                    fields *= gd2[:, None]  # in-place: no second block temp
-                    block = fields
-                else:
-                    block = fields * gd2[:, None]
-                t = bk.fft2(block, overwrite_x=True)
+            if use_pairs:
+                # |F[s']|^2 == |F[s]|^2, so mates share the contraction.
+                # reprolint: allow[R4] gw is a private per-stack accumulator the caller allocates; never a saved tensor
+                gw[reps[lo:hi]] += val
+                pc = is_pair[lo:hi]
+                # reprolint: allow[R4] gw is a private per-stack accumulator the caller allocates; never a saved tensor
+                gw[mates[lo:hi][pc]] += val[pc]
+            else:
+                # reprolint: allow[R4] gw is a private per-stack accumulator the caller allocates; never a saved tensor
+                gw[lo:hi] += val
+        for ti, (gd2, wkc, wkc_mirror) in enumerate(prepared):
+            if ti == len(prepared) - 1:
+                fields *= gd2[:, None]  # in-place: no second block temp
+                block = fields
+            else:
+                block = fields * gd2[:, None]
+            t = bk.fft2(block, overwrite_x=True)
+            if corners is None:
                 acc += bk.einsum("cij,bcij->bij", wkc[lo:hi], t)
                 if use_pairs:
-                    acc_mirror += bk.einsum(
-                        "cij,bcij->bij", wkc_mirror[lo:hi], t
-                    )
-                ffts.inc()
-        chunks.inc()
-        iffts.inc()
+                    acc_mirror += bk.einsum("cij,bcij->bij", wkc_mirror[lo:hi], t)
+                continue
+            # Crops: each field's K x K spectrum slice-adds at its window.
+            direct = wkc[lo:hi] * t
+            for i, (r0, c0) in enumerate(corners[lo:hi]):
+                acc[:, r0 : r0 + k, c0 : c0 + k] += direct[:, i]
+            if use_pairs:
+                mirror = wkc_mirror[lo:hi] * t
+                for i, (r0, c0) in enumerate(corners[lo:hi]):
+                    acc_mirror[:, r0 : r0 + k, c0 : c0 + k] += mirror[:, i]
     if need_mask and use_pairs:
         # Mate term: conj(H_s')*FFT(2 w g conj(F_s)) == the direct
-        # term conjugated and frequency-reversed (one pass total).
+        # term conjugated and frequency-reversed (one pass total; the
+        # reversal is the same index map in the half-swapped layout).
         acc += bk.conj(bk.freq_reverse(acc_mirror))
     return acc
 
@@ -780,6 +873,7 @@ def incoherent_image(
     weights: ArrayLike,
     chunk: Optional[int] = None,
     conj_pairs: Optional[np.ndarray] = None,
+    centres: Optional[np.ndarray] = None,
 ) -> Tensor:
     """Fused weighted incoherent sum ``I[b] = sum_s w_s |IFFT2(H_s FFT2(M_b))|^2``.
 
@@ -787,11 +881,11 @@ def incoherent_image(
     ``mask`` (``(N, N)`` or ``(B, N, N)``): one graph node in place of
     the six composed ops of :func:`incoherent_image_composed`, with the
     stack primitive's streamed forward and VJP.  ``conj_pairs`` is the
-    stack's ``+/-sigma`` pairing, or None.
+    stack's ``+/-sigma`` pairing, or None; ``centres`` locates crops.
     """
     mask = as_tensor(mask)
     out = incoherent_image_stack(
-        mask, [pupil_stack], weights, chunk, [conj_pairs]
+        mask, [pupil_stack], weights, chunk, [conj_pairs], centres
     )
     return reshape(out, mask.shape)
 
@@ -805,12 +899,18 @@ def _wrap_grad(arr: Optional[np.ndarray], single: bool) -> Optional[Tensor]:
 def _stack_setup(
     mask: Tensor,
     stacks: Sequence[Tensor],
-    s: int,
+    weights: Tensor,
     chunk: Optional[int],
     conj_pairs: Optional[Sequence[Optional[np.ndarray]]],
-) -> Tuple[Any, Any, int, Tuple[Tuple[Any, Any], ...]]:
-    """``(fftlib, backend, chunk, per-stack pairing)`` of a streamed
-    multi-stack pass, with the chunk and pairing arguments validated."""
+    centres: Any,
+) -> Tuple[Any, Any, int, Tuple[Tuple[Any, Any], ...], Optional[np.ndarray]]:
+    """``(fftlib, backend, chunk, per-stack pairing, window corners)`` of
+    a streamed multi-stack pass, with every argument validated."""
+    for st in stacks:
+        s, _ = _check_incoherent_args(mask, st, weights)
+        if st.shape != stacks[0].shape:
+            raise ValueError("every kernel stack of one call must share a shape")
+    starts = _window_starts(stacks[0].shape, mask.shape[-1], centres)
     if conj_pairs is None:
         conj_pairs = (None,) * len(stacks)
     elif len(conj_pairs) != len(stacks):
@@ -826,12 +926,19 @@ def _stack_setup(
         _pair_setup(cp_f, s, not mask.is_complex and not st.is_complex)
         for st, cp_f in zip(stacks, conj_pairs)
     )
-    return fl, _get_backend().active_backend(), csize, pair_info
+    return fl, _get_backend().active_backend(), csize, pair_info, starts
+
+
+def _mask_spectrum(bk: Any, tiles: np.ndarray, starts: Any) -> Any:
+    """The ``(B, N, N)`` mask spectrum the streamed passes window:
+    half-swapped for crops, the transform itself for whole-grid kernels."""
+    fm = bk.fft2(bk.from_host(tiles))
+    return fm if starts is None else _half_swap(bk, fm)
 
 
 def _stream_adjoint(
     bk: Any,
-    fm: Any,
+    spec: Any,
     kernels: Sequence[np.ndarray],
     pair_info: Sequence[Tuple[Any, Any]],
     terms: Sequence[Tuple[np.ndarray, np.ndarray]],
@@ -839,6 +946,7 @@ def _stream_adjoint(
     need_mask: bool,
     need_w: bool,
     op: str,
+    starts: Optional[np.ndarray],
 ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
     """Graph-free streamed adjoint of the incoherent image, summed over
     kernel stacks (the condition axis) and ``terms``.
@@ -876,8 +984,8 @@ def _stream_adjoint(
             # halved-chunk retry to double-count.
             gw_f = host.zeros(s, gw_dtype) if need_w else None
             acc = _stream_backward_one(
-                bk, stack_terms, fm, kernels[fi], c, cp_f, reps_f,
-                need_mask, gw_f,
+                bk, stack_terms, spec, kernels[fi], c, cp_f, reps_f,
+                need_mask, gw_f, starts,
             )
             return acc, gw_f
 
@@ -897,6 +1005,8 @@ def _stream_adjoint(
                 gw = gw_f if gw is None else gw + gw_f
         gm = None
         if need_mask:
+            if starts is not None:
+                acc_total = _half_swap(bk, acc_total)
             gm = bk.to_host(bk.ifft2(acc_total, overwrite_x=True))
     return gm, gw
 
@@ -906,6 +1016,7 @@ def incoherent_mask_adjoint(
     pupil_stacks: Sequence[ArrayLike],
     terms: Sequence[Tuple[ArrayLike, ArrayLike]],
     conj_pairs: Sequence[Optional[np.ndarray]],
+    centres: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Graph-free mask gradient of several weighted incoherent images.
 
@@ -921,10 +1032,12 @@ def incoherent_mask_adjoint(
     :func:`incoherent_image_stack` with several (weights, upstream)
     pairs folded into one pass: every term rides the same recomputed
     coherent fields, and all terms and stacks share one mask FFT and one
-    final IFFT.  BiSMO's exact mixed second-order product is one such
-    call with two terms.  ``conj_pairs`` takes one entry per stack, as
-    in :func:`incoherent_image_stack` (None for an unpaired stack); the
-    chunk size is the scoped :func:`repro.optics.fftlib.get_stream_chunk`.
+    final IFFT (each term's gradient is low-passed onto the crop grid
+    once per stack).  BiSMO's exact mixed second-order product is one
+    such call with two terms.  ``conj_pairs`` takes one entry per
+    stack and ``centres`` locates crops, as in
+    :func:`incoherent_image_stack`; the chunk size is the scoped
+    :func:`repro.optics.fftlib.get_stream_chunk`.
     """
     mask = as_tensor(mask)
     stacks = tuple(as_tensor(p) for p in pupil_stacks)
@@ -934,19 +1047,19 @@ def incoherent_mask_adjoint(
     host_terms: List[Tuple[np.ndarray, np.ndarray]] = []
     for w, g in terms:
         wt, gt = as_tensor(w), as_tensor(g)
-        for st in stacks:
-            s, n = _check_incoherent_args(mask, st, wt)
+        _, bk, csize, pair_info, starts = _stack_setup(
+            mask, stacks, wt, None, conj_pairs, centres
+        )
         if gt.shape != (len(stacks),) + mask.shape:
             raise ValueError(
                 f"upstream gradient must be {(len(stacks),) + mask.shape}; "
                 f"got {gt.shape}"
             )
         host_terms.append((wt.data, gt.data[:, None] if single else gt.data))
-    _, bk, csize, pair_info = _stack_setup(mask, stacks, s, None, conj_pairs)
-    fm = bk.fft2(bk.from_host(mask.data[None] if single else mask.data))
+    spec = _mask_spectrum(bk, mask.data[None] if single else mask.data, starts)
     gm, _ = _stream_adjoint(
-        bk, fm, [st.data for st in stacks], pair_info, host_terms, csize,
-        True, False, "incoherent_mask_adjoint",
+        bk, spec, [st.data for st in stacks], pair_info, host_terms, csize,
+        True, False, "incoherent_mask_adjoint", starts,
     )
     if gm is None:
         raise RuntimeError("the streamed adjoint returned no mask gradient")
@@ -961,6 +1074,7 @@ def incoherent_image_stack(
     weights: ArrayLike,
     chunk: Optional[int] = None,
     conj_pairs: Optional[Sequence[Optional[np.ndarray]]] = None,
+    centres: Optional[np.ndarray] = None,
 ) -> Tensor:
     """Fused weighted incoherent images sharing ONE mask FFT.
 
@@ -975,11 +1089,21 @@ def incoherent_image_stack(
     gradient).  This is the one forward of the weighted incoherent sum:
     every aerial image, with or without a graph, runs it.
 
+    Band-limited kernels: every stack is ``(S, K, K)``, K <= N.  At
+    K == N the kernels are whole fftfreq-layout spectra (SOCS kernels,
+    and Abbe pupils wherever a crop would not halve the grid) and
+    ``centres`` is None; below it kernel s is the K x K window around
+    the integer bin ``centres[s]`` (one ``(S, 2)`` array for every
+    stack; layout in :func:`kernel_offsets`) and each field's pass —
+    window gather, K-point transform, ``|.|^2``, weighted add — runs on
+    the K grid, with one exact zero-padded resample to N per tile and
+    stack.
+
     Forward: the mask spectrum ``FFT2(M)`` is computed once and streamed
     through every stack in source-axis chunks of ``chunk`` kernels
     (default :func:`repro.optics.fftlib.get_stream_chunk`).  Each chunk
-    is one transient ``(B, chunk, N, N)`` transform block, so peak
-    working memory is ``O(B * chunk * N^2)`` instead of the composed
+    is one transient ``(B, chunk, K, K)`` transform block, so peak
+    working memory is ``O(B * chunk * K^2)`` instead of the composed
     path's several *retained* ``O(B * S * N^2)`` intermediates; only the
     ``(B, N, N)`` mask spectra are saved for the backward pass.  Kernels
     whose weight is exactly zero are skipped (exact).
@@ -991,34 +1115,38 @@ def incoherent_image_stack(
 
     (the backward-normalization factors cancel; every stack's chunks
     accumulate into one frequency-domain gradient closed by a single
-    final IFFT) and weight gradients ``gw[s] = sum_f sum_b <g[f,b],
-    |F[f,b,s]|^2>`` for every kernel, zero-weight ones included.
+    final IFFT; crops low-pass ``g`` onto the K grid first and slice-add
+    each field's spectrum at its window) and weight gradients ``gw[s] =
+    sum_f sum_b <g[f,b], |F[f,b,s]|^2>`` for every kernel, zero-weight
+    ones included.
 
     Conjugate-pair streaming: ``conj_pairs`` is an optional per-stack
     sequence.  An entry declares the frequency-reversal pairing
     ``kernel_{conj_pairs[s]}(f) == kernel_s(-f)`` (Abbe's shifted pupils
-    for a point-symmetric source grid satisfy it; see ``AbbeImaging``)
-    or is None.  For a *real* mask and *real* kernels the paired field
-    is the complex conjugate of its mate's — ``F[b,s'] == conj(F[b,s])``
-    — so only one kernel per pair is transformed and both weights ride
-    the shared field, halving the FFT work in the forward and in the
-    streamed VJP (the mirrored gradient term is recovered with one
-    frequency reversal per backward).  A pairing is always validated,
-    and ignored (exact fallback) for complex masks, complex kernels or a
-    complex upstream gradient: the structural pairing survives an even
-    aberration such as defocus, the conjugate *field* identity does not.
+    for a point-symmetric source grid satisfy it, crops with negated
+    centres; see ``AbbeImaging``) or is None.  For a *real* mask and
+    *real* kernels the paired field is the complex conjugate of its
+    mate's — ``F[b,s'] == conj(F[b,s])`` — so only one kernel per pair
+    is transformed and both weights ride the shared field, halving the
+    FFT work in the forward and in the streamed VJP (the mirrored
+    gradient term is recovered with one frequency reversal per
+    backward).  A pairing is always validated, and ignored (exact
+    fallback) for complex masks, complex kernels or a complex upstream
+    gradient: the structural pairing survives an even aberration such
+    as defocus, the conjugate *field* identity does not.
 
     Double backward: the streamed VJP returns graph-free gradients.
     When the backward pass itself must be differentiable (``ad.grad(...,
     create_graph=True)``), the VJP detects grad-recording mode and falls
     back to composed-op gradient expressions (sharing one ``fft2(mask)``
-    graph node across stacks), which carry their own graph but cost the
-    composed path's memory.  Only the BiSMO unroll path, objectives
-    without an intensity basis and the gradcheck oracles take that
-    fallback.  BiSMO's exact HVP and mixed-product oracles cut the graph
-    at the aerial image instead: they work from the FFT-free intensity
-    basis and reach the mask through the graph-free
-    :func:`incoherent_mask_adjoint`.
+    graph node across stacks) on whole-grid kernels
+    (:func:`expand_kernels`), which carry their own graph but cost the
+    composed path's memory.  Only the BiSMO unroll
+    path, objectives without an intensity basis and the gradcheck
+    oracles take that fallback.  BiSMO's exact HVP and mixed-product
+    oracles cut the graph at the aerial image instead: they work from
+    the intensity basis (:func:`incoherent_basis`) and reach the mask
+    through the graph-free :func:`incoherent_mask_adjoint`.
 
     Condition parallelism: the per-stack streamed passes are independent
     (they share only the read-only mask spectrum), so both the forward
@@ -1037,15 +1165,15 @@ def incoherent_image_stack(
     stacks = tuple(as_tensor(p) for p in pupil_stacks)
     if not stacks:
         raise ValueError("incoherent_image_stack needs at least one stack")
-    for st in stacks:
-        s, n = _check_incoherent_args(mask, st, weights)
-    fl, bk, csize, pair_info = _stack_setup(mask, stacks, s, chunk, conj_pairs)
+    fl, bk, csize, pair_info, starts = _stack_setup(
+        mask, stacks, weights, chunk, conj_pairs, centres
+    )
     single = mask.ndim == 2
     tiles = mask.data[None] if single else mask.data
-    b = tiles.shape[0]
+    b, n = tiles.shape[0], tiles.shape[-1]
     # ONE (B, N, N) spectrum for every condition — a read-only backend
     # array shared across the condition pool's threads.
-    fm = bk.fft2(bk.from_host(tiles))
+    spec = _mask_spectrum(bk, tiles, starts)
     w = weights.data
 
     def _forward_one(fi: int) -> np.ndarray:
@@ -1053,7 +1181,7 @@ def incoherent_image_stack(
 
         def _attempt(c: int) -> np.ndarray:
             return _stream_forward_one(
-                bk, fm, stacks[fi].data, w, c, cp_f, reps_f
+                bk, spec, stacks[fi].data, w, c, cp_f, reps_f, starts
             )
 
         # MemoryError inside the streamed block -> halve the chunk and
@@ -1079,10 +1207,12 @@ def incoherent_image_stack(
 
     def vjp(g: Tensor) -> Tuple[Optional[Tensor], ...]:
         if is_grad_enabled():
-            return _incoherent_stack_vjp_composed(g, mask, stacks, weights)
+            return _incoherent_stack_vjp_composed(
+                g, mask, stacks, weights, centres
+            )
         gm, gw = _stream_adjoint(
             bk,
-            fm,
+            spec,
             [st.data for st in stacks],
             pair_info,
             [(w, g.data[:, None] if single else g.data)],
@@ -1090,6 +1220,7 @@ def incoherent_image_stack(
             mask.requires_grad,
             weights.requires_grad,
             "incoherent_image_stack",
+            starts,
         )
         return (
             (_wrap_grad(gm, single),)
@@ -1103,18 +1234,24 @@ def incoherent_image_stack(
 
 
 def _incoherent_stack_vjp_composed(
-    g: Tensor, mask: Tensor, stacks: Tuple[Tensor, ...], weights: Tensor
+    g: Tensor,
+    mask: Tensor,
+    stacks: Tuple[Tensor, ...],
+    weights: Tensor,
+    centres: Any,
 ) -> Tuple[Optional[Tensor], ...]:
     """Differentiable gradients for the stack primitive (create_graph).
 
-    Rebuilds each condition's coherent fields with graph-recording
-    functional ops from ONE shared ``fft2(mask)`` graph node and
-    expresses the exact gradient formulas with them, accumulating
-    mask/weight gradients across stacks with differentiable adds, so
-    the returned tensors can be differentiated again (the property the
-    BiSMO unroll path and the composed second-order oracles rely on).
+    Rebuilds each condition's coherent fields on the whole grid (crops
+    expanded by :func:`expand_kernels`) with graph-recording functional
+    ops from ONE shared ``fft2(mask)`` graph node and expresses the
+    exact gradient formulas with them, accumulating mask/weight
+    gradients across stacks with differentiable adds, so the returned
+    tensors can be differentiated again (the property the BiSMO unroll
+    path and the composed second-order oracles rely on).
     """
-    s, n = stacks[0].shape[0], stacks[0].shape[-1]
+    n = mask.shape[-1]
+    s = stacks[0].shape[0]
     single = mask.ndim == 2
     m3 = reshape(mask, (1, n, n)) if single else mask
     b = m3.shape[0]
@@ -1124,7 +1261,7 @@ def _incoherent_stack_vjp_composed(
     for fi, st in enumerate(stacks):
         gf = getitem(g, fi)  # (B, N, N) or (N, N)
         g4 = reshape(gf, (1, 1, n, n)) if single else reshape(gf, (b, 1, n, n))
-        p4 = reshape(st, (1, s, n, n))
+        p4 = Tensor(expand_kernels(st.data, centres, n).reshape(1, s, n, n))
         fields = ifft2(mul(p4, fmr))  # (B, S, N, N)
         if weights.requires_grad:
             gw_f = sum(mul(g4, abs2(fields)), axis=(0, 2, 3))
@@ -1139,12 +1276,55 @@ def _incoherent_stack_vjp_composed(
 
 
 # ----------------------------------------------------------------------
-# intensity-basis contractions (FFT-free Abbe aerials at a fixed mask)
+# intensity basis (FFT-free source dependence at a fixed mask)
 # ----------------------------------------------------------------------
+def incoherent_basis(
+    mask: ArrayLike,
+    kernels: ArrayLike,
+    centres: Optional[np.ndarray] = None,
+    conj_pairs: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Per-kernel intensities of the fused sum, unreduced: ``(B, R, K, K)``.
+
+    Row r of tile b is kernel r's ``|field|^2`` on the K grid, the term
+    :func:`incoherent_image_stack` weights and adds, so
+    ``basis_combine(X, w, conj_pairs, N)`` is that image.  On the
+    all-real path a pairing keeps only the R pair representatives
+    (``|F_{s'}|^2 == |F_s|^2``); otherwise R = S.  Sized against
+    available memory before allocating.
+    """
+    from ..utils.memory import require_memory
+
+    mask = as_tensor(mask)
+    kern = np.asarray(kernels)
+    tiles = mask.data[None] if mask.ndim == 2 else mask.data
+    s, k = kern.shape[0], kern.shape[-1]
+    starts = _window_starts(kern.shape, tiles.shape[-1], centres)
+    _, reps = _pair_setup(
+        conj_pairs, s, not np.iscomplexobj(tiles) and not np.iscomplexobj(kern)
+    )
+    if reps is not None:
+        kern = kern[reps]
+        starts = None if starts is None else starts[reps]
+    shape = (tiles.shape[0], kern.shape[0], k, k)
+    require_memory(8 * int(np.prod(shape)), f"{shape} float64 intensity basis")
+    bk = _get_backend().active_backend()
+    spec = _mask_spectrum(bk, tiles, starts)
+    kern_r = bk.from_host(kern)
+    corners = None if starts is None else starts.tolist()
+    out = _get_backend().HOST.empty(shape, np.float64)
+    # Tile-at-a-time keeps the working set cache-sized; per-tile
+    # results are bitwise identical to the full-stack transform.
+    for b in range(shape[0]):
+        block = _gather(bk, spec[b : b + 1], kern_r, corners, 0, shape[1])
+        out[b] = bk.to_host(bk.abs2(bk.ifft2(block, overwrite_x=True)))[0]
+    return out
+
+
 def _check_basis(basis: Tensor) -> Tuple[int, int, int]:
-    """Validate a ``(B, S, N, N)`` basis; return ``(B, S, N * N)``."""
+    """Validate a ``(B, R, K, K)`` basis; return ``(B, R, K * K)``."""
     if basis.ndim != 4:
-        raise ValueError(f"basis must be (B, S, N, N); got {basis.shape}")
+        raise ValueError(f"basis must be (B, R, K, K); got {basis.shape}")
     if basis.is_complex:
         raise TypeError("basis must be real")
     if basis.requires_grad:
@@ -1152,54 +1332,101 @@ def _check_basis(basis: Tensor) -> Tuple[int, int, int]:
             "basis contractions do not propagate gradients to the basis "
             "(a constant at a fixed mask); detach it first"
         )
-    b, s, n1, n2 = basis.shape
-    return b, s, n1 * n2
+    b, r, k1, k2 = basis.shape
+    return b, r, k1 * k2
 
 
-def basis_combine(basis: ArrayLike, w: ArrayLike) -> Tensor:
-    """Weighted sum over the source axis: ``out[b] = sum_s w_s basis[b, s]``.
+def _basis_rows(
+    conj_pairs: Any, r: int
+) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """``(reps, row)`` of a basis with ``r`` rows under ``conj_pairs``:
+    the pair representatives and every source point's row (its
+    representative's); ``(None, None)`` for one row per point."""
+    if conj_pairs is None:
+        return None, None
+    cp = np.asarray(conj_pairs)
+    reps = _conj_pair_reps(cp, cp.size)
+    if reps.size != r:
+        raise ValueError(
+            f"basis has {r} rows but the pairing has {reps.size} "
+            "representatives; build and combine with the same conj_pairs"
+        )
+    return reps, np.searchsorted(reps, np.minimum(np.arange(cp.size), cp))
 
-    ``basis`` is a constant ``(B, S, N, N)`` array and ``w`` an ``(S,)``
-    vector; the result is ``(B, N, N)``.  At a fixed mask, Abbe's aerial
-    image is exactly this linear map of the normalized source weights
-    (see :meth:`repro.optics.abbe.AbbeImaging.source_intensity_basis`),
-    evaluated with one BLAS pass over the basis and no FFT.  The VJP is
-    :func:`basis_contract` and vice versa, so both record a graph and
-    differentiate to any order.
+
+def basis_combine(
+    basis: ArrayLike,
+    w: ArrayLike,
+    conj_pairs: Optional[np.ndarray] = None,
+    size: Optional[int] = None,
+) -> Tensor:
+    """Weighted sum over the source axis: ``out[b] = sum_s w_s X_s[b]``.
+
+    ``basis`` is a constant ``(B, R, K, K)`` array from
+    :func:`incoherent_basis` (with ``conj_pairs``, rows are pair
+    representatives and mates' weights fold onto them) and ``w`` an
+    ``(S,)`` vector; the result is ``(B, N, N)``, N = ``size`` (default
+    K) by the exact resample.  At a fixed mask, Abbe's aerial image is
+    exactly this linear map of the normalized source weights.  The VJP
+    is :func:`basis_contract` and vice versa, so both record a graph
+    and differentiate to any order.
     """
     basis, w = as_tensor(basis), as_tensor(w)
-    b, s, p = _check_basis(basis)
+    b, r, p = _check_basis(basis)
+    reps, row = _basis_rows(conj_pairs, r)
+    s = r if row is None else row.size
     if w.shape != (s,):
         raise ValueError(f"weights must be ({s},); got {w.shape}")
-    out = np.matmul(w.data, basis.data.reshape(b, s, p))
+    k = basis.shape[-1]
+    n = k if size is None else int(size)
+    wr = w.data
+    if reps is not None:
+        wr = _fold_weights(wr, np.asarray(conj_pairs), reps)
+    out = np.matmul(wr, basis.data.reshape(b, r, p)).reshape(b, k, k)
+    if n != k:
+        bk = _get_backend().active_backend()
+        out = bk.to_host(_resample(bk, bk.from_host(out), n, k))
 
     def vjp(g: Tensor) -> Tuple[Optional[Tensor], ...]:
-        return (None, basis_contract(basis, g) if w.requires_grad else None)
+        return (
+            None,
+            basis_contract(basis, g, conj_pairs) if w.requires_grad else None,
+        )
 
-    return _make(
-        out.reshape((b,) + basis.shape[2:]), (basis, w), vjp, "basis_combine"
-    )
+    return _make(out, (basis, w), vjp, "basis_combine")
 
 
-def basis_contract(basis: ArrayLike, g: ArrayLike) -> Tensor:
-    """Adjoint of :func:`basis_combine`: ``out[s] = sum_b <basis[b, s], g[b]>``.
+def basis_contract(
+    basis: ArrayLike, g: ArrayLike, conj_pairs: Optional[np.ndarray] = None
+) -> Tensor:
+    """Adjoint of :func:`basis_combine`: ``out[s] = sum_b <X_s[b], g[b]>``.
 
-    ``g`` is ``(B, N, N)``, the result ``(S,)``: the source-weight
-    gradient of an image-space upstream gradient.  Its VJP is
-    :func:`basis_combine`.
+    ``g`` is ``(B, N, N)``, N >= K, the result ``(S,)``: the
+    source-weight gradient of an image-space upstream gradient.  Its VJP
+    is :func:`basis_combine`.
     """
     basis, g = as_tensor(basis), as_tensor(g)
-    b, s, p = _check_basis(basis)
-    if g.shape != (b,) + basis.shape[2:]:
-        raise ValueError(
-            f"g must be {(b,) + basis.shape[2:]}; got {g.shape}"
-        )
-    out = (basis.data.reshape(b, s, p) @ g.data.reshape(b, p, 1))[:, :, 0]
+    b, r, p = _check_basis(basis)
+    _, row = _basis_rows(conj_pairs, r)
+    k = basis.shape[-1]
+    n = g.shape[-1] if g.ndim == 3 else 0
+    if g.shape != (b, n, n) or n < k:
+        raise ValueError(f"g must be ({b}, N, N) with N >= {k}; got {g.shape}")
+    gk = g.data
+    if n != k:
+        bk = _get_backend().active_backend()
+        gk = bk.to_host(_resample(bk, bk.from_host(gk), k, k)) * ((k / n) ** 2)
+    out = (basis.data.reshape(b, r, p) @ gk.reshape(b, p, 1))[:, :, 0].sum(axis=0)
 
     def vjp(h: Tensor) -> Tuple[Optional[Tensor], ...]:
-        return (None, basis_combine(basis, h) if g.requires_grad else None)
+        return (
+            None,
+            basis_combine(basis, h, conj_pairs, n) if g.requires_grad else None,
+        )
 
-    return _make(out.sum(axis=0), (basis, g), vjp, "basis_contract")
+    return _make(
+        out if row is None else out[row], (basis, g), vjp, "basis_contract"
+    )
 
 
 # ----------------------------------------------------------------------

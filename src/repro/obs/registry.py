@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 # Span taxonomy, outermost first.  ``cat`` in exported traces is the
-# first dotted segment (harness / solver / engine / imaging / fft).
+# first dotted segment (harness / solver / engine / imaging).
 DECLARED_SPANS: Dict[str, str] = {
     "harness.cell": "one harness sweep cell (run_matrix or process-window)",
     "harness.warmup": "optics cache warm-up for a sweep configuration",
@@ -26,7 +26,6 @@ DECLARED_SPANS: Dict[str, str] = {
     "imaging.forward": "fused incoherent-image forward pass",
     "imaging.vjp": "streamed incoherent-image backward pass",
     "engine.condition": "one process-condition pass of a multi-condition imaging call",
-    "fft.chunk": "one streamed FFT chunk inside a fused primitive",
 }
 
 # name -> (kind, description); kind is counter | gauge | histogram.
@@ -41,9 +40,8 @@ DECLARED_METRICS: Dict[str, Tuple[str, str]] = {
     "harness.timeouts": ("counter", "harness cells killed by the watchdog timeout"),
     "harness.pool_rebuilds": ("counter", "process-pool rebuilds after worker death"),
     "harness.failures": ("counter", "harness cells that exhausted their retry budget"),
-    "imaging.chunks": ("counter", "streamed FFT chunks processed by fused primitives"),
-    "imaging.fft2": ("counter", "forward 2-D FFT batches issued by fused primitives"),
-    "imaging.ifft2": ("counter", "inverse 2-D FFT batches issued by fused primitives"),
+    "fft.transforms": ("counter", "2-D transforms run through NumpyBackend.fft2/ifft2"),
+    "fft.points": ("counter", "points transformed by NumpyBackend.fft2/ifft2"),
 }
 
 

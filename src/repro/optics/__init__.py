@@ -27,12 +27,11 @@ from .zernike import (
     zernike_radial,
 )
 from .pupil import (
-    aberrated_pupil_stack,
     conj_pair_indices,
+    crop_geometry,
     defocus_phase,
-    defocused_pupil_stack,
     pupil,
-    shifted_pupil_stack,
+    pupil_crops,
 )
 from .engine import ImagingEngine, as_tile_batch, engine_for
 from .abbe import AbbeImaging
@@ -51,10 +50,9 @@ __all__ = [
     "conventional",
     "coherent_point",
     "pupil",
-    "shifted_pupil_stack",
+    "crop_geometry",
+    "pupil_crops",
     "defocus_phase",
-    "defocused_pupil_stack",
-    "aberrated_pupil_stack",
     "conj_pair_indices",
     "PupilAberration",
     "ZERNIKE_TERMS",

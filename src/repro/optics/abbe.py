@@ -12,23 +12,29 @@ exploits on a GPU (Section 3.1 "Abbe acceleration").  That node is
 stack per pupil condition: the forward streams over source-axis chunks
 and the hand-written VJP recomputes the per-chunk coherent fields, so
 neither direction retains a ``(B, S, N, N)`` stack; all transforms
-dispatch through the :mod:`repro.optics.backend` seam.  For real masks
-the engine additionally hands the primitive its verified ``+/-sigma``
-conjugate pairing (``F_{-sigma} = conj(F_{+sigma})`` when the pupils
-are real), halving the FFT work in both directions.
-:meth:`AbbeImaging.aerial_conditions` is the engine's one imaging
-method; ``aerial``, ``aerial_fast`` and ``aerial_conditions_fast``
-derive from it (:class:`repro.optics.engine.ImagingEngine`).  A
-per-point Python loop (:meth:`AbbeImaging.aerial_loop`) is kept for the
-acceleration benchmark, and :meth:`AbbeImaging.source_intensity_basis`
-returns the unreduced per-point intensities the BiSMO oracles contract.
+dispatch through the :mod:`repro.optics.backend` seam.
+
+Each point's field is band-limited to one shifted pupil disk, so the
+engine holds ``(S, K, K)`` pupil crops around integer centres
+(:func:`repro.optics.pupil.crop_geometry`; K = 56 of N = 128 at
+``default``, the whole grid wherever a crop would not halve it) and the
+primitive runs every field on the K grid, resampling the weighted
+intensity to N once per tile.  For real masks the engine additionally
+hands the primitive its verified ``+/-sigma`` conjugate pairing
+(``F_{-sigma} = conj(F_{+sigma})`` when the pupils are real), halving
+the FFT work in both directions.  :meth:`AbbeImaging.aerial_conditions`
+is the engine's one imaging method; ``aerial``, ``aerial_fast`` and
+``aerial_conditions_fast`` derive from it
+(:class:`repro.optics.engine.ImagingEngine`), and
+:meth:`AbbeImaging.source_intensity_basis` returns the unreduced
+per-point intensities the BiSMO oracles contract.
 
 Total intensity is normalized by the summed source weight so a clear
 field images at intensity 1 for any source shape; this keeps a single
 resist threshold meaningful while the source is being optimized.
 
 ``AbbeImaging`` implements the :class:`repro.optics.engine.ImagingEngine`
-protocol; pupil stacks come from the shared :mod:`repro.optics.cache`
+protocol; pupil crops come from the shared :mod:`repro.optics.cache`
 unless a custom source grid is supplied.
 """
 
@@ -41,7 +47,6 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import functional as F
-from ..utils.memory import require_memory
 from .config import OpticalConfig
 from .engine import ImagingEngine, as_tile_batch
 from .source import SourceGrid
@@ -60,8 +65,8 @@ class AbbeImaging(ImagingEngine):
         Optical configuration; grids are derived from it.
     source_grid:
         Optional pre-built :class:`SourceGrid`.  When omitted, the grid
-        and the shifted pupil stack are fetched from the shared optics
-        cache, so engines with equal configs share one stack.
+        and the pupil crops are fetched from the shared optics cache, so
+        engines with equal configs share one crop stack.
 
     Both :meth:`aerial_conditions` arguments are autodiff tensors, so
     gradients flow to the mask *and* the source — the property that
@@ -93,22 +98,27 @@ class AbbeImaging(ImagingEngine):
             from . import cache
 
             self.source_grid = cache.source_grid(config)
+            self._geometry = cache.pupil_geometry(config)
             self._pupil_stack, self._valid_index = cache.pupil_stack(
                 config, own
             )
             self._conj_pairs = cache.conj_pairs(config, own)
         else:
-            from .pupil import aberrated_pupil_stack, conj_pair_indices
+            from .pupil import conj_pair_indices, crop_geometry, pupil_crops
 
             self.source_grid = source_grid
-            stack, valid_index = aberrated_pupil_stack(
-                config, self.source_grid, own
+            self._geometry = crop_geometry(config, source_grid)
+            crops, valid_index = pupil_crops(
+                config, source_grid, own, self._geometry
             )
-            self._pupil_stack = ad.Tensor(stack)
+            self._pupil_stack = ad.Tensor(crops)
             self._valid_index = valid_index
             self._conj_pairs = conj_pair_indices(
-                stack, valid_index, self.source_grid
+                crops, self._geometry[1], valid_index, source_grid
             )
+        #: ``(S, 2)`` integer (row, col) centre bin of every pupil crop
+        #: (all zero when the crop is the whole grid).
+        self.pupil_centres = self._geometry[1]
         self.num_source_points = self._pupil_stack.shape[0]
         #: Per-condition (stack, conj_pairs) memo for custom-grid engines
         #: (cache-backed engines resolve through repro.optics.cache).
@@ -119,16 +129,17 @@ class AbbeImaging(ImagingEngine):
 
     # ------------------------------------------------------------------
     def condition_stacks(self, conditions):
-        """Per-condition ``(pupil_stack_tensor, conj_pairs)`` pairs.
+        """Per-condition ``(pupil_crops_tensor, conj_pairs)`` pairs.
 
         The condition axis of a process window: one entry per distinct
         pupil aberration, shared through :mod:`repro.optics.cache` (or a
         per-engine memo when a custom source grid is in play).  Entries
         of ``conditions`` are anything
         :meth:`repro.optics.zernike.PupilAberration.coerce` accepts —
-        plain defocus floats keep working.  The null condition keeps its
-        real stack and verified ``+/-sigma`` pairing; aberrated stacks
-        are complex and opt out of pairing.
+        plain defocus floats keep working.  Every condition shares the
+        engine's crop geometry (:attr:`pupil_centres`).  The null
+        condition keeps its real crops and verified ``+/-sigma``
+        pairing; aberrated crops are complex and opt out of pairing.
         """
         from .zernike import PupilAberration
 
@@ -148,17 +159,20 @@ class AbbeImaging(ImagingEngine):
                     entry = self._condition_memo.get(key)
                 if entry is None:
                     from .engine import CONDITION_MEMO_MAX
-                    from .pupil import aberrated_pupil_stack, conj_pair_indices
+                    from .pupil import conj_pair_indices, pupil_crops
 
                     # Build outside the lock (stacks are heavy); insert
                     # under it, first build wins (values are
                     # deterministic, so concurrent builders agree).
-                    stack, valid_index = aberrated_pupil_stack(
-                        self.config, self.source_grid, ab
+                    crops, valid_index = pupil_crops(
+                        self.config, self.source_grid, ab, self._geometry
                     )
                     built = (
-                        ad.Tensor(stack),
-                        conj_pair_indices(stack, valid_index, self.source_grid),
+                        ad.Tensor(crops),
+                        conj_pair_indices(
+                            crops, self.pupil_centres, valid_index,
+                            self.source_grid,
+                        ),
                     )
                     with self._memo_lock:
                         entry = self._condition_memo.get(key)
@@ -219,69 +233,37 @@ class AbbeImaging(ImagingEngine):
             [stack for stack, _ in stacks_pairs],
             self.normalized_weights(source),
             conj_pairs=[pairs for _, pairs in stacks_pairs],
+            centres=self.pupil_centres,
         )
 
     def source_intensity_basis(
-        self, masks: np.ndarray, pupil_stack: Optional[np.ndarray] = None
+        self,
+        masks: np.ndarray,
+        pupil_stack: Optional[np.ndarray] = None,
+        conj_pairs: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Per-source-point intensity basis ``X[b, s] = |IFFT(H_s FFT(M_b))|^2``.
+        """Per-source-point intensity basis ``X[b, r]``: ``(B, R, K, K)``.
 
         Abbe's aerial image is *linear* in the normalized source weights:
         ``A[b] = sum_s (j_s / sum j) X[b, s]`` with ``X`` independent of
         the source.  At a fixed mask the basis is therefore a constant,
         and any source-only quantity (SO losses, inner-Hessian products
-        in bilevel SMO) can be rebuilt from it without touching an FFT.
-        Returns a ``(B, S, N, N)`` numpy array.  The decomposition is
-        mathematically exact; numerically it matches the fused
-        :meth:`aerial` to floating-point rounding (~1e-16 relative — the
-        fused forward accumulates in conjugate-paired chunks, so the
-        summation order differs).
-
-        ``pupil_stack`` substitutes a different kernel stack (e.g. one
-        focus condition's defocused pupils from
-        :meth:`condition_stacks`) for the engine's own — the
-        process-window objective builds one basis per focus value this
-        way.
+        in bilevel SMO) can be rebuilt from it without re-imaging: rows
+        are each point's ``|field|^2`` on the crop grid, over the pair
+        representatives when ``conj_pairs`` applies, and
+        :func:`repro.autodiff.functional.basis_combine` with the same
+        pairing and ``size=N`` is the aerial image (see
+        :func:`repro.autodiff.functional.incoherent_basis`).
+        ``pupil_stack``/``conj_pairs`` substitute one condition's crops
+        and pairing (from :meth:`condition_stacks`) for the engine's own
+        — the process-window objective builds one basis per condition.
         """
-        from . import backend as abk
-
-        bk = abk.active_backend()
         tiles, _ = as_tile_batch(masks, self.config.mask_size)
-        kernels = self._pupil_stack.data if pupil_stack is None else pupil_stack
-        shape = (tiles.shape[0],) + kernels.shape
-        require_memory(
-            8 * int(np.prod(shape)), f"{shape} float64 intensity basis"
+        if pupil_stack is None:
+            pupil_stack, conj_pairs = self._pupil_stack.data, self._conj_pairs
+        return F.incoherent_basis(
+            tiles, pupil_stack, self.pupil_centres, conj_pairs
         )
-        fm = bk.fft2(bk.from_host(tiles))  # (B, N, N)
-        kern = bk.from_host(kernels)
-        out = abk.HOST.empty(shape, np.float64)
-        # Tile-at-a-time keeps the working set cache-sized; per-tile
-        # results are bitwise identical to the full-stack transform.
-        for b in range(tiles.shape[0]):
-            fields = bk.ifft2(kern * fm[b], overwrite_x=True)
-            out[b] = bk.to_host(bk.abs2(fields))
-        return out  # (B, S, N, N)
-
-    def aerial_loop(self, mask: ad.Tensor, source: ad.Tensor) -> ad.Tensor:
-        """Reference per-source-point loop (slow path).
-
-        Mathematically identical to :meth:`aerial`; exists to demonstrate
-        the batching speed-up measured by ``benchmarks/bench_abbe_accel``.
-        """
-        j = self.source_weights(source)
-        fm = F.fft2(mask)
-        total: Optional[ad.Tensor] = None
-        for s in range(self.num_source_points):
-            h_s = F.getitem(self._pupil_stack, s)
-            field = F.ifft2(F.mul(h_s, fm))
-            contrib = F.mul(F.getitem(j, s), F.abs2(field))
-            total = contrib if total is None else F.add(total, contrib)
-        if total is None:
-            raise RuntimeError(
-                "aerial_loop accumulated no source points; "
-                "num_source_points must be >= 1"
-            )
-        return F.div(total, F.add(F.sum(j), _EPS))
 
     # ------------------------------------------------------------------
     def clear_field_intensity(self, source: np.ndarray) -> float:

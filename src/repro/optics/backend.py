@@ -17,6 +17,10 @@ Backends
 ``numpy`` (default)
     Delegates every transform to :mod:`repro.optics.fftlib`, so the
     scipy/numpy FFT choice and worker counts keep applying unchanged.
+    :meth:`NumpyBackend.fft2`/:meth:`NumpyBackend.ifft2` are the one
+    place a transform is counted: with metrics on they add the 2-D
+    transforms and points of every call to the ``fft.transforms`` and
+    ``fft.points`` counters of :mod:`repro.obs`.
     ``from_host``/``to_host`` are identity views: routing the numpy
     path through the seam executes the exact same numpy calls in the
     same order as before the seam existed (bitwise-identical results).
@@ -56,6 +60,8 @@ from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
+from ..obs import counter as obs_counter
+from ..obs import metrics_enabled as obs_metrics_enabled
 from . import fftlib
 
 __all__ = [
@@ -201,6 +207,16 @@ class ArrayBackend:
 # ----------------------------------------------------------------------
 # numpy (default) — delegates transforms to fftlib, transfer is identity
 # ----------------------------------------------------------------------
+def _count_transforms(x: Any) -> None:
+    """Add one call's 2-D transforms and points to the obs counters
+    (a single branch while metrics are off)."""
+    if obs_metrics_enabled():
+        points = int(np.size(x))
+        plane = int(x.shape[-1]) * int(x.shape[-2])
+        obs_counter("fft.transforms").inc(points // plane if plane else 0)
+        obs_counter("fft.points").inc(points)
+
+
 class NumpyBackend(ArrayBackend):
     """Default host backend; the pre-seam numpy semantics, verbatim."""
 
@@ -255,9 +271,11 @@ class NumpyBackend(ArrayBackend):
         return np.einsum(spec, *operands)
 
     def fft2(self, x: Any, overwrite_x: bool = False) -> np.ndarray:
+        _count_transforms(x)
         return fftlib.fft2(x, overwrite_x=overwrite_x)
 
     def ifft2(self, x: Any, overwrite_x: bool = False) -> np.ndarray:
+        _count_transforms(x)
         return fftlib.ifft2(x, overwrite_x=overwrite_x)
 
     def fftfreq(self, n: int, d: float = 1.0) -> np.ndarray:
@@ -496,17 +514,13 @@ class StrictBackend(NumpyBackend):
         self._require_tagged(x, "fft2")
         self.counters["fft2_calls"] += 1
         self.counters["fft2_transforms"] += self._transforms(x)
-        return self._tag(
-            fftlib.fft2(np.asarray(x), overwrite_x=overwrite_x)
-        )
+        return self._tag(super().fft2(np.asarray(x), overwrite_x=overwrite_x))
 
     def ifft2(self, x: Any, overwrite_x: bool = False) -> np.ndarray:
         self._require_tagged(x, "ifft2")
         self.counters["ifft2_calls"] += 1
         self.counters["ifft2_transforms"] += self._transforms(x)
-        return self._tag(
-            fftlib.ifft2(np.asarray(x), overwrite_x=overwrite_x)
-        )
+        return self._tag(super().ifft2(np.asarray(x), overwrite_x=overwrite_x))
 
     def describe(self) -> Dict[str, Any]:
         info = super().describe()

@@ -35,6 +35,7 @@ __all__ = [
     "freq_grid",
     "source_grid",
     "zernike_map",
+    "pupil_geometry",
     "pupil_stack",
     "conj_pairs",
     "socs",
@@ -205,22 +206,36 @@ def zernike_map(config: OpticalConfig, term: str) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# pupil stacks (Abbe) and SOCS decompositions (Hopkins)
+# pupil crops (Abbe) and SOCS decompositions (Hopkins)
 # ----------------------------------------------------------------------
-def pupil_stack(config: OpticalConfig, aberration=0.0):
-    """Memoized (aberrated) shifted pupil stack as an autodiff leaf tensor.
+def pupil_geometry(config: OpticalConfig):
+    """Memoized crop geometry ``(K, centres)`` of the default source grid
+    (see :func:`repro.optics.pupil.crop_geometry`); every aberration
+    condition of a configuration shares it."""
+    from .pupil import crop_geometry
 
-    Returns ``(stack_tensor, valid_index)`` exactly as
-    :func:`repro.optics.pupil.aberrated_pupil_stack` does, but the
-    tensor object itself is shared: every :class:`AbbeImaging` built for
-    an equivalent config holds the *same* ``(S, N, N)`` stack.
+    def build():
+        k, centres = crop_geometry(config, source_grid(config))
+        return k, _freeze(centres)
+
+    return _lookup("pupil_geometry", _pupil_key(config), build)
+
+
+def pupil_stack(config: OpticalConfig, aberration=0.0):
+    """Memoized (aberrated) pupil crop stack as an autodiff leaf tensor.
+
+    Returns ``(crops_tensor, valid_index)`` exactly as
+    :func:`repro.optics.pupil.pupil_crops` does, on the shared
+    :func:`pupil_geometry`, but the tensor object itself is shared:
+    every :class:`AbbeImaging` built for an equivalent config holds the
+    *same* ``(S, K, K)`` crops.
 
     ``aberration`` is anything
     :meth:`repro.optics.zernike.PupilAberration.coerce` accepts; a plain
     float keeps the legacy ``defocus_nm`` meaning.  Keys are the spec's
     canonical identity, so ``ProcessCorner(defocus_nm=f)`` and
     ``ProcessCorner(aberrations={"Z4": f})`` resolve to one cache entry
-    — the same array object, hence bitwise-identical stacks.
+    — the same array object, hence bitwise-identical crops.
     """
     from .. import autodiff as ad
     from .zernike import PupilAberration
@@ -228,18 +243,20 @@ def pupil_stack(config: OpticalConfig, aberration=0.0):
     ab = PupilAberration.coerce(aberration)
 
     def build():
-        from .pupil import aberrated_pupil_stack
+        from .pupil import pupil_crops
 
         grid = source_grid(config)
-        stack, valid_index = aberrated_pupil_stack(config, grid, ab)
-        _freeze(stack)
-        return ad.Tensor(stack), tuple(_freeze(ix) for ix in valid_index)
+        crops, valid_index = pupil_crops(
+            config, grid, ab, pupil_geometry(config)
+        )
+        _freeze(crops)
+        return ad.Tensor(crops), tuple(_freeze(ix) for ix in valid_index)
 
     return _lookup("pupil_stack", _pupil_key(config) + (ab.cache_key,), build)
 
 
 def conj_pairs(config: OpticalConfig, aberration=0.0):
-    """Memoized ``+/-sigma`` conjugate pairing of a cached pupil stack.
+    """Memoized ``+/-sigma`` conjugate pairing of a cached crop stack.
 
     Returns the verified involution array (see
     :func:`repro.optics.pupil.conj_pair_indices`) or ``None`` — complex
@@ -256,7 +273,10 @@ def conj_pairs(config: OpticalConfig, aberration=0.0):
 
     def build():
         stack_t, valid_index = pupil_stack(config, ab)
-        pairs = conj_pair_indices(stack_t.data, valid_index, source_grid(config))
+        pairs = conj_pair_indices(
+            stack_t.data, pupil_geometry(config)[1], valid_index,
+            source_grid(config),
+        )
         if pairs is not None:
             _freeze(pairs)
         return pairs
@@ -359,6 +379,7 @@ def warmup(
         freq_axes(config)
         freq_grid(config)
         source_grid(config)
+        pupil_geometry(config)
         pupil_stack(config, defocus_nm)
         conj_pairs(config, defocus_nm)
         abbe_engine(config, defocus_nm)

@@ -239,7 +239,9 @@ class HopkinsImaging(ImagingEngine):
         defocus floats or any :meth:`PupilAberration.coerce` argument.
         Single ``(N, N)`` masks return ``(F, N, N)``.  ``source`` must
         be None (baked into the TCC); SOCS kernels carry no
-        ``+/-sigma`` pairing, so no ``conj_pairs`` are passed.
+        ``+/-sigma`` pairing, so no ``conj_pairs`` are passed, and they
+        are whole-grid kernels (the primitive's K == N case, no
+        centres).
         """
         if source is not None:
             raise ValueError(

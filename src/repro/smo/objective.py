@@ -463,8 +463,11 @@ class SourceBasisLoss:
       chained through ``mask_from_theta``'s VJP.
 
     ``stacks``/``conj_pairs`` are the per-condition kernel stacks the
-    engine images with, ``masks`` the mask tensor whose graph reaches
-    the leaf ``theta_m``.
+    engine images with (crops around the engine's ``pupil_centres``),
+    ``masks`` the mask tensor whose graph reaches the leaf ``theta_m``.
+    Each basis is ``(B, R, K, K)`` over the condition's pair
+    representatives (5.5 MiB at ``default`` with 4 tiles, against 56.5
+    MiB for a whole-grid ``(B, S, N, N)`` one).
     """
 
     def __init__(
@@ -484,9 +487,12 @@ class SourceBasisLoss:
         pairs = engine.condition_stacks(conditions)
         self.stacks = [stack for stack, _ in pairs]
         self.conj_pairs = [cp for _, cp in pairs]
+        self.centres = engine.pupil_centres
         self.bases = [
-            ad.Tensor(engine.source_intensity_basis(self.masks.data, st.data))
-            for st in self.stacks
+            ad.Tensor(
+                engine.source_intensity_basis(self.masks.data, st.data, cp)
+            )
+            for st, cp in pairs
         ]
 
     @classmethod
@@ -504,6 +510,7 @@ class SourceBasisLoss:
             "source_intensity_basis",
             "condition_stacks",
             "normalized_weights",
+            "pupil_centres",
         )
         if not all(hasattr(engine, name) for name in needed):
             return None
@@ -517,7 +524,11 @@ class SourceBasisLoss:
     def aerials(self, c: ad.Tensor) -> List[ad.Tensor]:
         """``A_f(M, c)`` for every condition, shaped like the masks."""
         shape = self.masks.shape
-        out = [F.basis_combine(x, c) for x in self.bases]
+        n = self.config.mask_size
+        out = [
+            F.basis_combine(x, c, cp, n)
+            for x, cp in zip(self.bases, self.conj_pairs)
+        ]
         return [a if a.shape == shape else F.reshape(a, shape) for a in out]
 
     def __call__(self, theta_j: ad.Tensor) -> ad.Tensor:
@@ -533,6 +544,7 @@ class SourceBasisLoss:
             self.stacks,
             [(c, np.stack(g)) for c, g in terms],
             conj_pairs=self.conj_pairs,
+            centres=self.centres,
         )
         (g,) = ad.grad(self.masks, [self.theta_m], grad_output=ad.Tensor(gm))
         return g.data
@@ -655,29 +667,6 @@ class ProcessWindowSMOObjective:
         )
         self._stash(matrix)
         return total
-
-    def loss_reference(self, theta_j: ad.Tensor, theta_m: ad.Tensor) -> ad.Tensor:
-        """Per-condition reference loop: one independent imaging pass per
-        distinct pupil condition (no shared mask spectrum, no fused
-        stack).
-
-        The parity/benchmark oracle for :meth:`loss` — mathematically
-        identical, structurally the pre-condition-axis consumer pattern.
-        It evaluates *this objective's engine* (its pupil stacks and
-        source grid), so parity holds for custom engines too.
-        """
-        _check_theta_m(theta_m, self.target)
-        source = source_from_theta(theta_j, self.config)
-        mask = mask_from_theta(theta_m, self.config)
-        jn = self.engine.normalized_weights(source)
-        return self._tail(
-            [
-                F.incoherent_image(mask, stack, jn, conj_pairs=pairs)
-                for stack, pairs in self.engine.condition_stacks(
-                    self.window.conditions()
-                )
-            ]
-        )
 
     # ------------------------------------------------------------------
     def corner_loss_matrix(

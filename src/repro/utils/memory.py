@@ -1,10 +1,11 @@
 """Sized refusal before allocations that cannot fit in memory.
 
-Large preset-scale arrays (a ``(S, N, N)`` pupil stack, a ``(B, S, N,
-N)`` intensity basis) are checked against the memory the kernel reports
-as available *before* they are allocated, so a configuration that cannot
-run fails at once with both sizes in the message instead of swapping or
-being killed mid-build.  The streamed FFT passes never call this: there
+Large preset-scale arrays (the ``(S, N, N)`` pupils the composed
+fallback expands crops to, a ``(B, R, K, K)`` intensity basis) are
+checked against the memory the kernel reports as available *before*
+they are allocated, so a configuration that cannot run fails at once
+with both sizes in the message instead of swapping or being killed
+mid-build.  The streamed FFT passes never call this: there
 a ``MemoryError`` means "halve the chunk and retry"
 (:func:`repro.optics.fftlib.run_with_chunk_fallback`).
 """

@@ -15,7 +15,7 @@ __all__ = ["work"]
 
 def work():
     with obs_span("solver.iter", idx=0):
-        obs.counter("imaging.chunks").inc()
+        obs.counter("fft.transforms").inc()
         obs.gauge("solver.loss").set(0.5)
         rel_histogram("solver.iter_seconds").observe(0.01)
     with obs.span("imaging.forward"):

@@ -14,7 +14,10 @@ the hot path:
   transforms, with the conjugate-pair reduction and the forward's
   zero-weight pruning included — so a pairing regression
   (re-transforming mirrored kernels) fails an exact-count assertion
-  here rather than only showing up in a bench.
+  here rather than only showing up in a bench.  On cropped pupils the
+  prediction is one mask FFT, B transforms per field at K, and one
+  resample pair of B transforms per stack (forward) or per stack and
+  term (the VJP's low-pass), plus the VJP's one final IFFT.
 """
 
 from __future__ import annotations
@@ -78,6 +81,15 @@ def _expected_transforms(batch: int, s: int, cp) -> tuple:
     """
     reps = s if cp is None else int(np.count_nonzero(cp >= np.arange(s)))
     return batch + batch * reps, 2 * batch * reps + batch
+
+
+def _expected_crop_transforms(batch: int, reps: int) -> tuple:
+    """(fft2, ifft2) transform counts for one fused forward + one-term VJP
+    of a single cropped stack: the whole-grid counts plus one resample
+    pair per direction (upsample FFT_K + IFFT_N, low-pass FFT_N +
+    IFFT_K)."""
+    n_fft2, n_ifft2 = _expected_transforms(batch, reps, None)
+    return n_fft2 + 2 * batch, n_ifft2 + 2 * batch
 
 
 def _fused_pass(kernels, weights, cp):
@@ -166,12 +178,45 @@ class TestExactTransformCounts:
         n_src = engine._pupil_stack.data.shape[0]
         n_reps = int(np.count_nonzero(cp >= np.arange(n_src)))
         chunk = fftlib.get_stream_chunk()
-        assert counts["fft2_calls"] == 1
-        assert counts["fft2_transforms"] == n_batch
+        # tiny crops to K = 14 of N = 32: each stack's K-grid image is
+        # resampled with one FFT_K + IFFT_N pair of B transforms.
+        assert engine._pupil_stack.shape[-1] < cfg.mask_size
+        assert counts["fft2_calls"] == 1 + len(conditions)
+        assert counts["fft2_transforms"] == n_batch * (1 + len(conditions))
         assert counts["ifft2_calls"] == (
-            math.ceil(n_reps / chunk) + math.ceil(n_src / chunk)
+            math.ceil(n_reps / chunk) + math.ceil(n_src / chunk) + len(conditions)
         )
-        assert counts["ifft2_transforms"] == n_batch * (n_reps + n_src)
+        assert counts["ifft2_transforms"] == n_batch * (
+            n_reps + n_src + len(conditions)
+        )
+
+    @pytest.mark.parametrize("use_pairs", [False, True], ids=["unpaired", "paired"])
+    def test_cropped_forward_backward(self, smo_setup, use_pairs):
+        """Forward + VJP through the engine's cropped pupils: every field
+        is one K-point transform per tile, plus one resample pair per
+        direction."""
+        cfg, source, targets, _, _, objective = smo_setup
+        engine = objective.engine
+        (stack, cp), = engine.condition_stacks((0.0,))
+        cp = cp if use_pairs else None
+        w = engine.normalized_weights(ad.Tensor(source)).data
+        s = stack.shape[0]
+        reps = s if cp is None else int(np.count_nonzero(cp >= np.arange(s)))
+        with backend.use_backend("strict") as bk:
+            bk.reset()
+            mt = ad.Tensor(targets, requires_grad=True)
+            out = F.incoherent_image(
+                mt, stack, w, chunk=s, conj_pairs=cp, centres=engine.pupil_centres
+            )
+            ad.grad(F.sum(F.power(out, 2.0)), [mt])
+            counts = dict(bk.counters)
+        n_fft2, n_ifft2 = _expected_crop_transforms(targets.shape[0], reps)
+        assert counts["fft2_transforms"] == n_fft2
+        assert counts["ifft2_transforms"] == n_ifft2
+        # mask FFT, upsample FFT_K, low-pass FFT_N, field FFTs
+        assert counts["fft2_calls"] == 4
+        # fields, upsample IFFT_N, low-pass IFFT_K, recompute, final
+        assert counts["ifft2_calls"] == 5
 
     @pytest.mark.parametrize("use_pairs", [False, True], ids=["unpaired", "paired"])
     def test_zero_weights_skip_forward_transforms(self, paired, use_pairs):

@@ -16,10 +16,11 @@ from repro.optics import (
     build_tcc,
     coherent_point,
     pupil,
+    pupil_crops,
     resist_image,
-    shifted_pupil_stack,
     socs_kernels,
 )
+from tests.oracles import FullGridAbbeImaging
 
 
 @pytest.fixture(scope="module")
@@ -59,17 +60,20 @@ class TestPupil:
         assert pupil(cfg)[0, 0] == 1.0
 
     def test_stack_shape(self, cfg, grid):
-        stack, idx = shifted_pupil_stack(cfg, grid)
-        assert stack.shape == (grid.num_valid, cfg.mask_size, cfg.mask_size)
+        """At ``tiny`` every shifted pupil crops to 14 x 14 of 32 x 32."""
+        stack, idx = pupil_crops(cfg, grid)
+        assert stack.shape == (grid.num_valid, 14, 14)
         assert len(idx[0]) == grid.num_valid
 
-    def test_centre_point_stack_matches_unshifted(self, cfg, grid):
-        stack, idx = shifted_pupil_stack(cfg, grid)
+    def test_centre_point_stack_matches_unshifted(self, cfg, grid, abbe):
+        stack, idx = pupil_crops(cfg, grid)
         rows, cols = idx
         centre = np.argmin(
             np.hypot(grid.sigma_x[rows, cols], grid.sigma_y[rows, cols])
         )
-        np.testing.assert_array_equal(stack[centre], pupil(cfg))
+        np.testing.assert_array_equal(abbe.pupil_centres[centre], [0, 0])
+        full = F.expand_kernels(stack, abbe.pupil_centres, cfg.mask_size)
+        np.testing.assert_array_equal(full[centre], pupil(cfg))
 
 
 class TestAbbePhysics:
@@ -96,7 +100,9 @@ class TestAbbePhysics:
     def test_batched_equals_loop(self, abbe, mask, src):
         with ad.no_grad():
             fast = abbe.aerial(ad.Tensor(mask), ad.Tensor(src)).data
-            slow = abbe.aerial_loop(ad.Tensor(mask), ad.Tensor(src)).data
+            slow = FullGridAbbeImaging(abbe.config).aerial_loop(
+                ad.Tensor(mask), ad.Tensor(src)
+            ).data
         np.testing.assert_allclose(fast, slow, atol=1e-12)
 
     def test_coherent_limit_single_kernel(self, cfg, grid, abbe, mask):

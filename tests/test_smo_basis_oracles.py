@@ -26,7 +26,7 @@ from repro.optics import (
     annular,
     cache,
 )
-from repro.optics.pupil import shifted_pupil_stack
+from repro.optics.pupil import pupil_crops
 from repro.smo import (
     AbbeMO,
     BiSMO,
@@ -218,9 +218,12 @@ class TestMaskAdjoint:
             (rng.random(s), rng.standard_normal((2,) + shape)),
             (rng.standard_normal(s), rng.standard_normal((2,) + shape)),
         ]
-        both = F.incoherent_mask_adjoint(mask, stacks, terms, conj_pairs=conj)
+        c = engine.pupil_centres
+        both = F.incoherent_mask_adjoint(
+            mask, stacks, terms, conj_pairs=conj, centres=c
+        )
         parts = [
-            F.incoherent_mask_adjoint(mask, stacks, [t], conj_pairs=conj)
+            F.incoherent_mask_adjoint(mask, stacks, [t], conj_pairs=conj, centres=c)
             for t in terms
         ]
         np.testing.assert_allclose(
@@ -228,7 +231,7 @@ class TestMaskAdjoint:
         )
         m = ad.Tensor(mask, requires_grad=True)
         w, g = terms[0]
-        out = F.incoherent_image_stack(m, stacks, w, conj_pairs=conj)
+        out = F.incoherent_image_stack(m, stacks, w, conj_pairs=conj, centres=c)
         (gm,) = ad.grad(out, [m], grad_output=ad.Tensor(g))
         np.testing.assert_allclose(parts[0], gm.data, rtol=1e-11, atol=1e-12)
 
@@ -392,17 +395,26 @@ class TestSizedRefusal:
         grid = SourceGrid.from_config(tiny_config)
         monkeypatch.setattr(memory, "available_bytes", lambda: 1024)
         with pytest.raises(MemoryError, match=r"needs .* but only .*1024 b"):
-            shifted_pupil_stack(tiny_config, grid)
+            pupil_crops(tiny_config, grid)
         masks = np.ones((2, tiny_config.mask_size, tiny_config.mask_size))
         with pytest.raises(MemoryError, match="intensity basis"):
             engine.source_intensity_basis(masks)
 
     def test_paper_preset_refuses_before_allocating(self, monkeypatch):
+        """``paper`` images on 56-point crops, but the composed
+        ``create_graph`` fallback needs them whole: it refuses, sized,
+        before expanding them."""
         cfg = OpticalConfig.preset("paper")
+        engine = AbbeImaging(cfg)
+        n = cfg.mask_size
+        mask = ad.Tensor(np.zeros((n, n)), requires_grad=True)
+        source = ad.Tensor(
+            annular(engine.source_grid, cfg.sigma_out, cfg.sigma_in)
+        )
         monkeypatch.setattr(memory, "available_bytes", lambda: 8 * 1024**3)
         sized = r"\(901, 2048, 2048\).*28\.2 GiB"
         with pytest.raises(MemoryError, match=sized):
-            shifted_pupil_stack(cfg, SourceGrid.from_config(cfg))
+            ad.grad(F.sum(engine.aerial(mask, source)), [mask], create_graph=True)
 
     def test_streamed_passes_never_check(self, tiny_config, monkeypatch):
         """Inside the streamed passes MemoryError means "halve the chunk";

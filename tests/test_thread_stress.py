@@ -137,7 +137,10 @@ class TestBitwiseParity:
         def evaluate():
             mask = ad.Tensor(mask_data.copy(), requires_grad=True)
             w = ad.Tensor(weights.copy(), requires_grad=True)
-            out = F.incoherent_image_stack(mask, stacks, w, conj_pairs=pairs)
+            out = F.incoherent_image_stack(
+                mask, stacks, w, conj_pairs=pairs,
+                centres=cache.pupil_geometry(cfg)[1],
+            )
             loss = F.sum(F.power(out, 2.0))
             gm, gw = ad.grad(loss, [mask, w])
             return out.data.copy(), gm.data.copy(), gw.data.copy()

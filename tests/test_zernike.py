@@ -41,6 +41,7 @@ from repro.smo import (
     init_theta_mask,
     init_theta_source,
 )
+from tests.oracles import per_condition_loss
 
 
 @pytest.fixture(autouse=True)
@@ -254,21 +255,26 @@ class TestPupilAberration:
 # ----------------------------------------------------------------------
 class TestAberrationConjPairs:
     def _stack(self, config, spec):
-        from repro.optics import SourceGrid, aberrated_pupil_stack
+        from repro.optics import SourceGrid, pupil_crops
 
         grid = SourceGrid.from_config(config)
-        return aberrated_pupil_stack(config, grid, spec), grid
+        return pupil_crops(config, grid, spec), grid
+
+    @staticmethod
+    def _pairs(config):
+        from repro.optics import SourceGrid, conj_pair_indices, crop_geometry
+        from repro.optics import pupil_crops
+
+        grid = SourceGrid.from_config(config)
+        _, centres = crop_geometry(config, grid)
+        base, idx = pupil_crops(config, grid)
+        return conj_pair_indices(base, centres, idx, grid)
 
     def test_even_terms_keep_structural_pairing(self, tiny_config):
         """Astigmatism/spherical phases are even in f, so the frequency-
         reversal identity K_pair(f) == K_s(-f) survives — exactly like
         defocus."""
-        from repro.optics import conj_pair_indices, shifted_pupil_stack
-        from repro.optics import SourceGrid
-
-        grid = SourceGrid.from_config(tiny_config)
-        base, idx = shifted_pupil_stack(tiny_config, grid)
-        pairs = conj_pair_indices(base, idx, grid)
+        pairs = self._pairs(tiny_config)
         for spec in ({"Z5": 25.0}, {"Z6": 25.0}, {"Z11": 15.0}, {"Z4": 40.0}):
             (stack, _), _ = self._stack(tiny_config, spec)
             np.testing.assert_allclose(
@@ -277,14 +283,8 @@ class TestAberrationConjPairs:
 
     def test_odd_terms_break_structural_pairing(self, tiny_config):
         """Coma/trefoil phases are odd: D(-f) = conj(D(f)) != D(f), so
-        even the structural reversal fails — the opt-out the issue
-        demands."""
-        from repro.optics import conj_pair_indices, shifted_pupil_stack
-        from repro.optics import SourceGrid
-
-        grid = SourceGrid.from_config(tiny_config)
-        base, idx = shifted_pupil_stack(tiny_config, grid)
-        pairs = conj_pair_indices(base, idx, grid)
+        even the structural reversal fails, so pairing must opt out."""
+        pairs = self._pairs(tiny_config)
         for spec in ({"Z7": 25.0}, {"Z9": 25.0}):
             (stack, _), _ = self._stack(tiny_config, spec)
             reversed_ = fftlib.freq_reverse(stack)
@@ -350,7 +350,9 @@ class TestAberratedImaging:
         w = rng.random(s) + 0.1
 
         def loss(mt, wt):
-            out = F.incoherent_image_stack(mt, stacks, wt, conj_pairs=pairs)
+            out = F.incoherent_image_stack(
+                mt, stacks, wt, conj_pairs=pairs, centres=engine.pupil_centres
+            )
             return F.sum(F.power(out, 2.0))
 
         gradcheck(
@@ -396,7 +398,7 @@ class TestAberratedImaging:
         theta_j = init_theta_source(tiny_source, cfg)
         theta_m = init_theta_mask(target, cfg)
         outs = []
-        for fn in (pwo.loss, pwo.loss_reference):
+        for fn in (pwo.loss, per_condition_loss(pwo)):
             tj = ad.Tensor(theta_j, requires_grad=True)
             tm = ad.Tensor(theta_m, requires_grad=True)
             loss = fn(tj, tm)
