@@ -3,7 +3,7 @@
 The perf-regression gate for PR 3's tentpole: evaluating the batched
 SMO loss + gradients at B = 8 through the fused
 :func:`repro.autodiff.functional.incoherent_image` node (streamed
-forward, hand-written recomputing VJP, fftlib dispatch) must be
+forward, hand-written recomputing VJP) must be
 
 * >= 1.5x faster wall-clock, and
 * >= 4x lower peak traced allocation,
@@ -20,14 +20,6 @@ Run as a script (CI parity mode skips the timing/memory gates)::
 
     PYTHONPATH=src python benchmarks/bench_fused_imaging.py          # full gate
     PYTHONPATH=src python benchmarks/bench_fused_imaging.py --check  # parity only
-    PYTHONPATH=src python benchmarks/bench_fused_imaging.py --backend torch
-
-``--backend`` selects the :mod:`repro.optics.backend` array backend the
-run executes under; each backend records its own entry (the backend
-fingerprint is part of the payload).  Non-numpy backends are
-correctness-parity runs — fused-vs-composed parity plus fused
-loss/grad agreement with the numpy backend to 1e-8 — and never gate on
-speed or memory (the perf gates encode numpy-path expectations).
 
 or through pytest like the other bench modules::
 
@@ -165,25 +157,6 @@ def run_perf(setup=None, rounds: int = 5) -> Dict[str, float]:
     }
 
 
-def run_host_parity(
-    scale: str, num_tiles: int, backend_name: str
-) -> Dict[str, float]:
-    """Fused loss/grads on ``backend_name`` vs the numpy backend (1e-8)."""
-    with backend.use_backend("numpy"):
-        _, _, _, theta_j, theta_m, fused, _ = _setup(scale, num_tiles)
-        l_ref, gj_ref, gm_ref = _loss_and_grads(fused, theta_j, theta_m)
-    with backend.use_backend(backend_name):
-        l_bk, gj_bk, gm_bk = _loss_and_grads(fused, theta_j, theta_m)
-    np.testing.assert_allclose(l_bk, l_ref, rtol=GRAD_RTOL)
-    np.testing.assert_allclose(gj_bk, gj_ref, rtol=GRAD_RTOL, atol=1e-8)
-    np.testing.assert_allclose(gm_bk, gm_ref, rtol=GRAD_RTOL, atol=1e-8)
-    return {
-        "loss_absdiff": float(abs(l_bk - l_ref)),
-        "grad_j_maxdiff": float(np.abs(gj_bk - gj_ref).max()),
-        "grad_m_maxdiff": float(np.abs(gm_bk - gm_ref).max()),
-    }
-
-
 def _record(payload: Dict) -> None:
     try:
         from bench_runner import record_bench
@@ -210,58 +183,29 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--tiles", type=int, default=NUM_TILES, help="batch size B"
     )
-    parser.add_argument(
-        "--backend",
-        default=backend.env_default_backend(),
-        choices=backend.registered_backends(),
-        help="array backend to run under (default: %(default)s); "
-        "non-numpy backends run correctness-parity only",
-    )
     args = parser.parse_args(argv)
-    if args.backend not in backend.available_backends():
-        parser.error(
-            f"backend '{args.backend}' is not available in this environment "
-            f"(available: {', '.join(backend.available_backends())})"
-        )
 
-    with backend.use_backend(args.backend):
-        setup = _setup(args.scale, args.tiles)
-        payload: Dict = {
-            "scale": args.scale,
-            "tiles": args.tiles,
-            "check_only": bool(args.check),
-            "backend": backend.describe(),
-            "fftlib": fftlib.describe(),
-        }
-        payload["parity"] = run_parity(setup)
-        print(
-            f"[{args.backend}] parity ok: grads match to {GRAD_RTOL:g}, "
-            f"BiSMO traces to {LOSS_RTOL:g}"
-        )
-        perf = run_perf(setup, rounds=args.rounds)
-        payload["perf"] = perf
-        print(
-            f"B={args.tiles} {args.scale}: fused {perf['fused_ms']:.1f} ms "
-            f"vs composed {perf['composed_ms']:.1f} ms "
-            f"({perf['speedup']:.2f}x), peak {perf['fused_peak_mb']:.1f} MB "
-            f"vs {perf['composed_peak_mb']:.1f} MB "
-            f"({perf['memory_ratio']:.1f}x lower)"
-        )
-    if args.backend != "numpy":
-        payload["host_parity"] = run_host_parity(
-            args.scale, args.tiles, args.backend
-        )
-        print(
-            f"[{args.backend}] fused loss/grads match the numpy backend "
-            f"to {GRAD_RTOL:g}"
-        )
+    setup = _setup(args.scale, args.tiles)
+    payload: Dict = {
+        "scale": args.scale,
+        "tiles": args.tiles,
+        "check_only": bool(args.check),
+        "backend": backend.describe(),
+        "fftlib": fftlib.describe(),
+    }
+    payload["parity"] = run_parity(setup)
+    print(f"parity ok: grads match to {GRAD_RTOL:g}, BiSMO traces to {LOSS_RTOL:g}")
+    perf = run_perf(setup, rounds=args.rounds)
+    payload["perf"] = perf
+    print(
+        f"B={args.tiles} {args.scale}: fused {perf['fused_ms']:.1f} ms "
+        f"vs composed {perf['composed_ms']:.1f} ms "
+        f"({perf['speedup']:.2f}x), peak {perf['fused_peak_mb']:.1f} MB "
+        f"vs {perf['composed_peak_mb']:.1f} MB "
+        f"({perf['memory_ratio']:.1f}x lower)"
+    )
     _record(payload)
-    if args.backend != "numpy":
-        print(
-            f"[{args.backend}] correctness-parity run: "
-            "timing/memory gates skipped (numpy-path expectations)"
-        )
-    elif not args.check:
+    if not args.check:
         assert perf["speedup"] >= SPEEDUP_GATE, (
             f"fused path only {perf['speedup']:.2f}x over composed "
             f"(gate: {SPEEDUP_GATE}x)"

@@ -1,7 +1,7 @@
 """reprolint — the project's own static-analysis pass.
 
 The reproduction rests on invariants that exist only by convention:
-every FFT dispatches through :mod:`repro.optics.fftlib`, engine/cache
+every FFT is issued by :mod:`repro.optics.backend`, engine/cache
 memo mutations hold their lock, fan-out reductions run in fixed
 caller-thread order, library invariants raise real exceptions.  Nothing
 in a generic linter knows any of that, so this package encodes the

@@ -388,7 +388,7 @@ def lint_source(
     """Lint a source string as if it were module *module_name*.
 
     The workhorse for fixture tests: rules that scope by module name
-    (library-only rules, the fftlib exemption) see exactly the declared
+    (library-only rules, the FFT-seam exemption) see exactly the declared
     name rather than the fixture's on-disk location.
     """
     rules = _select_rules(select)

@@ -3,8 +3,7 @@
 Every ``REPRO_*`` / ``BISMO_*`` environment variable the project reads
 must be declared here, and raw ``os.environ`` reads of those prefixes
 are only permitted in the designated reader modules listed in
-``RAW_READER_MODULES`` (:mod:`repro.optics.fftlib` and
-:mod:`repro.optics.backend` for the library,
+``RAW_READER_MODULES`` (:mod:`repro.optics.fftlib` for the library,
 ``benchmarks/bench_env.py`` for the benchmark suite,
 :mod:`repro.harness.resilience` for the harness resilience knobs,
 :mod:`repro.obs.state` for the observability switches, and
@@ -26,13 +25,10 @@ GOVERNED_PREFIXES: Tuple[str, ...] = ("REPRO_", "BISMO_")
 # by the R2 project-level cross-check).
 DECLARED_ENV_VARS: Dict[str, str] = {
     # -- library knobs (read by repro.optics.fftlib) -------------------
-    "REPRO_FFT_BACKEND": "FFT backend selection: auto|scipy|numpy",
     "REPRO_FFT_WORKERS": "scipy FFT worker threads per transform",
     "REPRO_FFT_CHUNK": "batch chunk size for stacked transforms",
     "REPRO_COND_WORKERS": "process-condition fan-out worker threads",
     "REPRO_WORKER_BUDGET": "global cap on cond workers x FFT workers",
-    # -- array backend (read by repro.optics.backend) ------------------
-    "REPRO_BACKEND": "array backend selection: numpy|torch|strict",
     # -- resilience knobs (read by repro.harness.resilience) -----------
     "REPRO_CELL_TIMEOUT": "harness per-cell wall-clock timeout in seconds (0 = off)",
     "REPRO_MAX_RETRIES": "harness per-cell retry budget for transient faults",
@@ -68,7 +64,6 @@ DECLARED_ENV_VARS: Dict[str, str] = {
 # Everything else must go through these.
 RAW_READER_MODULES: Tuple[str, ...] = (
     "repro.optics.fftlib",
-    "repro.optics.backend",
     "benchmarks.bench_env",
     "repro.harness.resilience",
     "repro.obs.state",

@@ -1,9 +1,9 @@
-"""The reprolint rules R1-R10, each encoding one project invariant.
+"""The reprolint rules, each encoding one project invariant.
 
 =====  ==================  ================================================
 rule   name                invariant it guards
 =====  ==================  ================================================
-R1     fft-seam            every FFT dispatches through repro.optics.fftlib
+R1     fft-seam            every FFT is issued by repro.optics.backend
 R2     env-registry        REPRO_*/BISMO_* env reads are declared + routed
 R3     lock-discipline     memo/cache mutations happen inside ``with lock``
 R4     graph-safety        autodiff primitives never mutate their arguments
@@ -11,7 +11,6 @@ R5     determinism         seeded RNGs, ordered reductions, no wall clock
 R6     pool-hygiene        fftlib/harness are the only parallelism owners
 R7     no-assert           library invariants raise real exceptions
 R8     public-api          every repro.* module declares a truthful __all__
-R9     backend-seam        hot paths allocate/transform via optics.backend
 R10    metrics-registry    obs span/metric names are declared in the registry
 =====  ==================  ================================================
 
@@ -179,12 +178,12 @@ class FftSeamRule(Rule):
     rule_id = "R1"
     name = "fft-seam"
     description = (
-        "numpy.fft/scipy.fft may only be touched inside repro.optics.fftlib; "
-        "everything else dispatches through the fftlib seam"
+        "numpy.fft/scipy.fft may only be touched inside repro.optics.backend; "
+        "everything else transforms through its HOST.fft2/ifft2 seam"
     )
 
     _FORBIDDEN = ("numpy.fft", "scipy.fft", "scipy.fftpack")
-    _EXEMPT_MODULES = ("repro.optics.fftlib",)
+    _EXEMPT_MODULES = ("repro.optics.backend",)
 
     def _is_forbidden(self, resolved: str) -> bool:
         return any(
@@ -203,7 +202,7 @@ class FftSeamRule(Rule):
                             self.rule_id,
                             module,
                             node,
-                            f"direct import of '{alias.name}'; use repro.optics.fftlib",
+                            f"direct import of '{alias.name}'; use repro.optics.backend",
                         )
             elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
                 if self._is_forbidden(node.module):
@@ -211,7 +210,7 @@ class FftSeamRule(Rule):
                         self.rule_id,
                         module,
                         node,
-                        f"direct import from '{node.module}'; use repro.optics.fftlib",
+                        f"direct import from '{node.module}'; use repro.optics.backend",
                     )
                 else:
                     for alias in node.names:
@@ -221,7 +220,7 @@ class FftSeamRule(Rule):
                                 self.rule_id,
                                 module,
                                 node,
-                                f"direct import of '{full}'; use repro.optics.fftlib",
+                                f"direct import of '{full}'; use repro.optics.backend",
                             )
             elif isinstance(node, ast.Attribute):
                 resolved = _resolve(node, aliases)
@@ -230,7 +229,7 @@ class FftSeamRule(Rule):
                         self.rule_id,
                         module,
                         node,
-                        f"direct use of '{resolved}'; route through repro.optics.fftlib",
+                        f"direct use of '{resolved}'; route through repro.optics.backend",
                     )
 
 
@@ -862,70 +861,6 @@ class PublicApiRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# R9: backend-seam
-# ---------------------------------------------------------------------------
-
-
-class BackendSeamRule(Rule):
-    rule_id = "R9"
-    name = "backend-seam"
-    description = (
-        "hot-path modules (repro.autodiff.*, the imaging engines) allocate "
-        "and transform only through the repro.optics.backend seam"
-    )
-
-    # modules the seam governs: the autodiff package plus the imaging
-    # engines that stream FFT work (the backend seam's hot path)
-    _SCOPED_PREFIXES = ("repro.autodiff",)
-    _SCOPED_MODULES = (
-        "repro.optics.abbe",
-        "repro.optics.hopkins",
-        "repro.optics.engine",
-    )
-    # allocations that must come from backend.zeros/empty (the *_like
-    # variants are host-side graph plumbing and stay allowed), and the
-    # fftlib transforms the backend absorbs (fftlib policy helpers like
-    # map_conditions/get_stream_chunk remain direct)
-    _FORBIDDEN_EXACT = ("numpy.zeros", "numpy.empty")
-    _FFT_HEADS = ("repro.optics.fftlib", "fftlib")
-    _FFT_OPS = ("fft2", "ifft2", "freq_reverse")
-
-    def _in_scope(self, module: Module) -> bool:
-        name = module.module or ""
-        if name in self._SCOPED_MODULES:
-            return True
-        return any(
-            name == pref or name.startswith(pref + ".")
-            for pref in self._SCOPED_PREFIXES
-        )
-
-    def _is_forbidden(self, resolved: str) -> bool:
-        if resolved in self._FORBIDDEN_EXACT:
-            return True
-        if resolved.startswith("numpy.fft."):
-            return True
-        head, _, op = resolved.rpartition(".")
-        return head in self._FFT_HEADS and op in self._FFT_OPS
-
-    def check(self, module: Module) -> Iterable[Finding]:
-        if not self._in_scope(module):
-            return
-        aliases = _import_aliases(module.tree)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            resolved = _resolve(node.func, aliases)
-            if resolved and self._is_forbidden(resolved):
-                yield _finding(
-                    self.rule_id,
-                    module,
-                    node,
-                    f"hot-path call to '{resolved}'; allocate/transform "
-                    "through repro.optics.backend (active_backend()/HOST)",
-                )
-
-
-# ---------------------------------------------------------------------------
 # R10: metrics-registry
 # ---------------------------------------------------------------------------
 
@@ -1023,7 +958,6 @@ ALL_RULES: Tuple[Type[Rule], ...] = (
     PoolHygieneRule,
     NoAssertRule,
     PublicApiRule,
-    BackendSeamRule,
     MetricsRegistryRule,
 )
 

@@ -24,6 +24,13 @@ from scipy.special import expit
 from ..obs import span as _obs_span
 from .tensor import Tensor, as_tensor, is_grad_enabled
 
+# repro.optics imports this module back (its engines run on it).  The
+# package is always entered through repro/__init__, which imports
+# autodiff first, so repro.optics finishes loading here, before anything
+# in it calls into this (then still partial) module.
+from ..optics import fftlib
+from ..optics.backend import HOST
+
 __all__ = [
     "tensor",
     "zeros",
@@ -85,7 +92,7 @@ def tensor(data: Any, requires_grad: bool = False) -> Tensor:
 
 
 def zeros(shape: Union[int, Tuple[int, ...]], dtype: Any = np.float64) -> Tensor:
-    return Tensor(_get_backend().HOST.zeros(shape, dtype=dtype))
+    return Tensor(np.zeros(shape, dtype=dtype))
 
 
 def ones(shape: Union[int, Tuple[int, ...]], dtype: Any = np.float64) -> Tensor:
@@ -452,60 +459,24 @@ def make_complex(re: ArrayLike, im: ArrayLike) -> Tensor:
 # ----------------------------------------------------------------------
 # FFTs (always over the last two axes, numpy "backward" normalization)
 # ----------------------------------------------------------------------
-_fftlib: Any = None
-_backend_mod: Any = None
-
-
-def _get_fftlib() -> Any:
-    """Resolve :mod:`repro.optics.fftlib` lazily.
-
-    The import happens at first *call* rather than at module import so
-    the autodiff package never participates in the
-    ``repro.optics.__init__`` import cycle (fftlib itself has no repro
-    dependencies).
-    """
-    global _fftlib
-    if _fftlib is None:
-        from ..optics import fftlib
-
-        _fftlib = fftlib
-    return _fftlib
-
-
-def _get_backend() -> Any:
-    """Resolve :mod:`repro.optics.backend` lazily (same cycle-avoidance
-    rationale as :func:`_get_fftlib`; backend itself only imports
-    fftlib)."""
-    global _backend_mod
-    if _backend_mod is None:
-        from ..optics import backend
-
-        _backend_mod = backend
-    return _backend_mod
-
-
 def fft2(x: ArrayLike) -> Tensor:
     x = as_tensor(x)
     ntot = x.shape[-1] * x.shape[-2]
-    bk = _get_backend().active_backend()
 
     def vjp(g: Tensor) -> Tuple[Optional[Tensor], ...]:
         return (mul(ifft2(g), float(ntot)),)
 
-    out_data = bk.to_host(bk.fft2(bk.from_host(x.data)))
-    return _make(out_data, (x,), vjp, "fft2")
+    return _make(HOST.fft2(x.data), (x,), vjp, "fft2")
 
 
 def ifft2(x: ArrayLike) -> Tensor:
     x = as_tensor(x)
     ntot = x.shape[-1] * x.shape[-2]
-    bk = _get_backend().active_backend()
 
     def vjp(g: Tensor) -> Tuple[Optional[Tensor], ...]:
         return (div(fft2(g), float(ntot)),)
 
-    out_data = bk.to_host(bk.ifft2(bk.from_host(x.data)))
-    return _make(out_data, (x,), vjp, "ifft2")
+    return _make(HOST.ifft2(x.data), (x,), vjp, "ifft2")
 
 
 # ----------------------------------------------------------------------
@@ -552,10 +523,17 @@ def _window_starts(
     return starts
 
 
-def _half_swap(bk: Any, x: Any) -> Any:
+def _sq_mag(x: np.ndarray) -> np.ndarray:
+    """``|x|^2`` of a complex array, as ``square(re) += square(im)``."""
+    out = np.square(x.real)
+    out += np.square(x.imag)
+    return out
+
+
+def _half_swap(x: np.ndarray) -> np.ndarray:
     """fftshift over the last two (even) axes; its own inverse."""
     h, w = x.shape[-2] // 2, x.shape[-1] // 2
-    out = bk.empty(x.shape, x.dtype)
+    out = np.empty(x.shape, x.dtype)
     out[..., :h, :w] = x[..., h:, w:]
     out[..., :h, w:] = x[..., h:, :w]
     out[..., h:, :w] = x[..., :h, w:]
@@ -563,7 +541,7 @@ def _half_swap(bk: Any, x: Any) -> Any:
     return out
 
 
-def _resample(bk: Any, x: Any, size: int, k: int) -> Any:
+def _resample(x: np.ndarray, size: int, k: int) -> np.ndarray:
     """``x`` on a ``size`` grid through the band ``|f| < k/2``, times
     ``(K/N)^2``.
 
@@ -574,8 +552,8 @@ def _resample(bk: Any, x: Any, size: int, k: int) -> Any:
     band-limited intensity, is dropped both ways.  Real in, real out.
     """
     h, m = k // 2, x.shape[-1]
-    spec = bk.fft2(x)
-    band = bk.zeros(x.shape[:-2] + (size, size), bk.complex128)
+    spec = HOST.fft2(x)
+    band = np.zeros(x.shape[:-2] + (size, size), np.complex128)
     halves = (
         (slice(0, h), slice(0, h)),
         (slice(size - h + 1, size), slice(m - h + 1, m)),
@@ -583,19 +561,19 @@ def _resample(bk: Any, x: Any, size: int, k: int) -> Any:
     for rows_out, rows_in in halves:
         for cols_out, cols_in in halves:
             band[..., rows_out, cols_out] = spec[..., rows_in, cols_in]
-    y = bk.ifft2(band, overwrite_x=True)
-    return (y if bk.iscomplex(x) else y.real) * ((k / max(size, m)) ** 2)
+    y = HOST.ifft2(band, overwrite_x=True)
+    return (y if np.iscomplexobj(x) else y.real) * ((k / max(size, m)) ** 2)
 
 
 def _gather(
-    bk: Any, spec: Any, kern: Any, corners: Optional[list], lo: int, hi: int
-) -> Any:
+    spec: np.ndarray, kern: np.ndarray, corners: Optional[list], lo: int, hi: int
+) -> np.ndarray:
     """``(B, C, K, K)`` products of kernels ``lo:hi`` with their windows
     of the ``(B, N, N)`` spectrum."""
     if corners is None:  # whole-grid kernels: the window is the spectrum
         return kern[lo:hi][None] * spec[:, None]
     k = kern.shape[-1]
-    block = bk.empty((spec.shape[0], hi - lo, k, k), bk.complex128)
+    block = np.empty((spec.shape[0], hi - lo, k, k), np.complex128)
     for i, (r0, c0) in enumerate(corners[lo:hi]):
         block[:, i] = spec[:, r0 : r0 + k, c0 : c0 + k]
     block *= kern[lo:hi]
@@ -617,11 +595,10 @@ def expand_kernels(kernels: Any, centres: Any, n: int) -> np.ndarray:
     require_memory(
         kern.itemsize * s * n * n, f"{shape} {kern.dtype} expanded pupil stack"
     )
-    host = _get_backend().HOST
-    full = host.zeros(shape, kern.dtype)
+    full = np.zeros(shape, kern.dtype)
     for i, (r0, c0) in enumerate(starts.tolist()):
         full[i, r0 : r0 + k, c0 : c0 + k] = kern[i]
-    return _half_swap(host, full)
+    return _half_swap(full)
 
 
 def _check_incoherent_args(
@@ -691,8 +668,7 @@ def _fold_weights(w: np.ndarray, cp: np.ndarray, reps: np.ndarray) -> np.ndarray
 
 
 def _stream_forward_one(
-    bk: Any,
-    spec: Any,
+    spec: np.ndarray,
     kern: np.ndarray,
     w: np.ndarray,
     csize: int,
@@ -702,12 +678,10 @@ def _stream_forward_one(
 ) -> np.ndarray:
     """Streamed weighted incoherent sum for ONE kernel stack.
 
-    ``spec`` is the precomputed ``(B, N, N)`` mask spectrum (a backend
-    array; half-swapped for crops) — sharing it across kernel stacks is
-    what lets the multi-condition primitive reuse one mask FFT for every
-    process corner.  Kernel/weight selection runs host-side (``kern``/
-    ``w`` are host constants); the chunk loop runs entirely on ``bk``
-    and the reduced ``(B, N, N)`` image returns to the host.
+    ``spec`` is the precomputed ``(B, N, N)`` mask spectrum
+    (half-swapped for crops) — sharing it across kernel stacks is what
+    lets the multi-condition primitive reuse one mask FFT for every
+    process corner.  Returns the reduced ``(B, N, N)`` image.
     """
     b, n, k = spec.shape[0], spec.shape[-1], kern.shape[-1]
     if reps is None:
@@ -725,30 +699,27 @@ def _stream_forward_one(
         kern_h, w_h = kern_h[live], w_h[live]
         starts = None if starts is None else starts[live]
     r = w_h.size
-    kern_r = bk.from_host(kern_h)
-    w_eff = bk.from_host(w_h)
     corners = None if starts is None else starts.tolist()
     kk = k * k
-    out = bk.zeros((b, k, k), bk.float64)
+    out = np.zeros((b, k, k), np.float64)
     for lo in range(0, r, csize):
         hi = min(r, lo + csize)
         # One (B, C, K, K) transform block per chunk: big enough to
         # amortize dispatch, small enough to stay transient.
-        fields = bk.ifft2(
-            _gather(bk, spec, kern_r, corners, lo, hi), overwrite_x=True
+        fields = HOST.ifft2(
+            _gather(spec, kern_h, corners, lo, hi), overwrite_x=True
         )
         out += (
-            w_eff[lo:hi] @ bk.abs2(fields).reshape(b, hi - lo, kk)
+            w_h[lo:hi] @ _sq_mag(fields).reshape(b, hi - lo, kk)
         ).reshape(b, k, k)
     if k < n:
-        out = _resample(bk, out, n, k)
-    return bk.to_host(out)
+        out = _resample(out, n, k)
+    return out
 
 
 def _stream_backward_one(
-    bk: Any,
     terms: Sequence[Tuple[np.ndarray, np.ndarray]],
-    spec: Any,
+    spec: np.ndarray,
     kern: np.ndarray,
     csize: int,
     cp: Any,
@@ -764,10 +735,9 @@ def _stream_backward_one(
     gradient is that of ``sum_t <I(M; w_t), gd_t>``: every term rides
     the same recomputed per-chunk coherent fields (low-passed onto the
     K grid for crops).  Returns the *frequency-domain* mask-gradient
-    accumulator, in the spectrum's layout, as a backend array (the
-    caller applies the final IFFT once, summed over stacks), adding the
-    first term's weight gradient into the host vector ``gw`` in place
-    when it is not None.
+    accumulator, in the spectrum's layout (the caller applies the final
+    IFFT once, summed over stacks), adding the first term's weight
+    gradient into ``gw`` in place when it is not None.
     """
     s, n, k = kern.shape[0], spec.shape[-1], kern.shape[-1]
     b = spec.shape[0]
@@ -786,10 +756,9 @@ def _stream_backward_one(
     else:
         kern_h, r = kern, s
     corners = None if starts is None else starts.tolist()
-    kern_r = bk.from_host(kern_h)
-    grads = [bk.from_host(gd) for _, gd in terms]
+    grads = [gd for _, gd in terms]
     if k < n:
-        grads = [_resample(bk, g, k, k) for g in grads]
+        grads = [_resample(g, k, k) for g in grads]
     if need_w:
         # <g, upsample(|F|^2)> = <adjoint(g), |F|^2>: (K/N)^2 * lowpass.
         gdr = grads[0] * ((k / n) ** 2) if k < n else grads[0]
@@ -799,36 +768,32 @@ def _stream_backward_one(
     # Per term: (2 * upstream, weighted conj kernels, mirrored kernels).
     # The w_s factor commutes with the FFT, so it folds into the
     # per-chunk conj-kernel contraction (one pass fewer per block).
-    # The weighted kernels are assembled host-side (cached real
-    # constants) and transferred once per backward pass.
     prepared: List[Tuple[Any, Any, Any]] = []
     if need_mask:
-        acc = bk.zeros((b, n, n), bk.complex128)
+        acc = np.zeros((b, n, n), np.complex128)
         if use_pairs:
-            acc_mirror = bk.zeros((b, n, n), bk.complex128)
+            acc_mirror = np.zeros((b, n, n), np.complex128)
         for (w, _), g in zip(terms, grads):
             gd2 = 2.0 * g  # (B, K, K)
             if use_pairs:
                 w_mirror = np.where(is_pair, w[mates], 0.0)
-                wkc = bk.from_host(w[reps][:, None, None] * kern_h)
-                wkc_mirror = bk.from_host(w_mirror[:, None, None] * kern_h)
+                wkc = w[reps][:, None, None] * kern_h
+                wkc_mirror = w_mirror[:, None, None] * kern_h
             else:
-                wkc = bk.from_host(w[:, None, None] * np.conj(kern))
+                wkc = w[:, None, None] * np.conj(kern)
                 wkc_mirror = None
             prepared.append((gd2, wkc, wkc_mirror))
     for lo in range(0, r, csize):
         hi = min(r, lo + csize)
         # Recomputed (B, C, K, K) block, never retained.
-        fields = bk.ifft2(
-            _gather(bk, spec, kern_r, corners, lo, hi), overwrite_x=True
+        fields = HOST.ifft2(
+            _gather(spec, kern_h, corners, lo, hi), overwrite_x=True
         )
         if need_w:
-            intens = bk.abs2(fields)
+            intens = _sq_mag(fields)
             if gd_complex:
-                intens = bk.astype(intens, bk.complex128)
-            val = bk.to_host(
-                bk.sum((intens.reshape(b, hi - lo, kk) @ gdr)[:, :, 0], axis=0)
-            )
+                intens = intens.astype(np.complex128)
+            val = np.sum((intens.reshape(b, hi - lo, kk) @ gdr)[:, :, 0], axis=0)
             if use_pairs:
                 # |F[s']|^2 == |F[s]|^2, so mates share the contraction.
                 # reprolint: allow[R4] gw is a private per-stack accumulator the caller allocates; never a saved tensor
@@ -845,11 +810,11 @@ def _stream_backward_one(
                 block = fields
             else:
                 block = fields * gd2[:, None]
-            t = bk.fft2(block, overwrite_x=True)
+            t = HOST.fft2(block, overwrite_x=True)
             if corners is None:
-                acc += bk.einsum("cij,bcij->bij", wkc[lo:hi], t)
+                acc += np.einsum("cij,bcij->bij", wkc[lo:hi], t)
                 if use_pairs:
-                    acc_mirror += bk.einsum("cij,bcij->bij", wkc_mirror[lo:hi], t)
+                    acc_mirror += np.einsum("cij,bcij->bij", wkc_mirror[lo:hi], t)
                 continue
             # Crops: each field's K x K spectrum slice-adds at its window.
             direct = wkc[lo:hi] * t
@@ -863,7 +828,7 @@ def _stream_backward_one(
         # Mate term: conj(H_s')*FFT(2 w g conj(F_s)) == the direct
         # term conjugated and frequency-reversed (one pass total; the
         # reversal is the same index map in the half-swapped layout).
-        acc += bk.conj(bk.freq_reverse(acc_mirror))
+        acc += np.conj(fftlib.freq_reverse(acc_mirror))
     return acc
 
 
@@ -903,9 +868,9 @@ def _stack_setup(
     chunk: Optional[int],
     conj_pairs: Optional[Sequence[Optional[np.ndarray]]],
     centres: Any,
-) -> Tuple[Any, Any, int, Tuple[Tuple[Any, Any], ...], Optional[np.ndarray]]:
-    """``(fftlib, backend, chunk, per-stack pairing, window corners)`` of
-    a streamed multi-stack pass, with every argument validated."""
+) -> Tuple[int, Tuple[Tuple[Any, Any], ...], Optional[np.ndarray]]:
+    """``(chunk, per-stack pairing, window corners)`` of a streamed
+    multi-stack pass, with every argument validated."""
     for st in stacks:
         s, _ = _check_incoherent_args(mask, st, weights)
         if st.shape != stacks[0].shape:
@@ -918,27 +883,25 @@ def _stack_setup(
             f"conj_pairs must have one entry per stack "
             f"({len(stacks)}); got {len(conj_pairs)}"
         )
-    fl = _get_fftlib()
-    csize = fl.get_stream_chunk() if chunk is None else int(chunk)
+    csize = fftlib.get_stream_chunk() if chunk is None else int(chunk)
     if csize < 1:
         raise ValueError(f"chunk must be >= 1; got {csize}")
     pair_info = tuple(
         _pair_setup(cp_f, s, not mask.is_complex and not st.is_complex)
         for st, cp_f in zip(stacks, conj_pairs)
     )
-    return fl, _get_backend().active_backend(), csize, pair_info, starts
+    return csize, pair_info, starts
 
 
-def _mask_spectrum(bk: Any, tiles: np.ndarray, starts: Any) -> Any:
+def _mask_spectrum(tiles: np.ndarray, starts: Any) -> np.ndarray:
     """The ``(B, N, N)`` mask spectrum the streamed passes window:
     half-swapped for crops, the transform itself for whole-grid kernels."""
-    fm = bk.fft2(bk.from_host(tiles))
-    return fm if starts is None else _half_swap(bk, fm)
+    fm = HOST.fft2(tiles)
+    return fm if starts is None else _half_swap(fm)
 
 
 def _stream_adjoint(
-    bk: Any,
-    spec: Any,
+    spec: np.ndarray,
     kernels: Sequence[np.ndarray],
     pair_info: Sequence[Tuple[Any, Any]],
     terms: Sequence[Tuple[np.ndarray, np.ndarray]],
@@ -967,8 +930,6 @@ def _stream_adjoint(
     ``MemoryError`` inside a pass halves the chunk and retries it
     (:func:`repro.optics.fftlib.run_with_chunk_fallback`).
     """
-    fl = _get_fftlib()
-    host = _get_backend().HOST
     s = kernels[0].shape[0]
     gw_dtype = (
         np.complex128 if np.iscomplexobj(terms[0][1]) else np.float64
@@ -982,20 +943,20 @@ def _stream_adjoint(
             # Fresh accumulators per attempt: a MemoryError mid-pass must
             # not leave half-accumulated gradients behind for the
             # halved-chunk retry to double-count.
-            gw_f = host.zeros(s, gw_dtype) if need_w else None
+            gw_f = np.zeros(s, gw_dtype) if need_w else None
             acc = _stream_backward_one(
-                bk, stack_terms, spec, kernels[fi], c, cp_f, reps_f,
+                stack_terms, spec, kernels[fi], c, cp_f, reps_f,
                 need_mask, gw_f, starts,
             )
             return acc, gw_f
 
         if len(kernels) == 1:
-            return fl.run_with_chunk_fallback(_attempt, csize)
+            return fftlib.run_with_chunk_fallback(_attempt, csize)
         with _obs_span("engine.condition", index=fi):
-            return fl.run_with_chunk_fallback(_attempt, csize)
+            return fftlib.run_with_chunk_fallback(_attempt, csize)
 
     with _obs_span("imaging.vjp", op=op, stacks=len(kernels)):
-        results = fl.map_conditions(_backward_one, len(kernels))
+        results = fftlib.map_conditions(_backward_one, len(kernels))
         acc_total: Any = None
         gw: Any = None
         for acc, gw_f in results:  # fixed stack-order reduction
@@ -1006,8 +967,8 @@ def _stream_adjoint(
         gm = None
         if need_mask:
             if starts is not None:
-                acc_total = _half_swap(bk, acc_total)
-            gm = bk.to_host(bk.ifft2(acc_total, overwrite_x=True))
+                acc_total = _half_swap(acc_total)
+            gm = HOST.ifft2(acc_total, overwrite_x=True)
     return gm, gw
 
 
@@ -1047,7 +1008,7 @@ def incoherent_mask_adjoint(
     host_terms: List[Tuple[np.ndarray, np.ndarray]] = []
     for w, g in terms:
         wt, gt = as_tensor(w), as_tensor(g)
-        _, bk, csize, pair_info, starts = _stack_setup(
+        csize, pair_info, starts = _stack_setup(
             mask, stacks, wt, None, conj_pairs, centres
         )
         if gt.shape != (len(stacks),) + mask.shape:
@@ -1056,9 +1017,9 @@ def incoherent_mask_adjoint(
                 f"got {gt.shape}"
             )
         host_terms.append((wt.data, gt.data[:, None] if single else gt.data))
-    spec = _mask_spectrum(bk, mask.data[None] if single else mask.data, starts)
+    spec = _mask_spectrum(mask.data[None] if single else mask.data, starts)
     gm, _ = _stream_adjoint(
-        bk, spec, [st.data for st in stacks], pair_info, host_terms, csize,
+        spec, [st.data for st in stacks], pair_info, host_terms, csize,
         True, False, "incoherent_mask_adjoint", starts,
     )
     if gm is None:
@@ -1165,15 +1126,15 @@ def incoherent_image_stack(
     stacks = tuple(as_tensor(p) for p in pupil_stacks)
     if not stacks:
         raise ValueError("incoherent_image_stack needs at least one stack")
-    fl, bk, csize, pair_info, starts = _stack_setup(
+    csize, pair_info, starts = _stack_setup(
         mask, stacks, weights, chunk, conj_pairs, centres
     )
     single = mask.ndim == 2
     tiles = mask.data[None] if single else mask.data
     b, n = tiles.shape[0], tiles.shape[-1]
-    # ONE (B, N, N) spectrum for every condition — a read-only backend
-    # array shared across the condition pool's threads.
-    spec = _mask_spectrum(bk, tiles, starts)
+    # ONE (B, N, N) spectrum for every condition, shared read-only
+    # across the condition pool's threads.
+    spec = _mask_spectrum(tiles, starts)
     w = weights.data
 
     def _forward_one(fi: int) -> np.ndarray:
@@ -1181,26 +1142,26 @@ def incoherent_image_stack(
 
         def _attempt(c: int) -> np.ndarray:
             return _stream_forward_one(
-                bk, spec, stacks[fi].data, w, c, cp_f, reps_f, starts
+                spec, stacks[fi].data, w, c, cp_f, reps_f, starts
             )
 
         # MemoryError inside the streamed block -> halve the chunk and
         # retry once (chunk-invariant result, see fftlib).  A single
         # stack is no condition fan-out, so it opens no condition span.
         if len(stacks) == 1:
-            return fl.run_with_chunk_fallback(_attempt, csize)
+            return fftlib.run_with_chunk_fallback(_attempt, csize)
         with _obs_span("engine.condition", index=fi):
-            return fl.run_with_chunk_fallback(_attempt, csize)
+            return fftlib.run_with_chunk_fallback(_attempt, csize)
 
     # Independent per-stack passes: fan out across the condition pool
     # (inline when serial) — each writes its own slot, so the stacking
     # is bitwise identical for any thread count.
-    out = _get_backend().HOST.empty((len(stacks), b, n, n), np.float64)
+    out = np.empty((len(stacks), b, n, n), np.float64)
     with _obs_span(
         "imaging.forward", op="incoherent_image_stack", stacks=len(stacks)
     ):
         for fi, plane in enumerate(
-            fl.map_conditions(_forward_one, len(stacks))
+            fftlib.map_conditions(_forward_one, len(stacks))
         ):
             out[fi] = plane
     out_data = out[:, 0] if single else out
@@ -1211,7 +1172,6 @@ def incoherent_image_stack(
                 g, mask, stacks, weights, centres
             )
         gm, gw = _stream_adjoint(
-            bk,
             spec,
             [st.data for st in stacks],
             pair_info,
@@ -1308,16 +1268,14 @@ def incoherent_basis(
         starts = None if starts is None else starts[reps]
     shape = (tiles.shape[0], kern.shape[0], k, k)
     require_memory(8 * int(np.prod(shape)), f"{shape} float64 intensity basis")
-    bk = _get_backend().active_backend()
-    spec = _mask_spectrum(bk, tiles, starts)
-    kern_r = bk.from_host(kern)
+    spec = _mask_spectrum(tiles, starts)
     corners = None if starts is None else starts.tolist()
-    out = _get_backend().HOST.empty(shape, np.float64)
+    out = np.empty(shape, np.float64)
     # Tile-at-a-time keeps the working set cache-sized; per-tile
     # results are bitwise identical to the full-stack transform.
     for b in range(shape[0]):
-        block = _gather(bk, spec[b : b + 1], kern_r, corners, 0, shape[1])
-        out[b] = bk.to_host(bk.abs2(bk.ifft2(block, overwrite_x=True)))[0]
+        block = _gather(spec[b : b + 1], kern, corners, 0, shape[1])
+        out[b] = _sq_mag(HOST.ifft2(block, overwrite_x=True))[0]
     return out
 
 
@@ -1384,8 +1342,7 @@ def basis_combine(
         wr = _fold_weights(wr, np.asarray(conj_pairs), reps)
     out = np.matmul(wr, basis.data.reshape(b, r, p)).reshape(b, k, k)
     if n != k:
-        bk = _get_backend().active_backend()
-        out = bk.to_host(_resample(bk, bk.from_host(out), n, k))
+        out = _resample(out, n, k)
 
     def vjp(g: Tensor) -> Tuple[Optional[Tensor], ...]:
         return (
@@ -1414,8 +1371,7 @@ def basis_contract(
         raise ValueError(f"g must be ({b}, N, N) with N >= {k}; got {g.shape}")
     gk = g.data
     if n != k:
-        bk = _get_backend().active_backend()
-        gk = bk.to_host(_resample(bk, bk.from_host(gk), k, k)) * ((k / n) ** 2)
+        gk = _resample(gk, k, k) * ((k / n) ** 2)
     out = (basis.data.reshape(b, r, p) @ gk.reshape(b, p, 1))[:, :, 0].sum(axis=0)
 
     def vjp(h: Tensor) -> Tuple[Optional[Tensor], ...]:
@@ -1450,7 +1406,7 @@ def scatter(
     :func:`getitem`)."""
     x = as_tensor(x)
     dtype = np.complex128 if (complex_grad or x.is_complex) else np.float64
-    out_data = _get_backend().HOST.zeros(shape, dtype)
+    out_data = np.zeros(shape, dtype)
     np.add.at(out_data, idx, x.data)
 
     def vjp(g: Tensor) -> Tuple[Optional[Tensor], ...]:

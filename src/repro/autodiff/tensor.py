@@ -67,25 +67,15 @@ def enable_grad() -> Iterator[None]:
         _GRAD_ENABLED = prev
 
 
-_backend_mod: Any = None
-
-
 def _coerce(data: Any) -> np.ndarray:
-    """Coerce arbitrary array-likes to a float64 / complex128 ndarray.
-
-    Delegates to the active array backend's host-coercion policy
-    (:meth:`repro.optics.backend.ArrayBackend.coerce_host`): graph
-    storage stays host-resident double precision regardless of the
-    compute backend.  The backend module is resolved lazily so the
-    autodiff package never participates in the ``repro.optics``
-    import cycle.
-    """
-    global _backend_mod
-    if _backend_mod is None:
-        from ..optics import backend
-
-        _backend_mod = backend
-    arr: np.ndarray = _backend_mod.active_backend().coerce_host(data)
+    """Coerce arbitrary array-likes to a float64 / complex128 ndarray
+    (the graph's storage precision)."""
+    arr = np.asarray(data)
+    if np.iscomplexobj(arr):
+        if arr.dtype != np.complex128:
+            arr = arr.astype(np.complex128)
+    elif arr.dtype != np.float64:
+        arr = arr.astype(np.float64)
     return arr
 
 

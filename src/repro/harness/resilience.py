@@ -81,26 +81,30 @@ JOURNAL_VERSION = 1
 # ----------------------------------------------------------------------
 # env-var defaults (this module is a designated R2 raw reader)
 # ----------------------------------------------------------------------
+def _env_number(var: str, default: float, kind: type) -> Any:
+    """``var`` as a ``kind`` (int or float) ``>= 0``, ``default`` when
+    unset; a malformed value raises a ``ValueError`` naming the variable."""
+    raw = os.environ.get(var, "").strip()
+    if not raw:
+        return default
+    try:
+        value = kind(raw)
+    except ValueError:
+        value = None
+    if value is None or not value >= 0:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{var} must be {noun} >= 0; got {raw!r}")
+    return value
+
+
 def default_max_retries() -> int:
     """Per-cell retry budget: ``REPRO_MAX_RETRIES`` (default 2)."""
-    raw = os.environ.get("REPRO_MAX_RETRIES", "").strip()
-    if not raw:
-        return 2
-    value = int(raw)
-    if value < 0:
-        raise ValueError(f"REPRO_MAX_RETRIES must be >= 0; got {value}")
-    return value
+    return int(_env_number("REPRO_MAX_RETRIES", 2, int))
 
 
 def default_cell_timeout() -> float:
     """Per-cell wall-clock budget: ``REPRO_CELL_TIMEOUT`` seconds (0 = off)."""
-    raw = os.environ.get("REPRO_CELL_TIMEOUT", "").strip()
-    if not raw:
-        return 0.0
-    value = float(raw)
-    if value < 0:
-        raise ValueError(f"REPRO_CELL_TIMEOUT must be >= 0; got {value}")
-    return value
+    return float(_env_number("REPRO_CELL_TIMEOUT", 0.0, float))
 
 
 # ----------------------------------------------------------------------

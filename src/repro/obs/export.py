@@ -326,13 +326,6 @@ def summary_table(snap: Dict[str, Any]) -> str:
     if isinstance(fft, dict):
         section("fftlib", [(k, str(fft[k])) for k in sorted(fft)])
 
-    backend_counters = snap.get("backend_counters")
-    if isinstance(backend_counters, dict):
-        section(
-            "backend_counters",
-            [(k, str(backend_counters[k])) for k in sorted(backend_counters)],
-        )
-
     return "\n".join(lines) if lines else "(no observability data)"
 
 

@@ -8,9 +8,9 @@ return shared no-op instruments after a single branch.
 
 :func:`snapshot` is the unified telemetry read: it folds in the
 subsystem counters that predate this registry — the optics cache
-hit/miss table, the fftlib worker-budget policy, and the active array
-backend's transfer/FFT counters — so one call captures everything a
-bench fingerprint or a shard needs.
+hit/miss table, the fftlib worker-budget policy, and the FFT seam's
+fingerprint — so one call captures everything a bench fingerprint or
+a shard needs.
 """
 
 from __future__ import annotations
@@ -260,9 +260,6 @@ def snapshot() -> Dict[str, Any]:
         from ..optics import backend as _backend
 
         out["backend"] = _backend.describe()
-        counters = _backend.counters_snapshot()
-        if counters is not None:
-            out["backend_counters"] = counters
     except ImportError:
         pass
     return out

@@ -6,7 +6,7 @@ single module-attribute check while disabled.  It turns on three ways:
 * environment — ``REPRO_TRACE=1`` (or ``mem`` to add tracemalloc span
   peaks) and ``REPRO_METRICS=1``, read once at import;
 * programmatically — :func:`enable` / the :func:`use` context manager,
-  which composes with ``fftlib.use()`` / ``use_backend()``;
+  which composes with ``fftlib.use()``;
 * cross-process — the harness forwards :func:`export_config` through
   its worker initializer and workers call :func:`apply_config`.
 

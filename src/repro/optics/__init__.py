@@ -1,8 +1,8 @@
 """Lithography simulation substrate: optical configuration, source
 templates, pupil, the unified :class:`ImagingEngine` protocol with its
 Abbe and Hopkins/SOCS implementations, the shared optics cache, the
-unified FFT dispatch (:mod:`repro.optics.fftlib`), and the resist
-model."""
+FFT seam (:mod:`repro.optics.backend`) with its thread policy
+(:mod:`repro.optics.fftlib`), and the resist model."""
 
 from . import fftlib
 from . import backend

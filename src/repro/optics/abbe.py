@@ -11,8 +11,8 @@ exploits on a GPU (Section 3.1 "Abbe acceleration").  That node is
 :func:`repro.autodiff.functional.incoherent_image_stack`, one kernel
 stack per pupil condition: the forward streams over source-axis chunks
 and the hand-written VJP recomputes the per-chunk coherent fields, so
-neither direction retains a ``(B, S, N, N)`` stack; all transforms
-dispatch through the :mod:`repro.optics.backend` seam.
+neither direction retains a ``(B, S, N, N)`` stack; every transform
+runs through the :mod:`repro.optics.backend` FFT seam.
 
 Each point's field is band-limited to one shifted pupil disk, so the
 engine holds ``(S, K, K)`` pupil crops around integer centres

@@ -159,12 +159,11 @@ def freq_axes(config: OpticalConfig) -> Tuple[np.ndarray, np.ndarray]:
     """Memoized FFT frequency axes (1/nm) for the mask grid."""
 
     def build() -> Tuple[np.ndarray, np.ndarray]:
-        from . import backend
+        from ..autodiff.functional import kernel_offsets
 
-        bk = backend.active_backend()
-        f = _freeze(
-            bk.to_host(bk.fftfreq(config.mask_size, d=config.pixel_nm))
-        )
+        n = config.mask_size
+        # fftfreq's arithmetic: bin offsets times one bin's width
+        f = _freeze(kernel_offsets(n, n) * (1.0 / (n * config.pixel_nm)))
         return f, f
 
     return _lookup("freq_axes", _grid_key(config), build)

@@ -1,16 +1,9 @@
-"""Unified FFT dispatch for every transform in the codebase.
+"""Thread policy of the FFT seam and the condition-axis fan-out.
 
-Before this module existed the differentiable ops in
-:mod:`repro.autodiff.functional` went through single-threaded
-``np.fft`` while the inference fast path used a module-local scipy
-import — two backends, one of them pinned to the slowest option on the
-hottest path.  ``fftlib`` centralizes the choice:
+Every transform is issued by :mod:`repro.optics.backend`; this module
+holds the policy those transforms and the streamed imaging passes run
+under:
 
-* **Backend** — scipy's pocketfft (``scipy.fft``) when importable,
-  ``np.fft`` otherwise.  Override with ``REPRO_FFT_BACKEND`` in
-  ``{"auto", "scipy", "numpy"}`` or :func:`set_backend`.  Requesting
-  scipy without scipy installed falls back to numpy (documented,
-  silent: the results are identical, only speed differs).
 * **Workers** — pocketfft releases the GIL and threads across the
   batch of independent 2-D transforms; ``REPRO_FFT_WORKERS`` /
   :func:`set_workers` control the thread count (``0`` = one worker per
@@ -19,7 +12,8 @@ hottest path.  ``fftlib`` centralizes the choice:
   parallel-harness determinism guarantees survive.
 * **Streaming chunk** — the source-axis chunk size used by the fused
   :func:`repro.autodiff.functional.incoherent_image_stack` primitive
-  (``REPRO_FFT_CHUNK`` / :func:`set_stream_chunk`).
+  (``REPRO_FFT_CHUNK`` / :func:`set_stream_chunk`), with
+  :func:`run_with_chunk_fallback` halving it once on ``MemoryError``.
 * **Condition workers** — the thread fan-out across *process-condition*
   kernel stacks (``REPRO_COND_WORKERS`` / :func:`set_condition_workers`;
   ``0`` = fill the worker budget).  The fused condition-axis primitive
@@ -47,22 +41,11 @@ import contextvars
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, cast
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-try:  # scipy's pocketfft: multi-threaded, in-place capable
-    import scipy.fft as _scipy_fft
-except ImportError:  # pragma: no cover - scipy is a baseline dependency
-    _scipy_fft = None
-
 __all__ = [
-    "fft2",
-    "ifft2",
-    "fftfreq",
-    "get_backend",
-    "set_backend",
-    "available_backends",
     "get_workers",
     "set_workers",
     "effective_workers",
@@ -76,72 +59,46 @@ __all__ = [
     "get_stream_chunk",
     "set_stream_chunk",
     "run_with_chunk_fallback",
+    "freq_reverse",
     "use",
     "describe",
 ]
 
-_BACKENDS = ("scipy", "numpy")
-
-
-def _env_backend() -> str:
-    name = os.environ.get("REPRO_FFT_BACKEND", "auto").strip().lower()
-    if name in ("auto", ""):
-        return "scipy" if _scipy_fft is not None else "numpy"
-    if name not in _BACKENDS:
-        raise ValueError(
-            f"REPRO_FFT_BACKEND={name!r}; choose from {('auto',) + _BACKENDS}"
-        )
-    if name == "scipy" and _scipy_fft is None:
-        return "numpy"
-    return name
-
 
 def _env_int(var: str, default: int, minimum: int) -> int:
+    """``var`` as an integer ``>= minimum`` (``default`` when unset); a
+    malformed value raises a ``ValueError`` that names the variable."""
     raw = os.environ.get(var, "").strip()
     if not raw:
         return default
-    value = int(raw)
-    if value < minimum:
-        raise ValueError(f"{var} must be >= {minimum}; got {value}")
+    try:
+        value: Optional[int] = int(raw)
+    except ValueError:
+        value = None
+    if value is None or value < minimum:
+        raise ValueError(f"{var} must be an integer >= {minimum}; got {raw!r}")
     return value
 
 
+def _env_policy() -> Dict[str, Any]:
+    """The policy the ``REPRO_*`` knobs select (read once, at import)."""
+    return {
+        "workers": _env_int("REPRO_FFT_WORKERS", 0, 0),  # 0 = one per CPU
+        "chunk": _env_int("REPRO_FFT_CHUNK", 16, 1),
+        # Condition-axis thread fan-out (0 = fill the worker budget) and
+        # the unified per-process thread budget (0 = one per CPU).
+        "cond_workers": _env_int("REPRO_COND_WORKERS", 0, 0),
+        "budget": _env_int("REPRO_WORKER_BUDGET", 0, 0),
+    }
+
+
 #: Mutable module state (one process-wide policy, like the optics cache).
-_STATE: Dict[str, Any] = {
-    "backend": _env_backend(),
-    "workers": _env_int("REPRO_FFT_WORKERS", 0, 0),  # 0 = one per CPU
-    "chunk": _env_int("REPRO_FFT_CHUNK", 16, 1),
-    # Condition-axis thread fan-out (0 = fill the worker budget) and the
-    # unified per-process thread budget (0 = one per CPU).
-    "cond_workers": _env_int("REPRO_COND_WORKERS", 0, 0),
-    "budget": _env_int("REPRO_WORKER_BUDGET", 0, 0),
-}
+_STATE: Dict[str, Any] = _env_policy()
 
 
 # ----------------------------------------------------------------------
 # policy accessors
 # ----------------------------------------------------------------------
-def available_backends() -> Tuple[str, ...]:
-    """Backends importable in this environment."""
-    return _BACKENDS if _scipy_fft is not None else ("numpy",)
-
-
-def get_backend() -> str:
-    return str(_STATE["backend"])
-
-
-def set_backend(name: str) -> None:
-    """Select ``"scipy"`` or ``"numpy"`` (``"auto"`` re-resolves)."""
-    name = name.strip().lower()
-    if name == "auto":
-        name = "scipy" if _scipy_fft is not None else "numpy"
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown FFT backend {name!r}; choose from {_BACKENDS}")
-    if name == "scipy" and _scipy_fft is None:
-        raise ValueError("scipy backend requested but scipy is not installed")
-    _STATE["backend"] = name
-
-
 def get_workers() -> int:
     """Configured worker count (``0`` means one per CPU)."""
     return int(_STATE["workers"])
@@ -272,7 +229,6 @@ def run_with_chunk_fallback(fn: Callable[[int], Any], csize: int) -> Any:
 
 @contextlib.contextmanager
 def use(
-    backend: Optional[str] = None,
     workers: Optional[int] = None,
     chunk: Optional[int] = None,
     condition_workers: Optional[int] = None,
@@ -281,8 +237,6 @@ def use(
     """Temporarily override any subset of the dispatch policy."""
     saved = dict(_STATE)
     try:
-        if backend is not None:
-            set_backend(backend)
         if workers is not None:
             set_workers(workers)
         if chunk is not None:
@@ -299,7 +253,6 @@ def use(
 def describe() -> Dict[str, Any]:
     """Snapshot of the live policy (for bench metadata / debugging)."""
     return {
-        "backend": get_backend(),
         "workers": get_workers(),
         "effective_workers": effective_workers(),
         "stream_chunk": get_stream_chunk(),
@@ -397,43 +350,8 @@ def map_conditions(fn: Callable[[int], object], num_tasks: int) -> list:
 
 
 # ----------------------------------------------------------------------
-# transforms (always over the last two axes, numpy "backward" norm)
+# frequency reversal
 # ----------------------------------------------------------------------
-def fft2(x: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
-    """2-D FFT over the last two axes via the selected backend.
-
-    ``overwrite_x`` lets pocketfft reuse ``x`` as scratch (the caller
-    must own ``x``); the numpy backend ignores it.
-    """
-    if _STATE["backend"] == "scipy":
-        return cast(
-            np.ndarray,
-            _scipy_fft.fft2(x, workers=effective_workers(), overwrite_x=overwrite_x),
-        )
-    return np.fft.fft2(x)
-
-
-def ifft2(x: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
-    """2-D inverse FFT over the last two axes via the selected backend.
-
-    ``overwrite_x`` lets pocketfft reuse ``x`` as scratch (the caller
-    must own ``x``); the numpy backend ignores it.
-    """
-    if _STATE["backend"] == "scipy":
-        return cast(
-            np.ndarray,
-            _scipy_fft.ifft2(x, workers=effective_workers(), overwrite_x=overwrite_x),
-        )
-    return np.fft.ifft2(x)
-
-
-def fftfreq(n: int, d: float = 1.0) -> np.ndarray:
-    """FFT sample frequencies (identical across backends)."""
-    if _STATE["backend"] == "scipy":
-        return cast(np.ndarray, _scipy_fft.fftfreq(n, d=d))
-    return np.fft.fftfreq(n, d=d)
-
-
 def freq_reverse(x: np.ndarray) -> np.ndarray:
     """Frequency reversal ``x(f) -> x(-f)`` on the last two axes.
 

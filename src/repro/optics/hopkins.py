@@ -108,9 +108,7 @@ def socs_kernels(
         vals, vecs = vals[order], vecs[:, order]
     vals = np.clip(vals, 0.0, None)  # PSD up to numerical noise
     n = config.mask_size
-    from . import backend as abk
-
-    kernels = abk.HOST.zeros((q, n, n), np.float64)
+    kernels = np.zeros((q, n, n), np.float64)
     kernels[:, sup_r, sup_c] = vecs.T
     return vals, kernels, tcc_trace
 

@@ -26,7 +26,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..autodiff.functional import kernel_offsets
+# A module import, not a name import: repro.optics loads while
+# autodiff.functional is still executing its own imports.
+from ..autodiff import functional as F
 from ..utils.memory import require_memory
 from .config import OpticalConfig
 from .source import SourceGrid
@@ -142,7 +144,7 @@ def pupil_crops(
     n = config.mask_size
     s = centres.shape[0]
     require_memory(8 * s * k * k, f"{(s, k, k)} float64 pupil crops")
-    offsets = kernel_offsets(k, n)
+    offsets = F.kernel_offsets(k, n)
     rows = (centres[:, 0:1] + offsets) % n
     cols = (centres[:, 1:2] + offsets) % n
     crops = _shifted_pupils(config, grid, rows, cols).astype(np.float64)

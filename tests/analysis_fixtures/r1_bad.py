@@ -1,4 +1,4 @@
-"""R1 fixture (violations): raw FFT imports outside the fftlib seam.
+"""R1 fixture (violations): raw FFT imports outside the FFT seam.
 
 Linted as module ``repro.optics.sim_fixture``; expects R1 findings for
 the direct import, the from-import, and the attribute-chain call.

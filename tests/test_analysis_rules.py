@@ -1,11 +1,11 @@
 """Per-rule fixture tests for the reprolint engine.
 
-Each rule R1-R10 has a good and a bad fixture under
+Each rule has a good and a bad fixture under
 ``tests/analysis_fixtures/``; the bad fixture must produce at least the
 expected number of findings for *its* rule and the good fixture none.
 Fixtures are linted via :func:`repro.analysis.lint_source` with a
 declared module name, because most rules scope by where code lives
-(library vs. benchmark, inside vs. outside the fftlib seam).
+(library vs. benchmark, inside vs. outside the FFT seam).
 """
 
 from pathlib import Path
@@ -26,7 +26,6 @@ CASES = {
     "R6": ("repro.smo.pool_fixture", 2),
     "R7": ("repro.smo.guard_fixture", 1),
     "R8": ("repro.utils.api_fixture", 2),
-    "R9": ("repro.autodiff.stream_fixture", 5),
     "R10": ("repro.smo.obs_fixture", 5),
 }
 
@@ -62,10 +61,13 @@ def test_good_fixture_clean(rule):
 # ----------------------------------------------------------------------
 # scoping: the same source is legal or not depending on where it lives
 # ----------------------------------------------------------------------
-def test_r1_fftlib_itself_is_exempt():
+def test_r1_backend_itself_is_exempt():
     source = (FIXTURES / "r1_bad.py").read_text(encoding="utf-8")
-    report = lint_source(source, module_name="repro.optics.fftlib", select=["R1"])
+    report = lint_source(source, module_name="repro.optics.backend", select=["R1"])
     assert report.findings == []
+    # the thread-policy module is no longer a place to transform
+    report = lint_source(source, module_name="repro.optics.fftlib", select=["R1"])
+    assert len(report.findings) >= 3
 
 
 def test_r2_same_read_ok_inside_raw_reader():
@@ -80,21 +82,6 @@ def test_r4_only_scopes_autodiff():
     source = (FIXTURES / "r4_bad.py").read_text(encoding="utf-8")
     report = lint_source(source, module_name="repro.smo.ops_fixture", select=["R4"])
     assert report.findings == []
-
-
-def test_r9_only_scopes_hot_path_modules():
-    source = (FIXTURES / "r9_bad.py").read_text(encoding="utf-8")
-    # the seam provider itself and non-hot-path library code are exempt
-    for module_name in (
-        "repro.optics.backend",
-        "repro.optics.fftlib",
-        "repro.smo.stream_fixture",
-    ):
-        report = lint_source(source, module_name=module_name, select=["R9"])
-        assert report.findings == []
-    # the imaging engines are in scope like the autodiff package
-    report = lint_source(source, module_name="repro.optics.engine", select=["R9"])
-    assert len(report.findings) >= 5
 
 
 def test_r5_wall_clock_allowed_in_harness():

@@ -1,15 +1,14 @@
-"""Seam-enforcement tests with the instrumented ``StrictBackend``.
+"""FFT-seam tests with the test-side :class:`tests.seam.SeamCounter`.
 
-The strict backend raises :class:`BackendSeamError` when a raw host
-array reaches an FFT without entering through the seam
-(``from_host``/``zeros``/``empty``), and counts the exact number of 2-D
-transforms every call performs.  These tests prove two properties of
-the hot path:
+The counter wraps ``NumpyBackend.fft2``/``ifft2``, counts the exact
+number of 2-D transforms every call performs, and rejects any
+``numpy.fft``/``scipy.fft`` transform issued around the seam.  These
+tests prove three properties of the hot path:
 
-* a full BiSMO objective evaluation (forward + VJP) and the graph-free
-  ``aerial_conditions_fast`` judge path execute with **zero**
-  out-of-seam array ops — and remain *bitwise* identical to the numpy
-  backend (strict tagging is a zero-copy ndarray view);
+* a full BiSMO objective evaluation (forward + VJP), the create_graph
+  fallback and the graph-free ``aerial_conditions_fast`` judge path
+  issue **every** transform through the seam, with bitwise unchanged
+  results;
 * the fused primitive performs **exactly** the predicted number of
   transforms, with the conjugate-pair reduction and the forward's
   zero-weight pruning included — so a pairing regression
@@ -17,21 +16,27 @@ the hot path:
   here rather than only showing up in a bench.  On cropped pupils the
   prediction is one mask FFT, B transforms per field at K, and one
   resample pair of B transforms per stack (forward) or per stack and
-  term (the VJP's low-pass), plus the VJP's one final IFFT.
+  term (the VJP's low-pass), plus the VJP's one final IFFT;
+* the benchmark tracer (``smobench/layers.py``, loaded read-only) finds
+  its patch points and sees exactly the transforms the counter sees.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import repro.autodiff as ad
 from repro.autodiff import functional as F
 from repro.optics import AbbeImaging, OpticalConfig, backend, fftlib
 from repro.smo.objective import ProcessWindowSMOObjective
 from repro.smo.parametrization import init_theta_mask, init_theta_source
+from tests.seam import KEYS, OutOfSeamFFT, SeamCounter
 
 N = 12
 CHUNK = 8  # one stream chunk for the S=5 fixtures below
@@ -92,6 +97,24 @@ def _expected_crop_transforms(batch: int, reps: int) -> tuple:
     return n_fft2 + 2 * batch, n_ifft2 + 2 * batch
 
 
+def _cropped_pass(smo_setup, use_pairs):
+    """One forward + VJP through the engine's cropped pupils (nominal
+    stack, one chunk); returns ``(tiles, representatives)``."""
+    _, source, targets, _, _, objective = smo_setup
+    engine = objective.engine
+    (stack, cp), = engine.condition_stacks((0.0,))
+    cp = cp if use_pairs else None
+    w = engine.normalized_weights(ad.Tensor(source)).data
+    s = stack.shape[0]
+    mt = ad.Tensor(targets, requires_grad=True)
+    out = F.incoherent_image(
+        mt, stack, w, chunk=s, conj_pairs=cp, centres=engine.pupil_centres
+    )
+    ad.grad(F.sum(F.power(out, 2.0)), [mt])
+    reps = s if cp is None else int(np.count_nonzero(cp >= np.arange(s)))
+    return targets.shape[0], reps
+
+
 def _fused_pass(kernels, weights, cp):
     rng = np.random.default_rng(11)
     mt = ad.Tensor(rng.standard_normal((3, N, N)), requires_grad=True)
@@ -104,32 +127,32 @@ def _fused_pass(kernels, weights, cp):
 
 class TestSeamEnforcement:
     def test_raw_array_rejected_by_ffts(self):
-        bk = backend.get_backend("strict")
-        raw = np.ones((4, 4), np.complex128)
-        with pytest.raises(backend.BackendSeamError):
-            bk.fft2(raw)
-        with pytest.raises(backend.BackendSeamError):
-            bk.ifft2(raw)
-        # seam entries are accepted, and the tag survives slicing,
-        # broadcasting arithmetic and in-place accumulation
-        bk.fft2(bk.from_host(raw))
-        derived = bk.from_host(raw)[0:2][None] * 2.0
-        derived += bk.zeros(derived.shape, np.complex128)
-        bk.ifft2(derived)
+        """A transform issued around the seam fails; through it, it is
+        counted, and the patches come off on exit."""
+        raw = np.ones((2, 4, 4), np.complex128)
+        originals = (backend.NumpyBackend.fft2, np.fft.fft2, scipy.fft.ifft2)
+        with SeamCounter() as seam:
+            with pytest.raises(OutOfSeamFFT):
+                np.fft.fft2(raw)
+            with pytest.raises(OutOfSeamFFT):
+                scipy.fft.ifft2(raw)
+            backend.HOST.ifft2(backend.HOST.fft2(raw[0]))
+            backend.HOST.fft2(raw)
+            assert seam.counters == {
+                "fft2_calls": 2,
+                "ifft2_calls": 1,
+                "fft2_transforms": 3,
+                "ifft2_transforms": 1,
+            }
+        assert (backend.NumpyBackend.fft2, np.fft.fft2, scipy.fft.ifft2) == originals
 
     def test_counters_reset(self):
-        bk = backend.get_backend("strict")
-        bk.reset()
-        assert set(bk.counters) == {
-            "from_host",
-            "to_host",
-            "alloc",
-            "fft2_calls",
-            "ifft2_calls",
-            "fft2_transforms",
-            "ifft2_transforms",
-        }
-        assert not any(bk.counters.values())
+        with SeamCounter() as seam:
+            backend.HOST.fft2(np.ones((4, 4)))
+            assert any(seam.counters.values())
+            seam.reset()
+        assert set(seam.counters) == set(KEYS)
+        assert not any(seam.counters.values())
 
 
 class TestExactTransformCounts:
@@ -137,10 +160,9 @@ class TestExactTransformCounts:
     def test_fused_forward_backward(self, paired, use_pairs):
         kernels, pairs, weights = paired
         cp = pairs if use_pairs else None
-        with backend.use_backend("strict") as bk:
-            bk.reset()
+        with SeamCounter() as seam:
             _fused_pass(kernels, weights, cp)
-            counts = dict(bk.counters)
+        counts = seam.counters
         n_fft2, n_ifft2 = _expected_transforms(3, len(kernels), cp)
         assert counts["fft2_transforms"] == n_fft2
         assert counts["ifft2_transforms"] == n_ifft2
@@ -168,10 +190,9 @@ class TestExactTransformCounts:
         conditions = (0.0, 80.0)
         with fftlib.use(condition_workers=1):
             ref = engine.aerial_conditions_fast(targets, source, conditions)
-            with backend.use_backend("strict") as bk:
-                bk.reset()
+            with SeamCounter() as seam:
                 out = engine.aerial_conditions_fast(targets, source, conditions)
-                counts = dict(bk.counters)
+        counts = seam.counters
         np.testing.assert_array_equal(out, ref)
         n_batch = targets.shape[0]
         cp = engine._conj_pairs
@@ -195,22 +216,10 @@ class TestExactTransformCounts:
         """Forward + VJP through the engine's cropped pupils: every field
         is one K-point transform per tile, plus one resample pair per
         direction."""
-        cfg, source, targets, _, _, objective = smo_setup
-        engine = objective.engine
-        (stack, cp), = engine.condition_stacks((0.0,))
-        cp = cp if use_pairs else None
-        w = engine.normalized_weights(ad.Tensor(source)).data
-        s = stack.shape[0]
-        reps = s if cp is None else int(np.count_nonzero(cp >= np.arange(s)))
-        with backend.use_backend("strict") as bk:
-            bk.reset()
-            mt = ad.Tensor(targets, requires_grad=True)
-            out = F.incoherent_image(
-                mt, stack, w, chunk=s, conj_pairs=cp, centres=engine.pupil_centres
-            )
-            ad.grad(F.sum(F.power(out, 2.0)), [mt])
-            counts = dict(bk.counters)
-        n_fft2, n_ifft2 = _expected_crop_transforms(targets.shape[0], reps)
+        with SeamCounter() as seam:
+            batch, reps = _cropped_pass(smo_setup, use_pairs)
+        counts = seam.counters
+        n_fft2, n_ifft2 = _expected_crop_transforms(batch, reps)
         assert counts["fft2_transforms"] == n_fft2
         assert counts["ifft2_transforms"] == n_ifft2
         # mask FFT, upsample FFT_K, low-pass FFT_N, field FFTs
@@ -226,12 +235,11 @@ class TestExactTransformCounts:
         weights = np.array([0.9, 0.4, 0.0, 0.0, 0.5])  # pair (2, 3) is zero
         cp = pairs if use_pairs else None
         live = 2 if use_pairs else 3  # reps {0, 4} vs kernels {0, 1, 4}
-        with backend.use_backend("strict") as bk:
-            bk.reset()
+        with SeamCounter() as seam:
             F.incoherent_image(
                 np.ones((3, N, N)), kernels, weights, chunk=CHUNK, conj_pairs=cp
             )
-            counts = dict(bk.counters)
+        counts = seam.counters
         assert counts["fft2_transforms"] == 3
         assert counts["ifft2_transforms"] == 3 * live
 
@@ -240,8 +248,8 @@ class TestBismoIterationUnderStrict:
     def test_full_objective_pass_is_in_seam_and_bitwise_numpy(self, smo_setup):
         """A complete BiSMO outer evaluation — fused condition-stack
         forward plus VJPs w.r.t. both source and mask parameters —
-        runs under the strict backend (zero out-of-seam FFTs) and is
-        bitwise identical to the numpy backend."""
+        issues every transform through the seam (zero out-of-seam FFTs)
+        and is bitwise identical to an uncounted pass."""
         _, _, _, theta_j, theta_m, objective = smo_setup
 
         def one_pass():
@@ -252,30 +260,53 @@ class TestBismoIterationUnderStrict:
             return float(loss.data), gj.data, gm.data
 
         l_ref, gj_ref, gm_ref = one_pass()
-        with backend.use_backend("strict") as bk:
-            bk.reset()
-            l_strict, gj_strict, gm_strict = one_pass()
-            counts = dict(bk.counters)
-        assert l_strict == l_ref
-        np.testing.assert_array_equal(gj_strict, gj_ref)
-        np.testing.assert_array_equal(gm_strict, gm_ref)
+        with SeamCounter() as seam:
+            l_counted, gj_counted, gm_counted = one_pass()
+        assert l_counted == l_ref
+        np.testing.assert_array_equal(gj_counted, gj_ref)
+        np.testing.assert_array_equal(gm_counted, gm_ref)
         # the hot path really went through the seam
-        assert counts["fft2_calls"] > 0
-        assert counts["ifft2_calls"] > 0
-        assert counts["from_host"] > 0
-        assert counts["to_host"] > 0
+        assert seam.counters["fft2_calls"] > 0
+        assert seam.counters["ifft2_calls"] > 0
 
     def test_second_order_fallback_under_strict(self, smo_setup):
         """The create_graph composed-op fallback (BiSMO's exact HVP
-        oracle) also stays inside the seam."""
+        oracle) also transforms only through the seam."""
         _, _, _, theta_j, theta_m, objective = smo_setup
         tm_fixed = ad.Tensor(theta_m)
         rng = np.random.default_rng(5)
         v = ad.Tensor(rng.standard_normal(theta_j.shape))
         x = ad.Tensor(theta_j)
         h_ref = ad.hvp(lambda tj: objective.loss(tj, tm_fixed), x, v)
-        with backend.use_backend("strict") as bk:
-            bk.reset()
-            h_strict = ad.hvp(lambda tj: objective.loss(tj, tm_fixed), x, v)
-            assert bk.counters["fft2_calls"] > 0
-        np.testing.assert_array_equal(h_strict.data, h_ref.data)
+        with SeamCounter() as seam:
+            h_counted = ad.hvp(lambda tj: objective.loss(tj, tm_fixed), x, v)
+        assert seam.counters["fft2_calls"] > 0
+        np.testing.assert_array_equal(h_counted.data, h_ref.data)
+
+
+class TestBenchmarkTracer:
+    def test_patch_points_and_fft_counts(self, smo_setup):
+        """The frozen benchmark's tracer, installed around one cropped
+        forward + VJP, finds every patch point but the two known
+        absences and records one ``fft.*`` span per seam call."""
+        path = Path(__file__).resolve().parents[1] / "smobench" / "layers.py"
+        spec = importlib.util.spec_from_file_location("smobench_layers", path)
+        layers = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(layers)
+        tracer = layers.Tracer()
+        with SeamCounter() as seam:
+            tracer.install()
+            try:
+                _cropped_pass(smo_setup, use_pairs=True)
+            finally:
+                tracer.uninstall()
+        assert tracer.missing == [
+            "repro.optics.abbe.obs_span",
+            "repro.optics.hopkins.obs_span",
+        ]
+        for name in ("fft2", "ifft2"):
+            spans = [sp for sp in tracer.spans if sp.name == "fft." + name]
+            assert len(spans) == seam.counters[name + "_calls"] > 0
+            assert sum(sp.counts[0] for sp in spans) == seam.counters[
+                name + "_transforms"
+            ]

@@ -1,19 +1,23 @@
-"""Tests for the unified FFT dispatch layer (:mod:`repro.optics.fftlib`):
-backend selection, worker determinism, the stream-chunk policy, and
-policy plumbing into the autodiff FFTs and the optics cache."""
+"""Tests for the FFT seam's thread policy (:mod:`repro.optics.fftlib`):
+scoped policy, worker determinism, the stream-chunk policy, the env
+knobs, and the autodiff FFTs and the optics cache on the seam."""
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pytest
 
-from repro.optics import fftlib
+from repro.harness.resilience import default_cell_timeout, default_max_retries
+from repro.optics import backend, fftlib
+from tests.seam import SeamCounter
 
 
 @pytest.fixture(autouse=True)
 def _restore_policy():
     """Every test runs against the default policy and restores it."""
-    with fftlib.use(backend="auto", workers=0, chunk=16):
+    with fftlib.use(workers=0, chunk=16):
         yield
 
 
@@ -23,33 +27,7 @@ def batch(rng) -> np.ndarray:
 
 
 class TestBackends:
-    def test_auto_prefers_scipy_when_available(self):
-        assert fftlib.get_backend() in fftlib.available_backends()
-        if "scipy" in fftlib.available_backends():
-            assert fftlib.get_backend() == "scipy"
-
-    def test_backends_agree(self, batch):
-        results = {}
-        for name in fftlib.available_backends():
-            with fftlib.use(backend=name):
-                results[name] = (
-                    fftlib.fft2(batch),
-                    fftlib.ifft2(batch.astype(np.complex128)),
-                    fftlib.fftfreq(16, d=0.5),
-                )
-        ref_f, ref_i, ref_q = (
-            np.fft.fft2(batch),
-            np.fft.ifft2(batch),
-            np.fft.fftfreq(16, d=0.5),
-        )
-        for name, (f, i, q) in results.items():
-            np.testing.assert_allclose(f, ref_f, atol=1e-12, err_msg=name)
-            np.testing.assert_allclose(i, ref_i, atol=1e-12, err_msg=name)
-            np.testing.assert_array_equal(q, ref_q, err_msg=name)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            fftlib.set_backend("fftw")
+    """Scoped overrides of the policy (``fftlib.use``)."""
 
     def test_use_restores_state(self):
         before = fftlib.describe()
@@ -78,9 +56,9 @@ class TestWorkers:
         """pocketfft threads across independent transforms — no
         cross-thread reductions, so results must be bitwise equal."""
         with fftlib.use(workers=1):
-            serial = fftlib.fft2(batch)
+            serial = backend.HOST.fft2(batch)
         with fftlib.use(workers=4):
-            threaded = fftlib.fft2(batch)
+            threaded = backend.HOST.fft2(batch)
         np.testing.assert_array_equal(serial, threaded)
 
 
@@ -96,17 +74,15 @@ class TestPrecisionPolicy:
 
 class TestAutodiffDispatch:
     def test_functional_ffts_follow_backend(self, batch):
-        """The differentiable fft2/ifft2 run on whatever fftlib selects."""
+        """The differentiable fft2/ifft2 transform through the seam."""
         from repro.autodiff import functional as F
 
-        outs = {}
-        for name in fftlib.available_backends():
-            with fftlib.use(backend=name):
-                outs[name] = F.fft2(batch).data
-        for name, value in outs.items():
-            np.testing.assert_allclose(
-                value, np.fft.fft2(batch), atol=1e-12, err_msg=name
-            )
+        ref = np.fft.fft2(batch)
+        with SeamCounter() as seam:
+            out = F.ifft2(F.fft2(batch)).data
+        assert seam.counters["fft2_calls"] == seam.counters["ifft2_calls"] == 1
+        np.testing.assert_allclose(out, batch, atol=1e-13)
+        np.testing.assert_allclose(F.fft2(batch).data, ref, atol=1e-12)
 
     def test_cache_freq_axes_match_numpy(self):
         from repro.optics import OpticalConfig
@@ -114,6 +90,27 @@ class TestAutodiffDispatch:
 
         cfg = OpticalConfig.preset("tiny")
         f, _ = cache.freq_axes(cfg)
-        np.testing.assert_allclose(
+        np.testing.assert_array_equal(
             f, np.fft.fftfreq(cfg.mask_size, d=cfg.pixel_nm)
         )
+
+
+#: (variable, malformed value, what the message says it must be, reader)
+ENV_KNOBS = [
+    ("REPRO_FFT_WORKERS", "abc", "an integer >= 0", fftlib._env_policy),
+    ("REPRO_FFT_CHUNK", "0", "an integer >= 1", fftlib._env_policy),
+    ("REPRO_COND_WORKERS", "-1", "an integer >= 0", fftlib._env_policy),
+    ("REPRO_WORKER_BUDGET", "1.5", "an integer >= 0", fftlib._env_policy),
+    ("REPRO_MAX_RETRIES", "two", "an integer >= 0", default_max_retries),
+    ("REPRO_CELL_TIMEOUT", "nan", "a number >= 0", default_cell_timeout),
+]
+
+
+@pytest.mark.parametrize(
+    "var, raw, expected, read", ENV_KNOBS, ids=[k[0] for k in ENV_KNOBS]
+)
+def test_numeric_env_knobs_name_themselves(monkeypatch, var, raw, expected, read):
+    monkeypatch.setenv(var, raw)
+    message = f"{var} must be {expected}; got {raw!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read()

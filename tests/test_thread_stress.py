@@ -38,7 +38,6 @@ def _fresh_state():
     """Cold cache and default threading policy around every test."""
     cache.clear()
     with fftlib.use(
-        backend="auto",
         workers=0,
         chunk=16,
         condition_workers=0,
