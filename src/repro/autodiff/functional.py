@@ -16,7 +16,7 @@ map ``A`` is ``A^H g``.
 from __future__ import annotations
 
 import builtins
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.special import expit
@@ -72,6 +72,7 @@ __all__ = [
     "expand_kernels",
     "basis_combine",
     "basis_contract",
+    "resist_corner_losses",
     "getitem",
     "scatter",
     "matmul",
@@ -302,6 +303,10 @@ def sigmoid(x: ArrayLike) -> Tensor:
     out_data = expit(x.data)
 
     def vjp(g: Tensor) -> Tuple[Optional[Tensor], ...]:
+        if not is_grad_enabled():  # graph-free: reuse the forward output
+            return (mul(g, out_data * (1.0 - out_data)),)
+        # A graph node, recomputed: holding the output node in its own
+        # closure would be a reference cycle.
         s = sigmoid(x)
         return (mul(g, mul(s, sub(1.0, s))),)
 
@@ -1383,6 +1388,183 @@ def basis_contract(
     return _make(
         out if row is None else out[row], (basis, g), vjp, "basis_contract"
     )
+
+
+# ----------------------------------------------------------------------
+# resist tail (the SMO loss below the aerial images)
+# ----------------------------------------------------------------------
+def resist_corner_losses(
+    aerials: Sequence[ArrayLike],
+    target: ArrayLike,
+    condition_index: Any,
+    dose_scales: Any,
+    thresholds: Any,
+    beta: float,
+) -> Tensor:
+    """Per-corner squared resist errors of a process window, one node.
+
+    Corner c images at condition ``f = condition_index[c]`` and gives,
+    per tile b (``k_c = dose_scales[c]``, the dose squared)
+
+        out[c, b] = sum_px (sigmoid(beta * (k_c A_f[b] - thresholds[c])) - Z[b])^2
+
+    ``(C, B)`` for ``(B, N, N)`` aerials, ``(C,)`` for one ``(N, N)``
+    tile; the target ``Z`` is a constant shaped like the aerials.  The
+    values are the per-tile sums of the composed ``mul``/``sub``/
+    ``sigmoid``/``power`` chain bit for bit, but the forward keeps each
+    corner's ``s = sigmoid(.)`` and ``e = s - Z``, so no derivative
+    calls ``expit`` again:
+
+    * the VJP is ``sum_c g_c * 2 beta k_c * e s (1 - s)`` per condition;
+    * recorded (``create_graph``), that gradient is a second node over
+      the same cache, with the closed-form second derivative
+      ``2 beta^2 k_c^2 * s(1 - s) * [s(1 - s) + e (1 - 2s)]`` toward the
+      aerial and the per-tile contraction of the first toward ``g``;
+    * a backward through the second node while a graph is recorded
+      rebuilds ``s`` from the aerial with composed ops, so the loss
+      differentiates to any order.
+    """
+    aerials = tuple(as_tensor(a) for a in aerials)
+    target = as_tensor(target)
+    fidx = np.asarray(condition_index).reshape(-1)
+    scales = np.asarray(dose_scales, dtype=np.float64).reshape(-1)
+    thr = np.asarray(thresholds, dtype=np.float64).reshape(-1)
+    corners = fidx.size
+    if (
+        not aerials
+        or fidx.dtype.kind not in "iu"
+        or np.any(fidx < 0)
+        or np.any(fidx >= len(aerials))
+        or scales.shape != (corners,)
+        or thr.shape != (corners,)
+    ):
+        raise ValueError(
+            f"need C integer condition indices into {len(aerials)} aerials "
+            f"and C dose scales and thresholds; got {fidx.shape}, "
+            f"{scales.shape}, {thr.shape}"
+        )
+    shape = target.shape
+    if target.ndim not in (2, 3) or builtins.any(a.shape != shape for a in aerials):
+        raise ValueError(
+            f"aerials and target must share one (N, N) or (B, N, N) shape; "
+            f"got {[a.shape for a in aerials]} and {shape}"
+        )
+    if target.is_complex or builtins.any(a.is_complex for a in aerials):
+        raise TypeError("resist_corner_losses expects real aerials and target")
+    if target.requires_grad:
+        raise ValueError(
+            "resist_corner_losses does not propagate gradients to the "
+            "target (a constant); detach it first"
+        )
+    beta = float(beta)
+    z = target.data
+    sig: List[np.ndarray] = []
+    err: List[np.ndarray] = []
+    out = np.empty((corners,) + shape[:-2])
+    for c in range(corners):
+        x = aerials[fidx[c]].data * scales[c]
+        x -= thr[c]
+        x *= beta
+        s = expit(x, out=x)
+        sig.append(s)
+        err.append(s - z)
+        out[c] = np.square(err[c]).sum(axis=(-2, -1))
+    groups = [np.flatnonzero(fidx == f) for f in range(len(aerials))]
+    derivs: Dict[Tuple[int, int], np.ndarray] = {}
+
+    def deriv(order: int, c: int) -> np.ndarray:
+        """Corner c's first or second derivative in its aerial (lazy)."""
+        if (order, c) not in derivs:
+            s, e = sig[c], err[c]
+            p = s * (1.0 - s)
+            if order == 1:
+                d = e * p
+                d *= 2.0 * beta * scales[c]
+            else:
+                d = e * (1.0 - 2.0 * s)
+                d += p
+                d *= p
+                d *= 2.0 * beta * beta * scales[c] * scales[c]
+            derivs[(order, c)] = d
+        return derivs[(order, c)]
+
+    def weighted(order: int, f: int, gd: np.ndarray) -> np.ndarray:
+        """``sum_{c at f} g_c * deriv(order, c)``."""
+        acc: Any = None
+        for c in groups[f]:
+            term = gd[c][..., None, None] * deriv(order, c)
+            acc = term if acc is None else np.add(acc, term, out=acc)
+        return acc
+
+    def grad_node(g: Tensor, f: int) -> Tensor:
+        """Condition f's gradient ``weighted(1, f, g)`` as a graph node."""
+        a = aerials[f]
+
+        def vjp2(h: Tensor) -> Tuple[Optional[Tensor], ...]:
+            if is_grad_enabled():
+                return _resist_hess_composed(
+                    h, g, a, groups[f], scales, thr, beta, target
+                )
+            gg: Optional[np.ndarray] = None
+            if g.requires_grad:
+                gg = np.zeros(g.shape)
+                for c in groups[f]:
+                    gg[c] = np.einsum("...ij,...ij->...", h.data, deriv(1, c))
+            ga = weighted(2, f, g.data) * h.data if a.requires_grad else None
+            return (_wrap_grad(gg, False), _wrap_grad(ga, False))
+
+        return _make(weighted(1, f, g.data), (g, a), vjp2, "resist_corner_grad")
+
+    live = [a.requires_grad and groups[f].size > 0 for f, a in enumerate(aerials)]
+
+    def vjp(g: Tensor) -> Tuple[Optional[Tensor], ...]:
+        if is_grad_enabled():
+            return tuple(
+                grad_node(g, f) if ok else None for f, ok in enumerate(live)
+            )
+        return tuple(
+            Tensor(weighted(1, f, g.data)) if ok else None
+            for f, ok in enumerate(live)
+        )
+
+    return _make(out, aerials, vjp, "resist_corner_losses")
+
+
+def _resist_hess_composed(
+    h: Tensor,
+    g: Tensor,
+    a: Tensor,
+    corners: np.ndarray,
+    scales: np.ndarray,
+    thr: np.ndarray,
+    beta: float,
+    target: Tensor,
+) -> Tuple[Optional[Tensor], ...]:
+    """Differentiable VJP of one condition's resist-tail gradient node.
+
+    Rebuilds each corner's ``s`` and ``e`` from the aerial with
+    graph-recording ops and returns ``(dg, da)`` — the contraction of
+    ``h`` with the first derivative per tile, and the closed-form second
+    derivative applied to ``g_c h`` — so a recorded backward through the
+    gradient node can be differentiated again.
+    """
+    gg: Optional[Tensor] = None
+    ga: Optional[Tensor] = None
+    for c in corners.tolist():
+        k = float(scales[c])
+        s = sigmoid(mul(sub(mul(a, k), float(thr[c])), beta))
+        e = sub(s, target)
+        p = mul(s, sub(1.0, s))
+        if g.requires_grad:
+            d1 = mul(mul(e, p), 2.0 * beta * k)
+            piece = scatter(sum(mul(h, d1), axis=(-2, -1)), c, g.shape)
+            gg = piece if gg is None else add(gg, piece)
+        if a.requires_grad:
+            d2 = mul(add(p, mul(e, sub(1.0, mul(s, 2.0)))), p)
+            gc = reshape(getitem(g, c), g.shape[1:] + (1, 1))
+            term = mul(mul(h, gc), mul(d2, 2.0 * beta * beta * k * k))
+            ga = term if ga is None else add(ga, term)
+    return (gg, ga)
 
 
 # ----------------------------------------------------------------------

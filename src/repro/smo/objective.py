@@ -22,16 +22,21 @@ and Hopkins, therefore runs through one window path,
 one Abbe SMO objective (single tile or a ``(B, N, N)`` stack, the
 default window or any dose x aberration grid) and
 :class:`HopkinsMOObjective` its baked-source counterpart.
-:func:`smo_loss_from_aerial` keeps the Eq. (7)-(8) formula as the
-reference the parity tests compare against.
+:func:`dose_resist` and :func:`smo_loss_from_aerial` keep the
+Eq. (6)-(8) formula as the composed reference the parity tests compare
+against.
 
 Objectives consume any :class:`repro.optics.ImagingEngine`; default
 engines come from the shared optics cache, and every inference-only
 entry point (``images()``) rides the engines' graph-free fast path.  A
-loss evaluation is one fused
-:func:`repro.autodiff.functional.incoherent_image_stack` node (streamed
+loss evaluation is two fused nodes: one
+:func:`repro.autodiff.functional.incoherent_image_stack` (streamed
 forward, hand-written VJP), so neither the loss nor its backward
-retains a ``(B, S, N, N)`` field stack.
+retains a ``(B, S, N, N)`` field stack, and one
+:func:`repro.autodiff.functional.resist_corner_losses` for every
+corner's resist and squared error (cached sigmoids, closed-form first
+and second derivatives); only the robust reduction over the ``(C,)``
+corner losses is composed.
 """
 
 from __future__ import annotations
@@ -161,30 +166,26 @@ def _corner_loss_terms(
     """Per-corner squared-error scalars from per-condition aerial images.
 
     ``aerials[i]`` is the (differentiable) aerial image at the window's
-    i-th distinct pupil condition; each corner applies its exact
-    post-aerial ``dose**2`` scaling (and its calibrated resist
-    threshold, when set) through :func:`dose_resist` and contributes
-    ``L_c = || Z_c - Z_t ||^2``.  Returns the list of C scalar loss
-    tensors plus the ``(C, B)`` per-tile loss matrix (harvested from the
-    already-computed resist data at no extra imaging cost).
+    i-th distinct pupil condition.  One
+    :func:`~repro.autodiff.functional.resist_corner_losses` node gives
+    every corner's ``L_c = || Z_c - Z_t ||^2`` per tile, with the
+    corner's exact post-aerial ``dose**2`` scaling and its resist
+    threshold (the config's, or the corner's calibrated one).  Returns
+    the list of C scalar loss tensors plus that node's ``(C, B)``
+    per-tile loss matrix.
     """
-    fidx = window.condition_index()
-    losses: List[ad.Tensor] = []
-    matrix_rows = []
-    for ci, corner in enumerate(window.corners):
-        z = dose_resist(
-            aerials[int(fidx[ci])],
-            config,
-            corner.dose,
-            corner.intensity_threshold,
-        )
-        sq = F.power(F.sub(z, target), 2.0)
-        losses.append(F.sum(sq))
-        d = sq.data
-        matrix_rows.append(
-            d.sum(axis=(-2, -1)).reshape(-1) if d.ndim == 3 else [d.sum()]
-        )
-    return losses, np.asarray(matrix_rows, dtype=np.float64)
+    per_tile = F.resist_corner_losses(
+        aerials,
+        target,
+        window.condition_index(),
+        window.doses**2,
+        window.intensity_thresholds(config),
+        config.beta,
+    )
+    batched = per_tile.ndim == 2
+    totals = F.sum(per_tile, axis=1) if batched else per_tile
+    losses = [F.getitem(totals, c) for c in range(window.num_corners)]
+    return losses, per_tile.data if batched else per_tile.data[:, None]
 
 
 def _resolve_corner_weights(
