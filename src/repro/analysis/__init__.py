@@ -5,7 +5,7 @@ every FFT is issued by :mod:`repro.optics.backend`, engine/cache
 memo mutations hold their lock, fan-out reductions run in fixed
 caller-thread order, library invariants raise real exceptions.  Nothing
 in a generic linter knows any of that, so this package encodes the
-conventions as machine-checked AST rules (R1-R8, see
+conventions as machine-checked AST rules (``ALL_RULES`` in
 :mod:`repro.analysis.rules`) with a CLI (``python -m repro.analysis``),
 text/JSON reporters and per-line waiver comments::
 

@@ -12,6 +12,7 @@ from typing import List, Optional, Sequence
 
 from .engine import AnalysisError, run_paths
 from .reporters import render_json, render_rule_list, render_text
+from .rules import ALL_RULES
 
 
 def _find_root(start: Path) -> Path:
@@ -26,13 +27,14 @@ def _find_root(start: Path) -> Path:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="reprolint: static analysis for this repo's invariants (rules R1-R8)",
+        description="reprolint: static analysis for this repo's invariants "
+        f"(rules {', '.join(cls.rule_id for cls in ALL_RULES)})",
     )
     parser.add_argument(
         "paths",
         nargs="*",
-        default=["src", "benchmarks", "examples"],
-        help="files or directories to lint (default: src benchmarks examples)",
+        default=["src", "examples"],
+        help="files or directories to lint (default: src examples)",
     )
     parser.add_argument(
         "--root",

@@ -227,9 +227,8 @@ def _parse_waivers(rel: str, source: str, known_rules: Set[str]) -> Tuple[Dict[i
 def module_name_for(path: Path, root: Path) -> Optional[str]:
     """Dotted module name for *path*, or None when it has no import name.
 
-    ``src/<pkg>/...`` resolves through the src layout; ``benchmarks/*.py``
-    and ``examples/*.py`` resolve as ``benchmarks.<stem>`` /
-    ``examples.<stem>`` (they are run with those dirs on sys.path).
+    ``src/<pkg>/...`` resolves through the src layout; a script dir such
+    as ``examples/*.py`` resolves as ``examples.<stem>``.
     """
     try:
         rel = path.resolve().relative_to(root.resolve())

@@ -28,6 +28,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 from .engine import Finding, Module, Project
 from .registry import (
     DECLARED_ENV_VARS,
+    GOVERNED_PREFIXES,
     RAW_READER_MODULES,
     is_declared_env_var,
     is_governed_env_var,
@@ -242,9 +243,10 @@ class EnvRegistryRule(Rule):
     rule_id = "R2"
     name = "env-registry"
     description = (
-        "REPRO_*/BISMO_* environment variables must be declared in "
-        "repro.analysis.registry, read only via fftlib/bench_env, and "
-        "documented in README's env-var table"
+        f"{'/'.join(p + '*' for p in GOVERNED_PREFIXES)} environment variables "
+        "must be declared in repro.analysis.registry, read only in "
+        f"{', '.join(RAW_READER_MODULES)}, and documented in README's "
+        "env-var table"
     )
 
     _READ_CALLS = ("os.environ.get", "os.getenv", "os.environ.pop", "os.environ.setdefault")

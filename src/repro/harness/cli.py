@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Iterator, List, Optional
 
 from ..layouts import dataset_by_name, DATASET_NAMES
-from ..optics import ProcessWindow
+from ..optics import OpticalConfig, ProcessWindow
 from .figures import figure3_series, figure5_stats
 from .process_window import process_window_table, run_process_window
 from .report import (
@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--scale", default="small", help="optical preset: tiny/small/default/paper")
+        p.add_argument("--scale", default="small", help="optical preset: small/default/paper")
         p.add_argument("--clips", type=int, default=2, help="clips per dataset")
         p.add_argument("--iterations", type=int, default=30)
         p.add_argument("--lr", type=float, default=0.1)
@@ -211,6 +211,24 @@ def _settings(args: argparse.Namespace, iterations: Optional[int] = None) -> Run
     )
 
 
+def _scale_problem(scale: str) -> Optional[str]:
+    """Why ``--scale`` cannot image the built-in clips, or None: every
+    command rasterizes them, so the preset's tile must be theirs."""
+    clip_tiles = {dataset_by_name(n, num_clips=1).style.tile_nm for n in DATASET_NAMES}
+    runnable = [n for n in OpticalConfig.PRESETS if {OpticalConfig.preset(n).tile_nm} == clip_tiles]
+    if scale in runnable:
+        return None
+    if scale in OpticalConfig.PRESETS:
+        why = (
+            f"preset {scale!r} images a {OpticalConfig.preset(scale).tile_nm:g} nm "
+            f"tile, but the built-in clips use "
+            f"{' / '.join(f'{t:g}' for t in sorted(clip_tiles))} nm tiles"
+        )
+    else:
+        why = f"unknown preset {scale!r}"
+    return f"--scale: {why}; use one of: {', '.join(runnable)}"
+
+
 def _datasets(args: argparse.Namespace):
     return [dataset_by_name(n, num_clips=max(args.clips, 1)) for n in DATASET_NAMES]
 
@@ -265,7 +283,10 @@ def _obs_session(
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if problem := _scale_problem(args.scale):
+        parser.error(problem)
     out_dir: Optional[Path] = getattr(args, "out", None)
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)

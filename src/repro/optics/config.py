@@ -15,7 +15,7 @@ the paper-scale preset remains available.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -122,6 +122,14 @@ class OpticalConfig:
     # ------------------------------------------------------------------
     # presets
     # ------------------------------------------------------------------
+    #: The named configurations of :meth:`preset`, as field values.
+    PRESETS: ClassVar[Dict[str, Dict[str, Any]]] = {
+        "paper": {"mask_size": 2048, "source_size": 35},
+        "default": {"mask_size": 128, "source_size": 13},
+        "small": {"mask_size": 64, "source_size": 9},
+        "tiny": {"mask_size": 32, "source_size": 7, "tile_nm": 500.0},
+    }
+
     @classmethod
     def preset(cls, name: str = "default") -> "OpticalConfig":
         """Named configurations.
@@ -133,15 +141,9 @@ class OpticalConfig:
         * ``"small"`` — 64 px / N_j=9 for integration tests and examples.
         * ``"tiny"`` — 32 px / N_j=7, 500 nm tile, for unit tests.
         """
-        presets = {
-            "paper": cls(mask_size=2048, source_size=35),
-            "default": cls(mask_size=128, source_size=13),
-            "small": cls(mask_size=64, source_size=9),
-            "tiny": cls(mask_size=32, source_size=7, tile_nm=500.0),
-        }
-        if name not in presets:
-            raise KeyError(f"unknown preset {name!r}; choose from {sorted(presets)}")
-        return presets[name]
+        if name not in cls.PRESETS:
+            raise KeyError(f"unknown preset {name!r}; choose from {sorted(cls.PRESETS)}")
+        return cls(**cls.PRESETS[name])
 
     def with_(self, **kwargs: Any) -> "OpticalConfig":
         """Functional update (frozen dataclass convenience)."""

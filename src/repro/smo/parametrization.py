@@ -7,7 +7,7 @@ produced from unconstrained real parameters through a steep sigmoid:
     J = sigmoid(alpha_j * theta_J)      theta_J init: +j0 inside template
 
 The cosine activation mentioned (and rejected for stability) by
-Section 3.1 is also provided for the activation ablation benchmark.
+Section 3.1 is also provided for the activation ablation.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def cosine_activation(theta: ad.Tensor, alpha: float) -> ad.Tensor:
 
     Section 3.1 flags this alternative as unstable (its gradient
     vanishes periodically and changes sign); kept for the activation
-    ablation benchmark.
+    ablation.
     """
     return F.mul(F.sub(1.0, F.cos(F.mul(theta, alpha))), 0.5)
 

@@ -1,7 +1,8 @@
 """R2 fixture (violations): governed env vars read the wrong way.
 
-Linted as module ``benchmarks.bench_rogue``: an *undeclared* BISMO_ knob
-and a declared knob read outside the raw-reader allow-list both flag.
+Linted as library module ``repro.smo.env_fixture``: an *undeclared*
+``BISMO_`` knob (the prefix stays governed with nothing declared) and a
+declared knob read outside the raw-reader allow-list both flag.
 """
 
 import os
@@ -11,5 +12,5 @@ __all__ = ["knobs"]
 
 def knobs():
     secret = os.environ.get("BISMO_NOT_A_REAL_KNOB", "")
-    scale = os.getenv("BISMO_BENCH_SCALE", "default")
-    return secret, scale
+    chunk = os.getenv("REPRO_FFT_CHUNK", "16")
+    return secret, chunk

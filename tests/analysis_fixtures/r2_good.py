@@ -1,13 +1,13 @@
 """R2 fixture (clean): a declared knob read inside a raw-reader module.
 
-Linted as module ``benchmarks.bench_env`` (one of the two modules the
+Linted as module ``repro.optics.fftlib`` (one of the modules the
 registry allows to touch ``os.environ`` for governed variables).
 """
 
 import os
 
-__all__ = ["scale"]
+__all__ = ["chunk"]
 
 
-def scale():
-    return os.environ.get("BISMO_BENCH_SCALE", "default")
+def chunk():
+    return os.environ.get("REPRO_FFT_CHUNK", "16")

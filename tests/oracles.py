@@ -92,8 +92,8 @@ class FullGridAbbeImaging(AbbeImaging):
         return out
 
     def aerial_loop(self, mask: ad.Tensor, source: ad.Tensor) -> ad.Tensor:
-        """Per-source-point Python loop of composed ops (the slow path the
-        fused primitive is benchmarked against)."""
+        """Per-source-point Python loop of composed ops: the serial Abbe
+        sum the batched engine is held to."""
         j = self.source_weights(source)
         fm = F.fft2(mask)
         total: Optional[ad.Tensor] = None
@@ -179,9 +179,9 @@ class ComposedAbbeImaging(FullGridAbbeImaging):
     reference graph.
 
     Only :meth:`aerial_conditions` is overridden, so ``aerial``,
-    ``aerial_fast`` and ``aerial_conditions_fast`` follow it: objectives,
-    solvers and benchmarks built on this engine run the composed oracle
-    on whole-grid pupils end to end.
+    ``aerial_fast`` and ``aerial_conditions_fast`` follow it: objectives
+    and solvers built on this engine run the composed oracle on
+    whole-grid pupils end to end.
     """
 
     def aerial_conditions(self, mask, source, conditions=(0.0,)):

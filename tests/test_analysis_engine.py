@@ -16,8 +16,11 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import lint_source, run_paths
+from repro.analysis.__main__ import main
 from repro.analysis.engine import module_name_for
+from repro.analysis.registry import RAW_READER_MODULES
 from repro.analysis.reporters import render_json, render_text
+from repro.analysis.rules import ALL_RULES, EnvRegistryRule
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -119,7 +122,7 @@ def test_exit_codes_clean_and_findings():
         ("src/repro/optics/abbe.py", "repro.optics.abbe"),
         ("src/repro/optics/__init__.py", "repro.optics"),
         ("src/repro/__init__.py", "repro"),
-        ("benchmarks/bench_env.py", "benchmarks.bench_env"),
+        ("smobench/run.py", "smobench.run"),
         ("examples/quickstart.py", "examples.quickstart"),
         ("setup.cfg", None),
     ],
@@ -193,6 +196,16 @@ def test_cli_nonzero_on_bad_fixture(tmp_path):
     assert proc.returncode == 1
     payload = json.loads(proc.stdout)
     assert payload["counts"].get("R7") == 1
+
+
+def test_cli_help_names_every_rule(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    words = set(capsys.readouterr().out.replace(",", " ").replace(")", " ").split())
+    assert {cls.rule_id for cls in ALL_RULES} <= words
+    for module in RAW_READER_MODULES:
+        assert module in EnvRegistryRule.description
 
 
 def test_run_paths_on_fixture_tree(tmp_path):

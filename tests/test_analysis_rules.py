@@ -5,7 +5,7 @@ Each rule has a good and a bad fixture under
 expected number of findings for *its* rule and the good fixture none.
 Fixtures are linted via :func:`repro.analysis.lint_source` with a
 declared module name, because most rules scope by where code lives
-(library vs. benchmark, inside vs. outside the FFT seam).
+(library vs. script, inside vs. outside the FFT seam).
 """
 
 from pathlib import Path
@@ -19,7 +19,7 @@ FIXTURES = Path(__file__).parent / "analysis_fixtures"
 #: rule id -> (declared module name, minimum findings in the bad fixture)
 CASES = {
     "R1": ("repro.optics.sim_fixture", 3),
-    "R2": ("benchmarks.bench_rogue", 2),
+    "R2": ("repro.smo.env_fixture", 2),
     "R3": ("repro.optics.cache_fixture", 3),
     "R4": ("repro.autodiff.ops_fixture", 4),
     "R5": ("repro.smo.rand_fixture", 4),
@@ -31,7 +31,7 @@ CASES = {
 
 #: good fixtures that legitimately lint under a different module name
 GOOD_MODULE_OVERRIDES = {
-    "R2": "benchmarks.bench_env",
+    "R2": "repro.optics.fftlib",
     "R6": "repro.harness.pool_fixture",
 }
 
@@ -72,9 +72,9 @@ def test_r1_backend_itself_is_exempt():
 
 def test_r2_same_read_ok_inside_raw_reader():
     source = (FIXTURES / "r2_good.py").read_text(encoding="utf-8")
-    outside = lint_source(source, module_name="benchmarks.bench_other", select=["R2"])
+    outside = lint_source(source, module_name="repro.smo.env_fixture", select=["R2"])
     assert any(f.rule == "R2" for f in outside.findings)
-    inside = lint_source(source, module_name="benchmarks.bench_env", select=["R2"])
+    inside = lint_source(source, module_name="repro.optics.fftlib", select=["R2"])
     assert inside.findings == []
 
 
@@ -90,7 +90,7 @@ def test_r5_wall_clock_allowed_in_harness():
     assert any("wall-clock" in f.message for f in lib.findings)
     harness = lint_source(source, module_name="repro.harness.runner", select=["R5"])
     assert harness.findings == []
-    script = lint_source(source, module_name="benchmarks.bench_foo", select=["R5"])
+    script = lint_source(source, module_name="examples.foo", select=["R5"])
     assert script.findings == []
 
 
@@ -146,7 +146,7 @@ def test_r6_pools_allowed_in_fftlib():
 
 def test_r7_scripts_may_assert():
     source = (FIXTURES / "r7_bad.py").read_text(encoding="utf-8")
-    report = lint_source(source, module_name="benchmarks.bench_foo", select=["R7"])
+    report = lint_source(source, module_name="examples.foo", select=["R7"])
     assert report.findings == []
 
 

@@ -6,11 +6,15 @@
   (``compile()``), and every import statement inside it must actually
   import — a README snippet that names a moved/renamed symbol fails
   here instead of on a reader's machine.
+* README's install line (``pip install -e .``) must provide the
+  ``repro`` package and the ``bismo`` command README runs.
 """
 
 from __future__ import annotations
 
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -86,3 +90,17 @@ def test_python_snippet_imports_resolve(doc: Path):
             pytest.fail(
                 f"{doc.name} snippet {i} imports fail: {exc}\n{imports}"
             )
+
+
+def test_install_shim_provides_the_bismo_command(tmp_path):
+    pytest.importorskip("setuptools")
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "-q", "egg_info", "--egg-base", str(tmp_path)],
+        cwd=REPO,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    info = tmp_path / "repro.egg-info"
+    assert (info / "top_level.txt").read_text().split() == ["repro"]
+    assert "bismo = repro.harness.cli:main" in (info / "entry_points.txt").read_text()

@@ -155,6 +155,7 @@ class TestFigures:
         data = stats["BiSMO-FD"]
         assert data["mean"].shape == data["std"].shape
         assert len(data["steps"]) == len(data["mean"])
+        assert np.all(np.isfinite(data["mean"]))
         assert np.all(data["std"] >= 0)
 
 
@@ -196,3 +197,13 @@ class TestCLI:
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_main_refuses_a_preset_whose_tile_the_clips_do_not_use(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["table3", "--scale", "tiny", "--clips", "1",
+                  "--iterations", "1", "--methods", "Abbe-MO"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "[run]" not in err  # refused before any cell started
+        assert "500 nm" in err and "2000 nm" in err
+        assert "small" in err and "default" in err and "paper" in err

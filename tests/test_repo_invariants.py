@@ -5,7 +5,7 @@ reintroduces a raw ``np.fft`` call, an undeclared env knob, an unlocked
 memo write, an unseeded RNG, an ad-hoc thread pool, a library assert or
 a drifted ``__all__`` fails here, with the offending locations in the
 assertion message.  It runs the exact command CI's static-analysis job
-runs: ``python -m repro.analysis src benchmarks examples``.
+runs: ``python -m repro.analysis src examples``.
 
 The mypy half of the static-analysis story is config-checked here
 (section shape, typed-core coverage) and executed only where mypy is
@@ -25,7 +25,7 @@ from repro.analysis import run_paths
 from repro.analysis.reporters import render_text
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-LINT_TARGETS = ["src", "benchmarks", "examples"]
+LINT_TARGETS = ["src", "examples"]
 
 
 def test_repo_lints_clean():
