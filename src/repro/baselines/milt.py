@@ -12,23 +12,16 @@ accelerate, the simulation).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
-from .. import autodiff as ad
-from ..obs import observe_iteration
-from ..obs import span as obs_span
 from ..opt import make_optimizer
-from ..utils.timing import tick
 from ..optics import OpticalConfig, ProcessWindow
-from ..smo.objective import (
-    AdaptiveCornerWeights,
-    HopkinsMOObjective,
-    adaptive_corner_update,
-)
+from ..smo.mo_only import Callback, SolverLoop
+from ..smo.objective import AdaptiveCornerWeights, HopkinsMOObjective
 from ..smo.parametrization import init_theta_mask
-from ..smo.state import IterationRecord, SMOResult
+from ..smo.state import SMOResult
 
 __all__ = ["MultiLevelILT"]
 
@@ -125,21 +118,19 @@ class MultiLevelILT:
     def run(
         self,
         iterations: int = 50,
-        callback: Optional[Callable[[IterationRecord], Optional[bool]]] = None,
+        callback: Optional[Callback] = None,
     ) -> SMOResult:
         """Split ``iterations`` across levels (coarse levels get fewer).
 
         A truthy ``callback`` return stops the solve immediately —
-        breaking out of both the iteration and the level loop."""
-        history: List[IterationRecord] = []
-        start = tick()
-        theta: Optional[np.ndarray] = None
+        breaking out of both the iteration and the level loop; the
+        iterate is still returned on the native grid."""
+        loop = SolverLoop(self.method_name, callback)
         n_levels = len(self.level_configs)
         per_level = max(1, iterations // n_levels)
-        step = 0
-        stop = False
+        theta: Optional[np.ndarray] = None
         for li, cfg in enumerate(self.level_configs):
-            if stop:
+            if loop.stopped:
                 break
             tgt = self._downsample_target(self.target, cfg.mask_size)
             if theta is None:
@@ -161,50 +152,19 @@ class MultiLevelILT:
                 robust_tau=self.robust_tau,
                 adaptive_weights=self.adaptive_weights,
             )
-            opt = make_optimizer(self.optimizer, self.lr)
             iters = per_level if li < n_levels - 1 else iterations - per_level * (n_levels - 1)
-            for _ in range(iters):
-                t0 = tick()
-                with obs_span(
-                    "solver.iter", solver=self.method_name, iteration=step
-                ):
-                    tm = ad.Tensor(theta, requires_grad=True)
-                    loss = objective.loss(tm)
-                    (gm,) = ad.grad(loss, [tm])
-                    # Losses at coarse levels are on fewer pixels; scale
-                    # to the native grid so the convergence trace is
-                    # comparable.
-                    scale = (self.config.mask_size / cfg.mask_size) ** 2
-                    tiles = (
-                        objective.last_tile_losses * scale
-                        if objective.last_tile_losses is not None
-                        else None
-                    )
-                    theta = opt.step(theta, gm.data)
-                    corner_w = adaptive_corner_update(objective)
-                rec = IterationRecord(
-                    step,
-                    float(loss.data) * scale,
-                    tick() - t0,
-                    "mo",
-                    tile_losses=tiles,
-                    corner_weights=corner_w,
-                )
-                observe_iteration(rec, grad=gm)
-                history.append(rec)
-                step += 1
-                if callback and callback(rec):
-                    stop = True
-                    break
-        if theta is None:
-            raise RuntimeError(
-                "MultiLevelILT produced no iterate; "
-                "levels/steps_per_level must be >= 1"
+            theta = loop.descend(
+                iters,
+                "mo",
+                theta,
+                objective.loss,
+                make_optimizer(self.optimizer, self.lr),
+                objective,
+                # Losses at coarse levels are on fewer pixels; scale to
+                # the native grid so the convergence trace is comparable.
+                scale=(self.config.mask_size / cfg.mask_size) ** 2,
             )
-        return SMOResult(
-            method=self.method_name,
-            theta_m=theta,
-            theta_j=None,
-            history=history,
-            runtime_seconds=tick() - start,
+        theta = self._upsample_theta(
+            theta, self.config.mask_size // theta.shape[-1]
         )
+        return loop.result(theta, None)

@@ -15,23 +15,18 @@ figure harness can reproduce it.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .. import autodiff as ad
-from ..obs import observe_iteration
-from ..obs import span as obs_span
 from ..opt import make_optimizer
 from ..utils.timing import tick
 from ..optics import OpticalConfig, ProcessWindow
-from .objective import (
-    HopkinsMOObjective,
-    ProcessWindowSMOObjective,
-    adaptive_corner_update,
-)
+from .mo_only import Callback, SolverLoop
+from .objective import HopkinsMOObjective, ProcessWindowSMOObjective
 from .parametrization import init_theta_mask, init_theta_source, source_from_theta
-from .state import IterationRecord, SMOResult
+from .state import SMOResult
 
 __all__ = ["AMSMO"]
 
@@ -109,17 +104,13 @@ class AMSMO:
             "AM-SMO(Abbe-Abbe)" if mode == "abbe-abbe" else "AM-SMO(Abbe-Hopkins)"
         )
 
-    def _stashed_tile_losses(self) -> Optional[np.ndarray]:
-        """Per-tile losses stashed by the objective's latest ``loss()``."""
-        return getattr(self.objective, "last_tile_losses", None)
-
     # ------------------------------------------------------------------
     def run(
         self,
         source_template: np.ndarray,
         theta_m0: Optional[np.ndarray] = None,
         theta_j0: Optional[np.ndarray] = None,
-        callback: Optional[Callable[[IterationRecord], Optional[bool]]] = None,
+        callback: Optional[Callback] = None,
     ) -> SMOResult:
         cfg = self.config
         theta_m = (
@@ -132,45 +123,22 @@ class AMSMO:
             if theta_j0 is None
             else np.array(theta_j0, dtype=np.float64, copy=True)
         )
-        history = []
-        start = tick()
-        step = 0
+        loop = SolverLoop(self.method_name, callback)
         tcc_seconds = 0.0
-        stop = False  # callback early-stop, breaks all nested loops
         for _ in range(self.rounds):
-            if stop:
-                break
             # ---- SO phase (theta_M fixed) — Algorithm 1 line 3 --------
-            opt_j = make_optimizer(self.so_optimizer, self.lr_so)
             tm_fixed = ad.Tensor(theta_m)
-            for _ in range(self.so_steps):
-                t0 = tick()
-                with obs_span(
-                    "solver.iter", solver=self.method_name, iteration=step
-                ):
-                    tj = ad.Tensor(theta_j, requires_grad=True)
-                    loss = self.objective.loss(tj, tm_fixed)
-                    (gj,) = ad.grad(loss, [tj])
-                    tiles = self._stashed_tile_losses()
-                    theta_j = opt_j.step(theta_j, gj.data)
-                    corner_w = adaptive_corner_update(self.objective)
-                rec = IterationRecord(
-                    step,
-                    float(loss.data),
-                    tick() - t0,
-                    "so",
-                    tile_losses=tiles,
-                    corner_weights=corner_w,
-                )
-                observe_iteration(rec, grad=gj)
-                history.append(rec)
-                step += 1
-                if callback and callback(rec):
-                    stop = True
-                    break
-            # ---- MO phase (theta_J fixed) — Algorithm 1 line 5 --------
-            if stop:
+            theta_j = loop.descend(
+                self.so_steps,
+                "so",
+                theta_j,
+                lambda tj: self.objective.loss(tj, tm_fixed),
+                make_optimizer(self.so_optimizer, self.lr_so),
+                self.objective,
+            )
+            if loop.stopped:  # a callback stop ends every phase
                 break
+            # ---- MO phase (theta_J fixed) — Algorithm 1 line 5 --------
             opt_m = make_optimizer(self.mo_optimizer, self.lr_mo)
             if self.mode == "abbe-hopkins":
                 with ad.no_grad():
@@ -191,63 +159,17 @@ class AMSMO:
                     ),
                 )
                 tcc_seconds += tick() - t0
-                for _ in range(self.mo_steps):
-                    t0 = tick()
-                    with obs_span(
-                        "solver.iter", solver=self.method_name, iteration=step
-                    ):
-                        tm = ad.Tensor(theta_m, requires_grad=True)
-                        loss = hop.loss(tm)
-                        (gm,) = ad.grad(loss, [tm])
-                        tiles = hop.last_tile_losses
-                        theta_m = opt_m.step(theta_m, gm.data)
-                        corner_w = adaptive_corner_update(hop)
-                    rec = IterationRecord(
-                        step,
-                        float(loss.data),
-                        tick() - t0,
-                        "mo",
-                        tile_losses=tiles,
-                        corner_weights=corner_w,
-                    )
-                    observe_iteration(rec, grad=gm)
-                    history.append(rec)
-                    step += 1
-                    if callback and callback(rec):
-                        stop = True
-                        break
+                theta_m = loop.descend(
+                    self.mo_steps, "mo", theta_m, hop.loss, opt_m, hop
+                )
             else:
                 tj_fixed = ad.Tensor(theta_j)
-                for _ in range(self.mo_steps):
-                    t0 = tick()
-                    with obs_span(
-                        "solver.iter", solver=self.method_name, iteration=step
-                    ):
-                        tm = ad.Tensor(theta_m, requires_grad=True)
-                        loss = self.objective.loss(tj_fixed, tm)
-                        (gm,) = ad.grad(loss, [tm])
-                        tiles = self._stashed_tile_losses()
-                        theta_m = opt_m.step(theta_m, gm.data)
-                        corner_w = adaptive_corner_update(self.objective)
-                    rec = IterationRecord(
-                        step,
-                        float(loss.data),
-                        tick() - t0,
-                        "mo",
-                        tile_losses=tiles,
-                        corner_weights=corner_w,
-                    )
-                    observe_iteration(rec, grad=gm)
-                    history.append(rec)
-                    step += 1
-                    if callback and callback(rec):
-                        stop = True
-                        break
-        return SMOResult(
-            method=self.method_name,
-            theta_m=theta_m,
-            theta_j=theta_j,
-            history=history,
-            runtime_seconds=tick() - start,
-            extra={"tcc_seconds": tcc_seconds},
-        )
+                theta_m = loop.descend(
+                    self.mo_steps,
+                    "mo",
+                    theta_m,
+                    lambda tm: self.objective.loss(tj_fixed, tm),
+                    opt_m,
+                    self.objective,
+                )
+        return loop.result(theta_m, theta_j, tcc_seconds=tcc_seconds)

@@ -40,18 +40,17 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import functional as F
-from ..obs import observe_iteration
-from ..obs import span as obs_span
-from ..opt import make_optimizer
+from ..opt import Optimizer, make_optimizer
 from ..optics import OpticalConfig, ProcessWindow
-from ..utils.timing import tick
+from .mo_only import Callback, SolverLoop
 from .objective import (
     ProcessWindowSMOObjective,
     SourceBasisLoss,
     adaptive_corner_update,
 )
 from .parametrization import init_theta_mask, init_theta_source
-from .state import IterationRecord, SMOResult
+from .state import SMOResult
+from .unroll import unrolled_hypergradient
 
 __all__ = ["HypergradientContext", "BiSMO"]
 
@@ -247,7 +246,7 @@ def _resolve_method(method: str) -> Optional[HypergradientFn]:
     table = {"fd": fd_hypergradient, "nmn": neumann_hypergradient, "cg": cg_hypergradient}
     key = method.lower()
     if key == "unroll":
-        return None  # handled structurally in BiSMO.run (RMD path)
+        return None  # BiSMO._unroll_iteration (RMD path)
     if key not in table:
         raise KeyError(
             f"unknown BiSMO method {method!r}; choose from "
@@ -344,19 +343,13 @@ class BiSMO:
         self.damping = damping
         self.method_name = f"BiSMO-{self.method.upper()}"
 
-    def _stashed_tile_losses(self) -> Optional[np.ndarray]:
-        """Per-tile losses of the objective's latest evaluation (joint
-        runs only; None for single tiles).  Batched objectives stash the
-        vector during ``loss()`` at no extra imaging cost."""
-        return getattr(self.objective, "last_tile_losses", None)
-
     def run(
         self,
         source_template: np.ndarray,
         iterations: int = 40,
         theta_m0: Optional[np.ndarray] = None,
         theta_j0: Optional[np.ndarray] = None,
-        callback: Optional[Callable[[IterationRecord], Optional[bool]]] = None,
+        callback: Optional[Callback] = None,
     ) -> SMOResult:
         cfg = self.config
         theta_m = (
@@ -371,106 +364,75 @@ class BiSMO:
         )
         inner_opt = make_optimizer(self.inner_optimizer, self.inner_lr)
         outer_opt = make_optimizer(self.outer_optimizer, self.outer_lr)
-        warm: Optional[np.ndarray] = None
-        history = []
-        start = tick()
-        for it in range(iterations):
-            t0 = tick()
-            if self._hyper_fn is None:
-                # BiSMO-UNROLL: reverse-mode differentiation through the
-                # inner loop (the memory-heavy reference strategy).
-                from .unroll import unrolled_hypergradient
-
-                with obs_span(
-                    "solver.iter", solver=self.method_name, iteration=it
-                ):
-                    hyper, theta_j, loss_value = unrolled_hypergradient(
-                        self.objective,
-                        theta_j,
-                        theta_m,
-                        steps=self.unroll_steps,
-                        inner_lr=self.inner_lr,
-                        inner_optimizer=self.inner_optimizer,
-                    )
-                    tile_losses = self._stashed_tile_losses()
-                    theta_m = outer_opt.step(theta_m, hyper)
-                    corner_w = adaptive_corner_update(self.objective)
-                rec = IterationRecord(
-                    it,
-                    loss_value,
-                    tick() - t0,
-                    "bilevel",
-                    tile_losses=tile_losses,
-                    corner_weights=corner_w,
-                )
-                observe_iteration(rec, grad=hyper)
-                history.append(rec)
-                if callback and callback(rec):
-                    break
-                continue
-            with obs_span(
-                "solver.iter", solver=self.method_name, iteration=it
-            ):
-                # ---- Alg. 2 line 2: unroll T inner SO steps -----------
-                # theta_M is fixed for the whole outer iteration, so the
-                # objective's FFT-free source-only loss (one intensity
-                # basis, shared with the hypergradient oracles below)
-                # carries every inner step and second-order product of
-                # this iteration.
-                so_loss = _source_only_loss(self.objective, theta_m)
-                if so_loss is not None:
-                    for _ in range(self.unroll_steps):
-                        tj = ad.Tensor(theta_j, requires_grad=True)
-                        (gj,) = ad.grad(so_loss(tj), [tj])
-                        theta_j = inner_opt.step(theta_j, gj.data)
-                else:
-                    tm_fixed = ad.Tensor(theta_m)
-                    for _ in range(self.unroll_steps):
-                        tj = ad.Tensor(theta_j, requires_grad=True)
-                        loss_so = self.objective.loss(tj, tm_fixed)
-                        (gj,) = ad.grad(loss_so, [tj])
-                        theta_j = inner_opt.step(theta_j, gj.data)
-                # ---- Alg. 2 lines 5-12: hypergradient -----------------
-                ctx = HypergradientContext(
-                    self.objective,
-                    theta_j,
-                    theta_m,
-                    hvp_mode=self.hvp_mode,
-                    so_loss_fn=so_loss,
-                )
-                # Capture per-tile losses and the corner matrix now: they
-                # belong to ctx's loss evaluation, and FD-mode
-                # hypergradients re-evaluate the objective at perturbed
-                # points below (clobbering the stashed diagnostics).
-                tile_losses = self._stashed_tile_losses()
-                corner_matrix = getattr(
-                    self.objective, "last_corner_losses", None
-                )
-                hyper, warm = self._hyper_fn(
-                    ctx, self.inner_lr, self.terms, self.damping, warm
-                )
-                # ---- Alg. 2 line 13: outer MO step --------------------
-                theta_m = outer_opt.step(theta_m, hyper)
-                # Minimax ascent on the corner weights (robust="adaptive"):
-                # one EG step per outer iteration, from the corner losses
-                # of ctx's evaluation at the pre-step parameters.
-                corner_w = adaptive_corner_update(self.objective, corner_matrix)
-            rec = IterationRecord(
-                it,
-                ctx.loss_value,
-                tick() - t0,
-                "bilevel",
-                tile_losses=tile_losses,
-                corner_weights=corner_w,
-            )
-            observe_iteration(rec, grad=hyper)
-            history.append(rec)
-            if callback and callback(rec):
-                break
-        return SMOResult(
-            method=self.method_name,
-            theta_m=theta_m,
-            theta_j=theta_j,
-            history=history,
-            runtime_seconds=tick() - start,
+        if self._hyper_fn is None:
+            body = partial(self._unroll_iteration, outer_opt)
+        else:
+            body = partial(self._ift_iteration, inner_opt, outer_opt)
+        loop = SolverLoop(self.method_name, callback)
+        theta_m, theta_j, _ = loop.run(
+            iterations, "bilevel", body, (theta_m, theta_j, None)
         )
+        return loop.result(theta_m, theta_j)
+
+    def _unroll_iteration(self, outer_opt: Optimizer, state):
+        """BiSMO-UNROLL: reverse-mode differentiation through the inner
+        loop (the memory-heavy reference strategy)."""
+        theta_m, theta_j, warm = state
+        hyper, theta_j, loss_value = unrolled_hypergradient(
+            self.objective,
+            theta_j,
+            theta_m,
+            steps=self.unroll_steps,
+            inner_lr=self.inner_lr,
+            inner_optimizer=self.inner_optimizer,
+        )
+        tile_losses = getattr(self.objective, "last_tile_losses", None)
+        theta_m = outer_opt.step(theta_m, hyper)
+        corner_w = adaptive_corner_update(self.objective)
+        return (theta_m, theta_j, warm), loss_value, hyper, tile_losses, corner_w
+
+    def _ift_iteration(self, inner_opt: Optimizer, outer_opt: Optimizer, state):
+        """One implicit-function (FD / NMN / CG) outer iteration."""
+        theta_m, theta_j, warm = state
+        # ---- Alg. 2 line 2: unroll T inner SO steps -------------------
+        # theta_M is fixed for the whole outer iteration, so the
+        # objective's FFT-free source-only loss (one intensity basis,
+        # shared with the hypergradient oracles below) carries every
+        # inner step and second-order product of this iteration.
+        so_loss = _source_only_loss(self.objective, theta_m)
+        if so_loss is not None:
+            for _ in range(self.unroll_steps):
+                tj = ad.Tensor(theta_j, requires_grad=True)
+                (gj,) = ad.grad(so_loss(tj), [tj])
+                theta_j = inner_opt.step(theta_j, gj.data)
+        else:
+            tm_fixed = ad.Tensor(theta_m)
+            for _ in range(self.unroll_steps):
+                tj = ad.Tensor(theta_j, requires_grad=True)
+                loss_so = self.objective.loss(tj, tm_fixed)
+                (gj,) = ad.grad(loss_so, [tj])
+                theta_j = inner_opt.step(theta_j, gj.data)
+        # ---- Alg. 2 lines 5-12: hypergradient -------------------------
+        ctx = HypergradientContext(
+            self.objective,
+            theta_j,
+            theta_m,
+            hvp_mode=self.hvp_mode,
+            so_loss_fn=so_loss,
+        )
+        # Capture per-tile losses and the corner matrix now: they belong
+        # to ctx's loss evaluation, and FD-mode hypergradients
+        # re-evaluate the objective at perturbed points below
+        # (clobbering the stashed diagnostics).
+        tile_losses = getattr(self.objective, "last_tile_losses", None)
+        corner_matrix = getattr(self.objective, "last_corner_losses", None)
+        hyper, warm = self._hyper_fn(
+            ctx, self.inner_lr, self.terms, self.damping, warm
+        )
+        # ---- Alg. 2 line 13: outer MO step ----------------------------
+        theta_m = outer_opt.step(theta_m, hyper)
+        # Minimax ascent on the corner weights (robust="adaptive"): one
+        # EG step per outer iteration, from the corner losses of ctx's
+        # evaluation at the pre-step parameters.
+        corner_w = adaptive_corner_update(self.objective, corner_matrix)
+        return (theta_m, theta_j, warm), ctx.loss_value, hyper, tile_losses, corner_w

@@ -284,8 +284,9 @@ def windowed_corner_loss(
     """One fused condition-axis evaluation of a robust window loss.
 
     The single shared implementation behind every SMO loss
-    (:class:`ProcessWindowSMOObjective`, :class:`HopkinsMOObjective`,
-    the NILT baseline; the paper's loss is the default window): one
+    (:class:`ProcessWindowSMOObjective` and :class:`HopkinsMOObjective`,
+    which the NILT and MILT baselines run on; the paper's loss is the
+    default window): one
     ``engine.aerial_conditions`` stack (shared mask spectrum across the
     window's distinct pupil conditions — defocus *and* general Zernike
     aberrations), per-corner ``dose**2`` resists with per-corner
@@ -395,18 +396,6 @@ class AdaptiveCornerWeights:
         self.lam = self.lam / self.lam.sum()
         self._apply_floor()
         return self.weights
-
-
-def live_corner_weights(
-    adaptive: Optional[AdaptiveCornerWeights],
-) -> Optional[np.ndarray]:
-    """Current weight override of an (optional) adaptive ascent.
-
-    The shared accessor behind every objective's ``_robust_weights``:
-    ``None`` (use the window's static weights) when no ascent is
-    attached, the live weight vector otherwise.
-    """
-    return None if adaptive is None else adaptive.weights
 
 
 def adaptive_corner_update(
@@ -551,7 +540,95 @@ class SourceBasisLoss:
         return g.data
 
 
-class ProcessWindowSMOObjective:
+class _WindowObjective:
+    """What both SMO objectives share below their engines: the target, a
+    process window under one robust reduction (``robust``, ``tau``),
+    optional live adaptive corner weights, and the stash of every
+    evaluation's diagnostics that solvers read.
+
+    ``adaptive_weights`` lets a solver like AM-SMO or MILT share one
+    live :class:`AdaptiveCornerWeights` across objectives; otherwise
+    ``robust="adaptive"`` creates its own (``tau`` is its EG rate).
+    """
+
+    def __init__(
+        self,
+        config: OpticalConfig,
+        target: np.ndarray,
+        window: Optional[ProcessWindow],
+        robust: str,
+        tau: float,
+        adaptive_weights: Optional[AdaptiveCornerWeights] = None,
+    ):
+        if robust not in ROBUST_MODES:
+            raise ValueError(
+                f"unknown robust mode {robust!r}; choose {ROBUST_MODES}"
+            )
+        if adaptive_weights is not None and robust != "adaptive":
+            raise ValueError(
+                "adaptive_weights requires robust='adaptive' (a live "
+                "ascent would silently override the static corner "
+                f"weights under robust={robust!r})"
+            )
+        target = _check_target(target, config)
+        self.config = config
+        self.window = window or ProcessWindow.from_config(config)
+        self.robust = robust
+        self.tau = float(tau)
+        self._batched = target.ndim == 3
+        self.num_tiles = target.shape[0] if self._batched else 1
+        self.target = ad.Tensor(target)
+        #: ``(C, B)`` per-corner / per-tile loss matrix of the latest
+        #: evaluation (C follows ``window.corners`` order).
+        self.last_corner_losses: Optional[np.ndarray] = None
+        #: Per-tile robust loss vector of the latest evaluation (batched
+        #: only).
+        self.last_tile_losses: Optional[np.ndarray] = None
+        #: Live minimax corner weights (``robust="adaptive"`` only).
+        self.adaptive_weights = (
+            adaptive_weights
+            if adaptive_weights is not None
+            else AdaptiveCornerWeights.maybe(self.window, robust, self.tau)
+        )
+
+    def _robust_weights(self) -> Optional[np.ndarray]:
+        """Current corner-weight override (live adaptive weights)."""
+        adaptive = self.adaptive_weights
+        return None if adaptive is None else adaptive.weights
+
+    def _stash(self, matrix: np.ndarray) -> None:
+        """Keep an evaluation's corner matrix and per-tile losses."""
+        self.last_corner_losses = matrix
+        self.last_tile_losses = (
+            robust_tile_losses(
+                matrix, self.window, self.robust, self.tau,
+                weights=self._robust_weights(),
+            )
+            if self._batched
+            else None
+        )
+
+    def _window_loss(
+        self, mask: ad.Tensor, source: Optional[ad.Tensor] = None
+    ) -> ad.Tensor:
+        """The robust window loss of ``mask`` (one fused condition
+        stack; ``source=None`` for baked-source engines), stashed."""
+        total, matrix = windowed_corner_loss(
+            self.engine,
+            self.config,
+            mask,
+            self.target,
+            self.window,
+            self.robust,
+            self.tau,
+            source=source,
+            weights=self._robust_weights(),
+        )
+        self._stash(matrix)
+        return total
+
+
+class ProcessWindowSMOObjective(_WindowObjective):
     """The SMO loss ``L_smo(theta_J, theta_M)`` — the one Abbe objective.
 
     This single callable backs SO, MO and every BiSMO level (the paper
@@ -592,18 +669,7 @@ class ProcessWindowSMOObjective:
         robust: str = "sum",
         tau: float = 1.0,
     ):
-        if robust not in ROBUST_MODES:
-            raise ValueError(
-                f"unknown robust mode {robust!r}; choose {ROBUST_MODES}"
-            )
-        target = _check_target(target, config)
-        self.config = config
-        self.window = window or ProcessWindow.from_config(config)
-        self.robust = robust
-        self.tau = float(tau)
-        self._batched = target.ndim == 3
-        self.num_tiles = target.shape[0] if self._batched else 1
-        self.target = ad.Tensor(target)
+        super().__init__(config, target, window, robust, tau)
         self.engine = engine or engine_for(config, "abbe")
         if not hasattr(self.engine, "source_weights"):
             raise ValueError(
@@ -612,33 +678,8 @@ class ProcessWindowSMOObjective:
                 "baked-source Hopkins engines use "
                 "HopkinsMOObjective instead"
             )
-        #: ``(C, B)`` per-corner / per-tile loss matrix of the latest
-        #: :meth:`loss` call (C follows ``window.corners`` order).
-        self.last_corner_losses: Optional[np.ndarray] = None
-        #: Per-tile robust loss vector of the latest call (batched only).
-        self.last_tile_losses: Optional[np.ndarray] = None
-        #: Live minimax corner weights (``robust="adaptive"`` only).
-        self.adaptive_weights = AdaptiveCornerWeights.maybe(
-            self.window, robust, self.tau
-        )
 
     # ------------------------------------------------------------------
-    def _robust_weights(self) -> Optional[np.ndarray]:
-        """Current corner-weight override (live adaptive weights)."""
-        return live_corner_weights(self.adaptive_weights)
-
-    def _stash(self, matrix: np.ndarray) -> None:
-        """Keep an evaluation's corner matrix and per-tile losses."""
-        self.last_corner_losses = matrix
-        self.last_tile_losses = (
-            robust_tile_losses(
-                matrix, self.window, self.robust, self.tau,
-                weights=self._robust_weights(),
-            )
-            if self._batched
-            else None
-        )
-
     def _tail(self, aerials: Sequence[ad.Tensor]) -> ad.Tensor:
         """The loss below the per-condition aerial images: per-corner
         resists and the robust reduction.  Stashes the corner matrix and
@@ -654,20 +695,7 @@ class ProcessWindowSMOObjective:
         """L_smo across the window (one fused condition stack)."""
         _check_theta_m(theta_m, self.target)
         source = source_from_theta(theta_j, self.config)
-        mask = mask_from_theta(theta_m, self.config)
-        total, matrix = windowed_corner_loss(
-            self.engine,
-            self.config,
-            mask,
-            self.target,
-            self.window,
-            self.robust,
-            self.tau,
-            source=source,
-            weights=self._robust_weights(),
-        )
-        self._stash(matrix)
-        return total
+        return self._window_loss(mask_from_theta(theta_m, self.config), source)
 
     # ------------------------------------------------------------------
     def corner_loss_matrix(
@@ -749,7 +777,7 @@ class ProcessWindowSMOObjective:
         return images
 
 
-class HopkinsMOObjective:
+class HopkinsMOObjective(_WindowObjective):
     """Hopkins/SOCS mask-only objective (for MO baselines & hybrid AM-SMO).
 
     The source is frozen into the TCC at construction;
@@ -789,42 +817,12 @@ class HopkinsMOObjective:
         robust_tau: float = 1.0,
         adaptive_weights: Optional[AdaptiveCornerWeights] = None,
     ):
-        if robust not in ROBUST_MODES:
-            raise ValueError(
-                f"unknown robust mode {robust!r}; choose {ROBUST_MODES}"
-            )
-        self.config = config
-        target = _check_target(target, config)
-        self.num_tiles = target.shape[0] if target.ndim == 3 else 1
-        self._batched = target.ndim == 3
-        self.target = ad.Tensor(target)
+        super().__init__(
+            config, target, window, robust, robust_tau, adaptive_weights
+        )
         self._source_grid = source_grid
         self._num_kernels = num_kernels
-        self.window = window or ProcessWindow.from_config(config)
-        self.robust = robust
-        self.robust_tau = float(robust_tau)
         self.engine = engine or self._build_engine(source)
-        #: Per-tile losses of the latest :meth:`loss` call (batched only).
-        self.last_tile_losses: Optional[np.ndarray] = None
-        #: ``(C, B)`` corner/tile matrix of the latest :meth:`loss` call.
-        self.last_corner_losses: Optional[np.ndarray] = None
-        #: Live minimax corner weights (``robust="adaptive"`` only); a
-        #: caller-supplied instance (AM-SMO, MILT) takes precedence so
-        #: the dual variable survives phases / rebuilds.
-        if adaptive_weights is not None and robust != "adaptive":
-            raise ValueError(
-                "adaptive_weights requires robust='adaptive' (a live "
-                "ascent would silently override the static corner "
-                f"weights under robust={robust!r})"
-            )
-        self.adaptive_weights = (
-            adaptive_weights
-            if adaptive_weights is not None
-            else AdaptiveCornerWeights.maybe(self.window, robust, robust_tau)
-        )
-
-    def _robust_weights(self) -> Optional[np.ndarray]:
-        return live_corner_weights(self.adaptive_weights)
 
     def _build_engine(self, source: np.ndarray) -> ImagingEngine:
         if self._source_grid is not None:
@@ -844,23 +842,7 @@ class HopkinsMOObjective:
     def loss(self, theta_m: ad.Tensor) -> ad.Tensor:
         """The window loss of ``theta_m`` (one fused condition stack)."""
         _check_theta_m(theta_m, self.target)
-        total, matrix = windowed_corner_loss(
-            self.engine,
-            self.config,
-            mask_from_theta(theta_m, self.config),
-            self.target,
-            self.window,
-            self.robust,
-            self.robust_tau,
-            weights=self._robust_weights(),
-        )
-        self.last_corner_losses = matrix
-        if self._batched:
-            self.last_tile_losses = robust_tile_losses(
-                matrix, self.window, self.robust, self.robust_tau,
-                weights=self._robust_weights(),
-            )
-        return total
+        return self._window_loss(mask_from_theta(theta_m, self.config))
 
     def images(self, theta_m: np.ndarray) -> Dict[str, np.ndarray]:
         with ad.no_grad():

@@ -7,19 +7,16 @@ inner phase of AM-SMO.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .. import autodiff as ad
-from ..obs import observe_iteration
-from ..obs import span as obs_span
 from ..opt import make_optimizer
-from ..utils.timing import tick
 from ..optics import OpticalConfig
+from .mo_only import Callback, SolverLoop
 from .objective import ProcessWindowSMOObjective
-from .parametrization import init_theta_source
-from .state import IterationRecord, SMOResult
+from .state import SMOResult
 
 __all__ = ["SourceOptimizer"]
 
@@ -29,7 +26,9 @@ class SourceOptimizer:
 
     A ``(B, N, N)`` target stack optimizes one shared source against a
     fixed ``theta_M`` batch (the joint SO that motivates multi-clip SMO);
-    records then carry per-tile losses.
+    records then carry per-tile losses.  An objective built with
+    ``robust="adaptive"`` EG-steps its corner weights once per iteration
+    and records them, as every other solver does.
     """
 
     method_name = "SO"
@@ -51,38 +50,18 @@ class SourceOptimizer:
         theta_m: np.ndarray,
         theta_j0: np.ndarray,
         iterations: int = 30,
-        callback: Optional[Callable[[IterationRecord], Optional[bool]]] = None,
+        callback: Optional[Callback] = None,
     ) -> SMOResult:
         theta_j = np.array(theta_j0, dtype=np.float64, copy=True)
         tm_fixed = ad.Tensor(theta_m)
         self._opt.reset()
-        history = []
-        start = tick()
-        for it in range(iterations):
-            t0 = tick()
-            with obs_span(
-                "solver.iter", solver=self.method_name, iteration=it
-            ):
-                tj = ad.Tensor(theta_j, requires_grad=True)
-                loss = self.objective.loss(tj, tm_fixed)
-                (gj,) = ad.grad(loss, [tj])
-                tiles = getattr(self.objective, "last_tile_losses", None)
-                theta_j = self._opt.step(theta_j, gj.data)
-            rec = IterationRecord(
-                it,
-                float(loss.data),
-                tick() - t0,
-                "so",
-                tile_losses=tiles,
-            )
-            observe_iteration(rec, grad=gj)
-            history.append(rec)
-            if callback and callback(rec):
-                break
-        return SMOResult(
-            method=self.method_name,
-            theta_m=np.array(theta_m, copy=True),
-            theta_j=theta_j,
-            history=history,
-            runtime_seconds=tick() - start,
+        loop = SolverLoop(self.method_name, callback)
+        theta_j = loop.descend(
+            iterations,
+            "so",
+            theta_j,
+            lambda tj: self.objective.loss(tj, tm_fixed),
+            self._opt,
+            self.objective,
         )
+        return loop.result(np.array(theta_m, copy=True), theta_j)

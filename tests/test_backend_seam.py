@@ -284,16 +284,24 @@ class TestBismoIterationUnderStrict:
         np.testing.assert_array_equal(h_counted.data, h_ref.data)
 
 
+def _load_tracer():
+    """A fresh tracer from the frozen benchmark's ``layers.py``."""
+    path = Path(__file__).resolve().parents[1] / "smobench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("smobench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    return layers.Tracer()
+
+
 class TestBenchmarkTracer:
     def test_patch_points_and_fft_counts(self, smo_setup):
         """The frozen benchmark's tracer, installed around one cropped
-        forward + VJP, finds every patch point but the two known
-        absences and records one ``fft.*`` span per seam call."""
-        path = Path(__file__).resolve().parents[1] / "smobench" / "layers.py"
-        spec = importlib.util.spec_from_file_location("smobench_layers", path)
-        layers = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(layers)
-        tracer = layers.Tracer()
+        forward + VJP, finds every patch point but the known absences
+        and records one ``fft.*`` span per seam call.  The absences are
+        the modules that import no ``obs_span``: the optics engines, and
+        the solver modules whose iterations run on the one loop in
+        ``repro.smo.mo_only``."""
+        tracer = _load_tracer()
         with SeamCounter() as seam:
             tracer.install()
             try:
@@ -301,6 +309,11 @@ class TestBenchmarkTracer:
             finally:
                 tracer.uninstall()
         assert tracer.missing == [
+            "repro.smo.bismo.obs_span",
+            "repro.smo.am.obs_span",
+            "repro.smo.so_only.obs_span",
+            "repro.baselines.nilt.obs_span",
+            "repro.baselines.milt.obs_span",
             "repro.optics.abbe.obs_span",
             "repro.optics.hopkins.obs_span",
         ]
@@ -310,3 +323,31 @@ class TestBenchmarkTracer:
             assert sum(sp.counts[0] for sp in spans) == seam.counters[
                 name + "_transforms"
             ]
+
+    @pytest.mark.parametrize(
+        "solver",
+        [
+            "Abbe-MO",
+            "Hopkins-MO",
+            "NILT",
+            "MILT",
+            "AM-SMO(Abbe-Abbe)",
+            "AM-SMO(Abbe-Hopkins)",
+            "SO",
+            "BiSMO-NMN",
+            "BiSMO-UNROLL",
+        ],
+    )
+    def test_one_solver_iter_span_per_record(self, solver, solver_runs):
+        """Every solver's iterations open inside the tracer: exactly one
+        ``solver.iter`` span per :class:`IterationRecord`, so the traced
+        ``smo.iterations`` and ``fft.transforms_per_iter`` stay live."""
+        tracer = _load_tracer()
+        tracer.install()
+        try:
+            result = solver_runs[solver]()
+        finally:
+            tracer.uninstall()
+        iters = [sp for sp in tracer.spans if sp.name == "solver.iter"]
+        assert len(result.history) > 0
+        assert len(iters) == len(result.history)

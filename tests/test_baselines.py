@@ -22,14 +22,16 @@ class TestNILT:
         from repro.smo import init_theta_mask
         from repro.smo.objective import dose_resist
 
-        solver = NILTBaseline(tiny_config, tiny_target, tiny_source, num_kernels=8)
+        objective = NILTBaseline(
+            tiny_config, tiny_target, tiny_source, num_kernels=8
+        ).objective
         tm = ad.Tensor(init_theta_mask(tiny_target, tiny_config))
         with ad.no_grad():
-            loss = solver._loss(tm).item()
+            loss = objective.loss(tm).item()
             from repro.smo import mask_from_theta
 
             mask = mask_from_theta(tm, tiny_config)
-            aerial = solver.engine.aerial(mask)
+            aerial = objective.engine.aerial(mask)
             z = dose_resist(aerial, tiny_config, 1.0).data
         expected = tiny_config.gamma * ((z - tiny_target) ** 2).sum()
         assert loss == pytest.approx(expected, rel=1e-12)

@@ -159,6 +159,38 @@ class TestBiSMO:
         assert all(r.phase == "bilevel" for r in res.history)
 
 
+class TestCallbackStop:
+    @pytest.mark.parametrize(
+        "solver, k, phase",
+        [
+            ("Abbe-MO", 1, "mo"),
+            ("Hopkins-MO", 1, "mo"),
+            ("NILT", 1, "mo"),
+            ("SO", 1, "so"),
+            ("MILT", 1, "mo"),  # inside its 16x16 level
+            ("AM-SMO(Abbe-Abbe)", 0, "so"),
+            ("AM-SMO(Abbe-Abbe)", 3, "mo"),
+            ("AM-SMO(Abbe-Hopkins)", 1, "so"),
+            ("AM-SMO(Abbe-Hopkins)", 2, "mo"),
+            ("BiSMO-NMN", 1, "bilevel"),
+            ("BiSMO-UNROLL", 1, "bilevel"),
+        ],
+    )
+    def test_stops_after_the_iteration_that_asked(
+        self, solver, k, phase, solver_runs, tiny_target, tiny_source
+    ):
+        """A truthy callback return at iteration k ends the solve there:
+        k + 1 records numbered 0..k, and parameters shaped like the
+        problem's (MILT's iterate back on the native grid)."""
+        res = solver_runs[solver](lambda rec: rec.iteration >= k)
+        assert len(res.history) == k + 1
+        assert [r.iteration for r in res.history] == list(range(k + 1))
+        assert res.history[-1].phase == phase
+        assert res.theta_m.shape == tiny_target.shape
+        if res.theta_j is not None:
+            assert res.theta_j.shape == tiny_source.shape
+
+
 class TestSMOResult:
     def test_log_losses(self):
         from repro.smo import IterationRecord

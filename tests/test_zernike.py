@@ -36,6 +36,7 @@ from repro.smo import (
     AbbeMO,
     AdaptiveCornerWeights,
     ProcessWindowSMOObjective,
+    SourceOptimizer,
     adaptive_corner_update,
     dose_resist,
     init_theta_mask,
@@ -681,6 +682,31 @@ class TestAdaptiveCornerWeights:
             traj.sum(axis=1), window.weights.sum(), rtol=1e-12
         )
         assert result.final_corner_weights.shape == (window.num_corners,)
+
+    def test_so_adaptive_steps_and_records_weights(
+        self, tiny_config, tiny_source, tiny_target
+    ):
+        """SourceOptimizer EG-steps an adaptive objective's corner
+        weights once per iteration, like every other solver, and each
+        record carries them."""
+        cfg = tiny_config
+        window = ProcessWindow.from_grid((0.98, 1.0, 1.02), (0.0, 60.0))
+        objective = ProcessWindowSMOObjective(
+            cfg, tiny_target, window, robust="adaptive"
+        )
+        start = objective.adaptive_weights.weights.copy()
+        result = SourceOptimizer(cfg, tiny_target, objective=objective).run(
+            init_theta_mask(tiny_target, cfg),
+            init_theta_source(tiny_source, cfg),
+            iterations=3,
+        )
+        traj = result.corner_weight_matrix()
+        assert traj.shape == (3, window.num_corners)
+        assert np.abs(traj[0] - start).max() > 0
+        assert np.abs(traj[-1] - traj[0]).max() > 0
+        np.testing.assert_array_equal(
+            result.final_corner_weights, objective.adaptive_weights.weights
+        )
 
     def test_adaptive_beats_static_sum_on_worst_corner(
         self, tiny_config, tiny_source
