@@ -999,11 +999,10 @@ def incoherent_mask_adjoint(
     pairs folded into one pass: every term rides the same recomputed
     coherent fields, and all terms and stacks share one mask FFT and one
     final IFFT (each term's gradient is low-passed onto the crop grid
-    once per stack).  BiSMO's exact mixed second-order product is one
-    such call with two terms.  ``conj_pairs`` takes one entry per
-    stack and ``centres`` locates crops, as in
-    :func:`incoherent_image_stack`; the chunk size is the scoped
-    :func:`repro.optics.fftlib.get_stream_chunk`.
+    once per stack).  BiSMO's hypergradient is one such call with two
+    terms.  ``conj_pairs`` takes one entry per stack and ``centres``
+    locates crops, as in :func:`incoherent_image_stack`; the chunk size
+    is the scoped :func:`repro.optics.fftlib.get_stream_chunk`.
     """
     mask = as_tensor(mask)
     stacks = tuple(as_tensor(p) for p in pupil_stacks)

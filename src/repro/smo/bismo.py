@@ -20,7 +20,10 @@ truncated Neumann series (:mod:`repro.smo.nmn`) and conjugate gradient
    the graph is cut at the aerial image, HVPs are double backwards
    over the basis and the loss tail, and the mask side is one streamed
    mask-adjoint pass — no ``create_graph`` backward through imaging,
-3. forms the hypergradient and updates theta_M (Alg. 2 line 13).
+3. forms the hypergradient ``grad_m - c * mixed_vjp(w)`` (c = xi for
+   FD, 1 for NMN and CG) in that one pass: ``mixed_vjp(w, direct=c)``
+   folds the direct term into the mixed product's terms.  Then it
+   updates theta_M (Alg. 2 line 13).
 
 Since the paper sets ``L_so := L_mo := L_smo`` (Eq. (9)), one loss graph
 serves both levels.
@@ -65,7 +68,8 @@ class HypergradientContext:
     * :meth:`hvp` — exact inner Hessian-vector products
       ``(d^2 L_so / d theta_J^2) @ p``,
     * :meth:`mixed_vjp` — exact mixed products
-      ``(d^2 L_so / d theta_M d theta_J) @ w`` (shape of theta_M).
+      ``(d^2 L_so / d theta_M d theta_J) @ w`` (shape of theta_M), or
+      with ``direct=c`` the hypergradient ``grad_m - c * mixed_vjp(w)``.
 
     The oracles feed every hypergradient strategy: finite-difference
     (:mod:`repro.smo.fd`), truncated Neumann series (:mod:`repro.smo.nmn`)
@@ -80,11 +84,15 @@ class HypergradientContext:
     * the loss, ``grad_j`` and every HVP come from the basis, with no
       FFT (a double backward over ``theta_J -> jhat -> A -> T``);
     * ``grad_m`` is one streamed mask-adjoint pass with the term
-      ``(jhat, G)``;
+      ``(jhat, G)``, run on first read only;
     * ``mixed_vjp(w) = grad_M <A(M, delta), G> + grad_M <A(M, jhat), G'>``
       with ``delta = J_jhat w`` and ``G' = (d^2 T / dA^2) A(M, delta)``
       (a double backward over the tail only): one mask-adjoint pass
-      with two terms.
+      with two terms;
+    * ``mixed_vjp(w, direct=c)``: the adjoint is linear in each term's
+      weights, so ``grad_m - c * mixed_vjp(w)`` is one pass with the
+      terms ``(jhat - c delta, G)`` and ``(-c jhat, G')``, and
+      ``grad_m`` itself never runs.
 
     This is exact for any tail (sum, log-sum-exp max and adaptive
     corner weights alike), because ``A`` is linear in ``jhat`` and ``T``
@@ -94,6 +102,8 @@ class HypergradientContext:
     evaluation with ``create_graph=True`` and a second backward through
     its gradient graph.  ``hvp_mode="fd"`` takes central differences of
     fresh gradient evaluations (cheaper in memory — the DARTS trick).
+    On both, ``mixed_vjp(w, direct=c)`` is literally
+    ``grad_m - c * mixed_vjp(w)``.
 
     ``objective`` is any SMO objective exposing ``loss(theta_j,
     theta_m)`` — usually :class:`ProcessWindowSMOObjective`, whose
@@ -137,7 +147,7 @@ class HypergradientContext:
         gj, gm = ad.grad(loss, [self._tj, self._tm], create_graph=create)
         self._gj_graph = gj if create else None
         self.grad_j = gj.data.copy()
-        self.grad_m = gm.data.copy()
+        self._grad_m: Optional[np.ndarray] = gm.data.copy()
 
     def _init_from_basis(
         self, basis: SourceBasisLoss, theta_j: np.ndarray
@@ -163,7 +173,16 @@ class HypergradientContext:
             jn, [tj], grad_output=self._u, create_graph=True
         )
         self._jn = jn.data
-        self.grad_m = basis.mask_grad([(self._jn, [g.data for g in self._g])])
+        self._grad_m = None  # the hypergradient folds it in unread
+
+    @property
+    def grad_m(self) -> np.ndarray:
+        """The direct gradient ``dL / d theta_M`` (on the basis path,
+        one mask-adjoint pass on first read)."""
+        if self._grad_m is None:
+            grads = [g.data for g in self._g]
+            self._grad_m = self._basis.mask_grad([(self._jn, grads)])
+        return self._grad_m
 
     # -- second-order oracles -------------------------------------------
     def hvp(self, p: np.ndarray) -> np.ndarray:
@@ -177,18 +196,31 @@ class HypergradientContext:
         (h,) = ad.grad(F.dot(graph, ad.Tensor(p)), [leaf], allow_unused=True)
         return np.zeros_like(p) if h is None else h.data
 
-    def mixed_vjp(self, w: np.ndarray) -> np.ndarray:
-        """(d^2 L_so / d theta_M d theta_J) @ w — gradient-fusion term."""
-        if self.hvp_mode != "exact":
-            return self._fd_second_order(w, wrt="m")
-        if self._basis is not None:
-            return self._mixed_from_basis(w)
-        inner = F.dot(self._gj_graph, ad.Tensor(w))
-        (m,) = ad.grad(inner, [self._tm], allow_unused=True)
-        return np.zeros_like(self._tm.data) if m is None else m.data
+    def mixed_vjp(
+        self, w: np.ndarray, direct: Optional[float] = None
+    ) -> np.ndarray:
+        """(d^2 L_so / d theta_M d theta_J) @ w — gradient-fusion term.
 
-    def _mixed_from_basis(self, w: np.ndarray) -> np.ndarray:
-        """``grad_M <A(M, delta), G> + grad_M <A(M, jhat), G'>``."""
+        With ``direct=c`` it returns the hypergradient ``grad_m - c *
+        mixed_vjp(w)``; on the basis path that is still one mask-adjoint
+        pass.
+        """
+        if self._basis is not None:
+            return self._mixed_from_basis(w, direct)
+        if self.hvp_mode != "exact":
+            m = self._fd_second_order(w, wrt="m")
+        else:
+            inner = F.dot(self._gj_graph, ad.Tensor(w))
+            (gm,) = ad.grad(inner, [self._tm], allow_unused=True)
+            m = np.zeros_like(self._tm.data) if gm is None else gm.data
+        return m if direct is None else self.grad_m - direct * m
+
+    def _mixed_from_basis(
+        self, w: np.ndarray, direct: Optional[float]
+    ) -> np.ndarray:
+        """``grad_M <A(M, delta), G> + grad_M <A(M, jhat), G'>``; for
+        ``direct=c``, ``grad_m`` minus c times it, from the same one pass
+        (the adjoint is linear in each term's weights)."""
         basis = self._basis
         (delta,) = ad.grad(F.dot(self._jt_u, ad.Tensor(w)), [self._u])
         inner: Optional[ad.Tensor] = None
@@ -200,8 +232,14 @@ class HypergradientContext:
             np.zeros_like(a.data) if g is None else g.data
             for g, a in zip(g2, self._a)
         ]
+        grads = [g.data for g in self._g]
+        if direct is None:
+            return basis.mask_grad([(delta.data, grads), (self._jn, g_prime)])
         return basis.mask_grad(
-            [(delta.data, [g.data for g in self._g]), (self._jn, g_prime)]
+            [
+                (self._jn - direct * delta.data, grads),
+                (-direct * self._jn, g_prime),
+            ]
         )
 
     def _fd_second_order(self, vec: np.ndarray, wrt: str) -> np.ndarray:

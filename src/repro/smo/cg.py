@@ -5,7 +5,9 @@ Instead of a series expansion, solve the linear system
     [d^2 L_so / dtheta_J^2] w = dL_mo/dtheta_J
 
 with K conjugate-gradient steps (each one Hessian-vector product), then
-fuse: ``hyper = dL_mo/dtheta_M - mixed_vjp(w)``.  Algorithm 2 line 10
+fuse: ``hyper = dL_mo/dtheta_M - mixed_vjp(w)``, one
+``ctx.mixed_vjp(w, direct=1.0)`` call (one mask-adjoint pass with an
+intensity basis).  Algorithm 2 line 10
 warm-starts each solve from the previous outer iteration's ``w``, which
 is propagated through the ``warm`` in/out argument.
 """
@@ -49,5 +51,5 @@ def cg_hypergradient(
         matvec, v.ravel(), x0=x0, max_iter=terms, damping=damping
     )
     w = result.x.reshape(flat_shape)
-    hyper = ctx.grad_m - ctx.mixed_vjp(w)
+    hyper = ctx.mixed_vjp(w, direct=1.0)
     return hyper, w

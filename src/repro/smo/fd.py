@@ -7,7 +7,9 @@ replaces the inverse inner Hessian by ``xi * I``:
     hyper = dL_mo/dtheta_M - xi * (dL_mo/dtheta_J) @ (d^2 L_so / dtheta_M dtheta_J)
 
 This is the DARTS-style approximation; it equals BiSMO-NMN with K = 0
-(Section 3.2.4), a fact the test-suite checks.
+(Section 3.2.4), a fact the test-suite checks.  The whole expression is
+one ``ctx.mixed_vjp(v, direct=xi)`` call (one mask-adjoint pass with an
+intensity basis).
 """
 
 from __future__ import annotations
@@ -35,6 +37,4 @@ def fd_hypergradient(
     """
     del terms, damping  # not used by the FD strategy
     v = ctx.grad_j  # dL_mo/dtheta_J
-    correction = ctx.mixed_vjp(v)
-    hyper = ctx.grad_m - inner_lr * correction
-    return hyper, warm
+    return ctx.mixed_vjp(v, direct=inner_lr), warm

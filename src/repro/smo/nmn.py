@@ -8,7 +8,9 @@ products:
     H^{-1} v ~= xi * sum_{k=0}^{K} (I - xi H)^k v
 
 then fuses through the mixed Jacobian: ``hyper = dL_mo/dtheta_M -
-mixed_vjp(H^{-1} v)`` with ``v = dL_mo/dtheta_J``.
+mixed_vjp(H^{-1} v)`` with ``v = dL_mo/dtheta_J``, one
+``ctx.mixed_vjp(H^{-1} v, direct=1.0)`` call (one mask-adjoint pass
+with an intensity basis).
 """
 
 from __future__ import annotations
@@ -85,5 +87,5 @@ def neumann_hypergradient(
     v = ctx.grad_j
     lr = _safe_series_lr(ctx, inner_lr, seed=seed) if terms > 0 else inner_lr
     inv_hvp = neumann_inverse_hvp(ctx.hvp, v, terms=terms, lr=lr)
-    hyper = ctx.grad_m - ctx.mixed_vjp(inv_hvp)
+    hyper = ctx.mixed_vjp(inv_hvp, direct=1.0)
     return hyper, warm

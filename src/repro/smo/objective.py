@@ -450,7 +450,8 @@ class SourceBasisLoss:
     * :meth:`mask_grad` — the ``theta_M`` gradient of ``sum_t sum_f
       <A_f(M, c_t), G_t[f]>``: one streamed mask-adjoint pass
       (:func:`~repro.autodiff.functional.incoherent_mask_adjoint`)
-      chained through ``mask_from_theta``'s VJP.
+      chained through ``mask_from_theta``'s VJP; a whole hypergradient
+      is one call.
 
     ``stacks``/``conj_pairs`` are the per-condition kernel stacks the
     engine images with (crops around the engine's ``pupil_centres``),
@@ -528,7 +529,14 @@ class SourceBasisLoss:
         self, terms: Sequence[Tuple[np.ndarray, Sequence[np.ndarray]]]
     ) -> np.ndarray:
         """``d/dtheta_M  sum_t sum_f <A_f(M, c_t), G_t[f]>`` for terms
-        ``(c_t, [G_t[f] per condition])``, in one mask-adjoint pass."""
+        ``(c_t, [G_t[f] per condition])``, in one mask-adjoint pass.
+
+        The gradient is linear in each ``c_t``, so a weighted sum of such
+        gradients is one call with scaled weights: BiSMO's hypergradient
+        ``grad_m - c * mixed_vjp(w)`` is the two terms
+        ``(jhat - c delta, G)`` and ``(-c jhat, G')``
+        (:meth:`repro.smo.bismo.HypergradientContext.mixed_vjp`).
+        """
         gm = F.incoherent_mask_adjoint(
             self.masks.data,
             self.stacks,

@@ -5,10 +5,13 @@ loss, ``grad_j`` and every HVP come from the FFT-free intensity basis,
 and the mask side is one streamed mask-adjoint pass.  These tests pin
 them against the composed ``create_graph`` oracle (objectives with the
 basis hidden), against central differences, and check that no
-``create_graph`` backward runs through the imaging primitives.  They
-also cover the autodiff pieces underneath: the constant-input skip of
-the binary ops, the ``basis_combine``/``basis_contract`` pair and the
-multi-term ``incoherent_mask_adjoint``.
+``create_graph`` backward runs through the imaging primitives.  The
+hypergradient ``grad_m - c * mixed_vjp(w)`` is one folded mask-adjoint
+pass; it is pinned against the two-pass form, per strategy, and by the
+number of passes a BiSMO run makes.  They also cover the autodiff
+pieces underneath: the constant-input skip of the binary ops, the
+``basis_combine``/``basis_contract`` pair and the multi-term
+``incoherent_mask_adjoint``.
 """
 
 from __future__ import annotations
@@ -35,12 +38,18 @@ from repro.smo import (
     init_theta_source,
 )
 from repro.smo.bismo import HypergradientContext
+from repro.smo.cg import cg_hypergradient
+from repro.smo.fd import fd_hypergradient
+from repro.smo.nmn import neumann_hypergradient
 from repro.smo.objective import SourceBasisLoss
 from repro.utils import memory
 from repro.utils.seed import seeded_rng
 from tests.oracles import LoopedSMOObjective
 
 RTOL = 1e-10
+#: Fused vs two-pass hypergradients: the same terms summed in another
+#: order, so only rounding separates them.
+FOLD_RTOL = 1e-12
 
 
 class ComposedOnly:
@@ -105,6 +114,12 @@ def _close(actual, expected):
     expected = np.asarray(expected, dtype=np.float64)
     scale = max(float(np.abs(expected).max()), 1e-300)
     np.testing.assert_allclose(actual, expected, rtol=RTOL, atol=RTOL * scale)
+
+
+def _rel_err(actual, expected):
+    """Largest deviation relative to the largest entry of ``expected``."""
+    scale = max(float(np.abs(expected).max()), 1e-300)
+    return float(np.abs(actual - expected).max()) / scale
 
 
 # ----------------------------------------------------------------------
@@ -298,6 +313,11 @@ class TestOracleParity:
             _close(ctx.grad_m, ref.grad_m)
             _close(ctx.hvp(p), ref.hvp(p))
             _close(ctx.mixed_vjp(w), ref.mixed_vjp(w))
+            for c in (1.0, 0.1):
+                _close(
+                    ctx.mixed_vjp(w, direct=c),
+                    ref.grad_m - c * ref.mixed_vjp(w),
+                )
 
     @pytest.mark.parametrize("robust", ["sum", "max"])
     def test_mixed_vjp_matches_central_differences(self, tiny, robust):
@@ -314,6 +334,117 @@ class TestOracleParity:
         minus = HypergradientContext(pw, theta_j - h * w, theta_m).grad_m
         fd = (plus - minus) / (2.0 * h)
         assert np.abs(mixed - fd).max() <= 1e-5 * np.abs(mixed).max()
+
+
+class TestFoldedHypergradient:
+    """``mixed_vjp(w, direct=c)`` folds ``grad_m`` into the mixed
+    product's mask-adjoint pass: the terms ``(jhat - c delta, G)`` and
+    ``(-c jhat, G')`` in place of one pass for ``(jhat, G)`` and one
+    for ``(delta, G), (jhat, G')``."""
+
+    @pytest.fixture(scope="class")
+    def default2(self):
+        return _setup("default")
+
+    def test_fold_equals_two_passes(self, tiny, default2):
+        """On every tiny case (K = 14 crops of N = 32) and on a 2-tile
+        ``default`` case (K = 56 of N = 128)."""
+        cfg, targets, _, theta_j, theta_m = tiny
+        cases = [
+            (name, objective, theta_j, tm)
+            for name, objective, _, tm in _objectives(cfg, targets, theta_m)
+        ]
+        cfg, targets, _, theta_j, theta_m = default2
+        objective = ProcessWindowSMOObjective(cfg, targets)
+        cases.append(("default", objective, theta_j, theta_m))
+        for name, objective, tj, tm in cases:
+            ctx = HypergradientContext(objective, tj, tm)
+            w = seeded_rng("fold", name).standard_normal(tj.shape)
+            for c in (1.0, 0.1):
+                fused = ctx.mixed_vjp(w, direct=c)
+                two_pass = ctx.grad_m - c * ctx.mixed_vjp(w)
+                assert _rel_err(fused, two_pass) <= FOLD_RTOL, (name, c)
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        return _setup("small")
+
+    @pytest.mark.parametrize("robust", [None, "sum", "max", "adaptive"])
+    def test_each_strategy_folds(self, small, robust):
+        """NMN, CG and FD each return the two-pass hypergradient for the
+        ``w`` and ``c`` they pass.  CG needs a little damping here: at
+        this theta its undamped solve stops on negative curvature at step
+        one on the dose x focus window and returns ``w = 0``, against
+        which any fold passes."""
+        cfg, targets, _, theta_j, theta_m = small
+        if robust is None:
+            objective = ProcessWindowSMOObjective(cfg, targets)
+        else:
+            objective = ProcessWindowSMOObjective(
+                cfg, targets, WINDOW, robust=robust, tau=50.0
+            )
+        ctx = HypergradientContext(objective, theta_j, theta_m)
+        fold = ctx.mixed_vjp
+        strategies = [
+            (neumann_hypergradient, 1.0),
+            (cg_hypergradient, 1.0),
+            (fd_hypergradient, 0.1),
+        ]
+        for strategy, c in strategies:
+            seen = []
+
+            def spy(w, direct=None):
+                seen.append((w.copy(), direct))
+                return fold(w, direct=direct)
+
+            ctx.mixed_vjp = spy
+            hyper, _ = strategy(ctx, 0.1, 5, 1e-2, None)
+            ((w, direct),) = seen
+            assert direct == c, strategy.__name__
+            assert np.linalg.norm(w) > 0.0, strategy.__name__
+            two_pass = ctx.grad_m - c * fold(w)
+            assert _rel_err(hyper, two_pass) <= FOLD_RTOL, strategy.__name__
+
+
+class TestOnePassPerIteration:
+    """Each outer iteration of the IFT strategies runs one streamed
+    mask-adjoint pass: the direct term rides the mixed product's."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        count = [0]
+        adjoint = F.incoherent_mask_adjoint
+
+        def counted(*args, **kwargs):
+            count[0] += 1
+            return adjoint(*args, **kwargs)
+
+        monkeypatch.setattr(F, "incoherent_mask_adjoint", counted)
+        return count
+
+    @pytest.mark.parametrize("method", ["nmn", "cg", "fd"])
+    @pytest.mark.parametrize(
+        "kw", [{}, dict(process_window=WINDOW, robust="max", robust_tau=50.0)]
+    )
+    def test_bismo_iteration(self, tiny, passes, method, kw):
+        cfg, targets, source, _, _ = tiny
+        result = BiSMO(cfg, targets, method=method, terms=2, **kw).run(
+            source, iterations=2
+        )
+        assert len(result.losses) == 2
+        assert passes[0] == 2
+
+    def test_grad_m_runs_on_first_read_only(self, tiny, passes):
+        cfg, targets, _, theta_j, theta_m = tiny
+        objective = ProcessWindowSMOObjective(cfg, targets)
+        ctx = HypergradientContext(objective, theta_j, theta_m)
+        assert passes[0] == 0
+        grad_m = ctx.grad_m
+        assert passes[0] == 1
+        assert ctx.grad_m is grad_m
+        assert passes[0] == 1
+        ref = HypergradientContext(LoopedSMOObjective(cfg, targets), theta_j, theta_m)
+        _close(grad_m, ref.grad_m)
 
 
 class TestNoCreateGraphThroughImaging:
