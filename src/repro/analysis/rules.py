@@ -719,8 +719,9 @@ class PoolHygieneRule(Rule):
                         module,
                         node,
                         f"'{resolved}' constructed outside fftlib/harness; "
-                        "route parallelism through fftlib.map_conditions or "
-                        "the harness runner",
+                        "route parallelism through fftlib.map_conditions "
+                        "(the one ordered block fan-out) or the harness "
+                        "runner",
                     )
 
 

@@ -16,7 +16,18 @@ map ``A`` is ``A^H g``.
 from __future__ import annotations
 
 import builtins
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+import contextlib
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 from scipy.special import expit
@@ -571,17 +582,16 @@ def _resample(x: np.ndarray, size: int, k: int) -> np.ndarray:
 
 
 def _gather(
-    spec: np.ndarray, kern: np.ndarray, corners: Optional[list], lo: int, hi: int
+    spec: np.ndarray, kern: np.ndarray, corners: Optional[list]
 ) -> np.ndarray:
-    """``(B, C, K, K)`` products of kernels ``lo:hi`` with their windows
-    of the ``(B, N, N)`` spectrum."""
+    """``(B, C, K, K)`` products of the kernels ``kern`` with their
+    windows (top-left ``corners``) of the ``(B, N, N)`` spectrum."""
     if corners is None:  # whole-grid kernels: the window is the spectrum
-        return kern[lo:hi][None] * spec[:, None]
+        return kern[None] * spec[:, None]
     k = kern.shape[-1]
-    block = np.empty((spec.shape[0], hi - lo, k, k), np.complex128)
-    for i, (r0, c0) in enumerate(corners[lo:hi]):
-        block[:, i] = spec[:, r0 : r0 + k, c0 : c0 + k]
-    block *= kern[lo:hi]
+    block = np.empty((spec.shape[0], len(corners), k, k), np.complex128)
+    for i, (r0, c0) in enumerate(corners):
+        np.multiply(spec[:, r0 : r0 + k, c0 : c0 + k], kern[i], out=block[:, i])
     return block
 
 
@@ -672,169 +682,101 @@ def _fold_weights(w: np.ndarray, cp: np.ndarray, reps: np.ndarray) -> np.ndarray
     return w[reps] + np.where(mates != reps, w[mates], 0.0)
 
 
-def _stream_forward_one(
-    spec: np.ndarray,
+def _streamed(
     kern: np.ndarray,
-    w: np.ndarray,
-    csize: int,
+    starts: Optional[np.ndarray],
     cp: Any,
     reps: Any,
+    weights: Sequence[np.ndarray],
+) -> Tuple[np.ndarray, Optional[np.ndarray], List[np.ndarray]]:
+    """``(kernels, window starts, weights)`` of the fields a pass
+    transforms: the pair representatives with pair-summed weights when
+    ``reps`` is given, else the whole stack."""
+    if reps is None:
+        return kern, starts, list(weights)
+    starts = None if starts is None else starts[reps]
+    return kern[reps], starts, [_fold_weights(w, cp, reps) for w in weights]
+
+
+def _chunks(sizes: Sequence[int], csize: int) -> List[Tuple[int, int, int]]:
+    """Every stack's source chunks as ``(stack, lo, hi)`` blocks, in
+    stack order."""
+    return [
+        (fi, lo, min(r, lo + csize))
+        for fi, r in enumerate(sizes)
+        for lo in range(0, r, csize)
+    ]
+
+
+def _condition_span(fi: int, stacks: int) -> Any:
+    """``engine.condition`` around a block of a multi-stack pass; a
+    single stack is no condition fan-out and opens none."""
+    if stacks == 1:
+        return contextlib.nullcontext()
+    return _obs_span("engine.condition", index=fi)
+
+
+def _stream_forward(
+    spec: np.ndarray,
+    kernels: Sequence[np.ndarray],
+    w: np.ndarray,
+    pair_info: Sequence[Tuple[Any, Any]],
+    csize: int,
     starts: Optional[np.ndarray],
 ) -> np.ndarray:
-    """Streamed weighted incoherent sum for ONE kernel stack.
+    """``(F, B, N, N)`` streamed weighted incoherent sums, one per stack.
 
-    ``spec`` is the precomputed ``(B, N, N)`` mask spectrum
-    (half-swapped for crops) — sharing it across kernel stacks is what
-    lets the multi-condition primitive reuse one mask FFT for every
-    process corner.  Returns the reduced ``(B, N, N)`` image.
+    ``spec`` is the ``(B, N, N)`` mask spectrum (half-swapped for crops)
+    that every stack shares.  Every ``(stack, chunk)`` block — window
+    gather fused with the kernel multiply, K-point transform, ``|.|^2``,
+    weighted contraction — is one
+    :func:`repro.optics.fftlib.map_conditions` task; the blocks' K-grid
+    images add here in block order, and each stack's sum resamples to N
+    after its last block.  A ``MemoryError`` inside the pass halves the
+    chunk and retries it (:func:`repro.optics.fftlib.run_with_chunk_fallback`).
     """
-    b, n, k = spec.shape[0], spec.shape[-1], kern.shape[-1]
-    if reps is None:
-        kern_h, w_h = kern, w
-    else:
-        kern_h = kern[reps]  # (R, K, K) representatives, R ~ S/2
-        w_h = _fold_weights(w, cp, reps)
-        starts = None if starts is None else starts[reps]
-    # A kernel whose (pair-summed) weight is exactly zero adds nothing to
-    # the sum, so it is skipped: exact, and binary template sources zero
-    # about half their points.  The VJP still visits every kernel (the
-    # weight gradient at a zero weight is not zero).
-    live = np.flatnonzero(w_h)
-    if live.size < w_h.size:
-        kern_h, w_h = kern_h[live], w_h[live]
-        starts = None if starts is None else starts[live]
-    r = w_h.size
-    corners = None if starts is None else starts.tolist()
-    kk = k * k
-    out = np.zeros((b, k, k), np.float64)
-    for lo in range(0, r, csize):
-        hi = min(r, lo + csize)
-        # One (B, C, K, K) transform block per chunk: big enough to
-        # amortize dispatch, small enough to stay transient.
-        fields = HOST.ifft2(
-            _gather(spec, kern_h, corners, lo, hi), overwrite_x=True
-        )
-        out += (
-            w_h[lo:hi] @ _sq_mag(fields).reshape(b, hi - lo, kk)
-        ).reshape(b, k, k)
-    if k < n:
-        out = _resample(out, n, k)
-    return out
+    b, n, k = spec.shape[0], spec.shape[-1], kernels[0].shape[-1]
+    stacks: List[Tuple[np.ndarray, np.ndarray, Optional[list]]] = []
+    for kern, (cp, reps) in zip(kernels, pair_info):
+        kern_h, st, (w_h,) = _streamed(kern, starts, cp, reps, [w])
+        # A kernel whose (pair-summed) weight is exactly zero adds nothing
+        # to the sum, so it is skipped: exact, and binary template sources
+        # zero about half their points.  The VJP still visits every kernel
+        # (the weight gradient at a zero weight is not zero).
+        live = np.flatnonzero(w_h)
+        if live.size < w_h.size:
+            kern_h, w_h = kern_h[live], w_h[live]
+            st = None if st is None else st[live]
+        stacks.append((kern_h, w_h, None if st is None else st.tolist()))
 
+    def attempt(c: int) -> np.ndarray:
+        blocks = _chunks([w_h.size for _, w_h, _ in stacks], c)
 
-def _stream_backward_one(
-    terms: Sequence[Tuple[np.ndarray, np.ndarray]],
-    spec: np.ndarray,
-    kern: np.ndarray,
-    csize: int,
-    cp: Any,
-    reps: Any,
-    need_mask: bool,
-    gw: Any,
-    starts: Optional[np.ndarray],
-) -> Optional[Any]:
-    """One stack's streamed gradient contributions (graph-free).
+        def image(i: int) -> np.ndarray:
+            fi, lo, hi = blocks[i]
+            kern_h, w_h, corners = stacks[fi]
+            corners = None if corners is None else corners[lo:hi]
+            with _condition_span(fi, len(stacks)):
+                fields = HOST.ifft2(
+                    _gather(spec, kern_h[lo:hi], corners), overwrite_x=True
+                )
+                part = w_h[lo:hi] @ _sq_mag(fields).reshape(b, hi - lo, k * k)
+                return part.reshape(b, k, k)
 
-    ``terms`` is a sequence of ``(w, gd)`` pairs — source weights
-    ``(S,)`` and upstream image gradient ``(B, N, N)`` — and the mask
-    gradient is that of ``sum_t <I(M; w_t), gd_t>``: every term rides
-    the same recomputed per-chunk coherent fields (low-passed onto the
-    K grid for crops).  Returns the *frequency-domain* mask-gradient
-    accumulator, in the spectrum's layout (the caller applies the final
-    IFFT once, summed over stacks), adding the first term's weight
-    gradient into ``gw`` in place when it is not None.
-    """
-    s, n, k = kern.shape[0], spec.shape[-1], kern.shape[-1]
-    b = spec.shape[0]
-    kk = k * k
-    need_w = gw is not None
-    # Conjugate pairing additionally needs a real upstream gradient
-    # (the mirrored-term identity conjugates g); fall back otherwise.
-    gd_complex = builtins.any(np.iscomplexobj(gd) for _, gd in terms)
-    use_pairs = reps is not None and not gd_complex
-    if use_pairs:
-        kern_h = kern[reps]
-        mates = cp[reps]
-        is_pair = mates != reps
-        r = reps.size
-        starts = None if starts is None else starts[reps]
-    else:
-        kern_h, r = kern, s
-    corners = None if starts is None else starts.tolist()
-    grads = [gd for _, gd in terms]
-    if k < n:
-        grads = [_resample(g, k, k) for g in grads]
-    if need_w:
-        # <g, upsample(|F|^2)> = <adjoint(g), |F|^2>: (K/N)^2 * lowpass.
-        gdr = grads[0] * ((k / n) ** 2) if k < n else grads[0]
-        gdr = gdr.reshape(b, kk, 1)
-    acc: Any = None
-    acc_mirror: Any = None
-    # Per term: (2 * upstream, weighted conj kernels, mirrored kernels).
-    # The w_s factor commutes with the FFT, so it folds into the
-    # per-chunk conj-kernel contraction (one pass fewer per block).
-    prepared: List[Tuple[Any, Any, Any]] = []
-    if need_mask:
-        acc = np.zeros((b, n, n), np.complex128)
-        if use_pairs:
-            acc_mirror = np.zeros((b, n, n), np.complex128)
-        for (w, _), g in zip(terms, grads):
-            gd2 = 2.0 * g  # (B, K, K)
-            if use_pairs:
-                w_mirror = np.where(is_pair, w[mates], 0.0)
-                wkc = w[reps][:, None, None] * kern_h
-                wkc_mirror = w_mirror[:, None, None] * kern_h
-            else:
-                wkc = w[:, None, None] * np.conj(kern)
-                wkc_mirror = None
-            prepared.append((gd2, wkc, wkc_mirror))
-    for lo in range(0, r, csize):
-        hi = min(r, lo + csize)
-        # Recomputed (B, C, K, K) block, never retained.
-        fields = HOST.ifft2(
-            _gather(spec, kern_h, corners, lo, hi), overwrite_x=True
-        )
-        if need_w:
-            intens = _sq_mag(fields)
-            if gd_complex:
-                intens = intens.astype(np.complex128)
-            val = np.sum((intens.reshape(b, hi - lo, kk) @ gdr)[:, :, 0], axis=0)
-            if use_pairs:
-                # |F[s']|^2 == |F[s]|^2, so mates share the contraction.
-                # reprolint: allow[R4] gw is a private per-stack accumulator the caller allocates; never a saved tensor
-                gw[reps[lo:hi]] += val
-                pc = is_pair[lo:hi]
-                # reprolint: allow[R4] gw is a private per-stack accumulator the caller allocates; never a saved tensor
-                gw[mates[lo:hi][pc]] += val[pc]
-            else:
-                # reprolint: allow[R4] gw is a private per-stack accumulator the caller allocates; never a saved tensor
-                gw[lo:hi] += val
-        for ti, (gd2, wkc, wkc_mirror) in enumerate(prepared):
-            if ti == len(prepared) - 1:
-                fields *= gd2[:, None]  # in-place: no second block temp
-                block = fields
-            else:
-                block = fields * gd2[:, None]
-            t = HOST.fft2(block, overwrite_x=True)
-            if corners is None:
-                acc += np.einsum("cij,bcij->bij", wkc[lo:hi], t)
-                if use_pairs:
-                    acc_mirror += np.einsum("cij,bcij->bij", wkc_mirror[lo:hi], t)
-                continue
-            # Crops: each field's K x K spectrum slice-adds at its window.
-            direct = wkc[lo:hi] * t
-            for i, (r0, c0) in enumerate(corners[lo:hi]):
-                acc[:, r0 : r0 + k, c0 : c0 + k] += direct[:, i]
-            if use_pairs:
-                mirror = wkc_mirror[lo:hi] * t
-                for i, (r0, c0) in enumerate(corners[lo:hi]):
-                    acc_mirror[:, r0 : r0 + k, c0 : c0 + k] += mirror[:, i]
-    if need_mask and use_pairs:
-        # Mate term: conj(H_s')*FFT(2 w g conj(F_s)) == the direct
-        # term conjugated and frequency-reversed (one pass total; the
-        # reversal is the same index map in the half-swapped layout).
-        acc += np.conj(fftlib.freq_reverse(acc_mirror))
-    return acc
+        # A stack without live kernels has no blocks and stays zero.
+        out = np.zeros((len(stacks), b, n, n), np.float64)
+        with contextlib.closing(
+            fftlib.map_conditions(image, len(blocks))
+        ) as parts:
+            for fi, lo, hi in blocks:
+                if lo == 0:
+                    acc = np.zeros((b, k, k), np.float64)
+                acc += next(parts)
+                if hi == stacks[fi][1].size:  # the stack's last block
+                    out[fi] = _resample(acc, n, k) if k < n else acc
+        return out
+
+    return fftlib.run_with_chunk_fallback(attempt, csize)
 
 
 def incoherent_image(
@@ -905,6 +847,65 @@ def _mask_spectrum(tiles: np.ndarray, starts: Any) -> np.ndarray:
     return fm if starts is None else _half_swap(fm)
 
 
+class _AdjointStack(NamedTuple):
+    """One kernel stack as the streamed adjoint walks it."""
+
+    kern: np.ndarray  # (R, K, K) kernels whose fields are recomputed
+    corners: Optional[list]  # their windows' corners; None: whole grid
+    terms: List[Tuple[np.ndarray, np.ndarray]]  # (2 * upstream, (R,) weights)
+    gdr: Optional[np.ndarray]  # (B, K*K, 1) weight-gradient upstream
+    pairs: Optional[Tuple[np.ndarray, np.ndarray]]  # (reps, mates) if paired
+
+
+def _backward_block(
+    spec: np.ndarray, stack: _AdjointStack, lo: int, hi: int, gd_complex: bool
+) -> Tuple[Any, Any]:
+    """One ``(stack, chunk)`` block of the streamed adjoint (graph-free).
+
+    Recomputes kernels ``lo:hi``'s ``(B, C, K, K)`` coherent fields and
+    returns ``(val, part)``: the chunk's weight-gradient contraction
+    ``(C,)`` against the first term's upstream (None when not needed)
+    and its mask-gradient spectrum, ``sum_t conj(H_s) * FFT(2 w_s g_t
+    F_s)`` summed over the terms — ``(B, C, K, K)`` per-field spectra for
+    crops, their ``(B, N, N)`` sum for whole-grid kernels, None without
+    terms.  ``w_s`` commutes with the FFT, so it rides the kernel
+    factor.  On the paired path ``w_s`` is the pair-summed weight: for a
+    real mask, kernels and upstream, ``F_s' = conj(F_s)`` makes the
+    mate's term the conjugate of the representative's own, so both
+    share the real part the mask gradient keeps.
+    """
+    b = spec.shape[0]
+    kern = stack.kern[lo:hi]
+    corners = None if stack.corners is None else stack.corners[lo:hi]
+    fields = HOST.ifft2(_gather(spec, kern, corners), overwrite_x=True)
+    val = None
+    if stack.gdr is not None:
+        intens = _sq_mag(fields)
+        if gd_complex:
+            intens = intens.astype(np.complex128)
+        val = np.sum(
+            (intens.reshape(b, hi - lo, -1) @ stack.gdr)[:, :, 0], axis=0
+        )
+        del intens  # gone before the transforms allocate
+    part = None
+    for ti, (gd2, w) in enumerate(stack.terms):
+        if ti == len(stack.terms) - 1:
+            fields *= gd2[:, None]  # in-place: no second block temp
+            t = HOST.fft2(fields, overwrite_x=True)
+        else:
+            t = HOST.fft2(fields * gd2[:, None], overwrite_x=True)
+        wkc = w[lo:hi, None, None] * np.conj(kern)
+        if corners is None:
+            t = np.einsum("cij,bcij->bij", wkc, t)
+        else:
+            np.multiply(wkc, t, out=t)
+        if part is None:
+            part = t
+        else:
+            part += t
+    return val, part
+
+
 def _stream_adjoint(
     spec: np.ndarray,
     kernels: Sequence[np.ndarray],
@@ -915,6 +916,7 @@ def _stream_adjoint(
     need_w: bool,
     op: str,
     starts: Optional[np.ndarray],
+    real_mask: bool,
 ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
     """Graph-free streamed adjoint of the incoherent image, summed over
     kernel stacks (the condition axis) and ``terms``.
@@ -922,58 +924,103 @@ def _stream_adjoint(
     ``terms`` holds ``(w, g)`` pairs: source weights ``(S,)`` and an
     upstream gradient ``(F, B, N, N)`` with one plane per stack.  Returns
     ``(gm, gw)``: the ``(B, N, N)`` host mask gradient of ``sum_t sum_f
-    <I_f(M; w_t), g_t[f]>`` (one final IFFT for every stack and term)
-    and the first term's ``(S,)`` weight gradient; either is None when
-    not requested.
+    <I_f(M; w_t), g_t[f]>`` (one final IFFT for every stack and term;
+    real for a ``real_mask``) and the first term's ``(S,)`` weight
+    gradient; either is None when not requested.
 
-    Each stack's pass runs with *private* accumulation buffers (its own
-    frequency-domain mask-gradient accumulator and weight-gradient
-    vector), fanned out across the condition pool; the cross-stack
-    reductions then run here in fixed stack order.  The per-stack
-    buffers make an N-thread backward bitwise identical to the serial
-    one — the reduction tree does not depend on scheduling.  A
-    ``MemoryError`` inside a pass halves the chunk and retries it
-    (:func:`repro.optics.fftlib.run_with_chunk_fallback`).
+    Every ``(stack, chunk)`` block (:func:`_backward_block`) is one
+    :func:`repro.optics.fftlib.map_conditions` task.  Here, in block
+    order, the weight gradients add and the blocks' spectra slice-add
+    into their stack's *private* frequency accumulator; the stacks then
+    reduce in fixed stack order.  The reduction tree does not depend on
+    scheduling, so an N-thread backward is bitwise identical to the
+    serial one.  A ``MemoryError`` inside the pass halves the chunk and
+    retries it (:func:`repro.optics.fftlib.run_with_chunk_fallback`).
     """
-    s = kernels[0].shape[0]
-    gw_dtype = (
-        np.complex128 if np.iscomplexobj(terms[0][1]) else np.float64
-    )
+    b, n = spec.shape[0], spec.shape[-1]
+    s, k = kernels[0].shape[0], kernels[0].shape[-1]
+    # Conjugate pairing additionally needs a real upstream gradient
+    # (the mate's term is the conjugate of the representative's).
+    gd_complex = builtins.any(np.iscomplexobj(g) for _, g in terms)
+    gw_dtype = np.complex128 if gd_complex else np.float64
+    stacks: List[_AdjointStack] = []
+    for fi, (kern, (cp, reps)) in enumerate(zip(kernels, pair_info)):
+        if gd_complex:
+            cp = reps = None
+        kern_h, st, ws = _streamed(kern, starts, cp, reps, [w for w, _ in terms])
+        grads = [g[fi] for _, g in terms]
+        if k < n:
+            grads = [_resample(g, k, k) for g in grads]
+        gdr = None
+        if need_w:
+            # <g, upsample(|F|^2)> = <adjoint(g), |F|^2>: (K/N)^2 * lowpass.
+            gdr = grads[0] * ((k / n) ** 2) if k < n else grads[0]
+            gdr = gdr.reshape(b, k * k, 1)
+        stacks.append(_AdjointStack(
+            kern_h,
+            None if st is None else st.tolist(),
+            [(2.0 * g, wt) for g, wt in zip(grads, ws)] if need_mask else [],
+            gdr,
+            None if reps is None else (reps, cp[reps]),
+        ))
 
-    def _backward_one(fi: int) -> Tuple[Any, Any]:
-        cp_f, reps_f = pair_info[fi]
-        stack_terms = [(w, g[fi]) for w, g in terms]
+    def attempt(c: int) -> Tuple[Any, Any]:
+        # Fresh accumulators per attempt: a MemoryError mid-pass must not
+        # leave half-accumulated gradients for the retry to double-count.
+        blocks = _chunks([st.kern.shape[0] for st in stacks], c)
 
-        def _attempt(c: int) -> Tuple[Any, Any]:
-            # Fresh accumulators per attempt: a MemoryError mid-pass must
-            # not leave half-accumulated gradients behind for the
-            # halved-chunk retry to double-count.
-            gw_f = np.zeros(s, gw_dtype) if need_w else None
-            acc = _stream_backward_one(
-                stack_terms, spec, kernels[fi], c, cp_f, reps_f,
-                need_mask, gw_f, starts,
-            )
-            return acc, gw_f
+        def block(i: int) -> Tuple[Any, Any]:
+            fi, lo, hi = blocks[i]
+            with _condition_span(fi, len(stacks)):
+                return _backward_block(spec, stacks[fi], lo, hi, gd_complex)
 
-        if len(kernels) == 1:
-            return fftlib.run_with_chunk_fallback(_attempt, csize)
-        with _obs_span("engine.condition", index=fi):
-            return fftlib.run_with_chunk_fallback(_attempt, csize)
-
-    with _obs_span("imaging.vjp", op=op, stacks=len(kernels)):
-        results = fftlib.map_conditions(_backward_one, len(kernels))
         acc_total: Any = None
         gw: Any = None
-        for acc, gw_f in results:  # fixed stack-order reduction
-            if need_mask:
-                acc_total = acc if acc_total is None else acc_total + acc
-            if need_w:
-                gw = gw_f if gw is None else gw + gw_f
+        acc: Any = None
+        gw_f: Any = None
+        with contextlib.closing(
+            fftlib.map_conditions(block, len(blocks))
+        ) as results:
+            for fi, lo, hi in blocks:
+                stack = stacks[fi]
+                if lo == 0:  # the stack's private accumulators
+                    acc = np.zeros((b, n, n), np.complex128) if need_mask else None
+                    gw_f = np.zeros(s, gw_dtype) if need_w else None
+                val, part = next(results)
+                if need_w:
+                    if stack.pairs is None:
+                        gw_f[lo:hi] += val
+                    else:
+                        # |F[s']|^2 == |F[s]|^2: mates share the contraction.
+                        reps, mates = stack.pairs
+                        paired = mates[lo:hi] != reps[lo:hi]
+                        gw_f[reps[lo:hi]] += val
+                        gw_f[mates[lo:hi][paired]] += val[paired]
+                if need_mask:
+                    if stack.corners is None:
+                        acc += part
+                    else:
+                        # Crops: each field's K x K spectrum slice-adds
+                        # at its window.
+                        for j, (r0, c0) in enumerate(stack.corners[lo:hi]):
+                            acc[:, r0 : r0 + k, c0 : c0 + k] += part[:, j]
+                del part  # freed before the next block is awaited
+                if hi == stack.kern.shape[0]:  # fixed stack-order reduction
+                    if need_mask:
+                        acc_total = acc if acc_total is None else acc_total + acc
+                    if need_w:
+                        gw = gw_f if gw is None else gw + gw_f
+        return acc_total, gw
+
+    with _obs_span("imaging.vjp", op=op, stacks=len(kernels)):
+        acc_total, gw = fftlib.run_with_chunk_fallback(attempt, csize)
         gm = None
         if need_mask:
             if starts is not None:
                 acc_total = _half_swap(acc_total)
             gm = HOST.ifft2(acc_total, overwrite_x=True)
+            if real_mask:
+                gm = np.ascontiguousarray(gm.real)  # dL/dRe(M): a real gradient
     return gm, gw
 
 
@@ -1024,12 +1071,10 @@ def incoherent_mask_adjoint(
     spec = _mask_spectrum(mask.data[None] if single else mask.data, starts)
     gm, _ = _stream_adjoint(
         spec, [st.data for st in stacks], pair_info, host_terms, csize,
-        True, False, "incoherent_mask_adjoint", starts,
+        True, False, "incoherent_mask_adjoint", starts, not mask.is_complex,
     )
     if gm is None:
         raise RuntimeError("the streamed adjoint returned no mask gradient")
-    if not mask.is_complex:
-        gm = np.ascontiguousarray(gm.real)  # dL/dRe(M): a real gradient
     return gm[0] if single else gm
 
 
@@ -1068,10 +1113,11 @@ def incoherent_image_stack(
     through every stack in source-axis chunks of ``chunk`` kernels
     (default :func:`repro.optics.fftlib.get_stream_chunk`).  Each chunk
     is one transient ``(B, chunk, K, K)`` transform block, so peak
-    working memory is ``O(B * chunk * K^2)`` instead of the composed
-    path's several *retained* ``O(B * S * N^2)`` intermediates; only the
-    ``(B, N, N)`` mask spectra are saved for the backward pass.  Kernels
-    whose weight is exactly zero are skipped (exact).
+    working memory is ``O(B * chunk * K^2)`` per block in flight instead
+    of the composed path's several *retained* ``O(B * S * N^2)``
+    intermediates; only the ``(B, N, N)`` mask spectra are saved for the
+    backward pass.  Kernels whose weight is exactly zero are skipped
+    (exact).
 
     Backward: the hand-written VJP *recomputes* the per-chunk coherent
     fields instead of retaining them, emitting mask gradients
@@ -1093,9 +1139,12 @@ def incoherent_image_stack(
     *real* kernels the paired field is the complex conjugate of its
     mate's — ``F[b,s'] == conj(F[b,s])`` — so only one kernel per pair
     is transformed and both weights ride the shared field, halving the
-    FFT work in the forward and in the streamed VJP (the mirrored
-    gradient term is recovered with one frequency reversal per
-    backward).  A pairing is always validated, and ignored (exact
+    FFT work in the forward and in the streamed VJP.  For a real
+    upstream gradient the mate's mask-gradient term is then the
+    complex conjugate of its representative's own (times ``w_s'``
+    instead of ``w_s``), so the real mask gradient takes both terms
+    from one accumulator under the pair-summed weight
+    ``w_s + w_s'``.  A pairing is always validated, and ignored (exact
     fallback) for complex masks, complex kernels or a complex upstream
     gradient: the structural pairing survives an even aberration such
     as defocus, the conjugate *field* identity does not.
@@ -1113,17 +1162,19 @@ def incoherent_image_stack(
     the intensity basis (:func:`incoherent_basis`) and reach the mask
     through the graph-free :func:`incoherent_mask_adjoint`.
 
-    Condition parallelism: the per-stack streamed passes are independent
-    (they share only the read-only mask spectrum), so both the forward
-    and the streamed VJP fan them out across the
-    :func:`repro.optics.fftlib.map_conditions` thread pool
-    (``REPRO_COND_WORKERS`` / ``fftlib.set_condition_workers``; each
-    pool thread gets its share of the unified worker budget for its own
-    FFTs).  Every stack writes private buffers and the cross-stack
-    reductions run on the caller's thread in fixed stack order, so the
-    result is **bitwise identical** for any worker count — the
-    create_graph fallback and every oracle/gradcheck see the exact same
-    numbers as a serial run.
+    Parallelism: every ``(stack, chunk)`` block of the forward and of
+    the streamed VJP is independent (blocks share only the read-only
+    mask spectrum and kernels), so each pass runs them as one flat list
+    of tasks on the :func:`repro.optics.fftlib.map_conditions` pool
+    (at most ``REPRO_COND_WORKERS`` / ``fftlib.set_condition_workers``
+    in flight, each with its share of the unified worker budget for its
+    own FFTs).  A task does the per-field work — gather, multiply,
+    transforms, ``|.|^2``, contractions — into its own buffers; the
+    adds, each stack's resample and the slice-adds into each stack's
+    private accumulator run on the caller's thread in block order, and
+    the stacks reduce in fixed stack order.  So the result is **bitwise
+    identical** for any worker count — the create_graph fallback and
+    every oracle/gradcheck see the exact same numbers as a serial run.
     """
     mask = as_tensor(mask)
     weights = as_tensor(weights)
@@ -1134,40 +1185,17 @@ def incoherent_image_stack(
         mask, stacks, weights, chunk, conj_pairs, centres
     )
     single = mask.ndim == 2
-    tiles = mask.data[None] if single else mask.data
-    b, n = tiles.shape[0], tiles.shape[-1]
     # ONE (B, N, N) spectrum for every condition, shared read-only
     # across the condition pool's threads.
-    spec = _mask_spectrum(tiles, starts)
+    spec = _mask_spectrum(mask.data[None] if single else mask.data, starts)
     w = weights.data
 
-    def _forward_one(fi: int) -> np.ndarray:
-        cp_f, reps_f = pair_info[fi]
-
-        def _attempt(c: int) -> np.ndarray:
-            return _stream_forward_one(
-                spec, stacks[fi].data, w, c, cp_f, reps_f, starts
-            )
-
-        # MemoryError inside the streamed block -> halve the chunk and
-        # retry once (chunk-invariant result, see fftlib).  A single
-        # stack is no condition fan-out, so it opens no condition span.
-        if len(stacks) == 1:
-            return fftlib.run_with_chunk_fallback(_attempt, csize)
-        with _obs_span("engine.condition", index=fi):
-            return fftlib.run_with_chunk_fallback(_attempt, csize)
-
-    # Independent per-stack passes: fan out across the condition pool
-    # (inline when serial) — each writes its own slot, so the stacking
-    # is bitwise identical for any thread count.
-    out = np.empty((len(stacks), b, n, n), np.float64)
     with _obs_span(
         "imaging.forward", op="incoherent_image_stack", stacks=len(stacks)
     ):
-        for fi, plane in enumerate(
-            fftlib.map_conditions(_forward_one, len(stacks))
-        ):
-            out[fi] = plane
+        out = _stream_forward(
+            spec, [st.data for st in stacks], w, pair_info, csize, starts
+        )
     out_data = out[:, 0] if single else out
 
     def vjp(g: Tensor) -> Tuple[Optional[Tensor], ...]:
@@ -1185,6 +1213,7 @@ def incoherent_image_stack(
             weights.requires_grad,
             "incoherent_image_stack",
             starts,
+            not mask.is_complex,
         )
         return (
             (_wrap_grad(gm, single),)
@@ -1255,7 +1284,9 @@ def incoherent_basis(
     ``basis_combine(X, w, conj_pairs, N)`` is that image.  On the
     all-real path a pairing keeps only the R pair representatives
     (``|F_{s'}|^2 == |F_s|^2``); otherwise R = S.  Sized against
-    available memory before allocating.
+    available memory before allocating.  Each tile is one block of the
+    :func:`repro.optics.fftlib.map_conditions` fan-out, writing its own
+    row, so any worker count gives the serial basis bitwise.
     """
     from ..utils.memory import require_memory
 
@@ -1275,11 +1306,14 @@ def incoherent_basis(
     spec = _mask_spectrum(tiles, starts)
     corners = None if starts is None else starts.tolist()
     out = np.empty(shape, np.float64)
-    # Tile-at-a-time keeps the working set cache-sized; per-tile
-    # results are bitwise identical to the full-stack transform.
-    for b in range(shape[0]):
-        block = _gather(spec[b : b + 1], kern, corners, 0, shape[1])
+
+    def fill(b: int) -> None:
+        # Tile-at-a-time keeps the working set cache-sized; per-tile
+        # results are bitwise identical to the full-stack transform.
+        block = _gather(spec[b : b + 1], kern, corners)
         out[b] = _sq_mag(HOST.ifft2(block, overwrite_x=True))[0]
+
+    list(fftlib.map_conditions(fill, shape[0]))
     return out
 
 

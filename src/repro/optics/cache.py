@@ -391,7 +391,7 @@ def warmup(
                 pupil_stack(config, conditions[fi])
                 conj_pairs(config, conditions[fi])
 
-            fftlib.map_conditions(_build_condition, len(conditions))
+            list(fftlib.map_conditions(_build_condition, len(conditions)))
 
 
 # ----------------------------------------------------------------------

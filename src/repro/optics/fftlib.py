@@ -14,13 +14,16 @@ under:
   :func:`repro.autodiff.functional.incoherent_image_stack` primitive
   (``REPRO_FFT_CHUNK`` / :func:`set_stream_chunk`), with
   :func:`run_with_chunk_fallback` halving it once on ``MemoryError``.
-* **Condition workers** — the thread fan-out across *process-condition*
-  kernel stacks (``REPRO_COND_WORKERS`` / :func:`set_condition_workers`;
-  ``0`` = fill the worker budget).  The fused condition-axis primitive
-  (behind every engine's imaging methods, graph or graph-free) runs its
-  independent per-stack passes on a persistent, lazily-created
-  ``ThreadPoolExecutor`` via :func:`map_conditions`; pocketfft releases
-  the GIL, so the passes genuinely overlap.
+* **Condition workers** — the cap on the one thread fan-out,
+  :func:`map_conditions` (``REPRO_COND_WORKERS`` /
+  :func:`set_condition_workers`; ``0`` = fill the worker budget).  The
+  streamed imaging passes (behind every engine's imaging methods, graph
+  or graph-free) split into independent blocks — one (kernel stack,
+  source chunk) each, one tile each for the intensity basis — and run
+  them on a persistent, lazily-created ``ThreadPoolExecutor``, reducing
+  the results in block order on the caller's thread.  numpy and
+  pocketfft release the GIL, so the blocks' gathers, multiplies and
+  transforms genuinely overlap.
 * **Unified worker budget** — one cap coordinating the three parallelism
   layers (harness worker *processes* x condition *threads* x per-FFT
   pocketfft threads): within a process, ``condition_workers x per-FFT
@@ -36,12 +39,13 @@ autodiff layer can depend on it without import cycles.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import contextvars
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from concurrent.futures import Future, ThreadPoolExecutor, wait
+from typing import Any, Callable, Dict, Iterator, Optional
 
 import numpy as np
 
@@ -166,7 +170,7 @@ def get_condition_workers() -> int:
 
 
 def set_condition_workers(n: int) -> None:
-    """Thread count for per-condition kernel-stack passes
+    """Thread count of the :func:`map_conditions` block fan-out
     (``0`` = auto: fill the worker budget; ``1`` = serial)."""
     if n < 0:
         raise ValueError(
@@ -176,10 +180,10 @@ def set_condition_workers(n: int) -> None:
 
 
 def effective_condition_workers(num_tasks: Optional[int] = None) -> int:
-    """Condition threads a fan-out of ``num_tasks`` stacks would use.
+    """Condition threads a fan-out of ``num_tasks`` blocks would use.
 
     Always >= 1, never more than the budget, never more than the task
-    count (a 3-stack window cannot use a fourth thread).
+    count (three blocks cannot use a fourth thread).
     """
     n = int(_STATE["cond_workers"])
     if n == 0:
@@ -204,14 +208,17 @@ def set_stream_chunk(n: int) -> None:
 def run_with_chunk_fallback(fn: Callable[[int], Any], csize: int) -> Any:
     """Call ``fn(csize)``; on ``MemoryError`` halve the chunk and retry once.
 
-    The streamed fused primitive's peak transient is the ``(B, chunk, N,
-    N)`` transform block, so halving the chunk roughly halves the
-    allocation that just failed.  The result is chunk-invariant (atol ~
-    1e-13, see the fused-imaging tests), so a degraded retry is
-    numerically equivalent — callers that need a *bitwise* contract
-    should pin the chunk and let the error propagate instead.  A second
-    ``MemoryError`` (or one at ``chunk == 1``) propagates: memory
-    pressure that survives halving is genuine exhaustion.
+    The streamed fused primitive's peak transient is its in-flight
+    ``(B, chunk, K, K)`` transform blocks (K the kernel size), so halving
+    the chunk roughly halves the allocation that just failed.  ``fn``
+    runs a whole pass; the failed attempt has drained the pool (see
+    :func:`map_conditions`) and is released before the retry starts.
+    The result is chunk-invariant (atol ~ 1e-13, see the fused-imaging
+    tests), so a degraded retry is numerically equivalent — callers
+    that need a *bitwise* contract should pin the chunk and let the
+    error propagate instead.  A second ``MemoryError`` (or one at
+    ``chunk == 1``) propagates: memory pressure that survives halving
+    is genuine exhaustion.
     """
     # Lazy import: fftlib deliberately imports nothing from repro at
     # module scope so it stays usable before the package is fully built.
@@ -223,8 +230,10 @@ def run_with_chunk_fallback(fn: Callable[[int], Any], csize: int) -> Any:
     except MemoryError:
         if csize <= 1:
             raise
-        fault_point("fftlib.stream_chunk")  # the retry allocates again
-        return fn(max(1, int(csize) // 2))
+    # Retried outside the handler, so the failed attempt's traceback (and
+    # the buffers its frames hold) is gone before the retry allocates.
+    fault_point("fftlib.stream_chunk")
+    return fn(max(1, int(csize) // 2))
 
 
 @contextlib.contextmanager
@@ -275,9 +284,9 @@ def _condition_pool() -> ThreadPoolExecutor:
     """The persistent, lazily-created condition-axis executor.
 
     Sized once to the CPU count (the most threads that could ever help);
-    the *live* concurrency of a fan-out is bounded by how many group
-    tasks :func:`map_conditions` submits, so policy changes never force
-    a pool rebuild.
+    the *live* concurrency of a fan-out is bounded by how many tasks
+    :func:`map_conditions` keeps in flight, so policy changes never
+    force a pool rebuild.
     """
     global _POOL
     with _POOL_LOCK:
@@ -288,65 +297,63 @@ def _condition_pool() -> ThreadPoolExecutor:
         return _POOL
 
 
-def _partition(num_tasks: int, num_groups: int) -> List[range]:
-    """Split ``range(num_tasks)`` into <= ``num_groups`` contiguous runs."""
-    base, extra = divmod(num_tasks, num_groups)
-    groups: List[range] = []
-    start = 0
-    for i in range(num_groups):
-        size = base + (1 if i < extra else 0)
-        if size:
-            groups.append(range(start, start + size))
-            start += size
-    return groups
+def map_conditions(fn: Callable[[int], Any], num_tasks: int) -> Iterator[Any]:
+    """Yield ``fn(0) .. fn(num_tasks - 1)`` in index order: the one
+    fan-out of independent blocks onto the condition pool.
 
+    At most ``w = effective_condition_workers(num_tasks)`` tasks are in
+    flight at once; each runs with ``effective_budget() // w`` pocketfft
+    workers (the unified-budget split) inside its own copy of the
+    caller's ``contextvars`` context.  Results come back in index order,
+    so the caller reduces them in a fixed order (and hence bitwise
+    alike) whatever the thread count, holding at most ``w`` blocks plus
+    the one it is reducing.  A one-thread policy, a single task, or a
+    call made *from* a pool thread (a nested fan-out would deadlock-wait
+    on its own executor) runs inline on the caller's thread.
 
-def map_conditions(fn: Callable[[int], object], num_tasks: int) -> list:
-    """Run ``fn(0) .. fn(num_tasks - 1)`` with the condition-axis fan-out.
-
-    Returns ``[fn(0), ..., fn(num_tasks - 1)]`` — results in index
-    order, so callers control their reduction order (and hence bitwise
-    determinism) regardless of the thread count.  The tasks are
-    partitioned into ``effective_condition_workers(num_tasks)``
-    contiguous groups, one pool task per group; each pool thread runs
-    its group serially with ``effective_budget() // groups`` pocketfft
-    workers (the unified-budget split), so condition threads times
-    per-FFT threads never exceed the budget.
-
-    Fan-outs of one task, a one-thread policy, or a call made *from* a
-    pool thread (a nested fan-out would deadlock-wait on its own
-    executor) run inline on the caller's thread.
+    No task outlives the iteration: when a task raises, or the consumer
+    raises or stops early (closing the generator), the tasks still in
+    flight are cancelled or waited for before the error propagates.
     """
-    if num_tasks <= 0:
-        return []
     w = effective_condition_workers(num_tasks)
     if w <= 1 or num_tasks <= 1 or getattr(_TLS, "in_condition_pool", False):
-        return [fn(i) for i in range(num_tasks)]
+        for i in range(num_tasks):
+            yield fn(i)
+        return
     fft_share = max(1, effective_budget() // w)
 
-    def run_group(indices: range) -> List[Tuple[int, object]]:
+    def run(i: int) -> Any:
         _TLS.in_condition_pool = True
         _TLS.fft_workers = fft_share
         try:
-            return [(i, fn(i)) for i in indices]
+            return fn(i)
         finally:
             _TLS.fft_workers = None
             _TLS.in_condition_pool = False
 
     pool = _condition_pool()
-    # Pool threads outlive any one fan-out, so contextvars (notably the
-    # repro.obs span parent chain) do not flow into them by default.
-    # Each group runs inside a fresh copy of the caller's context — one
-    # copy per group, because a Context can only host one concurrent run.
-    futures = [
-        pool.submit(contextvars.copy_context().run, run_group, g)
-        for g in _partition(num_tasks, w)
-    ]
-    results: list = [None] * num_tasks
-    for future in futures:
-        for i, value in future.result():
-            results[i] = value
-    return results
+
+    def submit(i: int) -> "Future[Any]":
+        # Pool threads outlive any one fan-out, so contextvars (notably
+        # the repro.obs span parent chain) do not flow into them by
+        # default: each task runs in a fresh copy of the caller's
+        # context (a Context can host only one concurrent run).
+        return pool.submit(contextvars.copy_context().run, run, i)
+
+    inflight: "collections.deque[Future[Any]]" = collections.deque()
+    try:
+        inflight.extend(submit(i) for i in range(w))
+        for nxt in range(w, num_tasks + w):
+            wait((inflight[0],))  # the head: results leave in index order
+            if nxt < num_tasks:
+                inflight.append(submit(nxt))
+            # Yielded straight from the future, so no reference here
+            # keeps a block alive while the consumer reduces it.
+            yield inflight.popleft().result()
+    finally:
+        for future in inflight:
+            future.cancel()
+        wait(inflight)
 
 
 # ----------------------------------------------------------------------
@@ -355,8 +362,8 @@ def map_conditions(fn: Callable[[int], object], num_tasks: int) -> list:
 def freq_reverse(x: np.ndarray) -> np.ndarray:
     """Frequency reversal ``x(f) -> x(-f)`` on the last two axes.
 
-    Index map ``i -> (-i) mod n`` in fftfreq layout; used by the
-    conjugate-pair streaming of the fused incoherent-imaging primitive
-    (for a real signal, ``FFT(x)(-f) = conj(FFT(x)(f))``).
+    Index map ``i -> (-i) mod n`` in fftfreq layout: a conjugate
+    pairing declares ``kernel_{s'} == freq_reverse(kernel_s)`` (for a
+    real signal, ``FFT(x)(-f) = conj(FFT(x)(f))``).
     """
     return np.roll(x[..., ::-1, ::-1], shift=(1, 1), axis=(-2, -1))

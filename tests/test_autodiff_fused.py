@@ -136,27 +136,79 @@ class TestGradients:
         assert np.abs(gw.data).min() > 0  # every kernel contributes
 
 
+@pytest.fixture(scope="module")
+def crop_paired_setup():
+    """``tiny``'s Abbe crops (K = 14 of N = 32): 29 real kernels in 14
+    conjugate pairs plus the self-paired centre, under weights that
+    differ within every pair and are zero at some points."""
+    engine = AbbeImaging(OpticalConfig.preset("tiny"))
+    kernels, pairs = engine._pupil_stack.data, engine._conj_pairs
+    rng = np.random.default_rng(5)
+    weights = rng.random(kernels.shape[0])
+    weights[[0, 7, 11]] = 0.0
+    mates = pairs != np.arange(pairs.size)
+    assert np.all(weights[mates] != weights[pairs[mates]])
+    assert np.any(~mates) and kernels.shape[-1] < engine.config.mask_size
+    return kernels, pairs, weights, engine.pupil_centres
+
+
+def _rel_err(got, ref) -> float:
+    return float(np.abs(got - ref).max() / np.abs(ref).max())
+
+
 class TestConjugatePairStreaming:
     """The +/-sigma field-conjugation shortcut for real masks."""
 
-    @pytest.mark.parametrize("batch", [False, True])
-    def test_paired_matches_unpaired(self, paired_setup, batch):
-        kernels, pairs, weights = paired_setup
-        m = _masks(batch, False)
+    @staticmethod
+    def _assert_paired_matches_unpaired(kernels, pairs, weights, m, centres=None):
+        """Pairing folds each pair's two mask-gradient terms into one
+        accumulator under the pair-summed weight: exact to rounding."""
 
         def grads(**kw):
             mt = ad.Tensor(m, requires_grad=True)
             wt = ad.Tensor(weights, requires_grad=True)
-            out = F.incoherent_image(mt, kernels, wt, **kw)
+            out = F.incoherent_image(mt, kernels, wt, centres=centres, **kw)
             loss = F.sum(F.power(out, 2.0))
             gm, gw = ad.grad(loss, [mt, wt])
             return out.data, gm.data, gw.data
 
         o1, gm1, gw1 = grads()
         o2, gm2, gw2 = grads(conj_pairs=pairs)
+        assert not np.iscomplexobj(gm2)  # a real gradient for a real mask
         np.testing.assert_allclose(o2, o1, atol=1e-12)
         np.testing.assert_allclose(gm2, gm1, atol=1e-10)
         np.testing.assert_allclose(gw2, gw1, atol=1e-10)
+        assert _rel_err(gm2, gm1) <= 1e-12
+        assert _rel_err(gw2, gw1) <= 1e-12
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_paired_matches_unpaired(self, paired_setup, batch):
+        kernels, pairs, weights = paired_setup
+        self._assert_paired_matches_unpaired(
+            kernels, pairs, weights, _masks(batch, False)
+        )
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_paired_matches_unpaired_on_crops(self, crop_paired_setup, batch):
+        kernels, pairs, weights, centres = crop_paired_setup
+        rng = np.random.default_rng(2)
+        m = rng.random((3, 32, 32) if batch else (32, 32))
+        self._assert_paired_matches_unpaired(kernels, pairs, weights, m, centres)
+
+    def test_paired_adjoint_matches_unpaired(self, crop_paired_setup):
+        """The two-term mask adjoint on the same crops, each term with
+        its own pair-differing weights."""
+        kernels, pairs, weights, centres = crop_paired_setup
+        rng = np.random.default_rng(4)
+        m = rng.random((2, 32, 32))
+        terms = [
+            (weights, rng.standard_normal((1, 2, 32, 32))),
+            (rng.random(weights.size), rng.standard_normal((1, 2, 32, 32))),
+        ]
+        paired = F.incoherent_mask_adjoint(m, [kernels], terms, [pairs], centres)
+        plain = F.incoherent_mask_adjoint(m, [kernels], terms, [None], centres)
+        assert not np.iscomplexobj(paired)
+        assert _rel_err(paired, plain) <= 1e-12
 
     def test_complex_mask_ignores_pairing(self, paired_setup):
         """Pairing relies on real fields; complex masks take the exact

@@ -114,3 +114,105 @@ def test_numeric_env_knobs_name_themselves(monkeypatch, var, raw, expected, read
     message = f"{var} must be {expected}; got {raw!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         read()
+
+
+class TestMapConditions:
+    """The one ordered fan-out: index order, a bounded number of tasks
+    in flight, inline runs, and no task outliving the iteration."""
+
+    @staticmethod
+    def _tracked(delay: float = 0.01, fail_at: int = -1):
+        """``(fn, state)``: ``fn(i)`` sleeps, returns ``i * i`` (raises
+        at ``fail_at``) and records live/peak task counts and threads."""
+        import threading
+        import time
+
+        lock = threading.Lock()
+        state = {"live": 0, "peak": 0, "started": 0, "threads": set(), "shares": set()}
+
+        def fn(i: int) -> int:
+            with lock:
+                state["live"] += 1
+                state["started"] += 1
+                state["peak"] = max(state["peak"], state["live"])
+                state["threads"].add(threading.get_ident())
+                state["shares"].add(fftlib.effective_workers())
+            try:
+                if i == fail_at:
+                    raise MemoryError("injected")
+                time.sleep(delay)
+                return i * i
+            finally:
+                with lock:
+                    state["live"] -= 1
+
+        return fn, state
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_index_order_and_bounded_inflight(self, workers):
+        fn, state = self._tracked()
+        with fftlib.use(condition_workers=workers, budget=6):
+            assert list(fftlib.map_conditions(fn, 7)) == [i * i for i in range(7)]
+        assert 1 < state["peak"] <= workers
+        assert state["shares"] == {6 // workers}  # the budget split
+
+    @pytest.mark.parametrize(
+        "policy, tasks",
+        [({"condition_workers": 1}, 4), ({"budget": 1}, 4), ({}, 1)],
+        ids=["serial-policy", "budget-1", "one-task"],
+    )
+    def test_runs_inline(self, policy, tasks):
+        import threading
+
+        fn, state = self._tracked(delay=0.0)
+        with fftlib.use(**policy):
+            assert list(fftlib.map_conditions(fn, tasks)) == [
+                i * i for i in range(tasks)
+            ]
+        assert state["threads"] == {threading.get_ident()}
+
+    def test_nested_call_runs_inline(self):
+        import threading
+
+        def outer(i: int) -> set:
+            inner = lambda j: threading.get_ident()  # noqa: E731
+            return set(fftlib.map_conditions(inner, 3)) | {threading.get_ident()}
+
+        with fftlib.use(condition_workers=2, budget=2):
+            per_task = list(fftlib.map_conditions(outer, 2))
+        assert all(len(ids) == 1 for ids in per_task)
+        assert threading.get_ident() not in set.union(*per_task)
+
+    @staticmethod
+    def _assert_none_outlived(state):
+        """No task is running, and none starts later: each one still
+        queued when the iteration ended was cancelled."""
+        import time
+
+        started = state["started"]
+        assert state["live"] == 0
+        time.sleep(0.1)
+        assert state["started"] == started and state["live"] == 0
+
+    def test_consumer_stopping_early_waits_for_tasks(self):
+        fn, state = self._tracked(delay=0.05)
+        with fftlib.use(condition_workers=2, budget=2):
+            for value in fftlib.map_conditions(fn, 6):
+                assert value == 0
+                break
+        self._assert_none_outlived(state)
+
+    def test_consumer_error_waits_for_tasks(self):
+        fn, state = self._tracked(delay=0.05)
+        with fftlib.use(condition_workers=2, budget=2):
+            with pytest.raises(RuntimeError, match="consumer"):
+                for _ in fftlib.map_conditions(fn, 6):
+                    raise RuntimeError("consumer")
+        self._assert_none_outlived(state)
+
+    def test_task_error_waits_for_tasks(self):
+        fn, state = self._tracked(delay=0.05, fail_at=1)
+        with fftlib.use(condition_workers=2, budget=2):
+            with pytest.raises(MemoryError, match="injected"):
+                list(fftlib.map_conditions(fn, 6))
+        self._assert_none_outlived(state)

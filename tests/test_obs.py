@@ -121,7 +121,7 @@ class TestSpans:
         with obs.use(trace=True):
             with fftlib.use(condition_workers=2, budget=4):
                 with obs.span("imaging.forward"):
-                    tids = fftlib.map_conditions(task, 4)
+                    tids = list(fftlib.map_conditions(task, 4))
             events = obs.drain_events()
         children = [ev for ev in events if ev["name"] == "engine.condition"]
         assert len(children) == 4
@@ -129,7 +129,7 @@ class TestSpans:
         # one worker; on multi-core machines the groups spread further),
         # yet every child still sees the ambient imaging.forward span
         # as its parent because map_conditions copies the context per
-        # group
+        # task
         assert main_tid not in set(tids)
         assert {ev["tid"] for ev in children} == set(tids)
         assert {ev["parent"] for ev in children} == {"imaging.forward"}

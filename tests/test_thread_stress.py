@@ -9,7 +9,8 @@ Two families of guarantee:
 * **Bitwise determinism** — ``incoherent_image_stack`` forward and VJP
   produce byte-identical results at 1 vs N condition workers (private
   per-stack buffers + fixed-order reductions), for real and complex
-  (aberrated-corner) stacks at B=1 and B=3.
+  (aberrated-corner) stacks at B=1 and B=3; at ``default`` every
+  streamed pass does at 1, 2 and 3 workers, block by block.
 
 Marked ``thread_stress``: CI runs the suite in its own serialized step
 so the deliberate oversubscription doesn't skew timing-sensitive tests.
@@ -25,7 +26,15 @@ import pytest
 
 import repro.autodiff as ad
 from repro.autodiff import functional as F
-from repro.optics import AbbeImaging, HopkinsImaging, SourceGrid, cache, fftlib
+from repro.optics import (
+    AbbeImaging,
+    HopkinsImaging,
+    OpticalConfig,
+    SourceGrid,
+    cache,
+    fftlib,
+)
+from tests.test_block_fanout import assert_any_worker_count_is_serial
 
 pytestmark = pytest.mark.thread_stress
 
@@ -193,3 +202,22 @@ class TestBitwiseParity:
 
         for out in _fan_out(worker):
             assert np.array_equal(ref, out)
+
+
+class TestBlockFanOutAtDefault:
+    """The block fan-out's bitwise contract on ``default``'s K = 56 of
+    N = 128 crops at the real chunk: the nominal stack streams its 57
+    pair representatives in 4 blocks, the 80 nm stack (complex, no
+    pairing) all 113 kernels in 8; three stacks make 20 blocks."""
+
+    @pytest.fixture(scope="class")
+    def engine(self):
+        return AbbeImaging(OpticalConfig.preset("default"))
+
+    @pytest.mark.parametrize(
+        "conditions",
+        [(0.0,), (0.0, 40.0, 80.0), (80.0,), (80.0, 40.0, 120.0)],
+        ids=["paired-1", "paired-3", "unpaired-1", "unpaired-3"],
+    )
+    def test_any_worker_count_is_serial(self, engine, conditions):
+        assert_any_worker_count_is_serial(engine, conditions, chunk=16)
