@@ -3,9 +3,10 @@
 PyTorch is unavailable in this offline environment, so this package
 recreates the part of ``torch.autograd`` that the BiSMO bilevel solvers
 require: a dynamic graph over float64/complex128 numpy arrays, functional
-ops with double-backward-safe VJPs (FFTs included), a ``grad`` driver with
-``create_graph``, and exact/FD Hessian-vector and mixed Jacobian-vector
-products.
+ops with double-backward-safe VJPs (FFTs included; the fused imaging
+primitive's streamed VJP is the one graph-free exception), a ``grad``
+driver with ``create_graph``, and exact/FD Hessian-vector and mixed
+Jacobian-vector products.
 
 Quick example::
 

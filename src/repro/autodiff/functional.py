@@ -4,8 +4,12 @@ Every op follows the same pattern: compute the forward result with numpy,
 then (if grad mode is on and any input requires grad) attach a VJP closure.
 VJP closures are written **in terms of these same functional ops**, so a
 backward pass executed with graph recording enabled (``create_graph=True``
-in :func:`repro.autodiff.grad.grad`) is itself differentiable.  That
-property is what gives BiSMO-NMN / BiSMO-CG exact Hessian-vector products.
+in :func:`repro.autodiff.grad.grad`) is itself differentiable.  The one
+exception is the fused imaging primitive, :func:`incoherent_image_stack`:
+its hand-written streamed VJP is graph-free, and a ``create_graph``
+backward through it raises ``NotImplementedError``.  BiSMO's exact
+Hessian-vector and mixed products cut the graph at the aerial image
+instead (:class:`repro.smo.SourceBasisLoss`).
 
 Complex gradients use the convention ``grad(z) = dL/dRe(z) + 1j*dL/dIm(z)``
 for a real-valued loss ``L``; under this convention the VJP of a
@@ -77,10 +81,10 @@ __all__ = [
     "ifft2",
     "incoherent_image",
     "incoherent_image_stack",
+    "GRAPH_FREE_VJPS",
     "incoherent_mask_adjoint",
     "incoherent_basis",
     "kernel_offsets",
-    "expand_kernels",
     "basis_combine",
     "basis_contract",
     "resist_corner_losses",
@@ -595,27 +599,6 @@ def _gather(
     return block
 
 
-def expand_kernels(kernels: Any, centres: Any, n: int) -> np.ndarray:
-    """Whole-grid ``(S, N, N)`` fftfreq-layout kernels from crops, sized
-    against available memory first (the composed ``create_graph``
-    fallback's input); whole-grid kernels return unchanged."""
-    from ..utils.memory import require_memory
-
-    kern = np.asarray(kernels)
-    starts = _window_starts(kern.shape, n, centres)
-    if starts is None:
-        return kern
-    s, k = kern.shape[0], kern.shape[-1]
-    shape = (s, n, n)
-    require_memory(
-        kern.itemsize * s * n * n, f"{shape} {kern.dtype} expanded pupil stack"
-    )
-    full = np.zeros(shape, kern.dtype)
-    for i, (r0, c0) in enumerate(starts.tolist()):
-        full[i, r0 : r0 + k, c0 : c0 + k] = kern[i]
-    return _half_swap(full)
-
-
 def _check_incoherent_args(
     mask: Tensor, pupil_stack: Tensor, weights: Tensor
 ) -> Tuple[int, int]:
@@ -1078,6 +1061,21 @@ def incoherent_mask_adjoint(
     return gm[0] if single else gm
 
 
+#: Ops whose VJP returns graph-free gradients, with the message
+#: :func:`repro.autodiff.grad.grad` raises (``NotImplementedError``) when
+#: a ``create_graph`` backward reaches one of them.
+GRAPH_FREE_VJPS: Dict[str, str] = {
+    "incoherent_image_stack": (
+        "a create_graph backward through incoherent_image_stack is not "
+        "supported: its streamed VJP is graph-free.  Take second "
+        "derivatives through imaging from the intensity basis "
+        "(repro.smo.SourceBasisLoss, as BiSMO's HypergradientContext "
+        "does), or image with composed ops, as the composed oracle "
+        "ComposedAbbeImaging in tests/oracles.py does"
+    ),
+}
+
+
 def incoherent_image_stack(
     mask: ArrayLike,
     pupil_stacks: Sequence[ArrayLike],
@@ -1149,18 +1147,14 @@ def incoherent_image_stack(
     gradient: the structural pairing survives an even aberration such
     as defocus, the conjugate *field* identity does not.
 
-    Double backward: the streamed VJP returns graph-free gradients.
-    When the backward pass itself must be differentiable (``ad.grad(...,
-    create_graph=True)``), the VJP detects grad-recording mode and falls
-    back to composed-op gradient expressions (sharing one ``fft2(mask)``
-    graph node across stacks) on whole-grid kernels
-    (:func:`expand_kernels`), which carry their own graph but cost the
-    composed path's memory.  Only the BiSMO unroll
-    path, objectives without an intensity basis and the gradcheck
-    oracles take that fallback.  BiSMO's exact HVP and mixed-product
-    oracles cut the graph at the aerial image instead: they work from
-    the intensity basis (:func:`incoherent_basis`) and reach the mask
-    through the graph-free :func:`incoherent_mask_adjoint`.
+    Double backward: the streamed VJP returns graph-free gradients, so
+    :func:`repro.autodiff.grad.grad` refuses a ``create_graph``
+    backward through this node with ``NotImplementedError``.  Every
+    second derivative through imaging (BiSMO's exact HVP and
+    mixed-product oracles, and its unrolled hypergradient) cuts the
+    graph at the aerial image instead: it works from the intensity
+    basis (:func:`incoherent_basis`) and reaches the mask through the
+    graph-free :func:`incoherent_mask_adjoint`.
 
     Parallelism: every ``(stack, chunk)`` block of the forward and of
     the streamed VJP is independent (blocks share only the read-only
@@ -1173,8 +1167,8 @@ def incoherent_image_stack(
     adds, each stack's resample and the slice-adds into each stack's
     private accumulator run on the caller's thread in block order, and
     the stacks reduce in fixed stack order.  So the result is **bitwise
-    identical** for any worker count — the create_graph fallback and
-    every oracle/gradcheck see the exact same numbers as a serial run.
+    identical** for any worker count — every oracle and gradcheck sees
+    the exact same numbers as a serial run.
     """
     mask = as_tensor(mask)
     weights = as_tensor(weights)
@@ -1199,10 +1193,6 @@ def incoherent_image_stack(
     out_data = out[:, 0] if single else out
 
     def vjp(g: Tensor) -> Tuple[Optional[Tensor], ...]:
-        if is_grad_enabled():
-            return _incoherent_stack_vjp_composed(
-                g, mask, stacks, weights, centres
-            )
         gm, gw = _stream_adjoint(
             spec,
             [st.data for st in stacks],
@@ -1224,48 +1214,6 @@ def incoherent_image_stack(
     return _make(
         out_data, (mask,) + stacks + (weights,), vjp, "incoherent_image_stack"
     )
-
-
-def _incoherent_stack_vjp_composed(
-    g: Tensor,
-    mask: Tensor,
-    stacks: Tuple[Tensor, ...],
-    weights: Tensor,
-    centres: Any,
-) -> Tuple[Optional[Tensor], ...]:
-    """Differentiable gradients for the stack primitive (create_graph).
-
-    Rebuilds each condition's coherent fields on the whole grid (crops
-    expanded by :func:`expand_kernels`) with graph-recording functional
-    ops from ONE shared ``fft2(mask)`` graph node and expresses the
-    exact gradient formulas with them, accumulating mask/weight
-    gradients across stacks with differentiable adds, so the returned
-    tensors can be differentiated again (the property the BiSMO unroll
-    path and the composed second-order oracles rely on).
-    """
-    n = mask.shape[-1]
-    s = stacks[0].shape[0]
-    single = mask.ndim == 2
-    m3 = reshape(mask, (1, n, n)) if single else mask
-    b = m3.shape[0]
-    fmr = reshape(fft2(m3), (b, 1, n, n))  # shared spectrum node
-    gm_out: Optional[Tensor] = None
-    gw_out: Optional[Tensor] = None
-    for fi, st in enumerate(stacks):
-        gf = getitem(g, fi)  # (B, N, N) or (N, N)
-        g4 = reshape(gf, (1, 1, n, n)) if single else reshape(gf, (b, 1, n, n))
-        p4 = Tensor(expand_kernels(st.data, centres, n).reshape(1, s, n, n))
-        fields = ifft2(mul(p4, fmr))  # (B, S, N, N)
-        if weights.requires_grad:
-            gw_f = sum(mul(g4, abs2(fields)), axis=(0, 2, 3))
-            gw_out = gw_f if gw_out is None else add(gw_out, gw_f)
-        if mask.requires_grad:
-            wf = reshape(weights, (1, s, 1, 1))
-            gfields = mul(mul(g4, 2.0), mul(wf, fields))
-            gm = ifft2(sum(mul(fft2(gfields), conj(p4)), axis=1))
-            gm_f = reshape(gm, (n, n)) if single else gm
-            gm_out = gm_f if gm_out is None else add(gm_out, gm_f)
-    return (gm_out,) + (None,) * len(stacks) + (gw_out,)
 
 
 # ----------------------------------------------------------------------

@@ -80,7 +80,9 @@ def grad(
         Upstream gradient; defaults to ones (scalar outputs only).
     create_graph:
         If True, the returned gradients carry their own backward graph so
-        they can be differentiated again (exact HVPs).
+        they can be differentiated again (exact HVPs).  A node whose VJP
+        is graph-free (:data:`repro.autodiff.functional.GRAPH_FREE_VJPS`)
+        raises ``NotImplementedError`` instead.
     allow_unused:
         If False, raise when some input is unreachable from ``output``.
     """
@@ -106,6 +108,8 @@ def grad(
                 result[id(node)] = _match_grad(g, node)
             if node._vjp is None:
                 continue
+            if create_graph and node._op in F.GRAPH_FREE_VJPS:
+                raise NotImplementedError(F.GRAPH_FREE_VJPS[node._op])
             in_grads = node._vjp(g)
             for parent, ig in zip(node._inputs, in_grads):
                 if ig is None or not parent.requires_grad:

@@ -17,7 +17,9 @@ Design notes
 * Every op's VJP is itself written with the functional ops, so calling
   :func:`repro.autodiff.grad.grad` with ``create_graph=True`` yields a
   differentiable gradient — this is what makes exact Hessian-vector
-  products for BiSMO-NMN / BiSMO-CG possible.
+  products for BiSMO-NMN / BiSMO-CG possible.  The fused imaging
+  primitive is the exception: its VJP is graph-free and refuses
+  ``create_graph``.
 """
 
 from __future__ import annotations

@@ -94,7 +94,6 @@ class RunSettings:
     unroll_steps: int = 3
     terms: int = 5
     cg_damping: float = 1.0
-    hvp_mode: str = "exact"
     #: Optional robust dose x aberration condition axis: when set, every
     #: dispatched solver optimizes the robust corner loss across it —
     #: the window's corners may carry arbitrary Zernike pupil
@@ -267,7 +266,6 @@ def _dispatch(
             inner_lr=settings.lr,
             outer_lr=settings.lr,
             outer_optimizer=settings.optimizer,
-            hvp_mode=settings.hvp_mode,
             damping=settings.cg_damping if kind == "cg" else 0.0,
             **robust,
         ).run(source, iterations=iters)

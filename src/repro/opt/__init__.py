@@ -4,7 +4,6 @@ the truncated Neumann inverse-Hessian application used by BiSMO."""
 from .optimizers import Adam, Optimizer, SGD, make_optimizer
 from .cg import CGResult, conjugate_gradient
 from .neumann import neumann_inverse_hvp
-from .lr_schedule import ConstantLR, CosineLR, StepLR, apply_schedule
 
 __all__ = [
     "Optimizer",
@@ -14,8 +13,4 @@ __all__ = [
     "CGResult",
     "conjugate_gradient",
     "neumann_inverse_hvp",
-    "ConstantLR",
-    "StepLR",
-    "CosineLR",
-    "apply_schedule",
 ]

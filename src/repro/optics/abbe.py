@@ -220,10 +220,10 @@ class AbbeImaging(ImagingEngine):
         are defocus floats or any
         :meth:`repro.optics.zernike.PupilAberration.coerce` argument.
         Single ``(N, N)`` masks return ``(F, N, N)``.  Differentiable
-        w.r.t. the mask and the source (including second-order products
-        through the primitive's composed-op ``create_graph`` fallback);
-        intensity is normalized by the total source weight (clear field
-        -> 1.0).
+        w.r.t. the mask and the source (first order: the primitive's
+        VJP is graph-free, so second-order products come from
+        :meth:`source_intensity_basis`); intensity is normalized by the
+        total source weight (clear field -> 1.0).
         """
         if source is None:
             raise ValueError("AbbeImaging.aerial_conditions requires a source")

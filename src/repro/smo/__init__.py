@@ -26,11 +26,6 @@ from .mo_only import AbbeMO, HopkinsMO
 from .so_only import SourceOptimizer
 from .am import AMSMO
 from .bismo import BiSMO, HypergradientContext
-from .convergence import (
-    GradientNormStopper,
-    PlateauStopper,
-    RelativeImprovementStopper,
-)
 from .unroll import unrolled_hypergradient
 from .fd import fd_hypergradient
 from .nmn import neumann_hypergradient
@@ -62,9 +57,6 @@ __all__ = [
     "HypergradientContext",
     "fd_hypergradient",
     "unrolled_hypergradient",
-    "PlateauStopper",
-    "RelativeImprovementStopper",
-    "GradientNormStopper",
     "neumann_hypergradient",
     "cg_hypergradient",
 ]

@@ -6,11 +6,13 @@ SMO is posed as the bilevel program (Eq. (11))
     s.t.  theta_J*(theta_M) = argmin_{theta_J} L_so(theta_J, theta_M)
 
 The outer (MO) gradient is the *hypergradient* (Eq. (12)): the direct
-term plus the best-response term through theta_J*.  Three approximations
-of the inverse inner Hessian are implemented, keyed ``"fd"`` /
-``"nmn"`` / ``"cg"`` — finite-difference (:mod:`repro.smo.fd`),
-truncated Neumann series (:mod:`repro.smo.nmn`) and conjugate gradient
-(:mod:`repro.smo.cg`); each outer iteration
+term plus the best-response term through theta_J*.  Four strategies are
+implemented, keyed ``"fd"`` / ``"nmn"`` / ``"cg"`` / ``"unroll"``: three
+approximations of the inverse inner Hessian — finite-difference
+(:mod:`repro.smo.fd`), truncated Neumann series (:mod:`repro.smo.nmn`)
+and conjugate gradient (:mod:`repro.smo.cg`) — and the reverse-mode
+reference that differentiates through the inner steps
+(:mod:`repro.smo.unroll`).  Each outer iteration
 
 1. unrolls ``T`` inner SO steps to track theta_J* (Alg. 2 line 2),
 2. builds a :class:`HypergradientContext` — the loss, the direct
@@ -20,10 +22,12 @@ truncated Neumann series (:mod:`repro.smo.nmn`) and conjugate gradient
    the graph is cut at the aerial image, HVPs are double backwards
    over the basis and the loss tail, and the mask side is one streamed
    mask-adjoint pass — no ``create_graph`` backward through imaging,
-3. forms the hypergradient ``grad_m - c * mixed_vjp(w)`` (c = xi for
-   FD, 1 for NMN and CG) in that one pass: ``mixed_vjp(w, direct=c)``
-   folds the direct term into the mixed product's terms.  Then it
-   updates theta_M (Alg. 2 line 13).
+3. forms the hypergradient in that one pass: ``grad_m - c *
+   mixed_vjp(w)`` (c = xi for FD, 1 for NMN and CG) is
+   ``mixed_vjp(w, direct=c)``, which folds the direct term into the
+   mixed product's terms, and the unroll strategy folds one such pair
+   of terms per inner step into the same call.  Then it updates
+   theta_M (Alg. 2 line 13).
 
 Since the paper sets ``L_so := L_mo := L_smo`` (Eq. (9)), one loss graph
 serves both levels.
@@ -37,7 +41,7 @@ every :class:`IterationRecord` carries the per-tile loss vector.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,7 +57,6 @@ from .objective import (
 )
 from .parametrization import init_theta_mask, init_theta_source
 from .state import SMOResult
-from .unroll import unrolled_hypergradient
 
 __all__ = ["HypergradientContext", "BiSMO"]
 
@@ -69,17 +72,19 @@ class HypergradientContext:
       ``(d^2 L_so / d theta_J^2) @ p``,
     * :meth:`mixed_vjp` — exact mixed products
       ``(d^2 L_so / d theta_M d theta_J) @ w`` (shape of theta_M), or
-      with ``direct=c`` the hypergradient ``grad_m - c * mixed_vjp(w)``.
+      with ``direct=c`` the hypergradient ``grad_m - c * mixed_vjp(w)``,
+    * :meth:`at` — the context at another theta_J on the same basis.
 
     The oracles feed every hypergradient strategy: finite-difference
-    (:mod:`repro.smo.fd`), truncated Neumann series (:mod:`repro.smo.nmn`)
-    and conjugate gradient (:mod:`repro.smo.cg`).
+    (:mod:`repro.smo.fd`), truncated Neumann series (:mod:`repro.smo.nmn`),
+    conjugate gradient (:mod:`repro.smo.cg`) and the unrolled reverse
+    sweep (:mod:`repro.smo.unroll`).
 
-    ``hvp_mode="exact"`` with an intensity basis — a
-    :class:`SourceBasisLoss` from the objective's ``source_only_loss``
-    or passed as ``so_loss_fn`` — cuts the graph at the aerial image.
-    With ``A(M, c) = sum_s c_s X_s(M)`` linear in the normalized source
-    weights ``jhat``, ``T`` the loss tail below ``A`` and ``G = dT/dA``:
+    With an intensity basis — a :class:`SourceBasisLoss` from the
+    objective's ``source_only_loss`` or passed as ``so_loss_fn`` — the
+    context cuts the graph at the aerial image.  With ``A(M, c) =
+    sum_s c_s X_s(M)`` linear in the normalized source weights
+    ``jhat``, ``T`` the loss tail below ``A`` and ``G = dT/dA``:
 
     * the loss, ``grad_j`` and every HVP come from the basis, with no
       FFT (a double backward over ``theta_J -> jhat -> A -> T``);
@@ -88,7 +93,7 @@ class HypergradientContext:
     * ``mixed_vjp(w) = grad_M <A(M, delta), G> + grad_M <A(M, jhat), G'>``
       with ``delta = J_jhat w`` and ``G' = (d^2 T / dA^2) A(M, delta)``
       (a double backward over the tail only): one mask-adjoint pass
-      with two terms;
+      with the two terms of :meth:`mixed_terms`;
     * ``mixed_vjp(w, direct=c)``: the adjoint is linear in each term's
       weights, so ``grad_m - c * mixed_vjp(w)`` is one pass with the
       terms ``(jhat - c delta, G)`` and ``(-c jhat, G')``, and
@@ -97,13 +102,13 @@ class HypergradientContext:
     This is exact for any tail (sum, log-sum-exp max and adaptive
     corner weights alike), because ``A`` is linear in ``jhat`` and ``T``
     sees only ``A``.  Objectives without a basis (duck-typed objectives,
-    such as the per-tile loop oracle of the tests) use the composed
-    reference instead: one loss
-    evaluation with ``create_graph=True`` and a second backward through
-    its gradient graph.  ``hvp_mode="fd"`` takes central differences of
-    fresh gradient evaluations (cheaper in memory — the DARTS trick).
-    On both, ``mixed_vjp(w, direct=c)`` is literally
-    ``grad_m - c * mixed_vjp(w)``.
+    such as the quadratic toy of the tests) use the composed reference
+    instead: one loss evaluation with ``create_graph=True`` and a
+    second backward through its gradient graph; there
+    ``mixed_vjp(w, direct=c)`` is literally ``grad_m - c *
+    mixed_vjp(w)``.  The imaging primitive's VJP is graph-free, so the
+    composed reference needs an objective whose images are composed ops
+    (``tests/oracles.py``'s ``ComposedAbbeImaging``).
 
     ``objective`` is any SMO objective exposing ``loss(theta_j,
     theta_m)`` — usually :class:`ProcessWindowSMOObjective`, whose
@@ -115,37 +120,27 @@ class HypergradientContext:
         objective: ProcessWindowSMOObjective,
         theta_j: np.ndarray,
         theta_m: np.ndarray,
-        hvp_mode: str = "exact",
-        fd_eps: float = 1e-2,
         so_loss_fn: Optional[Callable[[ad.Tensor], ad.Tensor]] = None,
     ):
-        if hvp_mode not in ("exact", "fd"):
-            raise ValueError(f"unknown hvp_mode {hvp_mode!r}")
         self.objective = objective
-        self.hvp_mode = hvp_mode
-        self.fd_eps = fd_eps
         self._tj = ad.Tensor(theta_j, requires_grad=True)
         self._tm = ad.Tensor(theta_m, requires_grad=True)
         self._so_gj_graph: Optional[ad.Tensor] = None
         # ``so_loss_fn`` lets the driver share one basis across the whole
         # outer iteration; otherwise the objective's factory builds it.
-        # In fd mode it carries the theta_J-only gradient evaluations.
         if so_loss_fn is None:
             so_loss_fn = _source_only_loss(objective, theta_m)
         self._so_loss_fn = so_loss_fn
-        create = hvp_mode == "exact"
         self._basis = (
-            so_loss_fn
-            if create and isinstance(so_loss_fn, SourceBasisLoss)
-            else None
+            so_loss_fn if isinstance(so_loss_fn, SourceBasisLoss) else None
         )
         if self._basis is not None:
             self._init_from_basis(self._basis, theta_j)
             return
         loss = objective.loss(self._tj, self._tm)
         self.loss_value = float(loss.data)
-        gj, gm = ad.grad(loss, [self._tj, self._tm], create_graph=create)
-        self._gj_graph = gj if create else None
+        gj, gm = ad.grad(loss, [self._tj, self._tm], create_graph=True)
+        self._gj_graph = gj
         self.grad_j = gj.data.copy()
         self._grad_m: Optional[np.ndarray] = gm.data.copy()
 
@@ -175,20 +170,36 @@ class HypergradientContext:
         self._jn = jn.data
         self._grad_m = None  # the hypergradient folds it in unread
 
+    def at(self, theta_j: np.ndarray) -> "HypergradientContext":
+        """The context at another ``theta_J`` and the same ``theta_M``,
+        on the same intensity basis (no re-imaging)."""
+        return HypergradientContext(
+            self.objective, theta_j, self._tm.data, so_loss_fn=self._so_loss_fn
+        )
+
+    @property
+    def basis(self) -> Optional[SourceBasisLoss]:
+        """The intensity basis the oracles run on; None on the composed
+        path."""
+        return self._basis
+
     @property
     def grad_m(self) -> np.ndarray:
         """The direct gradient ``dL / d theta_M`` (on the basis path,
         one mask-adjoint pass on first read)."""
         if self._grad_m is None:
-            grads = [g.data for g in self._g]
-            self._grad_m = self._basis.mask_grad([(self._jn, grads)])
+            self._grad_m = self._basis.mask_grad([self.grad_m_term])
         return self._grad_m
+
+    @property
+    def grad_m_term(self) -> Tuple[np.ndarray, List[np.ndarray]]:
+        """``grad_m`` as a :meth:`SourceBasisLoss.mask_grad` term,
+        ``(jhat, G)`` (basis path only)."""
+        return self._jn, [g.data for g in self._g]
 
     # -- second-order oracles -------------------------------------------
     def hvp(self, p: np.ndarray) -> np.ndarray:
         """(d^2 L_so / d theta_J^2) @ p."""
-        if self.hvp_mode != "exact":
-            return self._fd_second_order(p, wrt="j")
         if self._basis is not None:
             graph, leaf = self._so_gj_graph, self._so_tj
         else:
@@ -206,21 +217,24 @@ class HypergradientContext:
         pass.
         """
         if self._basis is not None:
-            return self._mixed_from_basis(w, direct)
-        if self.hvp_mode != "exact":
-            m = self._fd_second_order(w, wrt="m")
-        else:
-            inner = F.dot(self._gj_graph, ad.Tensor(w))
-            (gm,) = ad.grad(inner, [self._tm], allow_unused=True)
-            m = np.zeros_like(self._tm.data) if gm is None else gm.data
+            (delta, grads), (jn, g_prime) = self.mixed_terms(w)
+            if direct is None:
+                terms = [(delta, grads), (jn, g_prime)]
+            else:  # the adjoint is linear in each term's weights
+                terms = [(jn - direct * delta, grads), (-direct * jn, g_prime)]
+            return self._basis.mask_grad(terms)
+        inner = F.dot(self._gj_graph, ad.Tensor(w))
+        (gm,) = ad.grad(inner, [self._tm], allow_unused=True)
+        m = np.zeros_like(self._tm.data) if gm is None else gm.data
         return m if direct is None else self.grad_m - direct * m
 
-    def _mixed_from_basis(
-        self, w: np.ndarray, direct: Optional[float]
-    ) -> np.ndarray:
-        """``grad_M <A(M, delta), G> + grad_M <A(M, jhat), G'>``; for
-        ``direct=c``, ``grad_m`` minus c times it, from the same one pass
-        (the adjoint is linear in each term's weights)."""
+    def mixed_terms(
+        self, w: np.ndarray
+    ) -> List[Tuple[np.ndarray, List[np.ndarray]]]:
+        """``mixed_vjp(w)`` as its two :meth:`SourceBasisLoss.mask_grad`
+        terms, ``(delta, G)`` and ``(jhat, G')``, before any pass runs
+        (basis path only): ``grad_M <A(M, delta), G> + grad_M <A(M,
+        jhat), G'>``."""
         basis = self._basis
         (delta,) = ad.grad(F.dot(self._jt_u, ad.Tensor(w)), [self._u])
         inner: Optional[ad.Tensor] = None
@@ -232,37 +246,7 @@ class HypergradientContext:
             np.zeros_like(a.data) if g is None else g.data
             for g, a in zip(g2, self._a)
         ]
-        grads = [g.data for g in self._g]
-        if direct is None:
-            return basis.mask_grad([(delta.data, grads), (self._jn, g_prime)])
-        return basis.mask_grad(
-            [
-                (self._jn - direct * delta.data, grads),
-                (-direct * self._jn, g_prime),
-            ]
-        )
-
-    def _fd_second_order(self, vec: np.ndarray, wrt: str) -> np.ndarray:
-        """Central difference of the relevant first-order gradient while
-        perturbing theta_J along ``vec`` (DARTS-style step scaling)."""
-        norm = float(np.linalg.norm(vec.ravel()))
-        if norm == 0.0:
-            return np.zeros_like(vec if wrt == "j" else self._tm.data)
-        h = self.fd_eps / norm
-        outs = []
-        for sign in (1.0, -1.0):
-            tj = ad.Tensor(self._tj.data + sign * h * vec, requires_grad=True)
-            if wrt == "j" and self._so_loss_fn is not None:
-                # theta_M is fixed along this perturbation: the FFT-free
-                # source-only graph gives the same gradient, cheaper.
-                (g,) = ad.grad(self._so_loss_fn(tj), [tj])
-            else:
-                tm = ad.Tensor(self._tm.data, requires_grad=True)
-                loss = self.objective.loss(tj, tm)
-                target = tj if wrt == "j" else tm
-                (g,) = ad.grad(loss, [target])
-            outs.append(g.data)
-        return (outs[0] - outs[1]) / (2.0 * h)
+        return [(delta.data, [g.data for g in self._g]), (self._jn, g_prime)]
 
 
 def _source_only_loss(objective, theta_m: np.ndarray) -> Optional[Callable]:
@@ -270,25 +254,38 @@ def _source_only_loss(objective, theta_m: np.ndarray) -> Optional[Callable]:
     return factory(theta_m) if factory is not None else None
 
 
+#: ``(ctx, inner_lr, terms, damping, warm, iterates) -> (hyper, warm)``;
+#: ``iterates`` are the inner iterates theta_J^0 .. theta_J^{T-1} before
+#: ``ctx``'s theta_J^T (only the unroll strategy reads them).
 HypergradientFn = Callable[
-    [HypergradientContext, float, int, float, Optional[np.ndarray]],
+    [
+        HypergradientContext,
+        float,
+        int,
+        float,
+        Optional[np.ndarray],
+        Sequence[np.ndarray],
+    ],
     Tuple[np.ndarray, Optional[np.ndarray]],
 ]
 
 
-def _resolve_method(method: str) -> Optional[HypergradientFn]:
+def _resolve_method(method: str) -> HypergradientFn:
     from .cg import cg_hypergradient
     from .fd import fd_hypergradient
     from .nmn import neumann_hypergradient
+    from .unroll import unrolled_hypergradient
 
-    table = {"fd": fd_hypergradient, "nmn": neumann_hypergradient, "cg": cg_hypergradient}
+    table = {
+        "fd": fd_hypergradient,
+        "nmn": neumann_hypergradient,
+        "cg": cg_hypergradient,
+        "unroll": unrolled_hypergradient,
+    }
     key = method.lower()
-    if key == "unroll":
-        return None  # BiSMO._unroll_iteration (RMD path)
     if key not in table:
         raise KeyError(
-            f"unknown BiSMO method {method!r}; choose from "
-            f"{sorted(table) + ['unroll']}"
+            f"unknown BiSMO method {method!r}; choose from {sorted(table)}"
         )
     return table[key]
 
@@ -303,7 +300,8 @@ class BiSMO:
         joint multi-clip SMO (one shared source, a ``theta_M`` stack).
     method:
         ``"fd"`` (Eq. (13)), ``"nmn"`` (truncated Neumann, Eq. (16)),
-        ``"cg"`` (Eq. (18)) or ``"unroll"`` (reverse-mode reference).
+        ``"cg"`` (Eq. (18)) or ``"unroll"`` (reverse-mode reference,
+        Section 3.2.1).
     unroll_steps:
         Inner SO steps ``T`` per outer iteration (paper: 3).
     terms:
@@ -314,8 +312,6 @@ class BiSMO:
         ``"sgd"`` or ``"adam"`` ("// Or Adam" in Alg. 2).  The
         ``"unroll"`` method differentiates through plain SGD inner
         updates, so it accepts ``inner_optimizer="sgd"`` only.
-    hvp_mode:
-        ``"exact"`` (double backward) or ``"fd"`` (finite differences).
     damping:
         Tikhonov damping added to the inner Hessian in the CG solve.
     process_window:
@@ -345,7 +341,6 @@ class BiSMO:
         outer_lr: float = 0.1,
         inner_optimizer: str = "sgd",
         outer_optimizer: str = "adam",
-        hvp_mode: str = "exact",
         damping: float = 0.0,
         objective: Optional[ProcessWindowSMOObjective] = None,
         process_window: Optional[ProcessWindow] = None,
@@ -361,11 +356,11 @@ class BiSMO:
         self.method = method.lower()
         self.seed = int(seed)
         self._hyper_fn = _resolve_method(method)
-        if self.method == "nmn" and self._hyper_fn is not None:
+        if self.method == "nmn":
             # nmn's safeguard draws a power-iteration start vector; key
             # it on the solver's seed (routed via repro.utils.seed).
             self._hyper_fn = partial(self._hyper_fn, seed=self.seed)
-        if self._hyper_fn is None and inner_optimizer.lower() != "sgd":
+        if self.method == "unroll" and inner_optimizer.lower() != "sgd":
             raise ValueError(
                 "BiSMO-UNROLL differentiates through plain SGD inner "
                 f"updates; inner_optimizer={inner_optimizer!r} is not "
@@ -377,7 +372,6 @@ class BiSMO:
         self.outer_lr = outer_lr
         self.inner_optimizer = inner_optimizer
         self.outer_optimizer = outer_optimizer
-        self.hvp_mode = hvp_mode
         self.damping = damping
         self.method_name = f"BiSMO-{self.method.upper()}"
 
@@ -402,35 +396,16 @@ class BiSMO:
         )
         inner_opt = make_optimizer(self.inner_optimizer, self.inner_lr)
         outer_opt = make_optimizer(self.outer_optimizer, self.outer_lr)
-        if self._hyper_fn is None:
-            body = partial(self._unroll_iteration, outer_opt)
-        else:
-            body = partial(self._ift_iteration, inner_opt, outer_opt)
+        body = partial(self._iteration, inner_opt, outer_opt)
         loop = SolverLoop(self.method_name, callback)
         theta_m, theta_j, _ = loop.run(
             iterations, "bilevel", body, (theta_m, theta_j, None)
         )
         return loop.result(theta_m, theta_j)
 
-    def _unroll_iteration(self, outer_opt: Optimizer, state):
-        """BiSMO-UNROLL: reverse-mode differentiation through the inner
-        loop (the memory-heavy reference strategy)."""
-        theta_m, theta_j, warm = state
-        hyper, theta_j, loss_value = unrolled_hypergradient(
-            self.objective,
-            theta_j,
-            theta_m,
-            steps=self.unroll_steps,
-            inner_lr=self.inner_lr,
-            inner_optimizer=self.inner_optimizer,
-        )
-        tile_losses = getattr(self.objective, "last_tile_losses", None)
-        theta_m = outer_opt.step(theta_m, hyper)
-        corner_w = adaptive_corner_update(self.objective)
-        return (theta_m, theta_j, warm), loss_value, hyper, tile_losses, corner_w
-
-    def _ift_iteration(self, inner_opt: Optimizer, outer_opt: Optimizer, state):
-        """One implicit-function (FD / NMN / CG) outer iteration."""
+    def _iteration(self, inner_opt: Optimizer, outer_opt: Optimizer, state):
+        """One outer iteration: T inner steps, then the strategy's
+        hypergradient and the outer step."""
         theta_m, theta_j, warm = state
         # ---- Alg. 2 line 2: unroll T inner SO steps -------------------
         # theta_M is fixed for the whole outer iteration, so the
@@ -438,34 +413,30 @@ class BiSMO:
         # shared with the hypergradient oracles below) carries every
         # inner step and second-order product of this iteration.
         so_loss = _source_only_loss(self.objective, theta_m)
-        if so_loss is not None:
-            for _ in range(self.unroll_steps):
-                tj = ad.Tensor(theta_j, requires_grad=True)
-                (gj,) = ad.grad(so_loss(tj), [tj])
-                theta_j = inner_opt.step(theta_j, gj.data)
-        else:
+        if so_loss is None:
             tm_fixed = ad.Tensor(theta_m)
-            for _ in range(self.unroll_steps):
-                tj = ad.Tensor(theta_j, requires_grad=True)
-                loss_so = self.objective.loss(tj, tm_fixed)
-                (gj,) = ad.grad(loss_so, [tj])
-                theta_j = inner_opt.step(theta_j, gj.data)
+
+            def so_loss(tj: ad.Tensor) -> ad.Tensor:
+                return self.objective.loss(tj, tm_fixed)
+
+        iterates = []
+        for _ in range(self.unroll_steps):
+            iterates.append(theta_j)
+            tj = ad.Tensor(theta_j, requires_grad=True)
+            (gj,) = ad.grad(so_loss(tj), [tj])
+            theta_j = inner_opt.step(theta_j, gj.data)
         # ---- Alg. 2 lines 5-12: hypergradient -------------------------
         ctx = HypergradientContext(
-            self.objective,
-            theta_j,
-            theta_m,
-            hvp_mode=self.hvp_mode,
-            so_loss_fn=so_loss,
+            self.objective, theta_j, theta_m, so_loss_fn=so_loss
         )
         # Capture per-tile losses and the corner matrix now: they belong
-        # to ctx's loss evaluation, and FD-mode hypergradients
-        # re-evaluate the objective at perturbed points below
-        # (clobbering the stashed diagnostics).
+        # to ctx's loss evaluation at theta_J^T, and the unroll strategy
+        # re-evaluates the tail at the earlier iterates below (clobbering
+        # the stashed diagnostics).
         tile_losses = getattr(self.objective, "last_tile_losses", None)
         corner_matrix = getattr(self.objective, "last_corner_losses", None)
         hyper, warm = self._hyper_fn(
-            ctx, self.inner_lr, self.terms, self.damping, warm
+            ctx, self.inner_lr, self.terms, self.damping, warm, iterates
         )
         # ---- Alg. 2 line 13: outer MO step ----------------------------
         theta_m = outer_opt.step(theta_m, hyper)

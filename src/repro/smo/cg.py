@@ -14,7 +14,7 @@ is propagated through the ``warm`` in/out argument.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +30,7 @@ def cg_hypergradient(
     terms: int,
     damping: float,
     warm: Optional[np.ndarray],
+    iterates: Sequence[np.ndarray] = (),
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Eq. (18): CG solve of the inverse-Hessian application.
 
@@ -37,9 +38,10 @@ def cg_hypergradient(
     next outer iteration).  ``inner_lr`` is unused: CG needs no step-size
     scaling, one source of its occasional edge over NMN (Fig. 3(d)) — and
     its instability on indefinite Hessians explains its larger variance
-    (Fig. 5); ``damping`` mitigates that.
+    (Fig. 5); ``damping`` mitigates that.  ``iterates`` is unused
+    (interface parity).
     """
-    del inner_lr
+    del inner_lr, iterates
     v = ctx.grad_j
     flat_shape = v.shape
 

@@ -14,7 +14,7 @@ intensity basis).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,12 +29,13 @@ def fd_hypergradient(
     terms: int,
     damping: float,
     warm: Optional[np.ndarray],
+    iterates: Sequence[np.ndarray] = (),
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Eq. (13): direct gradient minus xi-scaled mixed second-order term.
 
-    ``terms``, ``damping`` and ``warm`` are accepted for interface parity
-    with the NMN/CG strategies but unused.
+    ``terms``, ``damping``, ``warm`` and ``iterates`` are accepted for
+    interface parity with the other strategies but unused.
     """
-    del terms, damping  # not used by the FD strategy
+    del terms, damping, iterates  # not used by the FD strategy
     v = ctx.grad_j  # dL_mo/dtheta_J
     return ctx.mixed_vjp(v, direct=inner_lr), warm

@@ -15,7 +15,7 @@ with an intensity basis).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,17 +73,19 @@ def neumann_hypergradient(
     terms: int,
     damping: float,
     warm: Optional[np.ndarray],
+    iterates: Sequence[np.ndarray] = (),
     seed: int = 0,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Eq. (16): truncated-Neumann inverse-Hessian hypergradient.
 
     With ``terms == 0`` the series degenerates to ``xi * v`` and this
     reduces exactly to :func:`repro.smo.fd.fd_hypergradient`
-    (Section 3.2.4).  ``damping``/``warm`` unused (interface parity).
+    (Section 3.2.4).  ``damping``/``warm``/``iterates`` unused (interface
+    parity).
     ``seed`` keys the power-iteration start vector of the safeguard
     (``BiSMO(seed=...)`` threads it through).
     """
-    del damping
+    del damping, iterates
     v = ctx.grad_j
     lr = _safe_series_lr(ctx, inner_lr, seed=seed) if terms > 0 else inner_lr
     inv_hvp = neumann_inverse_hvp(ctx.hvp, v, terms=terms, lr=lr)

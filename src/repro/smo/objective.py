@@ -408,10 +408,10 @@ def adaptive_corner_update(
     with ``robust="adaptive"``) and EG-updates it from a ``(C, B)``
     corner-loss matrix summed over tiles.  ``matrix`` defaults to the
     objective's stashed ``last_corner_losses``; solvers whose iteration
-    re-evaluates the objective at *perturbed* points after the iterate's
-    own evaluation (BiSMO's FD hypergradient oracles) must capture the
-    matrix at the iterate and pass it explicitly, or the ascent would
-    run on perturbed losses.  Returns a copy of the current weights for
+    re-evaluates the objective at *other* points after the iterate's own
+    evaluation (BiSMO's unroll strategy, at the earlier inner iterates)
+    must capture the matrix at the iterate and pass it explicitly, or
+    the ascent would run on the wrong losses.  Returns a copy of the current weights for
     the iteration record, or ``None`` when the objective is not
     adaptive — solvers call this unconditionally once per outer
     iteration.

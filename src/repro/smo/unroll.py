@@ -5,56 +5,71 @@ differentiating through the optimization path "results in a linear
 increase in memory and computational load" — this module implements
 exactly that reference strategy (reverse-mode / RMD hypergradients, as
 in early DARTS-second-order and MAML) so the IFT-based methods can be
-compared against it.  The T inner SGD updates are built *inside* the
-autodiff graph; the outer gradient then flows through every unrolled
-step.
+compared against it.
+
+The T inner steps are plain SGD, ``theta_{t+1} = theta_t - xi
+grad_J L(theta_t, M)``, so the chain rule through them is a reverse
+sweep over the oracles of :class:`repro.smo.bismo.HypergradientContext`:
+
+    lambda_T = grad_J L(theta_T)
+    lambda_t = lambda_{t+1} - xi H_t lambda_{t+1}        (t = T-1 .. 1)
+    hyper    = grad_m(theta_T) - xi sum_t mixed_t(lambda_{t+1})
+
+with ``H_t`` and ``mixed_t`` the inner Hessian and mixed product at
+``theta_t``.  On the intensity basis each ``H_t`` product is an FFT-free
+double backward, and every mixed product is two
+:meth:`~repro.smo.objective.SourceBasisLoss.mask_grad` terms, so the
+whole hypergradient is one streamed mask-adjoint pass with ``2T + 1``
+terms; the earlier iterates' contexts are built one at a time and only
+their terms are kept.  Time and memory grow linearly in T, which is
+the cost the paper's IFT methods avoid.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import autodiff as ad
-from ..autodiff import functional as F
-from .objective import ProcessWindowSMOObjective
+from .bismo import HypergradientContext
 
 __all__ = ["unrolled_hypergradient"]
 
 
 def unrolled_hypergradient(
-    objective: ProcessWindowSMOObjective,
-    theta_j: np.ndarray,
-    theta_m: np.ndarray,
-    steps: int,
+    ctx: HypergradientContext,
     inner_lr: float,
-    inner_optimizer: str = "sgd",
-) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Differentiate L_mo through ``steps`` unrolled inner SGD updates.
+    terms: int,
+    damping: float,
+    warm: Optional[np.ndarray],
+    iterates: Sequence[np.ndarray] = (),
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The hypergradient through the inner SGD steps that led from
+    ``iterates`` (theta_J^0 .. theta_J^{T-1}) to ``ctx``'s theta_J^T.
 
-    Returns ``(hypergradient_wrt_theta_m, new_theta_j, loss_value)``.
-    Memory grows linearly with ``steps`` (every intermediate imaging
-    stack is retained), which is the cost the paper's IFT methods avoid.
-
-    Only plain SGD inner updates can be unrolled here (a stateful inner
-    optimizer would need its state built into the graph), so any other
-    ``inner_optimizer`` is rejected instead of being silently replaced
-    by SGD.
+    ``terms``, ``damping`` and ``warm`` are accepted for interface
+    parity with the IFT strategies but unused.  Only plain SGD inner
+    updates can be unrolled (``BiSMO`` rejects any other inner
+    optimizer), and at least one step is needed.
     """
-    if steps < 1:
+    del terms, damping  # not used by the unroll strategy
+    if len(iterates) < 1:
         raise ValueError("unrolled differentiation needs at least one inner step")
-    if inner_optimizer.lower() != "sgd":
-        raise ValueError(
-            "unrolled_hypergradient supports inner_optimizer='sgd' only; "
-            f"got {inner_optimizer!r}"
-        )
-    tm = ad.Tensor(theta_m, requires_grad=True)
-    cur = ad.Tensor(theta_j, requires_grad=True)
-    for _ in range(steps):
-        loss_so = objective.loss(cur, tm)
-        (gj,) = ad.grad(loss_so, [cur], create_graph=True)
-        cur = F.sub(cur, F.mul(gj, inner_lr))
-    loss_mo = objective.loss(cur, tm)
-    (gm,) = ad.grad(loss_mo, [tm])
-    return gm.data, cur.data.copy(), float(loss_mo.data)
+    basis = ctx.basis
+    lam = ctx.grad_j
+    # On the basis path the sweep collects the terms of one mask-adjoint
+    # pass; on the composed path it sums the products directly.
+    adjoint = [ctx.grad_m_term] if basis is not None else []
+    hyper = ctx.grad_m if basis is None else None
+    for t in reversed(range(len(iterates))):
+        step = ctx.at(iterates[t])
+        if basis is not None:
+            adjoint += [(-inner_lr * c, g) for c, g in step.mixed_terms(lam)]
+        else:
+            hyper = hyper - inner_lr * step.mixed_vjp(lam)
+        if t > 0:
+            lam = lam - inner_lr * step.hvp(lam)
+        del step  # one earlier-iterate context alive at a time
+    if basis is not None:
+        hyper = basis.mask_grad(adjoint)
+    return hyper, warm

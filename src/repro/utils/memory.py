@@ -1,13 +1,12 @@
 """Sized refusal before allocations that cannot fit in memory.
 
-Large preset-scale arrays (the ``(S, N, N)`` pupils the composed
-fallback expands crops to, a ``(B, R, K, K)`` intensity basis) are
-checked against the memory the kernel reports as available *before*
-they are allocated, so a configuration that cannot run fails at once
-with both sizes in the message instead of swapping or being killed
-mid-build.  The streamed FFT passes never call this: there
-a ``MemoryError`` means "halve the chunk and retry"
-(:func:`repro.optics.fftlib.run_with_chunk_fallback`).
+Large preset-scale arrays (the ``(S, K, K)`` pupil crops, a
+``(B, R, K, K)`` intensity basis) are checked against the memory the
+kernel reports as available *before* they are allocated, so a
+configuration that cannot run fails at once with both sizes in the
+message instead of swapping or being killed mid-build.  The streamed
+FFT passes never call this: there a ``MemoryError`` means "halve the
+chunk and retry" (:func:`repro.optics.fftlib.run_with_chunk_fallback`).
 """
 
 from __future__ import annotations

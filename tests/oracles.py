@@ -45,6 +45,25 @@ def full_pupil_stack(
     return stack, np.nonzero(grid.valid)
 
 
+def expand_kernels(kernels, centres, n: int) -> np.ndarray:
+    """Whole-grid ``(S, N, N)`` fftfreq-layout kernels from crops, sized
+    against available memory first; whole-grid kernels return
+    unchanged."""
+    kern = np.asarray(kernels)
+    starts = F._window_starts(kern.shape, n, centres)
+    if starts is None:
+        return kern
+    s, k = kern.shape[0], kern.shape[-1]
+    shape = (s, n, n)
+    require_memory(
+        kern.itemsize * s * n * n, f"{shape} {kern.dtype} expanded pupil stack"
+    )
+    full = np.zeros(shape, kern.dtype)
+    for i, (r0, c0) in enumerate(starts.tolist()):
+        full[i, r0 : r0 + k, c0 : c0 + k] = kern[i]
+    return F._half_swap(full)
+
+
 def full_conj_pairs(stack: np.ndarray, grid: SourceGrid) -> Optional[np.ndarray]:
     """Verified ``+/-sigma`` pairing of a whole-grid stack (None for
     complex stacks or an asymmetric grid)."""
@@ -195,6 +214,29 @@ class ComposedAbbeImaging(FullGridAbbeImaging):
         )
 
 
+def unrolled_hypergradient_composed(
+    objective, theta_j: np.ndarray, theta_m: np.ndarray, steps: int, inner_lr: float
+) -> Tuple[np.ndarray, np.ndarray, float]:
+    """Reference BiSMO-UNROLL: ``steps`` inner SGD updates built inside
+    one autodiff graph (``create_graph``), then one backward of the loss
+    at the last iterate through all of them.
+
+    Returns ``(hypergradient, theta_J^T, loss at theta_J^T)``.  Every
+    intermediate graph is retained, so memory grows with ``steps``; the
+    objective's images must be composed ops (``ComposedAbbeImaging``, or
+    a duck-typed objective such as the quadratic toy), because the fused
+    imaging primitive refuses a ``create_graph`` backward.
+    """
+    tm = ad.Tensor(theta_m, requires_grad=True)
+    cur = ad.Tensor(theta_j, requires_grad=True)
+    for _ in range(steps):
+        (gj,) = ad.grad(objective.loss(cur, tm), [cur], create_graph=True)
+        cur = F.sub(cur, F.mul(gj, inner_lr))
+    loss = objective.loss(cur, tm)
+    (gm,) = ad.grad(loss, [tm])
+    return gm.data, cur.data.copy(), float(loss.data)
+
+
 class LoopedSMOObjective:
     """Reference joint SMO loss: a Python loop over per-tile graphs.
 
@@ -206,7 +248,9 @@ class LoopedSMOObjective:
     consumer pattern, with no process-window code in the loop.  It
     deliberately has no ``source_only_loss``, so BiSMO and
     ``HypergradientContext`` run the composed ``create_graph`` oracle
-    on it.
+    on it; that needs a composed-op engine (``ComposedAbbeImaging``),
+    since the fused imaging primitive refuses a ``create_graph``
+    backward.
     """
 
     def __init__(

@@ -1,9 +1,9 @@
 """Tests for the fused ``incoherent_image`` primitive (the one-stack case
 of ``incoherent_image_stack``): finite-difference gradcheck against the
 composed-op reference (real + complex masks, B=1 and B=3), streamed-VJP
-parity, exact-zero weight pruning, argument validation, and the
-documented ``create_graph`` fallback (HVPs matching the FFT-free basis
-oracle)."""
+parity, exact-zero weight pruning, argument validation, and second
+order: a ``create_graph`` backward through the primitive is refused,
+and the FFT-free basis oracle's HVPs match the composed graph's."""
 
 from __future__ import annotations
 
@@ -293,7 +293,9 @@ class TestValidation:
 
 
 class TestCreateGraphFallback:
-    """The documented composed-op fallback for double backward."""
+    """Second order through imaging: the fused primitive's VJP is
+    graph-free and refuses a ``create_graph`` backward; HVPs come from
+    the intensity basis, held to the composed graph."""
 
     @pytest.fixture(scope="class")
     def smo_setup(self):
@@ -311,53 +313,34 @@ class TestCreateGraphFallback:
         return cfg, theta_j, theta_m, objective
 
     def test_hvp_matches_basis_oracle(self, smo_setup):
-        """Source HVPs through the fused graph (create_graph fallback)
+        """Source HVPs through the composed graph (``ComposedAbbeImaging``)
         must equal the FFT-free intensity-basis oracle — the exactness
         property BiSMO's inner-Hessian products rely on."""
-        _, theta_j, theta_m, objective = smo_setup
-        tm_fixed = ad.Tensor(theta_m)
-        rng = np.random.default_rng(5)
-        v = ad.Tensor(rng.standard_normal(theta_j.shape))
-        x = ad.Tensor(theta_j)
-        h_fused = ad.hvp(lambda tj: objective.loss(tj, tm_fixed), x, v)
-        basis_loss = objective.source_only_loss(theta_m)
-        h_basis = ad.hvp(basis_loss, x, v)
-        scale = np.abs(h_basis.data).max()
-        np.testing.assert_allclose(
-            h_fused.data, h_basis.data, rtol=1e-8, atol=1e-8 * max(scale, 1e-30)
-        )
-
-    def test_mixed_jvp_matches_composed_engine(self, smo_setup):
-        """Mixed second derivatives agree between the fused graph (via
-        its fallback) and a fully composed graph."""
         cfg, theta_j, theta_m, objective = smo_setup
         composed = ProcessWindowSMOObjective(
             cfg, objective.target.data, engine=ComposedAbbeImaging(cfg)
         )
-        rng = np.random.default_rng(6)
+        tm_fixed = ad.Tensor(theta_m)
+        rng = np.random.default_rng(5)
         v = ad.Tensor(rng.standard_normal(theta_j.shape))
-        args = (ad.Tensor(theta_j), ad.Tensor(theta_m), v)
-        mj_fused = ad.mixed_jvp(objective.loss, *args)
-        mj_composed = ad.mixed_jvp(composed.loss, *args)
-        np.testing.assert_allclose(mj_fused.data, mj_composed.data, atol=1e-10)
-
-    def test_unrolled_backward_through_fused_graph(self, smo_setup, kernels, weights):
-        """An inner-SGD step built through the fused node (create_graph)
-        backpropagates correctly — checked against the composed op."""
-        m = _masks(False, False)
-
-        def unrolled(fn):
-            mt = ad.Tensor(m, requires_grad=True)
-            wt = ad.Tensor(weights, requires_grad=True)
-            inner = F.sum(F.power(fn(mt, kernels, wt), 2.0))
-            (gw,) = ad.grad(inner, [wt], create_graph=True)
-            stepped = F.sub(wt, F.mul(gw, 0.05))
-            outer = F.sum(F.power(fn(mt, kernels, stepped), 2.0))
-            (gm,) = ad.grad(outer, [mt])
-            return gm.data
-
+        x = ad.Tensor(theta_j)
+        h_composed = ad.hvp(lambda tj: composed.loss(tj, tm_fixed), x, v)
+        basis_loss = objective.source_only_loss(theta_m)
+        h_basis = ad.hvp(basis_loss, x, v)
+        scale = np.abs(h_basis.data).max()
         np.testing.assert_allclose(
-            unrolled(F.incoherent_image),
-            unrolled(incoherent_image_composed),
-            atol=1e-10,
+            h_composed.data, h_basis.data, rtol=1e-8,
+            atol=1e-8 * max(scale, 1e-30),
         )
+
+    def test_create_graph_backward_is_refused(self, kernels, weights):
+        m = ad.Tensor(_masks(False, False), requires_grad=True)
+        out = F.sum(F.power(F.incoherent_image(m, kernels, weights), 2.0))
+        with pytest.raises(NotImplementedError) as err:
+            ad.grad(out, [m], create_graph=True)
+        for name in (
+            "incoherent_image_stack", "SourceBasisLoss", "ComposedAbbeImaging"
+        ):
+            assert name in str(err.value)
+        (g,) = ad.grad(out, [m])  # the graph-free backward still runs
+        assert np.all(np.isfinite(g.data))

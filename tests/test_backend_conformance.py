@@ -2,10 +2,9 @@
 
 The battery checks that the fused ``incoherent_image`` /
 ``incoherent_image_stack`` forward and streamed VJP match the composed
-oracle, survive finite-difference gradcheck, match the exact HVP /
-mixed-JVP oracles against their finite-difference counterparts, are
-invariant to the stream chunk size, and agree with the conjugate-pair
-streaming optimisation.  Every check runs in two modes: ``numpy``, the
+oracle, survive finite-difference gradcheck, are invariant to the
+stream chunk size, and agree with the conjugate-pair streaming
+optimisation.  Every check runs in two modes: ``numpy``, the
 plain run, and ``strict``, inside a :class:`tests.seam.SeamCounter`,
 where a transform issued around ``NumpyBackend.fft2``/``ifft2`` fails
 the test.  The counted run is asserted bitwise equal to the plain one.
@@ -122,57 +121,6 @@ class TestPerBackend:
             eps=1e-6,
             rtol=1e-4,
             atol=1e-6,
-        )
-
-    def test_hvp_matches_fd_oracle(self, seam_mode, complex_kernels, paired):
-        """Exact double-backward HVP == finite-difference HVP."""
-        _, _, weights = paired
-
-        def loss_fn(mt):
-            return F.sum(
-                F.power(F.incoherent_image(mt, complex_kernels, weights), 2.0)
-            )
-
-        def grad_fn(mt):
-            mt = ad.Tensor(mt.data, requires_grad=True)
-            (g,) = ad.grad(loss_fn(mt), [mt])
-            return g
-
-        rng = np.random.default_rng(5)
-        x = ad.Tensor(_mask(False))
-        v = ad.Tensor(rng.standard_normal((N, N)))
-        h_exact = ad.hvp(loss_fn, x, v)
-        h_fd = ad.hvp_fd(grad_fn, x, v)
-        scale = max(float(np.abs(h_fd.data).max()), 1e-30)
-        np.testing.assert_allclose(
-            h_exact.data, h_fd.data, rtol=1e-4, atol=1e-5 * scale
-        )
-
-    def test_mixed_jvp_matches_fd_oracle(self, seam_mode, complex_kernels, paired):
-        """Exact mixed second derivative == finite-difference oracle."""
-        _, _, weights = paired
-
-        def loss_fn(mt, wt):
-            return F.sum(
-                F.power(F.incoherent_image(mt, complex_kernels, wt), 2.0)
-            )
-
-        rng = np.random.default_rng(6)
-        x = ad.Tensor(_mask(False))
-        y = ad.Tensor(weights)
-        v = ad.Tensor(rng.standard_normal((N, N)))
-        mj = ad.mixed_jvp(loss_fn, x, y, v)
-
-        def grad_y_fn(xt):
-            xt = ad.Tensor(xt.data, requires_grad=True)
-            yt = ad.Tensor(weights, requires_grad=True)
-            (gy,) = ad.grad(loss_fn(xt, yt), [yt])
-            return gy
-
-        mj_fd = ad.mixed_jvp_fd(grad_y_fn, x, v)
-        scale = max(float(np.abs(mj_fd.data).max()), 1e-30)
-        np.testing.assert_allclose(
-            mj.data, mj_fd.data, rtol=1e-4, atol=1e-5 * scale
         )
 
     @pytest.mark.parametrize("chunk", [1, 2, S + 7])

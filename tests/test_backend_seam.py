@@ -5,10 +5,9 @@ number of 2-D transforms every call performs, and rejects any
 ``numpy.fft``/``scipy.fft`` transform issued around the seam.  These
 tests prove three properties of the hot path:
 
-* a full BiSMO objective evaluation (forward + VJP), the create_graph
-  fallback and the graph-free ``aerial_conditions_fast`` judge path
-  issue **every** transform through the seam, with bitwise unchanged
-  results;
+* a full BiSMO objective evaluation (forward + VJP) and the graph-free
+  ``aerial_conditions_fast`` judge path issue **every** transform
+  through the seam, with bitwise unchanged results;
 * the fused primitive performs **exactly** the predicted number of
   transforms, with the conjugate-pair reduction and the forward's
   zero-weight pruning included — so a pairing regression
@@ -268,20 +267,6 @@ class TestBismoIterationUnderStrict:
         # the hot path really went through the seam
         assert seam.counters["fft2_calls"] > 0
         assert seam.counters["ifft2_calls"] > 0
-
-    def test_second_order_fallback_under_strict(self, smo_setup):
-        """The create_graph composed-op fallback (BiSMO's exact HVP
-        oracle) also transforms only through the seam."""
-        _, _, _, theta_j, theta_m, objective = smo_setup
-        tm_fixed = ad.Tensor(theta_m)
-        rng = np.random.default_rng(5)
-        v = ad.Tensor(rng.standard_normal(theta_j.shape))
-        x = ad.Tensor(theta_j)
-        h_ref = ad.hvp(lambda tj: objective.loss(tj, tm_fixed), x, v)
-        with SeamCounter() as seam:
-            h_counted = ad.hvp(lambda tj: objective.loss(tj, tm_fixed), x, v)
-        assert seam.counters["fft2_calls"] > 0
-        np.testing.assert_array_equal(h_counted.data, h_ref.data)
 
 
 def _load_tracer():

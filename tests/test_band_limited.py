@@ -23,7 +23,7 @@ from repro.optics import AbbeImaging, OpticalConfig, ProcessWindow, fftlib
 from repro.smo import ProcessWindowSMOObjective, init_theta_mask, init_theta_source
 from repro.smo.bismo import HypergradientContext
 from repro.utils import faultinject as fi
-from tests.oracles import FullGridAbbeImaging
+from tests.oracles import FullGridAbbeImaging, expand_kernels
 
 PRESETS = ("tiny", "small", "default")
 CONDITIONS = (0.0, {"Z4": 60.0}, {"Z7": 20.0})
@@ -250,7 +250,7 @@ def test_crops_need_valid_centres(tiny_config):
     for bad in (None, centres[:-1], centres.astype(float), centres + n):
         with pytest.raises(ValueError):
             F.incoherent_image(mask, stack, w, centres=bad)
-    whole = F.expand_kernels(stack.data, centres, n)
+    whole = expand_kernels(stack.data, centres, n)
     with pytest.raises(ValueError):
         F.incoherent_image(mask, whole, w, centres=centres)
     np.testing.assert_allclose(

@@ -20,7 +20,7 @@ from repro.optics import (
     resist_image,
     socs_kernels,
 )
-from tests.oracles import FullGridAbbeImaging
+from tests.oracles import FullGridAbbeImaging, expand_kernels
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +72,7 @@ class TestPupil:
             np.hypot(grid.sigma_x[rows, cols], grid.sigma_y[rows, cols])
         )
         np.testing.assert_array_equal(abbe.pupil_centres[centre], [0, 0])
-        full = F.expand_kernels(stack, abbe.pupil_centres, cfg.mask_size)
+        full = expand_kernels(stack, abbe.pupil_centres, cfg.mask_size)
         np.testing.assert_array_equal(full[centre], pupil(cfg))
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.autodiff import functional as F
 from repro.optics import (
     AbbeImaging,
     OpticalConfig,
@@ -23,7 +22,7 @@ from repro.optics import (
     pupil_crops,
 )
 from repro.optics import cache
-from tests.oracles import FullGridAbbeImaging, full_pupil_stack
+from tests.oracles import FullGridAbbeImaging, expand_kernels, full_pupil_stack
 
 
 @pytest.fixture(autouse=True)
@@ -93,8 +92,8 @@ class TestDefocusedPupilStack:
         z = 80.0
         stack, _ = pupil_crops(tiny_config, grid, z)
         np.testing.assert_allclose(
-            F.expand_kernels(stack, centres, n),
-            F.expand_kernels(base, centres, n) * defocus_phase(tiny_config, z),
+            expand_kernels(stack, centres, n),
+            expand_kernels(base, centres, n) * defocus_phase(tiny_config, z),
             atol=1e-14,
         )
 
@@ -131,7 +130,7 @@ class TestCropGeometry:
         _, centres = crop_geometry(cfg, grid)
         crops, _ = pupil_crops(cfg, grid, condition)
         full, _ = full_pupil_stack(cfg, grid, condition)
-        expanded = F.expand_kernels(crops, centres, cfg.mask_size)
+        expanded = expand_kernels(crops, centres, cfg.mask_size)
         assert np.count_nonzero(full) == np.count_nonzero(crops)
         np.testing.assert_array_equal(expanded, full)
 

@@ -3,14 +3,17 @@
 The exact hypergradient oracles cut the graph at the aerial image: the
 loss, ``grad_j`` and every HVP come from the FFT-free intensity basis,
 and the mask side is one streamed mask-adjoint pass.  These tests pin
-them against the composed ``create_graph`` oracle (objectives with the
-basis hidden), against central differences, and check that no
-``create_graph`` backward runs through the imaging primitives.  The
-hypergradient ``grad_m - c * mixed_vjp(w)`` is one folded mask-adjoint
-pass; it is pinned against the two-pass form, per strategy, and by the
-number of passes a BiSMO run makes.  They also cover the autodiff
-pieces underneath: the constant-input skip of the binary ops, the
-``basis_combine``/``basis_contract`` pair and the multi-term
+them against the composed ``create_graph`` oracle (objectives on the
+composed-op engine ``ComposedAbbeImaging`` with the basis hidden),
+against central differences, and check that no ``create_graph``
+backward runs through the imaging primitives (the fused primitive
+refuses one).  The hypergradient ``grad_m - c * mixed_vjp(w)`` is one
+folded mask-adjoint pass; it is pinned against the two-pass form, per
+strategy, and by the number of passes a BiSMO run makes.  BiSMO-UNROLL's
+reverse sweep over the same oracles is pinned against the graph built
+through every inner step on the composed engine.  They also cover the
+autodiff pieces underneath: the constant-input skip of the binary ops,
+the ``basis_combine``/``basis_contract`` pair and the multi-term
 ``incoherent_mask_adjoint``.
 """
 
@@ -44,7 +47,11 @@ from repro.smo.nmn import neumann_hypergradient
 from repro.smo.objective import SourceBasisLoss
 from repro.utils import memory
 from repro.utils.seed import seeded_rng
-from tests.oracles import LoopedSMOObjective
+from tests.oracles import (
+    ComposedAbbeImaging,
+    LoopedSMOObjective,
+    unrolled_hypergradient_composed,
+)
 
 RTOL = 1e-10
 #: Fused vs two-pass hypergradients: the same terms summed in another
@@ -52,9 +59,9 @@ RTOL = 1e-10
 FOLD_RTOL = 1e-12
 
 
-class ComposedOnly:
+class BasisHidden:
     """An objective with its intensity basis hidden: BiSMO and
-    HypergradientContext then run the composed ``create_graph`` oracle."""
+    HypergradientContext then take the composed ``create_graph`` path."""
 
     def __init__(self, objective):
         self._objective = objective
@@ -63,6 +70,47 @@ class ComposedOnly:
         if name == "source_only_loss":
             raise AttributeError(name)
         return getattr(self._objective, name)
+
+
+class ComposedOnly(BasisHidden):
+    """The objective's twin on the composed-op engine
+    (``ComposedAbbeImaging``: whole-grid pupils, every image a composed
+    graph), basis hidden: the composed ``create_graph`` oracle."""
+
+    def __init__(self, objective):
+        super().__init__(
+            ProcessWindowSMOObjective(
+                objective.config,
+                objective.target.data,
+                objective.window,
+                engine=ComposedAbbeImaging(objective.config),
+                robust=objective.robust,
+                tau=objective.tau,
+            )
+        )
+
+
+def _looped(cfg, targets):
+    """The per-tile loop oracle on the composed-op engine."""
+    return LoopedSMOObjective(cfg, targets, ComposedAbbeImaging(cfg))
+
+
+def one_iteration(solver, theta_j, theta_m):
+    """One BiSMO outer iteration from ``(theta_j, theta_m)``: the
+    hypergradient its strategy returned, ``theta_J^T`` and the recorded
+    loss."""
+    seen = []
+    strategy = solver._hyper_fn
+
+    def spy(ctx, *args):
+        hyper, warm = strategy(ctx, *args)
+        seen.append(hyper)
+        return hyper, warm
+
+    solver._hyper_fn = spy
+    result = solver.run(None, iterations=1, theta_m0=theta_m, theta_j0=theta_j)
+    (hyper,) = seen
+    return hyper, result.theta_j, result.losses[0]
 
 
 def _setup(preset: str, tiles: int = 2):
@@ -94,7 +142,7 @@ def _objectives(cfg, targets, theta_m):
         (
             "batched",
             ProcessWindowSMOObjective(cfg, targets),
-            LoopedSMOObjective(cfg, targets),
+            _looped(cfg, targets),
             theta_m,
         ),
     ]
@@ -443,19 +491,16 @@ class TestOnePassPerIteration:
         assert passes[0] == 1
         assert ctx.grad_m is grad_m
         assert passes[0] == 1
-        ref = HypergradientContext(LoopedSMOObjective(cfg, targets), theta_j, theta_m)
+        ref = HypergradientContext(_looped(cfg, targets), theta_j, theta_m)
         _close(grad_m, ref.grad_m)
 
 
 class TestNoCreateGraphThroughImaging:
-    @pytest.mark.parametrize("method", ["nmn", "cg", "fd"])
-    def test_exact_mode_never_takes_the_composed_fallback(
-        self, tiny, monkeypatch, method
-    ):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("create_graph backward through imaging")
-
-        monkeypatch.setattr(F, "_incoherent_stack_vjp_composed", forbidden)
+    @pytest.mark.parametrize("method", ["nmn", "cg", "fd", "unroll"])
+    def test_exact_mode_never_takes_the_composed_fallback(self, tiny, method):
+        """Every strategy runs with no ``create_graph`` backward through
+        imaging: the fused primitive refuses one, naming the basis and
+        the composed oracle."""
         cfg, targets, source, _, _ = tiny
         kinds = [
             dict(target=targets[0]),
@@ -470,13 +515,13 @@ class TestNoCreateGraphThroughImaging:
             solver = BiSMO(cfg, target, method=method, terms=2, **kw)
             result = solver.run(source, iterations=2)
             assert np.all(np.isfinite(result.losses))
-        # the guard is live: the composed oracle trips it
+        # the refusal is live: the composed path on the fused engine
         tm = init_theta_mask(targets[0], cfg)
-        with pytest.raises(AssertionError, match="create_graph"):
-            HypergradientContext(
-                ComposedOnly(ProcessWindowSMOObjective(cfg, targets[0])),
-                init_theta_source(source, cfg), tm,
-            )
+        hidden = BasisHidden(ProcessWindowSMOObjective(cfg, targets[0]))
+        with pytest.raises(NotImplementedError) as err:
+            HypergradientContext(hidden, init_theta_source(source, cfg), tm)
+        for name in ("create_graph", "SourceBasisLoss", "ComposedAbbeImaging"):
+            assert name in str(err.value)
 
 
 class TestBiSMOTracesMatchComposed:
@@ -503,8 +548,10 @@ class TestBiSMOTracesMatchComposed:
     def test_traces(self, small, method, kw):
         cfg, targets, source, _, _ = small
         fast = BiSMO(cfg, targets, method=method, terms=3, **kw)
-        slow = BiSMO(cfg, targets, method=method, terms=3, **kw)
-        slow.objective = ComposedOnly(slow.objective)
+        slow = BiSMO(
+            cfg, targets, method=method, terms=3,
+            objective=ComposedOnly(fast.objective),
+        )
         a = fast.run(source, iterations=3)
         b = slow.run(source, iterations=3)
         _close(a.losses, b.losses)
@@ -513,6 +560,29 @@ class TestBiSMOTracesMatchComposed:
             if ra.corner_weights is not None or rb.corner_weights is not None:
                 _close(ra.corner_weights, rb.corner_weights)
         _close(a.theta_m, b.theta_m)
+
+
+class TestUnrollMatchesComposed:
+    """BiSMO-UNROLL's reverse sweep over the basis oracles against the
+    graph built through every inner step on the composed engine: the
+    hypergradient, theta_J^T and the recorded loss, within 1e-10."""
+
+    @pytest.mark.parametrize(
+        "preset,tiles,steps", [("tiny", 2, 3), ("small", 2, 3), ("default", 2, 1)]
+    )
+    def test_matches_reference(self, preset, tiles, steps):
+        cfg, targets, _, theta_j, theta_m = _setup(preset, tiles)
+        solver = BiSMO(cfg, targets, method="unroll", unroll_steps=steps)
+        hyper, theta_jt, loss = one_iteration(solver, theta_j, theta_m)
+        reference = ProcessWindowSMOObjective(
+            cfg, targets, engine=ComposedAbbeImaging(cfg)
+        )
+        ref_hyper, ref_jt, ref_loss = unrolled_hypergradient_composed(
+            reference, theta_j, theta_m, steps, solver.inner_lr
+        )
+        assert _rel_err(hyper, ref_hyper) <= RTOL
+        assert _rel_err(theta_jt, ref_jt) <= RTOL
+        assert loss == pytest.approx(ref_loss, rel=RTOL)
 
 
 # ----------------------------------------------------------------------
@@ -531,21 +601,17 @@ class TestSizedRefusal:
         with pytest.raises(MemoryError, match="intensity basis"):
             engine.source_intensity_basis(masks)
 
-    def test_paper_preset_refuses_before_allocating(self, monkeypatch):
-        """``paper`` images on 56-point crops, but the composed
-        ``create_graph`` fallback needs them whole: it refuses, sized,
-        before expanding them."""
-        cfg = OpticalConfig.preset("paper")
-        engine = AbbeImaging(cfg)
-        n = cfg.mask_size
-        mask = ad.Tensor(np.zeros((n, n)), requires_grad=True)
-        source = ad.Tensor(
-            annular(engine.source_grid, cfg.sigma_out, cfg.sigma_in)
+    def test_unroll_runs_in_less_than_the_whole_grid_stack(self, monkeypatch):
+        """One BiSMO-UNROLL outer iteration at ``default`` (2 tiles) in
+        8 MiB: more than the basis (2.9 MB) and the pupil crops (2.8 MB)
+        need, less than the whole-grid ``(113, 128, 128)`` pupil stack
+        (14.8 MB) a ``create_graph`` backward through imaging needed."""
+        cfg, targets, source, _, _ = _setup("default")
+        monkeypatch.setattr(memory, "available_bytes", lambda: 8 * 1024**2)
+        result = BiSMO(cfg, targets, method="unroll", unroll_steps=1).run(
+            source, iterations=1
         )
-        monkeypatch.setattr(memory, "available_bytes", lambda: 8 * 1024**3)
-        sized = r"\(901, 2048, 2048\).*28\.2 GiB"
-        with pytest.raises(MemoryError, match=sized):
-            ad.grad(F.sum(engine.aerial(mask, source)), [mask], create_graph=True)
+        assert np.isfinite(result.final_loss)
 
     def test_streamed_passes_never_check(self, tiny_config, monkeypatch):
         """Inside the streamed passes MemoryError means "halve the chunk";

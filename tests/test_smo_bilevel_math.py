@@ -87,18 +87,6 @@ class TestContext:
         w = np.random.default_rng(1).standard_normal(toy.n)
         np.testing.assert_allclose(ctx.mixed_vjp(w), toy.b.T @ w, atol=1e-10)
 
-    def test_fd_mode_matches_exact(self, toy, point):
-        j, m = point
-        exact = HypergradientContext(toy, j, m, hvp_mode="exact")
-        fd = HypergradientContext(toy, j, m, hvp_mode="fd", fd_eps=1e-4)
-        v = np.random.default_rng(2).standard_normal(toy.n)
-        np.testing.assert_allclose(fd.hvp(v), exact.hvp(v), atol=1e-5)
-        np.testing.assert_allclose(fd.mixed_vjp(v), exact.mixed_vjp(v), atol=1e-5)
-
-    def test_invalid_mode(self, toy, point):
-        with pytest.raises(ValueError):
-            HypergradientContext(toy, point[0], point[1], hvp_mode="nope")
-
     def test_loss_value_recorded(self, toy, point):
         ctx = HypergradientContext(toy, point[0], point[1])
         with ad.no_grad():

@@ -1,23 +1,30 @@
-"""Tests for the SMO extensions: unrolled hypergradients, stoppers,
-LR schedules, defocus imaging."""
+"""Tests for the SMO extensions: unrolled hypergradients, defocus
+imaging, the GLP dataset loader."""
 
 import numpy as np
 import pytest
 
 import repro.autodiff as ad
-from repro.opt import Adam, ConstantLR, CosineLR, SGD, StepLR, apply_schedule
-from repro.optics import AbbeImaging, OpticalConfig
+from repro.optics import AbbeImaging
 from repro.smo import (
     BiSMO,
-    GradientNormStopper,
-    PlateauStopper,
+    HypergradientContext,
     ProcessWindowSMOObjective,
-    RelativeImprovementStopper,
-    init_theta_mask,
-    init_theta_source,
     unrolled_hypergradient,
 )
+from tests.oracles import unrolled_hypergradient_composed
+from tests.test_smo_basis_oracles import one_iteration
 from tests.test_smo_bilevel_math import QuadraticObjective
+
+
+def _toy_unroll(toy, j, m, steps, xi):
+    """One BiSMO-UNROLL outer iteration on the quadratic toy (the
+    composed path): its hypergradient, theta_J^T and recorded loss."""
+    solver = BiSMO(
+        None, m, method="unroll", unroll_steps=steps, inner_lr=xi,
+        objective=toy,
+    )
+    return one_iteration(solver, j, m)
 
 
 class TestUnrolledHypergradient:
@@ -29,18 +36,41 @@ class TestUnrolledHypergradient:
         rng = np.random.default_rng(11)
         j, m = rng.standard_normal(3), rng.standard_normal(3)
         xi = 0.05
-        hyper, j_new, loss = unrolled_hypergradient(toy, j, m, steps=1, inner_lr=xi)
+        hyper, j_new, _ = _toy_unroll(toy, j, m, 1, xi)
         j_prime = j - xi * (toy.a @ j + toy.b @ m)
         np.testing.assert_allclose(j_new, j_prime, atol=1e-12)
         gm = toy.b.T @ j_prime + toy.c @ m + toy.d
         gj = toy.a @ j_prime + toy.b @ m
         expected = gm - xi * toy.b.T @ gj
         np.testing.assert_allclose(hyper, expected, atol=1e-10)
+        direct, _ = unrolled_hypergradient(
+            HypergradientContext(toy, j_prime, m), xi, 0, 0.0, None, [j]
+        )
+        np.testing.assert_allclose(direct, expected, atol=1e-10)
 
-    def test_zero_steps_rejected(self):
+    def test_quadratic_unroll_matches_composed_reference(self):
+        """T = 3 on the composed path (grad_m and mixed_vjp pass by pass)
+        against the graph built through every inner step."""
+        toy = QuadraticObjective(n=4, seed=9)
+        rng = np.random.default_rng(13)
+        j, m = rng.standard_normal(4), rng.standard_normal(4)
+        hyper, j_new, loss = _toy_unroll(toy, j, m, 3, 0.05)
+        ref_hyper, ref_j, ref_loss = unrolled_hypergradient_composed(
+            toy, j, m, 3, 0.05
+        )
+        scale = np.abs(ref_hyper).max()
+        np.testing.assert_allclose(hyper, ref_hyper, rtol=0, atol=1e-10 * scale)
+        np.testing.assert_allclose(j_new, ref_j, rtol=1e-10)
+        assert loss == pytest.approx(ref_loss, rel=1e-10)
+
+    def test_zero_steps_rejected(self, tiny_config, tiny_target, tiny_source):
         toy = QuadraticObjective(n=2)
-        with pytest.raises(ValueError):
-            unrolled_hypergradient(toy, np.zeros(2), np.zeros(2), 0, 0.1)
+        ctx = HypergradientContext(toy, np.zeros(2), np.zeros(2))
+        with pytest.raises(ValueError, match="at least one inner step"):
+            unrolled_hypergradient(ctx, 0.1, 0, 0.0, None, [])
+        solver = BiSMO(tiny_config, tiny_target, method="unroll", unroll_steps=0)
+        with pytest.raises(ValueError, match="at least one inner step"):
+            solver.run(tiny_source, iterations=1)
 
     def test_bismo_unroll_variant_decreases_loss(
         self, tiny_config, tiny_target, tiny_source
@@ -57,117 +87,6 @@ class TestUnrolledHypergradient:
     def test_unroll_in_method_error_message(self, tiny_config, tiny_target):
         with pytest.raises(KeyError, match="unroll"):
             BiSMO(tiny_config, tiny_target, method="bogus")
-
-
-class TestStoppers:
-    def test_plateau_stops_after_patience(self):
-        stop = PlateauStopper(patience=3)
-        assert not stop.update(10.0)
-        assert not stop.update(10.0)
-        assert not stop.update(10.0)
-        assert stop.update(10.0)
-
-    def test_plateau_resets_on_improvement(self):
-        stop = PlateauStopper(patience=2)
-        stop.update(10.0)
-        stop.update(10.0)
-        assert not stop.update(5.0)  # improvement resets
-        assert not stop.update(5.0)
-        assert stop.update(5.0)
-
-    def test_plateau_min_delta(self):
-        stop = PlateauStopper(patience=1, min_delta=1.0)
-        stop.update(10.0)
-        assert stop.update(9.5)  # improvement below min_delta doesn't count
-
-    def test_plateau_reset(self):
-        stop = PlateauStopper(patience=1)
-        stop.update(1.0)
-        stop.update(1.0)
-        stop.reset()
-        assert not stop.update(1.0)
-
-    def test_plateau_validation(self):
-        with pytest.raises(ValueError):
-            PlateauStopper(patience=0)
-
-    def test_relative_improvement(self):
-        stop = RelativeImprovementStopper(rtol=0.01, patience=2)
-        assert not stop.update(100.0)
-        assert not stop.update(50.0)  # 50% improvement
-        assert not stop.update(49.9)  # 0.2% — slow strike 1
-        assert stop.update(49.9)  # slow strike 2 -> stop
-
-    def test_relative_improvement_fires_at_exact_zero(self):
-        """A run that bottoms out at loss == 0 must still stop: a zero
-        previous loss counts as plateau progress, not a skipped test."""
-        stop = RelativeImprovementStopper(rtol=0.01, patience=2)
-        assert not stop.update(1.0)
-        assert not stop.update(0.0)  # huge improvement -> not slow
-        assert not stop.update(0.0)  # zero prev: plateau strike 1
-        assert stop.update(0.0)  # plateau strike 2 -> stop
-
-    def test_relative_improvement_negative_prev_counts_as_plateau(self):
-        stop = RelativeImprovementStopper(rtol=0.01, patience=1)
-        stop.update(-5.0)
-        assert stop.update(-5.0)
-
-    def test_relative_improvement_reset_clears_zero_state(self):
-        stop = RelativeImprovementStopper(rtol=0.01, patience=1)
-        stop.update(0.0)
-        stop.reset()
-        assert not stop.update(0.0)  # first update never stops
-
-    def test_gradient_norm(self):
-        stop = GradientNormStopper(threshold=0.1)
-        assert not stop.update(np.array([1.0, 1.0]))
-        assert stop.update(np.array([0.01, 0.01]))
-        assert stop.last_norm == pytest.approx(np.hypot(0.01, 0.01))
-
-    def test_gradient_norm_validation(self):
-        with pytest.raises(ValueError):
-            GradientNormStopper(0.0)
-
-
-class TestLRSchedules:
-    def test_constant(self):
-        s = ConstantLR(0.1)
-        assert s(0) == s(100) == 0.1
-
-    def test_step_decay(self):
-        s = StepLR(1.0, period=10, gamma=0.5)
-        assert s(0) == 1.0
-        assert s(9) == 1.0
-        assert s(10) == 0.5
-        assert s(20) == 0.25
-
-    def test_cosine_endpoints(self):
-        s = CosineLR(1.0, total=100, floor=0.1)
-        assert s(0) == pytest.approx(1.0)
-        assert s(100) == pytest.approx(0.1)
-        assert s(200) == pytest.approx(0.1)  # clamped past total
-        assert s(50) == pytest.approx(0.55)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ConstantLR(0.0)
-        with pytest.raises(ValueError):
-            StepLR(1.0, period=0)
-        with pytest.raises(ValueError):
-            CosineLR(1.0, total=10, floor=2.0)
-
-    def test_apply_schedule_mutates_optimizer(self):
-        opt = SGD(1.0)
-        lr = apply_schedule(opt, CosineLR(1.0, total=10, floor=0.05), step=10)
-        assert opt.lr == lr == pytest.approx(0.05)
-        opt2 = Adam(1.0)
-        apply_schedule(opt2, StepLR(1.0, 5, 0.5), step=5)
-        assert opt2.lr == 0.5
-
-    def test_apply_schedule_rejects_zero_lr(self):
-        opt = SGD(1.0)
-        with pytest.raises(ValueError):
-            apply_schedule(opt, CosineLR(1.0, total=10, floor=0.0), step=10)
 
 
 class TestDefocusImaging:

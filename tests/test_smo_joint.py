@@ -21,10 +21,9 @@ from repro.smo import (
     SourceOptimizer,
     init_theta_mask,
     init_theta_source,
-    unrolled_hypergradient,
 )
 from repro.baselines import MultiLevelILT, NILTBaseline
-from tests.oracles import LoopedSMOObjective
+from tests.oracles import ComposedAbbeImaging, LoopedSMOObjective
 
 
 @pytest.fixture(scope="module")
@@ -46,9 +45,12 @@ class TestBatchedLoopedEquivalence:
     @pytest.mark.parametrize("method", ["nmn", "fd", "cg"])
     def test_bismo_matches_per_clip_loop(self, method, cfg, targets, tiny_source):
         results = {}
-        for name, obj_cls in (
-            ("batched", ProcessWindowSMOObjective),
-            ("looped", LoopedSMOObjective),
+        for name, objective in (
+            ("batched", ProcessWindowSMOObjective(cfg, targets)),
+            (
+                "looped",
+                LoopedSMOObjective(cfg, targets, ComposedAbbeImaging(cfg)),
+            ),
         ):
             solver = BiSMO(
                 cfg,
@@ -57,7 +59,7 @@ class TestBatchedLoopedEquivalence:
                 unroll_steps=2,
                 terms=3,
                 damping=1.0 if method == "cg" else 0.0,
-                objective=obj_cls(cfg, targets),
+                objective=objective,
             )
             results[name] = solver.run(tiny_source, iterations=4)
         b, l = results["batched"], results["looped"]
@@ -205,7 +207,8 @@ class TestSourceOnlyOracle:
         ctx_fast = HypergradientContext(
             ProcessWindowSMOObjective(cfg, targets), tj, tm
         )
-        ctx_full = HypergradientContext(LoopedSMOObjective(cfg, targets), tj, tm)
+        looped = LoopedSMOObjective(cfg, targets, ComposedAbbeImaging(cfg))
+        ctx_full = HypergradientContext(looped, tj, tm)
         assert ctx_fast._so_gj_graph is not None
         assert ctx_full._so_gj_graph is None
         p = rng.standard_normal(tj.shape)
@@ -263,14 +266,13 @@ class TestUnrollInnerOptimizerGuard:
         with pytest.raises(ValueError, match="inner_optimizer"):
             BiSMO(cfg, tiny_target, method="unroll", inner_optimizer="adam")
 
-    def test_unrolled_hypergradient_rejects_non_sgd(self, cfg, tiny_target, tiny_source):
-        objective = ProcessWindowSMOObjective(cfg, tiny_target)
-        tj = init_theta_source(tiny_source, cfg)
-        tm = init_theta_mask(tiny_target, cfg)
-        with pytest.raises(ValueError, match="sgd"):
-            unrolled_hypergradient(
-                objective, tj, tm, steps=1, inner_lr=0.1, inner_optimizer="adam"
-            )
+    def test_unrolled_hypergradient_rejects_non_sgd(self, cfg, tiny_target):
+        """The unroll strategy sees no optimizer: BiSMO's guard is the
+        only one, and it names the one inner update it supports."""
+        for name in ("adam", "Adam"):
+            with pytest.raises(ValueError, match="'sgd'"):
+                BiSMO(cfg, tiny_target, method="UNROLL", inner_optimizer=name)
+        BiSMO(cfg, tiny_target, method="unroll", inner_optimizer="SGD")
 
     def test_unroll_with_sgd_still_runs(self, cfg, tiny_target, tiny_source):
         res = BiSMO(

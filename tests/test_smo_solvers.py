@@ -144,14 +144,6 @@ class TestBiSMO:
         tj0 = init_theta_source(tiny_source, tiny_config)
         assert np.abs(res.theta_j - tj0).max() > 0
 
-    def test_fd_hvp_mode_runs(self, tiny_config, tiny_target, tiny_source, objective):
-        solver = BiSMO(
-            tiny_config, tiny_target, method="nmn", terms=2,
-            hvp_mode="fd", objective=objective,
-        )
-        res = solver.run(tiny_source, iterations=4)
-        assert np.all(np.isfinite(res.losses))
-
     def test_phase_label(self, tiny_config, tiny_target, tiny_source, objective):
         res = BiSMO(tiny_config, tiny_target, method="fd", objective=objective).run(
             tiny_source, iterations=3

@@ -561,9 +561,11 @@ class TestAdaptiveCornerWeights:
     def test_bismo_fd_mode_ascends_on_iterate_losses(
         self, tiny_config, tiny_source
     ):
-        """FD-mode hypergradients re-evaluate the objective at perturbed
-        points; the EG ascent must still use the corner losses of the
-        iterate's own evaluation (captured before the FD probes)."""
+        """The unroll strategy re-evaluates the loss tail at the earlier
+        inner iterates after the iterate's own evaluation (as the retired
+        finite-difference oracle mode did at perturbed points); the EG
+        ascent must still use the corner losses of the iterate's own
+        evaluation (captured before the strategy runs)."""
         from repro.smo import BiSMO
 
         cfg = tiny_config
@@ -571,13 +573,14 @@ class TestAdaptiveCornerWeights:
         target = (rng.random((cfg.mask_size,) * 2) > 0.6).astype(np.float64)
         window = ProcessWindow.from_grid((1.0,), (0.0, 80.0))
         seen = []
+        # A large inner step, so the earlier iterates' corner losses
+        # differ from the iterate's own well beyond the rtol below.
         solver = BiSMO(
             cfg,
             target,
-            method="nmn",
-            unroll_steps=1,
-            terms=2,
-            hvp_mode="fd",
+            method="unroll",
+            unroll_steps=2,
+            inner_lr=1000.0,
             process_window=window,
             robust="adaptive",
         )
@@ -594,7 +597,7 @@ class TestAdaptiveCornerWeights:
         assert result.final_corner_weights is not None
         # Each ascent input must be the corner split of the iterate's
         # own recorded loss under the weights live at that evaluation —
-        # an FD-perturbed matrix would break this identity.
+        # an earlier iterate's matrix would break this identity.
         for (weights, losses), rec in zip(seen, result.history):
             np.testing.assert_allclose(weights @ losses, rec.loss, rtol=1e-9)
 
