@@ -20,7 +20,6 @@ from .process_window import (
 from .resilience import (
     CellOutcome,
     CheckpointJournal,
-    RecordCodec,
     RetryPolicy,
     classify_error,
     execute_cells,
@@ -32,7 +31,6 @@ from .report import ascii_plot, render_series, render_table, sweep_health, table
 __all__ = [
     "CellOutcome",
     "CheckpointJournal",
-    "RecordCodec",
     "RetryPolicy",
     "classify_error",
     "execute_cells",

@@ -112,7 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             metavar="N",
             help="per-cell retry budget for transient faults (default: "
-            "REPRO_MAX_RETRIES or 2)",
+            "REPRO_MAX_RETRIES or 2; a deterministic error gets at most "
+            "one retry, 0 keeps a single attempt)",
         )
 
     for name in ("table3", "table4", "tables", "all"):
@@ -303,6 +304,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_command(args, out_dir, progress)
 
 
+def _report_health(records: List) -> bool:
+    """Print the sweep-health table to stderr when any cell failed, before
+    any result table; False when no record is ok (nothing to tabulate)."""
+    if any(not rec.ok for rec in records):
+        print(render_table(sweep_health(records)), file=sys.stderr)
+    if any(rec.ok for rec in records):
+        return True
+    print("[run] no ok records: no table to render", file=sys.stderr)
+    return False
+
+
 def _run_command(
     args: argparse.Namespace,
     out_dir: Optional[Path],
@@ -323,6 +335,8 @@ def _run_command(
             cell_timeout=args.cell_timeout,
             max_retries=args.max_retries,
         )
+        if not _report_health(records):
+            return 1
         if args.command in ("table3", "tables", "all"):
             t3 = table3(records)
             print(render_table(t3))
@@ -333,8 +347,6 @@ def _run_command(
             print(render_table(t4))
             if out_dir:
                 table_to_csv(t4, out_dir / "table4.csv")
-        if any(not rec.ok for rec in records):
-            print(render_table(sweep_health(records)), file=sys.stderr)
         return 0
 
     if args.command == "pwindow":
@@ -363,8 +375,8 @@ def _run_command(
             progress=progress,
             workers=args.workers,
         )
-        if any(not rec.ok for rec in records):
-            print(render_table(sweep_health(records)), file=sys.stderr)
+        if not _report_health(records):
+            return 1
         for value in ("l2", "epe"):
             table = process_window_table(records, value=value)
             print(render_table(table))

@@ -14,9 +14,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -28,13 +26,12 @@ from ..smo import SMOResult, ProcessWindowSMOObjective, init_theta_source
 from ..smo.objective import robust_tile_losses
 from .. import obs
 from ..utils.faultinject import fault_point
-from .resilience import CellProgress, RecordCodec, RetryPolicy, execute_cells
 from .runner import (
     RunSettings,
     _annular_source,
     _dispatch,
+    _run_sweep,
     _target_image,
-    _worker_warmup,
 )
 from .tables import TableData
 
@@ -245,9 +242,7 @@ def _run_pw_cell(
         return [rec]
 
 
-def _pw_failure_records(
-    cell: _PWCell, status: str, error: str, attempts: int
-) -> List[ProcessWindowRecord]:
+def _pw_failure_records(cell: _PWCell) -> List[ProcessWindowRecord]:
     method, dataset_name, clip = cell
     nan = math.nan
     return [
@@ -262,29 +257,8 @@ def _pw_failure_records(
             band_nm2=nan,
             robust_loss=nan,
             runtime_s=nan,
-            status=status,
-            error=error,
-            attempts=attempts,
         )
     ]
-
-
-def _pw_stamp_records(
-    records: List[ProcessWindowRecord], status: str, attempts: int, error: str
-) -> None:
-    for rec in records:
-        rec.status = status
-        rec.attempts = attempts
-        rec.error = error
-
-
-#: Codec handing :class:`ProcessWindowRecord` lists to the executor.
-PW_RECORD_CODEC = RecordCodec(
-    encode=lambda records: [r.to_json() for r in records],
-    decode=lambda payload: [ProcessWindowRecord.from_json(d) for d in payload],
-    failure=_pw_failure_records,
-    stamp=_pw_stamp_records,
-)
 
 
 def run_process_window(
@@ -303,73 +277,34 @@ def run_process_window(
     ``settings.process_window`` must be set: every solver optimizes the
     robust objective across it, and the report judges the same corners.
 
-    With ``checkpoint`` set (or ``workers > 1``) the run goes through
-    the fault-tolerant executor (:mod:`repro.harness.resilience`):
-    completed cells are journaled as they finish and skipped on a
-    resumed run, retries follow the same taxonomy as
-    :func:`repro.harness.run_matrix`, and a cell that exhausts its
-    budget yields a structured failure record.  ``workers > 1`` shards
-    cells across processes like :func:`run_matrix` — same warm cache,
-    worker-budget split, and obs-config forwarding — and records come
-    back in the serial order.
+    The cells run through the same sweep driver as
+    :func:`repro.harness.run_matrix`, serial or parallel: completed cells
+    are journaled as they finish when ``checkpoint`` is set and skipped
+    on a resumed run, and retries follow the same taxonomy, so a cell
+    that raises is retried and then recorded as a ``status="failed"``
+    record (``max_retries=0`` keeps a single attempt).  ``workers > 1``
+    shards cells across processes — same warm cache, worker-budget
+    split, and obs-config forwarding — and records come back in the
+    serial order.
     """
     if settings.process_window is None:
         raise ValueError("run_process_window needs settings.process_window")
     cells: List[_PWCell] = [
         (method, dataset_name, clip) for clip in clips for method in methods
     ]
-    resilient = (
-        workers > 1
-        or checkpoint is not None
-        or cell_timeout is not None
-        or max_retries is not None
-    )
-    if not resilient:
-        records: List[ProcessWindowRecord] = []
-        for cell in cells:
-            method, ds, clip = cell
-            label = f"{ds}/{clip.name}/{method}"
-            if progress:
-                progress(CellProgress(label, "start", attempts=1))
-            t0 = time.monotonic()
-            cell_records = _run_pw_cell(cell, settings)
-            if progress:
-                progress(
-                    CellProgress(
-                        label, "ok", seconds=time.monotonic() - t0, attempts=1
-                    )
-                )
-            records.extend(cell_records)
-        return records
-    labels = [f"{ds}/{clip.name}/{method}" for method, ds, clip in cells]
-    policy = None if max_retries is None else RetryPolicy(max_retries=max_retries)
-    worker_budget = max(1, (os.cpu_count() or 1) // max(1, workers))
-
-    def pool_factory() -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_warmup,
-            initargs=(
-                settings.config,
-                worker_budget,
-                settings.process_window,
-                obs.export_config(),
-            ),
-        )
-
-    outcomes = execute_cells(
+    return _run_sweep(
         cells,
-        labels,
-        partial(_run_pw_cell, settings=settings),
-        PW_RECORD_CODEC,
+        [f"{ds}/{clip.name}/{method}" for method, ds, clip in cells],
+        _run_pw_cell,
+        ProcessWindowRecord,
+        _pw_failure_records,
+        settings,
         workers=workers,
-        pool_factory=pool_factory if workers > 1 else None,
-        policy=policy,
-        cell_timeout=cell_timeout,
         checkpoint=checkpoint,
+        cell_timeout=cell_timeout,
+        max_retries=max_retries,
         progress=progress,
     )
-    return [rec for outcome in outcomes for rec in outcome.records]
 
 
 def process_window_table(
@@ -393,7 +328,7 @@ def process_window_table(
     # (repro.harness.report) is where they surface.
     records = [rec for rec in records if rec.status == "ok"]
     if not records:
-        raise ValueError("no records")
+        raise ValueError("no ok records")
     labels = records[0].corner_labels
     columns = list(labels) + ["band_nm2", "robust"]
     rows = []

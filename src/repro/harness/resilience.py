@@ -27,10 +27,13 @@ run restarted from zero.  Because every cell is a *pure function* of
   remaining cells (timeouts cannot be enforced in-process and are
   disabled there).
 
-The executor is generic over the record type through a
-:class:`RecordCodec`, so both the (method x clip) sweep and the
-process-window report run through one resilient code path.  Worker
-death, OOM and delays are *injectable* on demand via
+The executor is generic over the record type: it takes the record
+class, whose ``to_json``/``from_json`` round-trip records bitwise, and
+a failure builder, and writes ``status``/``attempts``/``error`` on the
+records itself.  Every harness sweep — the (method x clip) matrix and
+the process-window report, serial or parallel — runs its cells through
+it, so a failing cell is a ``status="failed"`` record, never an abort.
+Worker death, OOM and delays are *injectable* on demand via
 :mod:`repro.utils.faultinject`, which is how the tests drive every path
 deterministically.
 """
@@ -64,7 +67,6 @@ __all__ = [
     "TRANSIENT_EXCEPTIONS",
     "classify_error",
     "RetryPolicy",
-    "RecordCodec",
     "CellOutcome",
     "CellProgress",
     "CheckpointJournal",
@@ -170,25 +172,8 @@ class RetryPolicy:
 
 
 # ----------------------------------------------------------------------
-# record codec + outcomes
+# outcomes
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class RecordCodec:
-    """How the executor serializes, revives and fabricates records.
-
-    ``encode``/``decode`` must round-trip records *exactly* (python's
-    ``json`` emits ``repr``-exact doubles, so float64 survives bitwise);
-    ``failure`` builds the structured failure record(s) for a cell that
-    exhausted its retries; ``stamp`` writes the bookkeeping fields
-    (status / attempts / error) onto freshly computed records.
-    """
-
-    encode: Callable[[List[Any]], List[Dict[str, Any]]]
-    decode: Callable[[List[Dict[str, Any]]], List[Any]]
-    failure: Callable[[Any, str, str, int], List[Any]]
-    stamp: Callable[[List[Any], str, int, str], None]
-
-
 @dataclass(frozen=True)
 class CellProgress:
     """One structured progress event from the executor.
@@ -345,7 +330,7 @@ class CheckpointJournal:
         self._fh.flush()
         os.fsync(self._fh.fileno())
 
-    def append(self, outcome: CellOutcome, codec: RecordCodec) -> None:
+    def append(self, outcome: CellOutcome) -> None:
         """Journal one terminal cell outcome (atomic line append)."""
         self._write_line(
             {
@@ -354,7 +339,7 @@ class CheckpointJournal:
                 "status": outcome.status,
                 "attempts": outcome.attempts,
                 "error": outcome.error,
-                "records": codec.encode(outcome.records),
+                "records": [rec.to_json() for rec in outcome.records],
             }
         )
 
@@ -396,7 +381,8 @@ def execute_cells(
     cells: Sequence[Any],
     labels: Sequence[str],
     run_one: Callable[[Any], List[Any]],
-    codec: RecordCodec,
+    record_type: Any,
+    failure: Callable[[Any], List[Any]],
     *,
     workers: int = 1,
     pool_factory: Optional[Callable[[], ProcessPoolExecutor]] = None,
@@ -408,6 +394,13 @@ def execute_cells(
     poll_interval: float = 0.05,
 ) -> List[CellOutcome]:
     """Run every cell to a terminal outcome, in submission order.
+
+    ``run_one`` maps a cell to its records.  Records carry writable
+    ``status`` / ``attempts`` / ``error`` fields, which the executor sets
+    on every terminal outcome, and a ``to_json`` method that
+    ``record_type.from_json`` inverts bitwise (the journal's format).
+    ``failure`` builds the NaN-metric record(s) standing in for a cell
+    that exhausted its retries.
 
     ``run_one`` must be picklable when ``workers > 1`` (it is shipped to
     the pool).  Outcomes come back indexed like ``cells`` regardless of
@@ -440,7 +433,7 @@ def execute_cells(
     if checkpoint is not None:
         journal = CheckpointJournal(checkpoint, labels)
         for idx, entry in journal.completed.items():
-            records = codec.decode(entry["records"])
+            records = [record_type.from_json(d) for d in entry["records"]]
             outcomes[idx] = CellOutcome(
                 index=idx,
                 label=labels[idx],
@@ -453,9 +446,13 @@ def execute_cells(
     not_before: Dict[int, float] = {}
 
     def finish(outcome: CellOutcome) -> None:
+        for rec in outcome.records:
+            rec.status = outcome.status
+            rec.attempts = outcome.attempts
+            rec.error = outcome.error
         outcomes[outcome.index] = outcome
         if journal is not None:
-            journal.append(outcome, codec)
+            journal.append(outcome)
 
     def finish_ok(
         idx: int,
@@ -463,7 +460,6 @@ def execute_cells(
         announce: bool,
         seconds: Optional[float] = None,
     ) -> None:
-        codec.stamp(records, "ok", attempts[idx], "")
         finish(CellOutcome(idx, labels[idx], "ok", attempts[idx], records))
         if progress and announce:
             progress(
@@ -497,8 +493,7 @@ def execute_cells(
             return
         status = "timeout" if kind == "timeout" else "failed"
         obs.counter("harness.failures").inc()
-        records = codec.failure(cells[idx], status, err, attempts[idx])
-        codec.stamp(records, status, attempts[idx], err)
+        records = failure(cells[idx])
         finish(CellOutcome(idx, labels[idx], status, attempts[idx], records, err))
         if progress:
             progress(

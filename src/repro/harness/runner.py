@@ -19,14 +19,14 @@ Two scale axes on top of the per-cell engine:
   submission order, so a parallel sweep returns the records in exactly
   the serial order with identical numeric content.
 
-Parallel sweeps run through the fault-tolerant executor of
-:mod:`repro.harness.resilience`: a dead worker costs a pool rebuild and
-a resubmission, not the sweep; a deterministic solver failure becomes a
-structured ``status="failed"`` record instead of an abort; and
-``run_matrix(..., checkpoint=path)`` journals completed cells so an
-interrupted sweep resumes where it crashed with byte-identical record
-order.  Because cells are pure, retried and resumed cells reproduce
-their records bitwise.
+Every sweep, serial or parallel, runs through the fault-tolerant
+executor of :mod:`repro.harness.resilience`: a dead worker costs a pool
+rebuild and a resubmission, not the sweep; a deterministic solver
+failure becomes a structured ``status="failed"`` record instead of an
+abort; and ``run_matrix(..., checkpoint=path)`` journals completed
+cells so an interrupted sweep resumes where it crashed with
+byte-identical record order.  Because cells are pure, retried and
+resumed cells reproduce their records bitwise.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from ..smo import (
 )
 from .. import obs
 from ..utils.faultinject import fault_point
-from .resilience import CellProgress, RecordCodec, RetryPolicy, execute_cells
+from .resilience import CellProgress, RetryPolicy, execute_cells
 
 __all__ = [
     "RunRecord",
@@ -428,10 +428,9 @@ def _cell_clip_names(cell: _Cell) -> List[str]:
     return [payload.name]
 
 
-def _failure_records(
-    cell: _Cell, status: str, error: str, attempts: int
-) -> List[RunRecord]:
-    """Structured NaN-metric records for a cell that exhausted retries."""
+def _failure_records(cell: _Cell) -> List[RunRecord]:
+    """Structured NaN-metric records for a cell that exhausted retries
+    (the executor writes their status, attempts and error)."""
     _kind, method, ds_name, _payload = cell
     nan = math.nan
     return [
@@ -446,30 +445,9 @@ def _failure_records(
             runtime_s=nan,
             final_loss=nan,
             losses=np.empty(0),
-            status=status,
-            error=error,
-            attempts=attempts,
         )
         for clip_name in _cell_clip_names(cell)
     ]
-
-
-def _stamp_records(
-    records: List[RunRecord], status: str, attempts: int, error: str
-) -> None:
-    for rec in records:
-        rec.status = status
-        rec.attempts = attempts
-        rec.error = error
-
-
-#: Codec handing :class:`RunRecord` lists to the resilient executor.
-RUN_RECORD_CODEC = RecordCodec(
-    encode=lambda records: [r.to_json() for r in records],
-    decode=lambda payload: [RunRecord.from_json(d) for d in payload],
-    failure=_failure_records,
-    stamp=_stamp_records,
-)
 
 
 def _worker_warmup(
@@ -505,6 +483,63 @@ def _worker_warmup(
     # would be swept into this worker's first cell and break the
     # worker-count-invariant canonical trace.
     obs.flush_shard()
+
+
+def _run_sweep(
+    cells: Sequence[Any],
+    labels: Sequence[str],
+    run_one: Callable[..., List[Any]],
+    record_type: Any,
+    failure: Callable[[Any], List[Any]],
+    settings: RunSettings,
+    *,
+    workers: int,
+    checkpoint: Optional[Union[str, os.PathLike]],
+    cell_timeout: Optional[float],
+    max_retries: Optional[int],
+    progress: Optional[Callable[[CellProgress], None]],
+) -> List[Any]:
+    """The one harness sweep driver: run ``cells`` through
+    :func:`~repro.harness.resilience.execute_cells` and flatten the
+    outcomes into records, in submission order.
+
+    ``run_one(cell, settings=...)`` is a module-level cell body (a pool
+    pickles it).  ``workers > 1`` shards the cells over a process pool
+    whose workers split the thread budget and warm the optics cache once
+    (:func:`_worker_warmup`); ``workers=1`` runs them in this process.
+    Either way a cell that raises is retried under ``max_retries``
+    (``None``: ``REPRO_MAX_RETRIES``) and then stands as its
+    ``failure(cell)`` records.
+    """
+    worker_budget = max(1, (os.cpu_count() or 1) // max(1, workers))
+
+    def pool_factory() -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_worker_warmup,
+            initargs=(
+                settings.config,
+                worker_budget,
+                settings.process_window,
+                obs.export_config(),
+            ),
+        )
+
+    policy = None if max_retries is None else RetryPolicy(max_retries=max_retries)
+    outcomes = execute_cells(
+        cells,
+        labels,
+        partial(run_one, settings=settings),
+        record_type,
+        failure,
+        workers=workers,
+        pool_factory=pool_factory if workers > 1 else None,
+        policy=policy,
+        cell_timeout=cell_timeout,
+        checkpoint=checkpoint,
+        progress=progress,
+    )
+    return [rec for outcome in outcomes for rec in outcome.records]
 
 
 def _matrix_cells(
@@ -549,11 +584,8 @@ def run_matrix(
         workers warm the optics cache once at start-up.  Record order
         and numeric content are identical to the serial sweep (cells are
         deterministic and reassembled in submission order); only
-        wall-clock timing fields differ run-to-run.  Parallel sweeps are
-        fault tolerant: dead workers are replaced and their cells
-        resubmitted, and a cell whose retries are exhausted yields a
-        structured ``status="failed"``/``"timeout"`` record instead of
-        aborting the sweep.
+        wall-clock timing fields differ run-to-run.  Dead workers are
+        replaced and their cells resubmitted.
     joint:
         Optimize each dataset's clips jointly (one shared source per
         (method, dataset) cell, see :func:`run_joint`) instead of one
@@ -572,8 +604,11 @@ def run_matrix(
         ``REPRO_MAX_RETRIES`` (default 2).  Deterministic solver
         exceptions always fail fast after at most one retry.
 
-    A serial sweep with none of the resilience arguments set keeps the
-    legacy contract: the first cell exception propagates.
+    Every sweep, serial or parallel, runs its cells through the
+    fault-tolerant executor: a cell that raises is retried under the
+    ``max_retries`` budget and then recorded as a ``status="failed"``
+    record with NaN metrics, so one broken cell never aborts the sweep
+    (``max_retries=0`` keeps a single attempt).
 
     ``progress`` receives structured
     :class:`~repro.harness.resilience.CellProgress` events — a
@@ -582,54 +617,16 @@ def run_matrix(
     renders the printable line).
     """
     cells = _matrix_cells(datasets, methods, clips_per_dataset, joint)
-    resilient = (
-        workers > 1
-        or checkpoint is not None
-        or cell_timeout is not None
-        or max_retries is not None
-    )
-    if not resilient:
-        records: List[RunRecord] = []
-        for cell in cells:
-            label = _cell_label(cell)
-            if progress:
-                progress(CellProgress(label, "start", attempts=1))
-            t0 = time.monotonic()
-            cell_records = _run_cell(cell, settings)
-            if progress:
-                progress(
-                    CellProgress(
-                        label, "ok", seconds=time.monotonic() - t0, attempts=1
-                    )
-                )
-            records.extend(cell_records)
-        return records
-
-    worker_budget = max(1, (os.cpu_count() or 1) // max(1, workers))
-
-    def pool_factory() -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_warmup,
-            initargs=(
-                settings.config,
-                worker_budget,
-                settings.process_window,
-                obs.export_config(),
-            ),
-        )
-
-    policy = None if max_retries is None else RetryPolicy(max_retries=max_retries)
-    outcomes = execute_cells(
+    return _run_sweep(
         cells,
         [_cell_label(cell) for cell in cells],
-        partial(_run_cell, settings=settings),
-        RUN_RECORD_CODEC,
+        _run_cell,
+        RunRecord,
+        _failure_records,
+        settings,
         workers=workers,
-        pool_factory=pool_factory if workers > 1 else None,
-        policy=policy,
-        cell_timeout=cell_timeout,
         checkpoint=checkpoint,
+        cell_timeout=cell_timeout,
+        max_retries=max_retries,
         progress=progress,
     )
-    return [rec for outcome in outcomes for rec in outcome.records]

@@ -58,8 +58,12 @@ def _methods_present(records: Sequence[RunRecord]) -> List[str]:
 def _ok_only(records: Sequence[RunRecord]) -> List[RunRecord]:
     """Drop failure/timeout records: their NaN metrics would poison the
     table means.  Failures surface in the sweep-health table instead
-    (:func:`repro.harness.report.sweep_health`)."""
-    return [r for r in records if r.status == "ok"]
+    (:func:`repro.harness.report.sweep_health`); a sweep with no ok
+    record has no table and raises ``ValueError``."""
+    ok = [r for r in records if r.status == "ok"]
+    if not ok:
+        raise ValueError("no ok records")
+    return ok
 
 
 def table3(records: Sequence[RunRecord]) -> TableData:

@@ -128,7 +128,7 @@ class HopkinsImaging(ImagingEngine):
         Fixed source magnitude image, shape ``(N_j, N_j)``.  Changing the
         source requires rebuilding the TCC (the inefficiency the paper's
         Abbe framework removes).  The decomposition itself is shared
-        through :mod:`repro.optics.cache` unless a custom grid is given.
+        through :mod:`repro.optics.cache`.
     num_kernels:
         SOCS truncation order Q; ``None`` uses ``config.socs_terms``;
         pass the full support size for a lossless (test) decomposition.
@@ -150,7 +150,6 @@ class HopkinsImaging(ImagingEngine):
         config: OpticalConfig,
         source: np.ndarray,
         num_kernels: Optional[int] = None,
-        source_grid: Optional[SourceGrid] = None,
         defocus_nm: float = 0.0,
     ):
         from .zernike import PupilAberration
@@ -159,19 +158,11 @@ class HopkinsImaging(ImagingEngine):
         self.config = config
         self.aberration = PupilAberration.defocus(float(defocus_nm))
         self.defocus_nm = float(defocus_nm)
-        if source_grid is None:
-            from . import cache
+        from . import cache
 
-            self.weights, self._base_kernel_stack, self.tcc_trace = cache.socs(
-                config, source, num_kernels
-            )
-        else:
-            weights, kernels, tcc_trace = socs_kernels(
-                config, source, num_kernels, source_grid
-            )
-            self.weights = weights
-            self.tcc_trace = tcc_trace
-            self._base_kernel_stack = ad.Tensor(kernels)  # (Q, N, N), fftfreq
+        self.weights, self._base_kernel_stack, self.tcc_trace = cache.socs(
+            config, source, num_kernels
+        )
         self._kernel_stack = self._aberrated_kernels(self.aberration)
         self.num_kernels = self._kernel_stack.shape[0]
         self._weight_tensor = ad.Tensor(self.weights)

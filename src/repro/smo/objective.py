@@ -51,7 +51,6 @@ from ..optics import (
     ImagingEngine,
     OpticalConfig,
     ProcessWindow,
-    SourceGrid,
     engine_for,
 )
 from .parametrization import mask_from_theta, source_from_theta
@@ -818,7 +817,6 @@ class HopkinsMOObjective(_WindowObjective):
         target: np.ndarray,
         source: np.ndarray,
         num_kernels: Optional[int] = None,
-        source_grid: Optional[SourceGrid] = None,
         engine: Optional[ImagingEngine] = None,
         window: Optional[ProcessWindow] = None,
         robust: str = "sum",
@@ -828,17 +826,10 @@ class HopkinsMOObjective(_WindowObjective):
         super().__init__(
             config, target, window, robust, robust_tau, adaptive_weights
         )
-        self._source_grid = source_grid
         self._num_kernels = num_kernels
         self.engine = engine or self._build_engine(source)
 
     def _build_engine(self, source: np.ndarray) -> ImagingEngine:
-        if self._source_grid is not None:
-            from ..optics.hopkins import HopkinsImaging
-
-            return HopkinsImaging(
-                self.config, source, self._num_kernels, self._source_grid
-            )
         return engine_for(
             self.config, "hopkins", source=source, num_kernels=self._num_kernels
         )

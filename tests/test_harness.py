@@ -133,6 +133,18 @@ class TestTables:
         table_to_csv(t, path)
         assert path.read_text().startswith("Table 3")
 
+    @pytest.mark.parametrize("table", [table3, table4])
+    def test_no_ok_record_raises(self, table):
+        nan = float("nan")
+        failed = RunRecord(
+            method="Bogus-SMO", dataset="TINY", clip="c0", l2_nm2=nan,
+            pvb_nm2=nan, epe_violations=0, epe_mean_nm=nan, runtime_s=nan,
+            final_loss=nan, status="failed",
+            error="KeyError: \"unknown method 'Bogus-SMO'\"", attempts=2,
+        )
+        with pytest.raises(ValueError, match="no ok records"):
+            table([failed, failed])
+
 
 class TestFigures:
     def test_figure3_series(self):
@@ -207,3 +219,37 @@ class TestCLI:
         assert "[run]" not in err  # refused before any cell started
         assert "500 nm" in err and "2000 nm" in err
         assert "small" in err and "default" in err and "paper" in err
+
+    @pytest.mark.parametrize(
+        "command, extra, title",
+        [
+            ("table3", [], "Table 3"),
+            ("table3", ["--workers", "2"], "Table 3"),
+            ("pwindow", [], "Process window"),
+        ],
+    )
+    def test_a_sweep_with_no_ok_cell_reports_health_and_exits_1(
+        self, command, extra, title, capsys, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_MAX_RETRIES", raising=False)
+        code = main([command, "--scale", "small", "--clips", "1",
+                     "--iterations", "1", "--methods", "Bogus-SMO", *extra])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert "Sweep health" in err
+        assert "[failed: KeyError" in err
+        assert title not in out  # no result table rendered
+
+    @pytest.mark.parametrize(
+        "command, title", [("table3", "Table 3"), ("pwindow", "Process window")]
+    )
+    def test_a_failing_cell_still_renders_the_tables(
+        self, command, title, capsys, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_MAX_RETRIES", raising=False)
+        code = main([command, "--scale", "small", "--clips", "1",
+                     "--iterations", "1", "--methods", "Abbe-MO", "Bogus-SMO"])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert "Sweep health" in err
+        assert title in out and "Abbe-MO" in out

@@ -5,15 +5,17 @@ solve."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.geometry import Rect
-from repro.harness import RunSettings, run_joint, run_matrix
+from repro.harness import RunSettings, run_joint, run_matrix, run_process_window
 from repro.harness.cli import build_parser
 from repro.layouts import Clip, Dataset
 from repro.layouts.synth import ClipStyle
-from repro.optics import OpticalConfig
+from repro.optics import OpticalConfig, ProcessWindow
 
 METHODS = ("NILT", "Abbe-MO", "BiSMO-NMN")
 
@@ -62,6 +64,27 @@ class TestParallelSweep:
         serial = run_matrix([ds], settings, methods=METHODS)
         parallel = run_matrix([ds], settings, methods=METHODS, workers=2)
         _assert_records_identical(serial, parallel)
+
+    def test_process_window_workers_records_match_serial(self):
+        ds = _tiny_dataset(1)
+        settings = dataclasses.replace(
+            _settings(),
+            process_window=ProcessWindow.from_grid((0.98, 1.0, 1.02), (0.0, 60.0)),
+        )
+        methods = METHODS[1:]
+        serial = run_process_window(methods, list(ds), settings, ds.name)
+        parallel = run_process_window(
+            methods, list(ds), settings, ds.name, workers=2
+        )
+        assert [(r.method, r.clip) for r in parallel] == [
+            (r.method, r.clip) for r in serial
+        ] == [("Abbe-MO", "c0"), ("BiSMO-NMN", "c0")]
+        for a, b in zip(serial, parallel):
+            assert a.ok and b.ok
+            for name in ("corner_loss", "corner_l2_nm2", "corner_epe", "losses"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+            assert a.band_nm2 == b.band_nm2
+            assert a.robust_loss == b.robust_loss
 
     def test_serial_order_is_clip_major(self):
         ds = _tiny_dataset(2)

@@ -14,20 +14,27 @@ Tests that kill worker processes on purpose carry the
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
+from typing import Any, Dict, List
 
 import numpy as np
 import pytest
 
 from repro.geometry import Rect
-from repro.harness import RunSettings, run_matrix, sweep_health, table3
+from repro.harness import (
+    RunSettings,
+    run_matrix,
+    run_process_window,
+    sweep_health,
+    table3,
+)
 from repro.harness.cli import build_parser
 from repro.harness.resilience import (
     CellTimeout,
     CheckpointJournal,
-    RecordCodec,
     RetryPolicy,
     classify_error,
     default_cell_timeout,
@@ -38,7 +45,7 @@ from repro.harness.resilience import (
 from repro.harness.runner import RunRecord
 from repro.layouts import Clip, Dataset
 from repro.layouts.synth import ClipStyle
-from repro.optics import OpticalConfig, fftlib
+from repro.optics import OpticalConfig, ProcessWindow, fftlib
 from repro.utils import faultinject as fi
 
 METHODS = ("NILT", "Abbe-MO")
@@ -225,31 +232,43 @@ class TestClassification:
 # ----------------------------------------------------------------------
 # checkpoint journal
 # ----------------------------------------------------------------------
-def _toy_codec() -> RecordCodec:
-    def failure(cell, status, error, attempts):
-        return [{"cell": cell, "status": status, "error": error, "attempts": attempts}]
+@dataclasses.dataclass
+class _ToyRecord:
+    """The smallest record the executor accepts: a payload, the fields the
+    executor writes, and the journal's ``to_json``/``from_json`` pair.
+    ``record["status"]`` reads a field."""
 
-    def stamp(records, status, attempts, error):
-        for rec in records:
-            rec["status"] = status
-            rec["attempts"] = attempts
-            rec["error"] = error
+    cell: Any
+    status: str = "ok"
+    attempts: int = 1
+    error: str = ""
 
-    return RecordCodec(
-        encode=lambda records: records,
-        decode=lambda payload: payload,
-        failure=failure,
-        stamp=stamp,
-    )
+    def __getitem__(self, name: str) -> Any:
+        return getattr(self, name)
+
+    def to_json(self) -> Dict[str, Any]:
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_json(cls, data: Dict[str, Any]) -> "_ToyRecord":
+        return cls(**data)
+
+    @classmethod
+    def failure(cls, cell: Any) -> List["_ToyRecord"]:
+        return [cls(cell)]
+
+
+def _toy_cell(cell: Any) -> List[_ToyRecord]:
+    return [_ToyRecord(cell)]
 
 
 class TestCheckpointJournal:
     def test_round_trip_keeps_completed_cells(self, tmp_path):
         path = tmp_path / "ck.jsonl"
         labels = ["a", "b", "c"]
-        codec = _toy_codec()
         outcomes = execute_cells(
-            [10, 20, 30], labels, lambda c: [{"cell": c}], codec, checkpoint=path
+            [10, 20, 30], labels, _toy_cell, _ToyRecord, _ToyRecord.failure,
+            checkpoint=path,
         )
         assert [o.status for o in outcomes] == ["ok"] * 3
         journal = CheckpointJournal(path, labels)
@@ -259,7 +278,7 @@ class TestCheckpointJournal:
     def test_torn_final_line_is_ignored(self, tmp_path):
         path = tmp_path / "ck.jsonl"
         labels = ["a", "b"]
-        execute_cells([1, 2], labels, lambda c: [{"cell": c}], _toy_codec(),
+        execute_cells([1, 2], labels, _toy_cell, _ToyRecord, _ToyRecord.failure,
                       checkpoint=path)
         with open(path, "a") as fh:
             fh.write('{"cell": 1, "status"')  # crash mid-append
@@ -287,16 +306,15 @@ class TestCheckpointJournal:
     def test_failed_entries_rerun_on_resume(self, tmp_path):
         path = tmp_path / "ck.jsonl"
         labels = ["a", "b"]
-        codec = _toy_codec()
 
         def failing(cell):
             if cell == 2:
                 raise ValueError("deterministic solver bug")
-            return [{"cell": cell}]
+            return [_ToyRecord(cell)]
 
         outcomes = execute_cells(
-            [1, 2], labels, failing, codec, checkpoint=path,
-            policy=RetryPolicy(max_retries=1, backoff_base=0.001),
+            [1, 2], labels, failing, _ToyRecord, _ToyRecord.failure,
+            checkpoint=path, policy=RetryPolicy(max_retries=1, backoff_base=0.001),
         )
         assert [o.status for o in outcomes] == ["ok", "failed"]
         journal = CheckpointJournal(path, labels)
@@ -342,10 +360,11 @@ class TestExecutorSerial:
         def run_one(cell):
             if cell == "bad":
                 raise ValueError("solver exploded")
-            return [{"cell": cell}]
+            return [_ToyRecord(cell)]
 
         outcomes = execute_cells(
-            ["a", "bad", "b"], ["a", "bad", "b"], run_one, _toy_codec(),
+            ["a", "bad", "b"], ["a", "bad", "b"], run_one,
+            _ToyRecord, _ToyRecord.failure,
             policy=RetryPolicy(max_retries=2, backoff_base=0.001),
         )
         assert [o.status for o in outcomes] == ["ok", "failed", "ok"]
@@ -361,10 +380,10 @@ class TestExecutorSerial:
             calls["n"] += 1
             if calls["n"] == 1:
                 raise MemoryError("transient pressure")
-            return [{"cell": cell}]
+            return [_ToyRecord(cell)]
 
         outcomes = execute_cells(
-            ["only"], ["only"], run_one, _toy_codec(),
+            ["only"], ["only"], run_one, _ToyRecord, _ToyRecord.failure,
             policy=RetryPolicy(max_retries=2, backoff_base=0.001),
         )
         assert outcomes[0].status == "ok"
@@ -374,22 +393,60 @@ class TestExecutorSerial:
     def test_resume_skips_journaled_cells(self, tmp_path):
         path = tmp_path / "ck.jsonl"
         labels = ["a", "b", "c"]
-        codec = _toy_codec()
         first = execute_cells(
-            [1, 2, 3], labels, lambda c: [{"cell": c}], codec, checkpoint=path
+            [1, 2, 3], labels, _toy_cell, _ToyRecord, _ToyRecord.failure,
+            checkpoint=path,
         )
 
         def must_not_run(cell):
             raise AssertionError("resumed run must not re-execute cells")
 
-        second = execute_cells([1, 2, 3], labels, must_not_run, codec,
-                               checkpoint=path)
+        second = execute_cells([1, 2, 3], labels, must_not_run,
+                               _ToyRecord, _ToyRecord.failure, checkpoint=path)
         assert [o.records for o in second] == [o.records for o in first]
 
 
 # ----------------------------------------------------------------------
 # run_matrix integration
 # ----------------------------------------------------------------------
+def _content(rec) -> str:
+    """A record's journal form minus the wall clock, floats ``repr``-exact."""
+    data = rec.to_json()
+    data.pop("runtime_s")
+    return json.dumps(data, sort_keys=True)
+
+
+class TestSerialSweepRecordsFailures:
+    """A serial sweep with no resilience argument runs through the same
+    executor as a parallel or journaled one: a failing cell is retried
+    and recorded, never raised."""
+
+    @pytest.fixture(params=["run_matrix", "run_process_window"])
+    def sweep(self, request, monkeypatch):
+        monkeypatch.delenv("REPRO_MAX_RETRIES", raising=False)
+        ds = _tiny_dataset(1)
+        if request.param == "run_matrix":
+            return lambda methods: run_matrix([ds], _settings(), methods=methods)
+        settings = dataclasses.replace(
+            _settings(), process_window=ProcessWindow.from_grid((0.98, 1.02), (0.0,))
+        )
+        return lambda methods: run_process_window(methods, list(ds), settings, ds.name)
+
+    def test_failing_cell_is_recorded_and_the_rest_is_bitwise(self, sweep):
+        records = sweep(["Abbe-MO", "Bogus-SMO"])
+        alone = sweep(["Abbe-MO"])
+        assert [(r.method, r.clip) for r in records] == [
+            ("Abbe-MO", "c0"),
+            ("Bogus-SMO", "c0"),
+        ]
+        assert records[0].ok
+        assert _content(records[0]) == _content(alone[0])
+        failed = records[1]
+        assert failed.status == "failed"
+        assert failed.attempts == 2  # a deterministic error gets one retry
+        assert failed.error.startswith("KeyError")
+
+
 class TestRunMatrixResilience:
     def test_failing_cell_yields_structured_record_and_sweep_finishes(self):
         ds = _tiny_dataset(2)
@@ -462,7 +519,7 @@ def _toy_pool_cell(cell):
     name, sleep_s = cell
     if sleep_s:
         time.sleep(sleep_s)
-    return [{"cell": name}]
+    return [_ToyRecord(name)]
 
 
 class TestTimeoutsAndDegradation:
@@ -474,7 +531,8 @@ class TestTimeoutsAndDegradation:
             cells,
             labels,
             _toy_pool_cell,
-            _toy_codec(),
+            _ToyRecord,
+            _ToyRecord.failure,
             workers=2,
             pool_factory=lambda: ProcessPoolExecutor(max_workers=2),
             policy=RetryPolicy(max_retries=0, backoff_base=0.001),
@@ -498,7 +556,8 @@ class TestTimeoutsAndDegradation:
             cells,
             labels,
             _toy_pool_cell,
-            _toy_codec(),
+            _ToyRecord,
+            _ToyRecord.failure,
             workers=2,
             pool_factory=lambda: ProcessPoolExecutor(
                 max_workers=2,
