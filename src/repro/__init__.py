@@ -35,7 +35,7 @@ Quickstart
 
 __version__ = "0.1.0"
 
-from . import autodiff, baselines, geometry, harness, layouts, mask, metrics, opt, optics, smo, utils
+from . import autodiff, baselines, geometry, harness, layouts, metrics, opt, optics, smo, utils
 
 __all__ = [
     "__version__",
@@ -45,7 +45,6 @@ __all__ = [
     "optics",
     "smo",
     "baselines",
-    "mask",
     "metrics",
     "opt",
     "harness",

@@ -4,9 +4,9 @@ PyTorch is unavailable in this offline environment, so this package
 recreates the part of ``torch.autograd`` that the BiSMO bilevel solvers
 require: a dynamic graph over float64/complex128 numpy arrays, functional
 ops with double-backward-safe VJPs (FFTs included; the fused imaging
-primitive's streamed VJP is the one graph-free exception), a ``grad``
-driver with ``create_graph``, and exact/FD Hessian-vector and mixed
-Jacobian-vector products.
+primitive's streamed VJP and the resist tail's recorded gradient are
+the graph-free exceptions), a ``grad`` driver with ``create_graph``, and
+exact Hessian-vector products by double backward.
 
 Quick example::
 
@@ -24,9 +24,6 @@ from .grad import (
     grad,
     gradcheck,
     hvp,
-    hvp_fd,
-    mixed_jvp,
-    mixed_jvp_fd,
     numerical_gradient,
 )
 from . import functional
@@ -40,9 +37,6 @@ __all__ = [
     "grad",
     "backward",
     "hvp",
-    "hvp_fd",
-    "mixed_jvp",
-    "mixed_jvp_fd",
     "gradcheck",
     "numerical_gradient",
     "functional",

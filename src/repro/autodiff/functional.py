@@ -1073,6 +1073,13 @@ GRAPH_FREE_VJPS: Dict[str, str] = {
         "does), or image with composed ops, as the composed oracle "
         "ComposedAbbeImaging in tests/oracles.py does"
     ),
+    "resist_corner_grad": (
+        "a create_graph backward through resist_corner_grad (the resist "
+        "tail's recorded gradient) is not supported: the tail "
+        "differentiates twice, not three times.  A third derivative of "
+        "the loss needs the composed resist chain "
+        "(repro.smo.objective.dose_resist)"
+    ),
 }
 
 
@@ -1400,10 +1407,11 @@ def resist_corner_losses(
     * recorded (``create_graph``), that gradient is a second node over
       the same cache, with the closed-form second derivative
       ``2 beta^2 k_c^2 * s(1 - s) * [s(1 - s) + e (1 - 2s)]`` toward the
-      aerial and the per-tile contraction of the first toward ``g``;
-    * a backward through the second node while a graph is recorded
-      rebuilds ``s`` from the aerial with composed ops, so the loss
-      differentiates to any order.
+      aerial and the per-tile contraction of the first toward ``g``.
+
+    So the loss differentiates twice: the second node's VJP is
+    graph-free, and a ``create_graph`` backward through it is refused
+    (:data:`GRAPH_FREE_VJPS`).
     """
     aerials = tuple(as_tensor(a) for a in aerials)
     target = as_tensor(target)
@@ -1482,10 +1490,6 @@ def resist_corner_losses(
         a = aerials[f]
 
         def vjp2(h: Tensor) -> Tuple[Optional[Tensor], ...]:
-            if is_grad_enabled():
-                return _resist_hess_composed(
-                    h, g, a, groups[f], scales, thr, beta, target
-                )
             gg: Optional[np.ndarray] = None
             if g.requires_grad:
                 gg = np.zeros(g.shape)
@@ -1509,43 +1513,6 @@ def resist_corner_losses(
         )
 
     return _make(out, aerials, vjp, "resist_corner_losses")
-
-
-def _resist_hess_composed(
-    h: Tensor,
-    g: Tensor,
-    a: Tensor,
-    corners: np.ndarray,
-    scales: np.ndarray,
-    thr: np.ndarray,
-    beta: float,
-    target: Tensor,
-) -> Tuple[Optional[Tensor], ...]:
-    """Differentiable VJP of one condition's resist-tail gradient node.
-
-    Rebuilds each corner's ``s`` and ``e`` from the aerial with
-    graph-recording ops and returns ``(dg, da)`` — the contraction of
-    ``h`` with the first derivative per tile, and the closed-form second
-    derivative applied to ``g_c h`` — so a recorded backward through the
-    gradient node can be differentiated again.
-    """
-    gg: Optional[Tensor] = None
-    ga: Optional[Tensor] = None
-    for c in corners.tolist():
-        k = float(scales[c])
-        s = sigmoid(mul(sub(mul(a, k), float(thr[c])), beta))
-        e = sub(s, target)
-        p = mul(s, sub(1.0, s))
-        if g.requires_grad:
-            d1 = mul(mul(e, p), 2.0 * beta * k)
-            piece = scatter(sum(mul(h, d1), axis=(-2, -1)), c, g.shape)
-            gg = piece if gg is None else add(gg, piece)
-        if a.requires_grad:
-            d2 = mul(add(p, mul(e, sub(1.0, mul(s, 2.0)))), p)
-            gc = reshape(getitem(g, c), g.shape[1:] + (1, 1))
-            term = mul(mul(h, gc), mul(d2, 2.0 * beta * beta * k * k))
-            ga = term if ga is None else add(ga, term)
-    return (gg, ga)
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Reverse-mode differentiation drivers: ``grad``, ``backward``, HVPs.
 
 These mirror the small slice of ``torch.autograd`` that the BiSMO solvers
-need: a functional :func:`grad` with ``create_graph`` support, exact
-Hessian-vector / mixed-Jacobian-vector products built by double backward,
-finite-difference fallbacks, and a :func:`gradcheck` used extensively by
-the test-suite.
+need: a functional :func:`grad` with ``create_graph`` support, an exact
+Hessian-vector product by double backward (:func:`hvp`), and the
+central-difference :func:`numerical_gradient` / :func:`gradcheck` the
+test-suite checks gradients with.
 """
 
 from __future__ import annotations
@@ -20,9 +20,6 @@ __all__ = [
     "grad",
     "backward",
     "hvp",
-    "mixed_jvp",
-    "hvp_fd",
-    "mixed_jvp_fd",
     "gradcheck",
     "numerical_gradient",
 ]
@@ -85,6 +82,12 @@ def grad(
         raises ``NotImplementedError`` instead.
     allow_unused:
         If False, raise when some input is unreachable from ``output``.
+
+    The walk visits only the nodes with a wanted input at or behind
+    them, and calls a node's VJP only when one of its inputs is such a
+    node: the rest feed no wanted gradient.  So a ``create_graph``
+    backward to an intermediate stops there, however deep the graph
+    that produced it.
     """
     inputs = list(inputs)
     if grad_output is None:
@@ -97,6 +100,16 @@ def grad(
     grads: dict[int, Tensor] = {id(output): grad_output}
     wanted = {id(t) for t in inputs}
     result: dict[int, Tensor] = {}
+    # Parents come first in ``order``, so one pass finds ``keep``, the
+    # nodes with a wanted input at or behind them, and ``expand``, the
+    # nodes with an input in ``keep`` (whose VJP feeds a wanted input).
+    keep: set[int] = set()
+    expand: set[int] = set()
+    for node in order:
+        if any(id(p) in keep for p in node._inputs):
+            expand.add(id(node))
+        if id(node) in expand or id(node) in wanted:
+            keep.add(id(node))
 
     ctx = enable_grad() if create_graph else no_grad()
     with ctx:
@@ -106,13 +119,13 @@ def grad(
                 continue
             if id(node) in wanted:
                 result[id(node)] = _match_grad(g, node)
-            if node._vjp is None:
+            if node._vjp is None or id(node) not in expand:
                 continue
             if create_graph and node._op in F.GRAPH_FREE_VJPS:
                 raise NotImplementedError(F.GRAPH_FREE_VJPS[node._op])
             in_grads = node._vjp(g)
             for parent, ig in zip(node._inputs, in_grads):
-                if ig is None or not parent.requires_grad:
+                if ig is None or id(parent) not in keep:
                     continue
                 ig = _match_grad(ig, parent)
                 prev = grads.get(id(parent))
@@ -178,73 +191,6 @@ def hvp(
     inner = F.dot(g, v.detach())
     (hv,) = grad(inner, [x])
     return hv
-
-
-def mixed_jvp(
-    loss_fn: Callable[[Tensor, Tensor], Tensor],
-    x: Tensor,
-    y: Tensor,
-    v: Tensor,
-) -> Tensor:
-    """Exact mixed second-derivative product ``(d2 loss / dy dx) @ v``.
-
-    Returns a tensor shaped like ``y``: the derivative w.r.t. ``y`` of
-    ``<d loss/d x, v>``.  This is the best-response-Jacobian building
-    block of Equation (12)/(14) in the paper (x = theta_J, y = theta_M).
-    """
-    x = Tensor(x.data, requires_grad=True)
-    y = Tensor(y.data, requires_grad=True)
-    loss = loss_fn(x, y)
-    (gx,) = grad(loss, [x], create_graph=True)
-    inner = F.dot(gx, v.detach())
-    (gy,) = grad(inner, [y], allow_unused=True)
-    if gy is None:
-        return F.zeros_like(y)
-    return gy
-
-
-# ----------------------------------------------------------------------
-# second-order products (finite-difference fallback)
-# ----------------------------------------------------------------------
-def hvp_fd(
-    grad_fn: Callable[[Tensor], Tensor],
-    x: Tensor,
-    v: Tensor,
-    eps: float = 1e-3,
-) -> Tensor:
-    """Central finite difference of a gradient function: ``H @ v``.
-
-    ``grad_fn(x)`` must return ``d loss/d x``.  The step is scaled by
-    ``eps / ||v||`` as in the DARTS reference implementation.
-    """
-    vn = float(np.linalg.norm(v.data.ravel()))
-    if vn == 0.0:
-        return F.zeros_like(x)
-    h = eps / vn
-    xp = Tensor(x.data + h * v.data)
-    xm = Tensor(x.data - h * v.data)
-    gp = grad_fn(xp)
-    gm = grad_fn(xm)
-    return Tensor((gp.data - gm.data) / (2.0 * h))
-
-
-def mixed_jvp_fd(
-    grad_y_fn: Callable[[Tensor], Tensor],
-    x: Tensor,
-    v: Tensor,
-    eps: float = 1e-3,
-) -> Tensor:
-    """Central FD of ``d loss/d y`` as ``x`` moves along ``v``.
-
-    ``grad_y_fn(x)`` must return ``d loss(x, y)/d y`` at fixed ``y``.
-    """
-    vn = float(np.linalg.norm(v.data.ravel()))
-    if vn == 0.0:
-        raise ValueError("mixed_jvp_fd needs a nonzero direction")
-    h = eps / vn
-    gp = grad_y_fn(Tensor(x.data + h * v.data))
-    gm = grad_y_fn(Tensor(x.data - h * v.data))
-    return Tensor((gp.data - gm.data) / (2.0 * h))
 
 
 # ----------------------------------------------------------------------

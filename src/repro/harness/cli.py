@@ -50,6 +50,14 @@ def _aberration_spec(text: str) -> dict:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for --clips: a count of at least one."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1; got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bismo",
@@ -59,7 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--scale", default="small", help="optical preset: small/default/paper")
-        p.add_argument("--clips", type=int, default=2, help="clips per dataset")
+        p.add_argument(
+            "--clips", type=_positive_int, default=2, help="clips per dataset"
+        )
         p.add_argument("--iterations", type=int, default=30)
         p.add_argument("--lr", type=float, default=0.1)
         p.add_argument("--out", type=Path, default=None, help="directory for CSV output")
@@ -231,7 +241,7 @@ def _scale_problem(scale: str) -> Optional[str]:
 
 
 def _datasets(args: argparse.Namespace):
-    return [dataset_by_name(n, num_clips=max(args.clips, 1)) for n in DATASET_NAMES]
+    return [dataset_by_name(n, num_clips=args.clips) for n in DATASET_NAMES]
 
 
 @contextlib.contextmanager
@@ -361,8 +371,8 @@ def _run_command(
             robust=args.robust,
             robust_tau=args.tau,
         )
-        ds = dataset_by_name(args.dataset, num_clips=max(args.clips, 1))
-        clips = list(ds)[: args.clips]
+        ds = dataset_by_name(args.dataset, num_clips=args.clips)
+        clips = list(ds)
         methods = args.methods or ["Abbe-MO", "BiSMO-NMN"]
         records = run_process_window(
             methods,

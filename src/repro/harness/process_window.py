@@ -21,7 +21,7 @@ import numpy as np
 
 from ..layouts import Clip
 from ..metrics import epe_report, l2_error_nm2, pvb_band_nm2
-from ..optics import OpticalConfig, ProcessWindow
+from ..optics import ProcessWindow
 from ..smo import SMOResult, ProcessWindowSMOObjective, init_theta_source
 from ..smo.objective import robust_tile_losses
 from .. import obs

@@ -455,13 +455,10 @@ def execute_cells(
             journal.append(outcome)
 
     def finish_ok(
-        idx: int,
-        records: List[Any],
-        announce: bool,
-        seconds: Optional[float] = None,
+        idx: int, records: List[Any], seconds: Optional[float] = None
     ) -> None:
         finish(CellOutcome(idx, labels[idx], "ok", attempts[idx], records))
-        if progress and announce:
+        if progress:
             progress(
                 CellProgress(
                     labels[idx], "ok", seconds=seconds, attempts=attempts[idx]
@@ -525,7 +522,7 @@ def execute_cells(
             except Exception as exc:
                 handle_cell_error(idx, exc, seconds=time.monotonic() - t0)
             else:
-                finish_ok(idx, records, True, seconds=time.monotonic() - t0)
+                finish_ok(idx, records, seconds=time.monotonic() - t0)
 
     try:
         if workers <= 1 or pool_factory is None:
@@ -674,7 +671,7 @@ def _run_parallel(
                 except Exception as exc:
                     handle_cell_error(idx, exc, seconds=elapsed)
                 else:
-                    finish_ok(idx, records, True, seconds=elapsed)
+                    finish_ok(idx, records, seconds=elapsed)
             if broke:
                 requeue_in_flight()
                 _stop_pool(pool, kill=False)

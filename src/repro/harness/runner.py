@@ -41,7 +41,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .. import autodiff as ad
 from ..baselines import MultiLevelILT, NILTBaseline
 from ..layouts import Clip, Dataset, tile_stack
 from ..metrics import epe_report, l2_error_nm2, pvb_nm2

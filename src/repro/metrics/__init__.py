@@ -16,7 +16,3 @@ __all__ = [
     "epe_report",
     "DEFAULT_EPE_TOLERANCE_NM",
 ]
-
-from .diagnostics import image_contrast, meef, nils_at_edges
-
-__all__ += ["image_contrast", "nils_at_edges", "meef"]

@@ -80,11 +80,11 @@ class HypergradientContext:
     conjugate gradient (:mod:`repro.smo.cg`) and the unrolled reverse
     sweep (:mod:`repro.smo.unroll`).
 
-    With an intensity basis — a :class:`SourceBasisLoss` from the
-    objective's ``source_only_loss`` or passed as ``so_loss_fn`` — the
-    context cuts the graph at the aerial image.  With ``A(M, c) =
-    sum_s c_s X_s(M)`` linear in the normalized source weights
-    ``jhat``, ``T`` the loss tail below ``A`` and ``G = dT/dA``:
+    ``basis`` is the objective's :class:`SourceBasisLoss` at the fixed
+    theta_M (``objective.source_only_loss(theta_m)``), and the context
+    cuts the graph at the aerial image.  With ``A(M, c) = sum_s c_s
+    X_s(M)`` linear in the normalized source weights ``jhat``, ``T`` the
+    loss tail below ``A`` and ``G = dT/dA``:
 
     * the loss, ``grad_j`` and every HVP come from the basis, with no
       FFT (a double backward over ``theta_J -> jhat -> A -> T``);
@@ -101,53 +101,11 @@ class HypergradientContext:
 
     This is exact for any tail (sum, log-sum-exp max and adaptive
     corner weights alike), because ``A`` is linear in ``jhat`` and ``T``
-    sees only ``A``.  Objectives without a basis (duck-typed objectives,
-    such as the quadratic toy of the tests) use the composed reference
-    instead: one loss evaluation with ``create_graph=True`` and a
-    second backward through its gradient graph; there
-    ``mixed_vjp(w, direct=c)`` is literally ``grad_m - c *
-    mixed_vjp(w)``.  The imaging primitive's VJP is graph-free, so the
-    composed reference needs an objective whose images are composed ops
-    (``tests/oracles.py``'s ``ComposedAbbeImaging``).
-
-    ``objective`` is any SMO objective exposing ``loss(theta_j,
-    theta_m)`` — usually :class:`ProcessWindowSMOObjective`, whose
-    ``theta_m`` is a ``(B, N, N)`` stack for a multi-clip target.
+    sees only ``A``.
     """
 
-    def __init__(
-        self,
-        objective: ProcessWindowSMOObjective,
-        theta_j: np.ndarray,
-        theta_m: np.ndarray,
-        so_loss_fn: Optional[Callable[[ad.Tensor], ad.Tensor]] = None,
-    ):
-        self.objective = objective
-        self._tj = ad.Tensor(theta_j, requires_grad=True)
-        self._tm = ad.Tensor(theta_m, requires_grad=True)
-        self._so_gj_graph: Optional[ad.Tensor] = None
-        # ``so_loss_fn`` lets the driver share one basis across the whole
-        # outer iteration; otherwise the objective's factory builds it.
-        if so_loss_fn is None:
-            so_loss_fn = _source_only_loss(objective, theta_m)
-        self._so_loss_fn = so_loss_fn
-        self._basis = (
-            so_loss_fn if isinstance(so_loss_fn, SourceBasisLoss) else None
-        )
-        if self._basis is not None:
-            self._init_from_basis(self._basis, theta_j)
-            return
-        loss = objective.loss(self._tj, self._tm)
-        self.loss_value = float(loss.data)
-        gj, gm = ad.grad(loss, [self._tj, self._tm], create_graph=True)
-        self._gj_graph = gj
-        self.grad_j = gj.data.copy()
-        self._grad_m: Optional[np.ndarray] = gm.data.copy()
-
-    def _init_from_basis(
-        self, basis: SourceBasisLoss, theta_j: np.ndarray
-    ) -> None:
-        """Exact state from the intensity basis (graph cut at ``A``)."""
+    def __init__(self, basis: SourceBasisLoss, theta_j: np.ndarray):
+        self.basis = basis
         tj = ad.Tensor(theta_j, requires_grad=True)
         jn = basis.weights(tj)
         aerials = basis.aerials(jn)
@@ -155,7 +113,7 @@ class HypergradientContext:
         self.loss_value = float(loss.data)
         # HVP graph theta_J -> jhat -> A -> T: FFT-free.
         (gj,) = ad.grad(loss, [tj], create_graph=True)
-        self._so_tj, self._so_gj_graph = tj, gj
+        self._tj, self._gj = tj, gj
         self.grad_j = gj.data.copy()
         # The tail alone, from leaf aerials: G = dT/dA with its graph, for
         # G' = (d^2 T / dA^2) A(M, delta) in mixed_vjp.
@@ -168,43 +126,34 @@ class HypergradientContext:
             jn, [tj], grad_output=self._u, create_graph=True
         )
         self._jn = jn.data
-        self._grad_m = None  # the hypergradient folds it in unread
+        # The hypergradient folds grad_m in unread.
+        self._grad_m: Optional[np.ndarray] = None
 
     def at(self, theta_j: np.ndarray) -> "HypergradientContext":
         """The context at another ``theta_J`` and the same ``theta_M``,
         on the same intensity basis (no re-imaging)."""
-        return HypergradientContext(
-            self.objective, theta_j, self._tm.data, so_loss_fn=self._so_loss_fn
-        )
-
-    @property
-    def basis(self) -> Optional[SourceBasisLoss]:
-        """The intensity basis the oracles run on; None on the composed
-        path."""
-        return self._basis
+        return HypergradientContext(self.basis, theta_j)
 
     @property
     def grad_m(self) -> np.ndarray:
-        """The direct gradient ``dL / d theta_M`` (on the basis path,
-        one mask-adjoint pass on first read)."""
+        """The direct gradient ``dL / d theta_M``: one mask-adjoint pass
+        on first read."""
         if self._grad_m is None:
-            self._grad_m = self._basis.mask_grad([self.grad_m_term])
+            self._grad_m = self.basis.mask_grad([self.grad_m_term])
         return self._grad_m
 
     @property
     def grad_m_term(self) -> Tuple[np.ndarray, List[np.ndarray]]:
         """``grad_m`` as a :meth:`SourceBasisLoss.mask_grad` term,
-        ``(jhat, G)`` (basis path only)."""
+        ``(jhat, G)``."""
         return self._jn, [g.data for g in self._g]
 
     # -- second-order oracles -------------------------------------------
     def hvp(self, p: np.ndarray) -> np.ndarray:
         """(d^2 L_so / d theta_J^2) @ p."""
-        if self._basis is not None:
-            graph, leaf = self._so_gj_graph, self._so_tj
-        else:
-            graph, leaf = self._gj_graph, self._tj
-        (h,) = ad.grad(F.dot(graph, ad.Tensor(p)), [leaf], allow_unused=True)
+        (h,) = ad.grad(
+            F.dot(self._gj, ad.Tensor(p)), [self._tj], allow_unused=True
+        )
         return np.zeros_like(p) if h is None else h.data
 
     def mixed_vjp(
@@ -213,32 +162,24 @@ class HypergradientContext:
         """(d^2 L_so / d theta_M d theta_J) @ w — gradient-fusion term.
 
         With ``direct=c`` it returns the hypergradient ``grad_m - c *
-        mixed_vjp(w)``; on the basis path that is still one mask-adjoint
-        pass.
+        mixed_vjp(w)``, still in one mask-adjoint pass.
         """
-        if self._basis is not None:
-            (delta, grads), (jn, g_prime) = self.mixed_terms(w)
-            if direct is None:
-                terms = [(delta, grads), (jn, g_prime)]
-            else:  # the adjoint is linear in each term's weights
-                terms = [(jn - direct * delta, grads), (-direct * jn, g_prime)]
-            return self._basis.mask_grad(terms)
-        inner = F.dot(self._gj_graph, ad.Tensor(w))
-        (gm,) = ad.grad(inner, [self._tm], allow_unused=True)
-        m = np.zeros_like(self._tm.data) if gm is None else gm.data
-        return m if direct is None else self.grad_m - direct * m
+        (delta, grads), (jn, g_prime) = self.mixed_terms(w)
+        if direct is None:
+            terms = [(delta, grads), (jn, g_prime)]
+        else:  # the adjoint is linear in each term's weights
+            terms = [(jn - direct * delta, grads), (-direct * jn, g_prime)]
+        return self.basis.mask_grad(terms)
 
     def mixed_terms(
         self, w: np.ndarray
     ) -> List[Tuple[np.ndarray, List[np.ndarray]]]:
         """``mixed_vjp(w)`` as its two :meth:`SourceBasisLoss.mask_grad`
-        terms, ``(delta, G)`` and ``(jhat, G')``, before any pass runs
-        (basis path only): ``grad_M <A(M, delta), G> + grad_M <A(M,
-        jhat), G'>``."""
-        basis = self._basis
+        terms, ``(delta, G)`` and ``(jhat, G')``, before any pass runs:
+        ``grad_M <A(M, delta), G> + grad_M <A(M, jhat), G'>``."""
         (delta,) = ad.grad(F.dot(self._jt_u, ad.Tensor(w)), [self._u])
         inner: Optional[ad.Tensor] = None
-        for g, a_delta in zip(self._g, basis.aerials(delta)):  # FFT-free
+        for g, a_delta in zip(self._g, self.basis.aerials(delta)):  # FFT-free
             term = F.dot(g, a_delta)
             inner = term if inner is None else F.add(inner, term)
         g2 = ad.grad(inner, self._a, allow_unused=True)
@@ -247,11 +188,6 @@ class HypergradientContext:
             for g, a in zip(g2, self._a)
         ]
         return [(delta.data, [g.data for g in self._g]), (self._jn, g_prime)]
-
-
-def _source_only_loss(objective, theta_m: np.ndarray) -> Optional[Callable]:
-    factory = getattr(objective, "source_only_loss", None)
-    return factory(theta_m) if factory is not None else None
 
 
 #: ``(ctx, inner_lr, terms, damping, warm, iterates) -> (hyper, warm)``;
@@ -327,7 +263,9 @@ class BiSMO:
         loop on true worst-case SMO.
     objective:
         A pre-built objective; overrides the one built from ``target``,
-        ``process_window`` and ``robust``.
+        ``process_window`` and ``robust``.  It must expose
+        ``source_only_loss(theta_m)`` returning a :class:`SourceBasisLoss`
+        (every :class:`HypergradientContext` runs on it).
     """
 
     def __init__(
@@ -353,6 +291,15 @@ class BiSMO:
         self.objective = objective or ProcessWindowSMOObjective(
             config, self.target, process_window, robust=robust, tau=robust_tau
         )
+        if not hasattr(self.objective, "source_only_loss"):
+            kind = type(self.objective).__name__
+            raise TypeError(
+                "BiSMO needs an objective with source_only_loss(theta_m) "
+                "returning a SourceBasisLoss, the intensity basis its "
+                f"hypergradient oracles run on; {kind} has none.  The "
+                "composed create_graph reference context is "
+                "ComposedHypergradientContext in tests/oracles.py"
+            )
         self.method = method.lower()
         self.seed = int(seed)
         self._hyper_fn = _resolve_method(method)
@@ -412,13 +359,7 @@ class BiSMO:
         # objective's FFT-free source-only loss (one intensity basis,
         # shared with the hypergradient oracles below) carries every
         # inner step and second-order product of this iteration.
-        so_loss = _source_only_loss(self.objective, theta_m)
-        if so_loss is None:
-            tm_fixed = ad.Tensor(theta_m)
-
-            def so_loss(tj: ad.Tensor) -> ad.Tensor:
-                return self.objective.loss(tj, tm_fixed)
-
+        so_loss = self.objective.source_only_loss(theta_m)
         iterates = []
         for _ in range(self.unroll_steps):
             iterates.append(theta_j)
@@ -426,9 +367,7 @@ class BiSMO:
             (gj,) = ad.grad(so_loss(tj), [tj])
             theta_j = inner_opt.step(theta_j, gj.data)
         # ---- Alg. 2 lines 5-12: hypergradient -------------------------
-        ctx = HypergradientContext(
-            self.objective, theta_j, theta_m, so_loss_fn=so_loss
-        )
+        ctx = HypergradientContext(so_loss, theta_j)
         # Capture per-tile losses and the corner matrix now: they belong
         # to ctx's loss evaluation at theta_J^T, and the unroll strategy
         # re-evaluates the tail at the earlier iterates below (clobbering

@@ -485,27 +485,6 @@ class SourceBasisLoss:
             for st, cp in pairs
         ]
 
-    @classmethod
-    def maybe(
-        cls,
-        engine: ImagingEngine,
-        config: OpticalConfig,
-        theta_m: np.ndarray,
-        tail: Callable[[Sequence[ad.Tensor]], ad.Tensor],
-        conditions: Sequence,
-    ) -> Optional["SourceBasisLoss"]:
-        """The basis loss, or ``None`` for an engine without an intensity
-        basis."""
-        needed = (
-            "source_intensity_basis",
-            "condition_stacks",
-            "normalized_weights",
-            "pupil_centres",
-        )
-        if not all(hasattr(engine, name) for name in needed):
-            return None
-        return cls(engine, config, theta_m, tail, conditions)
-
     def weights(self, theta_j: ad.Tensor) -> ad.Tensor:
         """Normalized source weights ``jhat(theta_J)`` (a graph)."""
         source = source_from_theta(theta_j, self.config)
@@ -661,10 +640,11 @@ class ProcessWindowSMOObjective(_WindowObjective):
     tiles); ``theta_M`` must have the target's shape.  Every evaluation
     stashes the ``(C, B)`` corner matrix on ``last_corner_losses`` and,
     for a stack, the per-tile losses on ``last_tile_losses``, at no
-    extra imaging cost.  Differentiable in both parameters to any
-    order; ``source_only_loss`` exposes the FFT-free per-condition
-    intensity bases that BiSMO's inner steps and exact hypergradient
-    oracles work from.
+    extra imaging cost.  ``loss`` is differentiable in both parameters;
+    its second derivatives come from ``source_only_loss``, the FFT-free
+    per-condition intensity bases that BiSMO's inner steps and exact
+    second-order oracles work from (the imaging primitive's VJP is
+    graph-free, and the resist tail differentiates twice).
     """
 
     def __init__(
@@ -717,7 +697,7 @@ class ProcessWindowSMOObjective(_WindowObjective):
         sq = (resists - self.target.data) ** 2
         return sq.sum(axis=(-2, -1)).reshape(self.window.num_corners, -1)
 
-    def source_only_loss(self, theta_m: np.ndarray) -> Optional["SourceBasisLoss"]:
+    def source_only_loss(self, theta_m: np.ndarray) -> SourceBasisLoss:
         """The robust loss at fixed ``theta_M`` as an FFT-free function of
         ``theta_J``: a :class:`SourceBasisLoss` with one intensity basis
         per distinct pupil condition of the window (Abbe's aerial is
@@ -727,11 +707,9 @@ class ProcessWindowSMOObjective(_WindowObjective):
         inner-Hessian oracle; BiSMO's exact hypergradient oracles also
         take their mask adjoint from it.  Adaptive corner weights are
         read at *call* time, so the object tracks the minimax ascent.
-        Returns ``None`` for custom engines that do not expose an
-        intensity basis.
         """
         _check_theta_m(theta_m, self.target)
-        return SourceBasisLoss.maybe(
+        return SourceBasisLoss(
             self.engine, self.config, theta_m, self._tail,
             self.window.conditions(),
         )

@@ -55,21 +55,13 @@ def unrolled_hypergradient(
     del terms, damping  # not used by the unroll strategy
     if len(iterates) < 1:
         raise ValueError("unrolled differentiation needs at least one inner step")
-    basis = ctx.basis
     lam = ctx.grad_j
-    # On the basis path the sweep collects the terms of one mask-adjoint
-    # pass; on the composed path it sums the products directly.
-    adjoint = [ctx.grad_m_term] if basis is not None else []
-    hyper = ctx.grad_m if basis is None else None
+    # The sweep collects the 2T + 1 terms of one mask-adjoint pass.
+    adjoint = [ctx.grad_m_term]
     for t in reversed(range(len(iterates))):
         step = ctx.at(iterates[t])
-        if basis is not None:
-            adjoint += [(-inner_lr * c, g) for c, g in step.mixed_terms(lam)]
-        else:
-            hyper = hyper - inner_lr * step.mixed_vjp(lam)
+        adjoint += [(-inner_lr * c, g) for c, g in step.mixed_terms(lam)]
         if t > 0:
             lam = lam - inner_lr * step.hvp(lam)
         del step  # one earlier-iterate context alive at a time
-    if basis is not None:
-        hyper = basis.mask_grad(adjoint)
-    return hyper, warm
+    return ctx.basis.mask_grad(adjoint), warm

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Any, Optional, Tuple
+from unittest import mock
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from repro.optics import (
     engine_for,
     fftlib,
 )
-from repro.smo import mask_from_theta, smo_loss_from_aerial, source_from_theta
+from repro.smo import bismo, mask_from_theta, smo_loss_from_aerial, source_from_theta
 from repro.utils.memory import require_memory
 
 
@@ -237,6 +238,83 @@ def unrolled_hypergradient_composed(
     return gm.data, cur.data.copy(), float(loss.data)
 
 
+class ComposedSourceLoss:
+    """The composed stand-in for ``source_only_loss(theta_m)``: the
+    objective's full ``loss`` at a fixed ``theta_M``, callable on
+    ``theta_J``.  It carries no intensity basis, so the composed context
+    below differentiates the whole graph instead."""
+
+    def __init__(self, objective, theta_m: np.ndarray):
+        self.objective = objective
+        self.theta_m = np.asarray(theta_m, dtype=np.float64)
+
+    def __call__(self, theta_j: ad.Tensor) -> ad.Tensor:
+        return self.objective.loss(theta_j, ad.Tensor(self.theta_m))
+
+
+class ComposedHypergradientContext:
+    """The composed ``create_graph`` reference of
+    ``repro.smo.bismo.HypergradientContext``, with the same interface.
+
+    One loss evaluation with ``create_graph=True`` gives ``grad_j`` and
+    ``grad_m`` with their graphs; :meth:`hvp` and :meth:`mixed_vjp` are
+    second backwards through the ``grad_j`` graph, and
+    ``mixed_vjp(w, direct=c)`` is literally ``grad_m - c *
+    mixed_vjp(w)``.  The imaging primitive's VJP is graph-free, so the
+    objective's images must be composed ops (``ComposedAbbeImaging``, or
+    a duck-typed objective such as the quadratic toy).
+    """
+
+    basis = None
+
+    def __init__(self, so_loss: ComposedSourceLoss, theta_j: np.ndarray):
+        self.so_loss = so_loss
+        self._tj = ad.Tensor(theta_j, requires_grad=True)
+        self._tm = ad.Tensor(so_loss.theta_m, requires_grad=True)
+        loss = so_loss.objective.loss(self._tj, self._tm)
+        self.loss_value = float(loss.data)
+        gj, gm = ad.grad(loss, [self._tj, self._tm], create_graph=True)
+        self._gj_graph = gj
+        self.grad_j = gj.data.copy()
+        self.grad_m = gm.data.copy()
+
+    def at(self, theta_j: np.ndarray) -> "ComposedHypergradientContext":
+        return ComposedHypergradientContext(self.so_loss, theta_j)
+
+    def hvp(self, p: np.ndarray) -> np.ndarray:
+        inner = F.dot(self._gj_graph, ad.Tensor(p))
+        (h,) = ad.grad(inner, [self._tj], allow_unused=True)
+        return np.zeros_like(p) if h is None else h.data
+
+    def mixed_vjp(
+        self, w: np.ndarray, direct: Optional[float] = None
+    ) -> np.ndarray:
+        inner = F.dot(self._gj_graph, ad.Tensor(w))
+        (gm,) = ad.grad(inner, [self._tm], allow_unused=True)
+        m = np.zeros_like(self._tm.data) if gm is None else gm.data
+        return m if direct is None else self.grad_m - direct * m
+
+
+def composed_context(
+    objective, theta_j: np.ndarray, theta_m: np.ndarray
+) -> ComposedHypergradientContext:
+    """The composed reference context of ``objective`` at
+    ``(theta_j, theta_m)``."""
+    return ComposedHypergradientContext(
+        ComposedSourceLoss(objective, theta_m), theta_j
+    )
+
+
+def run_composed(solver, *args: Any, **kwargs: Any):
+    """``solver.run(*args, **kwargs)`` with every hypergradient context
+    the composed reference: BiSMO's objective must return a
+    ``ComposedSourceLoss`` from ``source_only_loss``."""
+    with mock.patch.object(
+        bismo, "HypergradientContext", ComposedHypergradientContext
+    ):
+        return solver.run(*args, **kwargs)
+
+
 class LoopedSMOObjective:
     """Reference joint SMO loss: a Python loop over per-tile graphs.
 
@@ -245,12 +323,12 @@ class LoopedSMOObjective:
     ``theta_J``, the loss summed over the ``theta_M`` stack), but each
     tile builds its own single-tile graph from the Eq. (7)-(8) formula
     ``smo_loss_from_aerial(engine.aerial(...))``: the pre-batching
-    consumer pattern, with no process-window code in the loop.  It
-    deliberately has no ``source_only_loss``, so BiSMO and
-    ``HypergradientContext`` run the composed ``create_graph`` oracle
-    on it; that needs a composed-op engine (``ComposedAbbeImaging``),
-    since the fused imaging primitive refuses a ``create_graph``
-    backward.
+    consumer pattern, with no process-window code in the loop.  Its
+    ``source_only_loss`` is a :class:`ComposedSourceLoss`, so the
+    composed ``create_graph`` oracle runs on it (``composed_context``,
+    ``run_composed``); that needs a composed-op engine
+    (``ComposedAbbeImaging``), since the fused imaging primitive refuses
+    a ``create_graph`` backward.
     """
 
     def __init__(
@@ -290,3 +368,6 @@ class LoopedSMOObjective:
         assert total is not None
         self.last_tile_losses = per_tile
         return total
+
+    def source_only_loss(self, theta_m: np.ndarray) -> ComposedSourceLoss:
+        return ComposedSourceLoss(self, theta_m)

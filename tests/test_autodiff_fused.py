@@ -344,3 +344,27 @@ class TestCreateGraphFallback:
             assert name in str(err.value)
         (g,) = ad.grad(out, [m])  # the graph-free backward still runs
         assert np.all(np.isfinite(g.data))
+
+    @pytest.mark.parametrize("behind", [False, True])
+    def test_create_graph_backward_stops_at_the_wanted_input(
+        self, kernels, weights, behind
+    ):
+        """A ``create_graph`` backward to an intermediate ``y`` never
+        calls the VJP of the imaging node at or behind ``y``."""
+        m = ad.Tensor(_masks(False, False), requires_grad=True)
+        y = F.incoherent_image(m, kernels, weights)
+        if behind:
+            y = F.mul(y, 3.0)
+        (g,) = ad.grad(F.sum(F.power(y, 2.0)), [y], create_graph=True)
+        np.testing.assert_allclose(g.data, 2.0 * y.data, rtol=1e-15)
+
+    def test_create_graph_backward_through_imaging_still_raises(
+        self, kernels, weights
+    ):
+        """With the imaging node between the output and the wanted
+        input, the walk must call its VJP, and refuses."""
+        m = ad.Tensor(_masks(False, False), requires_grad=True)
+        x = F.mul(m, 2.0)
+        y = F.incoherent_image(x, kernels, weights)
+        with pytest.raises(NotImplementedError, match="incoherent_image_stack"):
+            ad.grad(F.sum(F.power(y, 2.0)), [x], create_graph=True)

@@ -108,13 +108,16 @@ class TestSecondOrder:
         v = ad.Tensor(rng.standard_normal((3, 3)))
         hv = ad.hvp(_quadratic_loss, x, v)
 
-        def grad_fn(t):
-            t = ad.Tensor(t.data, requires_grad=True)
+        def grad_at(data):
+            t = ad.Tensor(data, requires_grad=True)
             (g,) = ad.grad(_quadratic_loss(t), [t])
-            return g
+            return g.data
 
-        hv_fd = ad.hvp_fd(grad_fn, x, v, eps=1e-4)
-        np.testing.assert_allclose(hv.data, hv_fd.data, atol=1e-6)
+        h = 1e-4 / np.linalg.norm(v.data)
+        hv_fd = (grad_at(x.data + h * v.data) - grad_at(x.data - h * v.data)) / (
+            2.0 * h
+        )
+        np.testing.assert_allclose(hv.data, hv_fd, atol=1e-6)
 
     def test_hvp_on_pure_quadratic_is_exact(self, rng):
         a = rng.standard_normal((4, 4))
@@ -130,6 +133,16 @@ class TestSecondOrder:
         hv = ad.hvp(loss, x, ad.Tensor(v))
         np.testing.assert_allclose(hv.data, a @ v, atol=1e-10)
 
+    @staticmethod
+    def _mixed(loss, a, b, v):
+        """``(d2 loss / db da) @ v`` by double backward: the gradient in
+        ``b`` of ``<d loss / d a, v>`` (None when it does not reach ``b``)."""
+        at = ad.Tensor(a.data, requires_grad=True)
+        bt = ad.Tensor(b.data, requires_grad=True)
+        (ga,) = ad.grad(loss(at, bt), [at], create_graph=True)
+        (gb,) = ad.grad(F.dot(ga, v), [bt], allow_unused=True)
+        return gb
+
     def test_mixed_jvp_matches_fd(self, rng):
         def loss(a, b):
             return F.sum(F.power(F.mul(F.sigmoid(a), F.sigmoid(b)), 2.0))
@@ -137,35 +150,28 @@ class TestSecondOrder:
         a = ad.Tensor(rng.standard_normal(5))
         b = ad.Tensor(rng.standard_normal(5))
         v = ad.Tensor(rng.standard_normal(5))
-        mj = ad.mixed_jvp(loss, a, b, v)
+        mj = self._mixed(loss, a, b, v)
 
-        def gy_fn(at):
-            at2 = ad.Tensor(at.data, requires_grad=True)
+        def grad_b_at(a_data):
             bt = ad.Tensor(b.data, requires_grad=True)
-            (g,) = ad.grad(loss(at2, bt), [bt])
-            return g
+            (g,) = ad.grad(loss(ad.Tensor(a_data), bt), [bt])
+            return g.data
 
-        mj_fd = ad.mixed_jvp_fd(gy_fn, a, v, eps=1e-4)
-        np.testing.assert_allclose(mj.data, mj_fd.data, atol=1e-6)
+        h = 1e-4 / np.linalg.norm(v.data)
+        mj_fd = (grad_b_at(a.data + h * v.data) - grad_b_at(a.data - h * v.data)) / (
+            2.0 * h
+        )
+        np.testing.assert_allclose(mj.data, mj_fd, atol=1e-6)
 
     def test_mixed_jvp_decoupled_is_zero(self, rng):
+        """The gradient of a decoupled loss in ``a`` never reaches ``b``."""
+
         def loss(a, b):
             return F.add(F.sum(F.mul(a, a)), F.sum(F.mul(b, b)))
 
         a = ad.Tensor(rng.standard_normal(3))
         b = ad.Tensor(rng.standard_normal(3))
-        mj = ad.mixed_jvp(loss, a, b, ad.Tensor(np.ones(3)))
-        np.testing.assert_allclose(mj.data, np.zeros(3), atol=1e-12)
-
-    def test_hvp_fd_zero_direction(self):
-        x = ad.Tensor([1.0, 2.0])
-        out = ad.hvp_fd(lambda t: t, x, ad.Tensor([0.0, 0.0]))
-        np.testing.assert_allclose(out.data, [0.0, 0.0])
-
-    def test_mixed_jvp_fd_zero_direction_raises(self):
-        x = ad.Tensor([1.0])
-        with pytest.raises(ValueError):
-            ad.mixed_jvp_fd(lambda t: t, x, ad.Tensor([0.0]))
+        assert self._mixed(loss, a, b, ad.Tensor(np.ones(3))) is None
 
 
 class TestGradcheckHarness:

@@ -210,6 +210,16 @@ class TestCLI:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["table3", "table4", "pwindow", "fig5"])
+    def test_parser_refuses_a_non_positive_clip_count(
+        self, command, value, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--clips", value])
+        assert exc.value.code == 2
+        assert "--clips" in capsys.readouterr().err
+
     def test_main_refuses_a_preset_whose_tile_the_clips_do_not_use(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["table3", "--scale", "tiny", "--clips", "1",

@@ -3,11 +3,12 @@
 The exact hypergradient oracles cut the graph at the aerial image: the
 loss, ``grad_j`` and every HVP come from the FFT-free intensity basis,
 and the mask side is one streamed mask-adjoint pass.  These tests pin
-them against the composed ``create_graph`` oracle (objectives on the
-composed-op engine ``ComposedAbbeImaging`` with the basis hidden),
-against central differences, and check that no ``create_graph``
-backward runs through the imaging primitives (the fused primitive
-refuses one).  The hypergradient ``grad_m - c * mixed_vjp(w)`` is one
+them against the composed ``create_graph`` oracle
+(``tests/oracles.py``'s ``ComposedHypergradientContext`` on objectives
+built on the composed-op engine ``ComposedAbbeImaging``), against
+central differences, and check that no ``create_graph`` backward runs
+through the imaging primitives (the fused primitive refuses one) and
+that BiSMO refuses an objective without a basis.  The hypergradient ``grad_m - c * mixed_vjp(w)`` is one
 folded mask-adjoint pass; it is pinned against the two-pass form, per
 strategy, and by the number of passes a BiSMO run makes.  BiSMO-UNROLL's
 reverse sweep over the same oracles is pinned against the graph built
@@ -49,7 +50,10 @@ from repro.utils import memory
 from repro.utils.seed import seeded_rng
 from tests.oracles import (
     ComposedAbbeImaging,
+    ComposedSourceLoss,
     LoopedSMOObjective,
+    composed_context,
+    run_composed,
     unrolled_hypergradient_composed,
 )
 
@@ -60,8 +64,7 @@ FOLD_RTOL = 1e-12
 
 
 class BasisHidden:
-    """An objective with its intensity basis hidden: BiSMO and
-    HypergradientContext then take the composed ``create_graph`` path."""
+    """An objective with its intensity basis hidden: BiSMO refuses it."""
 
     def __init__(self, objective):
         self._objective = objective
@@ -72,22 +75,29 @@ class BasisHidden:
         return getattr(self._objective, name)
 
 
-class ComposedOnly(BasisHidden):
+class ComposedOnly(ProcessWindowSMOObjective):
     """The objective's twin on the composed-op engine
     (``ComposedAbbeImaging``: whole-grid pupils, every image a composed
-    graph), basis hidden: the composed ``create_graph`` oracle."""
+    graph) whose ``source_only_loss`` is a ``ComposedSourceLoss``: the
+    composed ``create_graph`` oracle."""
 
     def __init__(self, objective):
         super().__init__(
-            ProcessWindowSMOObjective(
-                objective.config,
-                objective.target.data,
-                objective.window,
-                engine=ComposedAbbeImaging(objective.config),
-                robust=objective.robust,
-                tau=objective.tau,
-            )
+            objective.config,
+            objective.target.data,
+            objective.window,
+            engine=ComposedAbbeImaging(objective.config),
+            robust=objective.robust,
+            tau=objective.tau,
         )
+
+    def source_only_loss(self, theta_m):
+        return ComposedSourceLoss(self, theta_m)
+
+
+def _context(objective, theta_j, theta_m):
+    """The production context on the objective's intensity basis."""
+    return HypergradientContext(objective.source_only_loss(theta_m), theta_j)
 
 
 def _looped(cfg, targets):
@@ -352,10 +362,8 @@ class TestOracleParity:
         p = rng.standard_normal(theta_j.shape)
         w = rng.standard_normal(theta_j.shape)
         for name, objective, reference, tm in _objectives(cfg, targets, theta_m):
-            ctx = HypergradientContext(objective, theta_j, tm)
-            ref = HypergradientContext(reference, theta_j, tm)
-            assert ctx._basis is not None, name
-            assert ref._basis is None, name
+            ctx = _context(objective, theta_j, tm)
+            ref = composed_context(reference, theta_j, tm)
             _close(ctx.loss_value, ref.loss_value)
             _close(ctx.grad_j, ref.grad_j)
             _close(ctx.grad_m, ref.grad_m)
@@ -376,10 +384,10 @@ class TestOracleParity:
         )
         w = seeded_rng("mixed-fd").standard_normal(theta_j.shape)
         w /= np.linalg.norm(w)
-        mixed = HypergradientContext(pw, theta_j, theta_m).mixed_vjp(w)
+        mixed = _context(pw, theta_j, theta_m).mixed_vjp(w)
         h = 1e-4
-        plus = HypergradientContext(pw, theta_j + h * w, theta_m).grad_m
-        minus = HypergradientContext(pw, theta_j - h * w, theta_m).grad_m
+        plus = _context(pw, theta_j + h * w, theta_m).grad_m
+        minus = _context(pw, theta_j - h * w, theta_m).grad_m
         fd = (plus - minus) / (2.0 * h)
         assert np.abs(mixed - fd).max() <= 1e-5 * np.abs(mixed).max()
 
@@ -406,7 +414,7 @@ class TestFoldedHypergradient:
         objective = ProcessWindowSMOObjective(cfg, targets)
         cases.append(("default", objective, theta_j, theta_m))
         for name, objective, tj, tm in cases:
-            ctx = HypergradientContext(objective, tj, tm)
+            ctx = _context(objective, tj, tm)
             w = seeded_rng("fold", name).standard_normal(tj.shape)
             for c in (1.0, 0.1):
                 fused = ctx.mixed_vjp(w, direct=c)
@@ -431,7 +439,7 @@ class TestFoldedHypergradient:
             objective = ProcessWindowSMOObjective(
                 cfg, targets, WINDOW, robust=robust, tau=50.0
             )
-        ctx = HypergradientContext(objective, theta_j, theta_m)
+        ctx = _context(objective, theta_j, theta_m)
         fold = ctx.mixed_vjp
         strategies = [
             (neumann_hypergradient, 1.0),
@@ -485,13 +493,13 @@ class TestOnePassPerIteration:
     def test_grad_m_runs_on_first_read_only(self, tiny, passes):
         cfg, targets, _, theta_j, theta_m = tiny
         objective = ProcessWindowSMOObjective(cfg, targets)
-        ctx = HypergradientContext(objective, theta_j, theta_m)
+        ctx = _context(objective, theta_j, theta_m)
         assert passes[0] == 0
         grad_m = ctx.grad_m
         assert passes[0] == 1
         assert ctx.grad_m is grad_m
         assert passes[0] == 1
-        ref = HypergradientContext(_looped(cfg, targets), theta_j, theta_m)
+        ref = composed_context(_looped(cfg, targets), theta_j, theta_m)
         _close(grad_m, ref.grad_m)
 
 
@@ -499,8 +507,7 @@ class TestNoCreateGraphThroughImaging:
     @pytest.mark.parametrize("method", ["nmn", "cg", "fd", "unroll"])
     def test_exact_mode_never_takes_the_composed_fallback(self, tiny, method):
         """Every strategy runs with no ``create_graph`` backward through
-        imaging: the fused primitive refuses one, naming the basis and
-        the composed oracle."""
+        imaging, which the fused primitive refuses."""
         cfg, targets, source, _, _ = tiny
         kinds = [
             dict(target=targets[0]),
@@ -515,12 +522,26 @@ class TestNoCreateGraphThroughImaging:
             solver = BiSMO(cfg, target, method=method, terms=2, **kw)
             result = solver.run(source, iterations=2)
             assert np.all(np.isfinite(result.losses))
-        # the refusal is live: the composed path on the fused engine
+
+    def test_composed_reference_on_the_fused_engine_is_refused(self, tiny):
+        """The refusal is live: the composed reference context through
+        the fused primitive raises, naming the basis and the composed
+        oracle."""
+        cfg, targets, source, _, _ = tiny
         tm = init_theta_mask(targets[0], cfg)
         hidden = BasisHidden(ProcessWindowSMOObjective(cfg, targets[0]))
         with pytest.raises(NotImplementedError) as err:
-            HypergradientContext(hidden, init_theta_source(source, cfg), tm)
+            composed_context(hidden, init_theta_source(source, cfg), tm)
         for name in ("create_graph", "SourceBasisLoss", "ComposedAbbeImaging"):
+            assert name in str(err.value)
+
+    def test_bismo_refuses_an_objective_without_a_basis(self, tiny):
+        """At construction, naming the basis and the composed reference."""
+        cfg, targets, _, _, _ = tiny
+        hidden = BasisHidden(ProcessWindowSMOObjective(cfg, targets[0]))
+        with pytest.raises(TypeError) as err:
+            BiSMO(cfg, targets[0], objective=hidden)
+        for name in ("SourceBasisLoss", "tests/oracles.py"):
             assert name in str(err.value)
 
 
@@ -553,7 +574,7 @@ class TestBiSMOTracesMatchComposed:
             objective=ComposedOnly(fast.objective),
         )
         a = fast.run(source, iterations=3)
-        b = slow.run(source, iterations=3)
+        b = run_composed(slow, source, iterations=3)
         _close(a.losses, b.losses)
         for ra, rb in zip(a.history, b.history):
             _close(ra.tile_losses, rb.tile_losses)

@@ -9,9 +9,10 @@ evaluation point (j, m) is
           = (B^T j + C m + d) - B^T A^{-1} (A j + B m)
 
 BiSMO-CG and safeguarded BiSMO-NMN must converge to this analytic value;
-BiSMO-FD must equal the K=0 Neumann approximation.  These tests exercise
-HypergradientContext and the three strategy functions exactly as the
-real solver does, but on a problem whose answer we can write down.
+BiSMO-FD must equal the K=0 Neumann approximation.  These tests run the
+three strategy functions exactly as the real solver does, on the
+composed reference context (``tests/oracles.py``), on a problem whose
+answer we can write down.
 """
 
 import numpy as np
@@ -19,14 +20,15 @@ import pytest
 
 import repro.autodiff as ad
 from repro.autodiff import functional as F
-from repro.smo.bismo import HypergradientContext
 from repro.smo.cg import cg_hypergradient
 from repro.smo.fd import fd_hypergradient
 from repro.smo.nmn import neumann_hypergradient
+from tests.oracles import composed_context
 
 
 class QuadraticObjective:
-    """Duck-typed objective compatible with HypergradientContext."""
+    """Duck-typed objective compatible with the composed reference
+    context."""
 
     def __init__(self, n=4, seed=0, curvature=1.0):
         rng = np.random.default_rng(seed)
@@ -69,7 +71,7 @@ def point(toy):
 class TestContext:
     def test_first_order_grads(self, toy, point):
         j, m = point
-        ctx = HypergradientContext(toy, j, m)
+        ctx = composed_context(toy, j, m)
         np.testing.assert_allclose(ctx.grad_j, toy.a @ j + toy.b @ m, atol=1e-10)
         np.testing.assert_allclose(
             ctx.grad_m, toy.b.T @ j + toy.c @ m + toy.d, atol=1e-10
@@ -77,18 +79,18 @@ class TestContext:
 
     def test_hvp_is_inner_hessian(self, toy, point):
         j, m = point
-        ctx = HypergradientContext(toy, j, m)
+        ctx = composed_context(toy, j, m)
         v = np.random.default_rng(0).standard_normal(toy.n)
         np.testing.assert_allclose(ctx.hvp(v), toy.a @ v, atol=1e-10)
 
     def test_mixed_vjp_is_b_transpose(self, toy, point):
         j, m = point
-        ctx = HypergradientContext(toy, j, m)
+        ctx = composed_context(toy, j, m)
         w = np.random.default_rng(1).standard_normal(toy.n)
         np.testing.assert_allclose(ctx.mixed_vjp(w), toy.b.T @ w, atol=1e-10)
 
     def test_loss_value_recorded(self, toy, point):
-        ctx = HypergradientContext(toy, point[0], point[1])
+        ctx = composed_context(toy, point[0], point[1])
         with ad.no_grad():
             expected = toy.loss(ad.Tensor(point[0]), ad.Tensor(point[1])).item()
         assert ctx.loss_value == pytest.approx(expected)
@@ -97,7 +99,7 @@ class TestContext:
 class TestHypergradientStrategies:
     def test_cg_converges_to_analytic(self, toy, point):
         j, m = point
-        ctx = HypergradientContext(toy, j, m)
+        ctx = composed_context(toy, j, m)
         hyper, w = cg_hypergradient(ctx, 0.1, terms=toy.n + 2, damping=0.0, warm=None)
         np.testing.assert_allclose(
             hyper, toy.analytic_hypergradient(j, m), atol=1e-8
@@ -105,7 +107,7 @@ class TestHypergradientStrategies:
 
     def test_cg_warm_start_improves(self, toy, point):
         j, m = point
-        ctx = HypergradientContext(toy, j, m)
+        ctx = composed_context(toy, j, m)
         # one CG step cold vs one CG step warm-started from the true solve
         v = ctx.grad_j
         w_true = np.linalg.solve(toy.a, v)
@@ -116,7 +118,7 @@ class TestHypergradientStrategies:
 
     def test_nmn_converges_with_many_terms(self, toy, point):
         j, m = point
-        ctx = HypergradientContext(toy, j, m)
+        ctx = composed_context(toy, j, m)
         hyper, _ = neumann_hypergradient(ctx, 0.1, terms=400, damping=0.0, warm=None)
         np.testing.assert_allclose(
             hyper, toy.analytic_hypergradient(j, m), atol=1e-5
@@ -125,7 +127,7 @@ class TestHypergradientStrategies:
     def test_nmn_zero_terms_equals_fd(self, toy, point):
         """Section 3.2.4: K = 0 Neumann == finite-difference strategy."""
         j, m = point
-        ctx = HypergradientContext(toy, j, m)
+        ctx = composed_context(toy, j, m)
         h_nmn, _ = neumann_hypergradient(ctx, 0.1, terms=0, damping=0.0, warm=None)
         h_fd, _ = fd_hypergradient(ctx, 0.1, terms=0, damping=0.0, warm=None)
         np.testing.assert_allclose(h_nmn, h_fd, atol=1e-12)
@@ -133,7 +135,7 @@ class TestHypergradientStrategies:
     def test_fd_formula(self, toy, point):
         """Eq. (13): hyper = gM - xi * B^T gJ for the quadratic toy."""
         j, m = point
-        ctx = HypergradientContext(toy, j, m)
+        ctx = composed_context(toy, j, m)
         hyper, _ = fd_hypergradient(ctx, 0.1, terms=0, damping=0.0, warm=None)
         gj = toy.a @ j + toy.b @ m
         gm = toy.b.T @ j + toy.c @ m + toy.d
@@ -145,7 +147,7 @@ class TestHypergradientStrategies:
         to analytic."""
         stiff = QuadraticObjective(n=4, seed=3, curvature=500.0)
         j, m = point
-        ctx = HypergradientContext(stiff, j, m)
+        ctx = composed_context(stiff, j, m)
         hyper, _ = neumann_hypergradient(ctx, 0.1, terms=200, damping=0.0, warm=None)
         assert np.all(np.isfinite(hyper))
         truth = stiff.analytic_hypergradient(j, m)
@@ -158,7 +160,7 @@ class TestHypergradientStrategies:
         rng = np.random.default_rng(9)
         m = rng.standard_normal(toy.n)
         j_star = -np.linalg.solve(toy.a, toy.b @ m)
-        ctx = HypergradientContext(toy, j_star, m)
+        ctx = composed_context(toy, j_star, m)
         truth = toy.analytic_hypergradient(j_star, m)
         h_cg, _ = cg_hypergradient(ctx, 0.1, terms=toy.n + 2, damping=0.0, warm=None)
         h_nm, _ = neumann_hypergradient(ctx, 0.1, terms=300, damping=0.0, warm=None)

@@ -6,55 +6,56 @@ import pytest
 
 import repro.autodiff as ad
 from repro.optics import AbbeImaging
-from repro.smo import (
-    BiSMO,
-    HypergradientContext,
-    ProcessWindowSMOObjective,
-    unrolled_hypergradient,
-)
-from tests.oracles import unrolled_hypergradient_composed
-from tests.test_smo_basis_oracles import one_iteration
+from repro.smo import BiSMO, ProcessWindowSMOObjective, unrolled_hypergradient
+from tests.oracles import composed_context, unrolled_hypergradient_composed
 from tests.test_smo_bilevel_math import QuadraticObjective
 
 
-def _toy_unroll(toy, j, m, steps, xi):
-    """One BiSMO-UNROLL outer iteration on the quadratic toy (the
-    composed path): its hypergradient, theta_J^T and recorded loss."""
-    solver = BiSMO(
-        None, m, method="unroll", unroll_steps=steps, inner_lr=xi,
-        objective=toy,
+def _toy_unroll_closed_form(toy, j, m, steps, xi):
+    """T unrolled SGD steps on the quadratic toy in closed form:
+    ``j_{t+1} = P j_t - xi B m`` with ``P = I - xi A``, so ``d j_T / d m
+    = -xi sum_{k<T} P^k B`` and ``hyper = gm(j_T, m) + (d j_T / d m)^T
+    gj(j_T, m)``.  Returns ``(hyper, j_T, loss at j_T)``."""
+    p = np.eye(toy.n) - xi * toy.a
+    jt, djdm = j, np.zeros((toy.n, toy.n))
+    for _ in range(steps):
+        jt = p @ jt - xi * toy.b @ m
+        djdm = p @ djdm - xi * toy.b
+    gm = toy.b.T @ jt + toy.c @ m + toy.d
+    gj = toy.a @ jt + toy.b @ m
+    loss = (
+        0.5 * jt @ toy.a @ jt + jt @ toy.b @ m + 0.5 * m @ toy.c @ m
+        + toy.d @ m
     )
-    return one_iteration(solver, j, m)
+    return gm + djdm.T @ gj, jt, loss
 
 
 class TestUnrolledHypergradient:
     def test_quadratic_unroll_matches_manual(self):
         """One unrolled SGD step on the quadratic toy has the closed form
         hyper = gm(j', m) + d j'/dm ^T gj(j', m) with
-        j' = j - xi (A j + B m)  and  d j'/dm = -xi B."""
+        j' = j - xi (A j + B m)  and  d j'/dm = -xi B; the composed
+        reference (the graph through the inner step) gives it."""
         toy = QuadraticObjective(n=3, seed=5)
         rng = np.random.default_rng(11)
         j, m = rng.standard_normal(3), rng.standard_normal(3)
         xi = 0.05
-        hyper, j_new, _ = _toy_unroll(toy, j, m, 1, xi)
+        hyper, j_new, _ = unrolled_hypergradient_composed(toy, j, m, 1, xi)
         j_prime = j - xi * (toy.a @ j + toy.b @ m)
         np.testing.assert_allclose(j_new, j_prime, atol=1e-12)
         gm = toy.b.T @ j_prime + toy.c @ m + toy.d
         gj = toy.a @ j_prime + toy.b @ m
         expected = gm - xi * toy.b.T @ gj
         np.testing.assert_allclose(hyper, expected, atol=1e-10)
-        direct, _ = unrolled_hypergradient(
-            HypergradientContext(toy, j_prime, m), xi, 0, 0.0, None, [j]
-        )
-        np.testing.assert_allclose(direct, expected, atol=1e-10)
 
     def test_quadratic_unroll_matches_composed_reference(self):
-        """T = 3 on the composed path (grad_m and mixed_vjp pass by pass)
-        against the graph built through every inner step."""
+        """T = 3: the closed form against the composed reference, whose
+        later steps differentiate through the earlier steps' gradient
+        graphs."""
         toy = QuadraticObjective(n=4, seed=9)
         rng = np.random.default_rng(13)
         j, m = rng.standard_normal(4), rng.standard_normal(4)
-        hyper, j_new, loss = _toy_unroll(toy, j, m, 3, 0.05)
+        hyper, j_new, loss = _toy_unroll_closed_form(toy, j, m, 3, 0.05)
         ref_hyper, ref_j, ref_loss = unrolled_hypergradient_composed(
             toy, j, m, 3, 0.05
         )
@@ -65,7 +66,7 @@ class TestUnrolledHypergradient:
 
     def test_zero_steps_rejected(self, tiny_config, tiny_target, tiny_source):
         toy = QuadraticObjective(n=2)
-        ctx = HypergradientContext(toy, np.zeros(2), np.zeros(2))
+        ctx = composed_context(toy, np.zeros(2), np.zeros(2))
         with pytest.raises(ValueError, match="at least one inner step"):
             unrolled_hypergradient(ctx, 0.1, 0, 0.0, None, [])
         solver = BiSMO(tiny_config, tiny_target, method="unroll", unroll_steps=0)

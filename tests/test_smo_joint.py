@@ -23,7 +23,12 @@ from repro.smo import (
     init_theta_source,
 )
 from repro.baselines import MultiLevelILT, NILTBaseline
-from tests.oracles import ComposedAbbeImaging, LoopedSMOObjective
+from tests.oracles import (
+    ComposedAbbeImaging,
+    LoopedSMOObjective,
+    composed_context,
+    run_composed,
+)
 
 
 @pytest.fixture(scope="module")
@@ -45,11 +50,12 @@ class TestBatchedLoopedEquivalence:
     @pytest.mark.parametrize("method", ["nmn", "fd", "cg"])
     def test_bismo_matches_per_clip_loop(self, method, cfg, targets, tiny_source):
         results = {}
-        for name, objective in (
-            ("batched", ProcessWindowSMOObjective(cfg, targets)),
+        for name, objective, run in (
+            ("batched", ProcessWindowSMOObjective(cfg, targets), BiSMO.run),
             (
                 "looped",
                 LoopedSMOObjective(cfg, targets, ComposedAbbeImaging(cfg)),
+                run_composed,
             ),
         ):
             solver = BiSMO(
@@ -61,7 +67,7 @@ class TestBatchedLoopedEquivalence:
                 damping=1.0 if method == "cg" else 0.0,
                 objective=objective,
             )
-            results[name] = solver.run(tiny_source, iterations=4)
+            results[name] = run(solver, tiny_source, iterations=4)
         b, l = results["batched"], results["looped"]
         np.testing.assert_allclose(
             b.final_tile_losses, l.final_tile_losses, rtol=1e-10
@@ -205,12 +211,12 @@ class TestSourceOnlyOracle:
         )
         tm = np.stack([init_theta_mask(t, cfg) for t in targets])
         ctx_fast = HypergradientContext(
-            ProcessWindowSMOObjective(cfg, targets), tj, tm
+            ProcessWindowSMOObjective(cfg, targets).source_only_loss(tm), tj
         )
         looped = LoopedSMOObjective(cfg, targets, ComposedAbbeImaging(cfg))
-        ctx_full = HypergradientContext(looped, tj, tm)
-        assert ctx_fast._so_gj_graph is not None
-        assert ctx_full._so_gj_graph is None
+        ctx_full = composed_context(looped, tj, tm)
+        assert ctx_fast.basis is not None
+        assert ctx_full.basis is None
         p = rng.standard_normal(tj.shape)
         hv_fast, hv_full = ctx_fast.hvp(p), ctx_full.hvp(p)
         np.testing.assert_allclose(hv_fast, hv_full, rtol=1e-9, atol=1e-12)
