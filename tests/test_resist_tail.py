@@ -10,7 +10,9 @@ bit, and within 1e-12 relative the value, gradient, the tail-only
 the paper window and on a 3 x 2 dose x focus window with per-corner
 resist thresholds, for every robust reduction, one tile and a stack.
 The tail differentiates twice: a ``create_graph`` backward through its
-recorded gradient node is refused by name.  An ``expit`` counter pins
+recorded gradient node is refused by name, and the composed chain's
+third derivative is checked against central differences of the tail's
+HVP.  An ``expit`` counter pins
 the mechanism: no HVP re-evaluates a sigmoid on an aerial-sized array.
 """
 
@@ -177,6 +179,32 @@ def test_bismo_oracles_match_composed_chain(
         )
     for fused, composed in zip(*results):
         _close(fused, composed)
+
+
+@pytest.mark.parametrize("robust", ["sum", "max"])
+@pytest.mark.parametrize("tiles", [None, 3])
+def test_third_order_matches_central_differences(tiny_config, robust, tiles):
+    """d/du of the composed chain's HVP recorded with create_graph (the
+    third-order path the tail's refusal names) == central differences of
+    the fused tail's HVP along u."""
+    obj, aerials, (v, u) = _case(tiny_config, "grid", robust, tiles)
+    leaves = [ad.Tensor(a, requires_grad=True) for a in aerials]
+    total, _ = _tail(obj, leaves, True)
+    grads = ad.grad(total, leaves, create_graph=True)
+    hv = ad.grad(_sum_dots(grads, v), leaves, create_graph=True)
+    third = ad.grad(_sum_dots(hv, u), leaves)
+
+    def fused_hvp(points):
+        xs = [ad.Tensor(x, requires_grad=True) for x in points]
+        t, _ = _tail(obj, xs, False)
+        gs = ad.grad(t, xs, create_graph=True)
+        return [h.data for h in ad.grad(_sum_dots(gs, v), xs)]
+
+    eps = 1e-5
+    plus = fused_hvp([a + eps * d for a, d in zip(aerials, u)])
+    minus = fused_hvp([a - eps * d for a, d in zip(aerials, u)])
+    for t, hp, hm in zip(third, plus, minus):
+        _close(t.data, (hp - hm) / (2.0 * eps), rtol=1e-5)
 
 
 def test_third_order_is_refused(tiny_config):
