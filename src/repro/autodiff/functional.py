@@ -683,12 +683,19 @@ def _streamed(
 
 def _chunks(sizes: Sequence[int], csize: int) -> List[Tuple[int, int, int]]:
     """Every stack's source chunks as ``(stack, lo, hi)`` blocks, in
-    stack order."""
-    return [
-        (fi, lo, min(r, lo + csize))
-        for fi, r in enumerate(sizes)
-        for lo in range(0, r, csize)
-    ]
+    stack order.
+
+    A stack of R kernels splits into ``ceil(R / csize)`` blocks whose
+    sizes differ by at most one (49 kernels at chunk 16: 12, 12, 12,
+    13), so no block is larger than the chunk and no short straggler
+    leaves a thread idle at the end of a stack.  The split depends only
+    on R and the chunk.
+    """
+    blocks: List[Tuple[int, int, int]] = []
+    for fi, r in enumerate(sizes):
+        n = -(-r // csize)
+        blocks += [(fi, r * j // n, r * (j + 1) // n) for j in range(n)]
+    return blocks
 
 
 def _condition_span(fi: int, stacks: int) -> Any:
@@ -835,7 +842,8 @@ class _AdjointStack(NamedTuple):
 
     kern: np.ndarray  # (R, K, K) kernels whose fields are recomputed
     corners: Optional[list]  # their windows' corners; None: whole grid
-    terms: List[Tuple[np.ndarray, np.ndarray]]  # (2 * upstream, (R,) weights)
+    weights: np.ndarray  # (R, T) every term's weights w_t
+    upstream: Optional[np.ndarray]  # (B, T, K, K) 2 * g_t; None: no mask grad
     gdr: Optional[np.ndarray]  # (B, K*K, 1) weight-gradient upstream
     pairs: Optional[Tuple[np.ndarray, np.ndarray]]  # (reps, mates) if paired
 
@@ -848,14 +856,16 @@ def _backward_block(
     Recomputes kernels ``lo:hi``'s ``(B, C, K, K)`` coherent fields and
     returns ``(val, part)``: the chunk's weight-gradient contraction
     ``(C,)`` against the first term's upstream (None when not needed)
-    and its mask-gradient spectrum, ``sum_t conj(H_s) * FFT(2 w_s g_t
-    F_s)`` summed over the terms — ``(B, C, K, K)`` per-field spectra for
-    crops, their ``(B, N, N)`` sum for whole-grid kernels, None without
-    terms.  ``w_s`` commutes with the FFT, so it rides the kernel
-    factor.  On the paired path ``w_s`` is the pair-summed weight: for a
-    real mask, kernels and upstream, ``F_s' = conj(F_s)`` makes the
-    mate's term the conjugate of the representative's own, so both
-    share the real part the mask gradient keeps.
+    and its mask-gradient spectrum ``conj(H_s) * FFT(U_s F_s)`` with the
+    folded upstream ``U_s = sum_t 2 w_t[s] g_t`` — ``(B, C, K, K)``
+    per-field spectra for crops, their ``(B, N, N)`` sum for whole-grid
+    kernels, None without terms.  The FFT is linear, so the terms fold
+    into ``U_s`` before the block's one forward transform and one
+    ``conj(H)`` contraction, however many terms there are.  On the
+    paired path ``w_t`` is the pair-summed weight: for a real mask,
+    kernels and upstream, ``F_s' = conj(F_s)`` makes the mate's term the
+    conjugate of the representative's own, so both share the real part
+    the mask gradient keeps.
     """
     b = spec.shape[0]
     kern = stack.kern[lo:hi]
@@ -870,23 +880,13 @@ def _backward_block(
             (intens.reshape(b, hi - lo, -1) @ stack.gdr)[:, :, 0], axis=0
         )
         del intens  # gone before the transforms allocate
-    part = None
-    for ti, (gd2, w) in enumerate(stack.terms):
-        if ti == len(stack.terms) - 1:
-            fields *= gd2[:, None]  # in-place: no second block temp
-            t = HOST.fft2(fields, overwrite_x=True)
-        else:
-            t = HOST.fft2(fields * gd2[:, None], overwrite_x=True)
-        wkc = w[lo:hi, None, None] * np.conj(kern)
-        if corners is None:
-            t = np.einsum("cij,bcij->bij", wkc, t)
-        else:
-            np.multiply(wkc, t, out=t)
-        if part is None:
-            part = t
-        else:
-            part += t
-    return val, part
+    if stack.upstream is None:
+        return val, None
+    fields *= np.einsum("ct,btij->bcij", stack.weights[lo:hi], stack.upstream)
+    t = HOST.fft2(fields, overwrite_x=True)
+    if corners is None:
+        return val, np.einsum("cij,bcij->bij", np.conj(kern), t)
+    return val, np.multiply(np.conj(kern), t, out=t)
 
 
 def _stream_adjoint(
@@ -909,7 +909,10 @@ def _stream_adjoint(
     ``(gm, gw)``: the ``(B, N, N)`` host mask gradient of ``sum_t sum_f
     <I_f(M; w_t), g_t[f]>`` (one final IFFT for every stack and term;
     real for a ``real_mask``) and the first term's ``(S,)`` weight
-    gradient; either is None when not requested.
+    gradient; either is None when not requested.  Each stack's terms
+    fold into one ``(B, T, K, K)`` upstream (each ``g_t`` low-passed
+    onto the K grid once) and one ``(R, T)`` weight table, so every
+    recomputed field takes one forward transform whatever T.
 
     Every ``(stack, chunk)`` block (:func:`_backward_block`) is one
     :func:`repro.optics.fftlib.map_conditions` task.  Here, in block
@@ -939,10 +942,15 @@ def _stream_adjoint(
             # <g, upsample(|F|^2)> = <adjoint(g), |F|^2>: (K/N)^2 * lowpass.
             gdr = grads[0] * ((k / n) ** 2) if k < n else grads[0]
             gdr = gdr.reshape(b, k * k, 1)
+        upstream = None
+        if need_mask:
+            upstream = np.stack(grads, axis=1)
+            upstream *= 2.0
         stacks.append(_AdjointStack(
             kern_h,
             None if st is None else st.tolist(),
-            [(2.0 * g, wt) for g, wt in zip(grads, ws)] if need_mask else [],
+            np.stack(ws, axis=1),
+            upstream,
             gdr,
             None if reps is None else (reps, cp[reps]),
         ))
@@ -1024,15 +1032,17 @@ def incoherent_mask_adjoint(
         d/dM  sum_t sum_f  < I_f(M; w_t), g_t[f] >
 
     shaped like ``mask``, as a numpy array (real for a real mask).  It
-    is the streamed VJP of
-    :func:`incoherent_image_stack` with several (weights, upstream)
-    pairs folded into one pass: every term rides the same recomputed
-    coherent fields, and all terms and stacks share one mask FFT and one
-    final IFFT (each term's gradient is low-passed onto the crop grid
-    once per stack).  BiSMO's hypergradient is one such call with two
-    terms.  ``conj_pairs`` takes one entry per stack and ``centres``
-    locates crops, as in :func:`incoherent_image_stack`; the chunk size
-    is the scoped :func:`repro.optics.fftlib.get_stream_chunk`.
+    is the streamed VJP of :func:`incoherent_image_stack` with several
+    (weights, upstream) pairs folded into one pass: the FFT is linear,
+    so the terms fold into one upstream ``sum_t 2 w_t[s] g_t`` per
+    recomputed coherent field, which takes one forward transform and
+    one ``conj(H)`` contraction however many terms there are; all terms
+    and stacks share one mask FFT and one final IFFT (each term's
+    gradient is low-passed onto the crop grid once per stack).  BiSMO's
+    hypergradient is one such call with two terms, BiSMO-UNROLL's one
+    with ``2T + 1``.  ``conj_pairs`` takes one entry per stack and
+    ``centres`` locates crops, as in :func:`incoherent_image_stack`; the
+    chunk size is the scoped :func:`repro.optics.fftlib.get_stream_chunk`.
     """
     mask = as_tensor(mask)
     stacks = tuple(as_tensor(p) for p in pupil_stacks)
@@ -1132,9 +1142,11 @@ def incoherent_image_stack(
     (the backward-normalization factors cancel; every stack's chunks
     accumulate into one frequency-domain gradient closed by a single
     final IFFT; crops low-pass ``g`` onto the K grid first and slice-add
-    each field's spectrum at its window) and weight gradients ``gw[s] =
-    sum_f sum_b <g[f,b], |F[f,b,s]|^2>`` for every kernel, zero-weight
-    ones included.
+    each field's spectrum at its window; each recomputed field takes one
+    forward transform, and :func:`incoherent_mask_adjoint`'s several
+    terms fold into its one upstream ``sum_t 2 w_t[s] g_t`` before it)
+    and weight gradients ``gw[s] = sum_f sum_b <g[f,b], |F[f,b,s]|^2>``
+    for every kernel, zero-weight ones included.
 
     Conjugate-pair streaming: ``conj_pairs`` is an optional per-stack
     sequence.  An entry declares the frequency-reversal pairing
@@ -1168,9 +1180,13 @@ def incoherent_image_stack(
     mask spectrum and kernels), so each pass runs them as one flat list
     of tasks on the :func:`repro.optics.fftlib.map_conditions` pool
     (at most ``REPRO_COND_WORKERS`` / ``fftlib.set_condition_workers``
-    in flight, each with its share of the unified worker budget for its
-    own FFTs).  A task does the per-field work — gather, multiply,
-    transforms, ``|.|^2``, contractions — into its own buffers; the
+    running, each with its share of the unified worker budget for its
+    own FFTs, and one finished block may wait for its turn beyond them,
+    so a thread that finishes ahead of a slow block starts the next).
+    Each stack's chunks are of near-equal size (``ceil(S / chunk)`` of
+    them), so no short straggler idles a thread.  A task does the
+    per-field work — gather, multiply, transforms, ``|.|^2``,
+    contractions — into its own buffers; the
     adds, each stack's resample and the slice-adds into each stack's
     private accumulator run on the caller's thread in block order, and
     the stacks reduce in fixed stack order.  So the result is **bitwise
@@ -1518,6 +1534,19 @@ def resist_corner_losses(
 # ----------------------------------------------------------------------
 # indexing
 # ----------------------------------------------------------------------
+def _is_basic_index(idx: Any) -> bool:
+    """Whether ``idx`` is numpy basic indexing: ints (not bools),
+    slices, ``Ellipsis`` and ``None``, alone or in a tuple."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return builtins.all(
+        p is None
+        or p is Ellipsis
+        or isinstance(p, slice)
+        or (isinstance(p, (int, np.integer)) and not isinstance(p, bool))
+        for p in parts
+    )
+
+
 def getitem(x: ArrayLike, idx: Any) -> Tensor:
     x = as_tensor(x)
     in_shape = x.shape
@@ -1533,11 +1562,20 @@ def scatter(
     x: ArrayLike, idx: Any, shape: Tuple[int, ...], complex_grad: bool = False
 ) -> Tensor:
     """Place ``x`` into a zeros array of ``shape`` at ``idx`` (adjoint of
-    :func:`getitem`)."""
+    :func:`getitem`).
+
+    A basic index (ints, slices, ``Ellipsis``, ``None`` and tuples of
+    them) never repeats an element, so an in-place add gives
+    ``np.add.at``'s result bitwise at a fraction of its cost; an
+    integer-array index may repeat and accumulates through it.
+    """
     x = as_tensor(x)
     dtype = np.complex128 if (complex_grad or x.is_complex) else np.float64
     out_data = np.zeros(shape, dtype)
-    np.add.at(out_data, idx, x.data)
+    if _is_basic_index(idx):
+        out_data[idx] += x.data
+    else:
+        np.add.at(out_data, idx, x.data)
 
     def vjp(g: Tensor) -> Tuple[Optional[Tensor], ...]:
         return (getitem(g, idx),)

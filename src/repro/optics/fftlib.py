@@ -21,9 +21,11 @@ under:
   or graph-free) split into independent blocks — one (kernel stack,
   source chunk) each, one tile each for the intensity basis — and run
   them on a persistent, lazily-created ``ThreadPoolExecutor``, reducing
-  the results in block order on the caller's thread.  numpy and
-  pocketfft release the GIL, so the blocks' gathers, multiplies and
-  transforms genuinely overlap.
+  the results in block order on the caller's thread.  At most that many
+  blocks run at once, and one finished block may wait for its turn
+  beyond them, so a thread that finishes ahead of a slow block starts
+  the next one instead of idling.  numpy and pocketfft release the GIL,
+  so the blocks' gathers, multiplies and transforms genuinely overlap.
 * **Unified worker budget** — one cap coordinating the three parallelism
   layers (harness worker *processes* x condition *threads* x per-FFT
   pocketfft threads): within a process, ``condition_workers x per-FFT
@@ -44,7 +46,12 @@ import contextlib
 import contextvars
 import os
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ThreadPoolExecutor,
+    wait,
+)
 from typing import Any, Callable, Dict, Iterator, Optional
 
 import numpy as np
@@ -208,11 +215,13 @@ def set_stream_chunk(n: int) -> None:
 def run_with_chunk_fallback(fn: Callable[[int], Any], csize: int) -> Any:
     """Call ``fn(csize)``; on ``MemoryError`` halve the chunk and retry once.
 
-    The streamed fused primitive's peak transient is its in-flight
-    ``(B, chunk, K, K)`` transform blocks (K the kernel size), so halving
-    the chunk roughly halves the allocation that just failed.  ``fn``
-    runs a whole pass; the failed attempt has drained the pool (see
-    :func:`map_conditions`) and is released before the retry starts.
+    The streamed fused primitive's peak transient is its held
+    ``(B, chunk, K, K)`` transform blocks (K the kernel size; at most
+    :func:`map_conditions`'s w running plus one awaiting its turn or
+    being reduced), so halving the chunk roughly halves the allocation
+    that just failed.  ``fn`` runs a whole pass; the failed attempt has
+    drained the pool (see :func:`map_conditions`) and is released before
+    the retry starts.
     The result is chunk-invariant (atol ~ 1e-13, see the fused-imaging
     tests), so a degraded retry is numerically equivalent — callers
     that need a *bitwise* contract should pin the chunk and let the
@@ -301,15 +310,18 @@ def map_conditions(fn: Callable[[int], Any], num_tasks: int) -> Iterator[Any]:
     """Yield ``fn(0) .. fn(num_tasks - 1)`` in index order: the one
     fan-out of independent blocks onto the condition pool.
 
-    At most ``w = effective_condition_workers(num_tasks)`` tasks are in
-    flight at once; each runs with ``effective_budget() // w`` pocketfft
-    workers (the unified-budget split) inside its own copy of the
-    caller's ``contextvars`` context.  Results come back in index order,
-    so the caller reduces them in a fixed order (and hence bitwise
-    alike) whatever the thread count, holding at most ``w`` blocks plus
-    the one it is reducing.  A one-thread policy, a single task, or a
-    call made *from* a pool thread (a nested fan-out would deadlock-wait
-    on its own executor) runs inline on the caller's thread.
+    At most ``w = effective_condition_workers(num_tasks)`` tasks run at
+    once; each runs with ``effective_budget() // w`` pocketfft workers
+    (the unified-budget split) inside its own copy of the caller's
+    ``contextvars`` context.  Results come back in index order, so the
+    caller reduces them in a fixed order (and hence bitwise alike)
+    whatever the thread count.  At most ``w + 1`` blocks are held —
+    running, finished and awaiting their turn, or being reduced — so
+    when a task finishes ahead of a slow head the next one starts
+    instead of its thread idling; the window refills before each result
+    is yielded.  A one-thread policy, a single task, or a call made
+    *from* a pool thread (a nested fan-out would deadlock-wait on its own
+    executor) runs inline on the caller's thread.
 
     No task outlives the iteration: when a task raises, or the consumer
     raises or stops early (closing the generator), the tasks still in
@@ -340,20 +352,29 @@ def map_conditions(fn: Callable[[int], Any], num_tasks: int) -> Iterator[Any]:
         # context (a Context can host only one concurrent run).
         return pool.submit(contextvars.copy_context().run, run, i)
 
-    inflight: "collections.deque[Future[Any]]" = collections.deque()
+    # Blocks submitted and not yet yielded, in index order: at most
+    # w + 1, and at most w of them not done.
+    held: "collections.deque[Future[Any]]" = collections.deque()
+    nxt = 0
     try:
-        inflight.extend(submit(i) for i in range(w))
-        for nxt in range(w, num_tasks + w):
-            wait((inflight[0],))  # the head: results leave in index order
-            if nxt < num_tasks:
-                inflight.append(submit(nxt))
-            # Yielded straight from the future, so no reference here
+        while held or nxt < num_tasks:
+            running = [f for f in held if not f.done()]
+            while nxt < num_tasks and len(held) <= w and len(running) < w:
+                held.append(submit(nxt))
+                running.append(held[-1])
+                nxt += 1
+            if not held[0].done():
+                # Whichever finishes first frees a thread for the next block.
+                wait(running, return_when=FIRST_COMPLETED)
+                continue
+            # Yielded straight from the future, and no reference here
             # keeps a block alive while the consumer reduces it.
-            yield inflight.popleft().result()
+            del running
+            yield held.popleft().result()
     finally:
-        for future in inflight:
+        for future in held:
             future.cancel()
-        wait(inflight)
+        wait(held)
 
 
 # ----------------------------------------------------------------------

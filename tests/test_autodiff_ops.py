@@ -255,6 +255,48 @@ class TestIndexing:
         out = F.scatter(ad.Tensor([2.0, 3.0]), idx, (3,))
         np.testing.assert_allclose(out.data, [0.0, 5.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "idx",
+        [
+            1,
+            np.int64(0),
+            slice(2, None, -1),
+            Ellipsis,
+            (None, 1),
+            (0, Ellipsis, slice(None, None, 2)),
+            (slice(0, 2), np.int32(1), None),
+        ],
+        ids=["int", "np-int", "slice", "ellipsis", "none", "tuple", "mixed"],
+    )
+    @pytest.mark.parametrize("make", [_real, _complex], ids=["real", "complex"])
+    def test_basic_index_vjp_is_an_add_not_add_at(self, monkeypatch, idx, make):
+        """getitem's VJP through a basic index equals the ``np.add.at``
+        reference bitwise without calling it: a basic index never
+        repeats an element."""
+        x = ad.Tensor(make((3, 4, 5)).data, requires_grad=True)
+        g = make(x.data[idx].shape, seed=1).data
+        expected = np.zeros(x.shape, x.data.dtype)
+        np.add.at(expected, idx, g)
+        add = np.add
+
+        class NoAddAt:
+            def __call__(self, *args, **kwargs):
+                return add(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(add, name)
+
+            def at(self, *args, **kwargs):
+                raise AssertionError("np.add.at on a basic index")
+
+        monkeypatch.setattr(np, "add", NoAddAt())
+        # <x[idx], g> under the repo's convention has gradient g at idx.
+        loss = F.sum(F.real(F.mul(F.getitem(x, idx), F.conj(ad.Tensor(g)))))
+        (gx,) = ad.grad(loss, [x])
+        monkeypatch.undo()
+        assert gx.data.dtype == expected.dtype
+        assert np.array_equal(gx.data, expected)
+
     def test_scatter_grad(self):
         idx = (np.array([0, 2]),)
         gradcheck(lambda x: F.sum(F.scatter(x, idx, (4,)) ** 2), [_real(2)])

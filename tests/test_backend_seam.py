@@ -3,7 +3,7 @@
 The counter wraps ``NumpyBackend.fft2``/``ifft2``, counts the exact
 number of 2-D transforms every call performs, and rejects any
 ``numpy.fft``/``scipy.fft`` transform issued around the seam.  These
-tests prove three properties of the hot path:
+tests prove four properties of the hot path:
 
 * a full BiSMO objective evaluation (forward + VJP) and the graph-free
   ``aerial_conditions_fast`` judge path issue **every** transform
@@ -16,6 +16,9 @@ tests prove three properties of the hot path:
   prediction is one mask FFT, B transforms per field at K, and one
   resample pair of B transforms per stack (forward) or per stack and
   term (the VJP's low-pass), plus the VJP's one final IFFT;
+* the several-term mask adjoint folds its terms into one upstream per
+  field: B·R field transforms whatever the term count T, where one
+  transform per term would make T·B·R;
 * the benchmark tracer (``smobench/layers.py``, loaded read-only) finds
   its patch points and sees exactly the transforms the counter sees.
 """
@@ -241,6 +244,60 @@ class TestExactTransformCounts:
         counts = seam.counters
         assert counts["fft2_transforms"] == 3
         assert counts["ifft2_transforms"] == 3 * live
+
+
+def _adjoint_transforms(preset, conditions, terms):
+    """Seam counts of one ``incoherent_mask_adjoint`` pass with
+    ``terms`` terms over the engine's stacks at ``conditions``, and the
+    ``(B, R per stack, cropped)`` it ran on."""
+    cfg = OpticalConfig.preset(preset)
+    engine = AbbeImaging(cfg)
+    stacks, pairs = zip(*engine.condition_stacks(conditions))
+    n, batch = cfg.mask_size, 2
+    rng = np.random.default_rng(5)
+    mask = rng.random((batch, n, n))
+    s = stacks[0].shape[0]
+    terms_ = [
+        (rng.random(s), rng.standard_normal((len(stacks), batch, n, n)))
+        for _ in range(terms)
+    ]
+    reps = [
+        s if cp is None or st.is_complex
+        else int(np.count_nonzero(cp >= np.arange(s)))
+        for st, cp in zip(stacks, pairs)
+    ]
+    with SeamCounter() as seam:
+        F.incoherent_mask_adjoint(
+            mask, [st.data for st in stacks], terms_, list(pairs),
+            engine.pupil_centres,
+        )
+    return seam.counters, batch, reps, stacks[0].shape[-1] < n
+
+
+class TestFoldedMaskAdjoint:
+    """The streamed mask adjoint folds its terms into one upstream per
+    field: B·R field transforms whatever the term count T, where one
+    transform per term would make T·B·R."""
+
+    @pytest.mark.parametrize("terms", [1, 2, 5])
+    @pytest.mark.parametrize(
+        "preset, conditions",
+        [("tiny", (0.0,)), ("small", (0.0, 40.0, 80.0))],
+        ids=["crop-paired", "whole-grid-3-stacks"],
+    )
+    def test_one_field_transform_per_field(self, preset, conditions, terms):
+        counts, batch, reps, crop = _adjoint_transforms(preset, conditions, terms)
+        assert crop == (preset == "tiny")
+        fields = batch * sum(reps)
+        # Per cropped stack, each term's upstream is low-passed onto the
+        # K grid: one FFT_N + IFFT_K pair of B transforms.
+        lowpass = terms * batch * len(reps) if crop else 0
+        # One mask FFT, the low-passes, one transform per field.
+        assert counts["fft2_transforms"] == batch + lowpass + fields
+        # The recomputed fields, the low-passes, one final IFFT.
+        assert counts["ifft2_transforms"] == fields + lowpass + batch
+        blocks = sum(math.ceil(r / fftlib.get_stream_chunk()) for r in reps)
+        assert counts["fft2_calls"] == 1 + (terms * len(reps) if crop else 0) + blocks
 
 
 class TestBismoIterationUnderStrict:

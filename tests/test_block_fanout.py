@@ -9,6 +9,9 @@ bitwise the serial result: on the crop path with a conjugate pairing
 complex stack) and on whole-grid kernels (``small``), one stack or
 three.  A ``MemoryError`` inside a block task retries the whole pass at
 half the chunk, after every task of the failed attempt has finished.
+Each stack splits into blocks of near-equal size, and a several-term
+mask adjoint, whose terms fold into one upstream per field, equals the
+sum of its one-term adjoints.
 The ``default`` version of the worker-count check is in
 ``tests/test_thread_stress.py``.
 """
@@ -103,6 +106,59 @@ class TestAnyWorkerCountIsSerial:
         assert (stack.shape[-1] < engine.config.mask_size) == name.startswith("crop")
         assert (pairs is not None) == (name != "crop-unpaired")
         assert stack.is_complex == (name == "crop-unpaired")
+
+
+class TestEqualChunks:
+    @pytest.mark.parametrize("chunk", [1, 3, 4, 16, 25])
+    def test_near_equal_blocks_within_the_chunk(self, chunk):
+        """Each stack of R kernels splits into ceil(R / chunk) contiguous
+        blocks, in stack order, whose sizes differ by at most one and
+        never exceed the chunk."""
+        sizes = [25, 49, 0, 16, 17, 3]
+        blocks = F._chunks(sizes, chunk)
+        assert [fi for fi, _, _ in blocks] == sorted(fi for fi, _, _ in blocks)
+        for fi, r in enumerate(sizes):
+            own = [(lo, hi) for f, lo, hi in blocks if f == fi]
+            assert len(own) == -(-r // chunk)
+            if not own:
+                continue
+            assert own[0][0] == 0 and own[-1][1] == r
+            assert all(a[1] == b[0] for a, b in zip(own, own[1:]))
+            widths = [hi - lo for lo, hi in own]
+            assert max(widths) - min(widths) <= 1 and max(widths) <= chunk
+
+    def test_no_straggler(self):
+        assert [hi - lo for _, lo, hi in F._chunks([49], 16)] == [12, 12, 12, 13]
+
+
+class TestTermsFold:
+    """A T-term mask adjoint is the sum of its one-term adjoints: the
+    terms fold into one upstream per field before its transform."""
+
+    @pytest.mark.parametrize("terms", [2, 5])
+    @pytest.mark.parametrize("stacks", ["one", "three"])
+    def test_sum_of_one_term_adjoints(self, case, stacks, terms):
+        _, engine, one, three = case
+        conditions = one if stacks == "one" else three
+        st, pairs = zip(*engine.condition_stacks(conditions))
+        st = [x.data for x in st]
+        n = engine.config.mask_size
+        rng = np.random.default_rng(terms)
+        mask = rng.random((2, n, n))
+        term_list = [
+            (rng.random(st[0].shape[0]), rng.standard_normal((len(st), 2, n, n)))
+            for _ in range(terms)
+        ]
+        centres = engine.pupil_centres
+        with fftlib.use(chunk=4):
+            folded = F.incoherent_mask_adjoint(mask, st, term_list, pairs, centres)
+            parts = [
+                F.incoherent_mask_adjoint(mask, st, [t], pairs, centres)
+                for t in term_list
+            ]
+        total = np.sum(parts, axis=0)
+        assert folded.dtype == total.dtype == np.float64
+        assert np.max(np.abs(folded - total)) <= 1e-13 * np.max(np.abs(total))
 
 
 class TestMemoryErrorInABlockTask:

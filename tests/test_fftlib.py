@@ -156,6 +156,52 @@ class TestMapConditions:
         assert 1 < state["peak"] <= workers
         assert state["shares"] == {6 // workers}  # the budget split
 
+    def test_finished_block_waits_while_a_slow_head_runs(self, monkeypatch):
+        """On a pool with more threads than the window, a task finishing
+        ahead of a slow head lets the next one start: task 2 starts while
+        task 0 still runs.  At most w = 2 tasks run at once, at most
+        w + 1 = 3 blocks are held (running or awaiting their turn), and
+        results still leave in index order."""
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+
+        lock = threading.Lock()
+        third_started = threading.Event()
+        state = {"live": 0, "peak_live": 0, "started": 0, "taken": 0, "peak_held": 0}
+
+        def fn(i: int) -> int:
+            with lock:
+                state["live"] += 1
+                state["started"] += 1
+                state["peak_live"] = max(state["peak_live"], state["live"])
+                held = state["started"] - state["taken"]
+                state["peak_held"] = max(state["peak_held"], held)
+            if i == 2:
+                third_started.set()
+            try:
+                if i == 0:
+                    state["third_ran_beside_head"] = third_started.wait(timeout=2.0)
+                return i * i
+            finally:
+                with lock:
+                    state["live"] -= 1
+
+        pool = ThreadPoolExecutor(max_workers=4, thread_name_prefix="repro-cond")
+        monkeypatch.setattr(fftlib, "_POOL", pool)
+        got = []
+        try:
+            with fftlib.use(condition_workers=2, budget=4):
+                for value in fftlib.map_conditions(fn, 7):
+                    got.append(value)
+                    with lock:
+                        state["taken"] += 1
+        finally:
+            pool.shutdown(wait=True)
+        assert got == [i * i for i in range(7)]
+        assert state["third_ran_beside_head"]
+        assert state["peak_live"] == 2
+        assert state["peak_held"] == 3
+
     @pytest.mark.parametrize(
         "policy, tasks",
         [({"condition_workers": 1}, 4), ({"budget": 1}, 4), ({}, 1)],
