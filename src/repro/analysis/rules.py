@@ -392,7 +392,7 @@ class LockDisciplineRule(Rule):
     def _with_holds_lock(self, node: ast.With) -> bool:
         for item in node.items:
             expr = item.context_expr
-            # accept `with lock:`, `with self._memo_lock:`, `with lock_for(x):`
+            # accept `with lock:`, `with self._lock:`, `with lock_for(x):`
             if isinstance(expr, ast.Call):
                 expr = expr.func
             dotted = _dotted(expr)

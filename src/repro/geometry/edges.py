@@ -126,9 +126,9 @@ def _site_epe(
     max_search_nm: float,
 ) -> float:
     nx, ny = site.normal
-    inside = _sample(printed, grid, site.x_nm, site.y_nm) >= threshold
-    direction = 1.0 if inside else -1.0  # march toward the contour
     prev_val = _sample(printed, grid, site.x_nm, site.y_nm)
+    inside = prev_val >= threshold
+    direction = 1.0 if inside else -1.0  # march toward the contour
     for k in range(1, n_steps + 1):
         d = k * step_nm * direction
         val = _sample(printed, grid, site.x_nm + nx * d, site.y_nm + ny * d)

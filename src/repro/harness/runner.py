@@ -474,7 +474,7 @@ def _worker_warmup(
         # The parent's tracing/metrics switches don't survive the fork/
         # spawn boundary as module state; re-apply them so every worker
         # writes its own telemetry shard for the parent to merge.
-        obs.apply_config(obs_config)
+        obs.restore_config(obs_config)
     if worker_budget is not None:
         fftlib.set_worker_budget(worker_budget)
     cache.warmup(config, process_window=process_window)

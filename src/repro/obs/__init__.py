@@ -50,7 +50,6 @@ from .metrics import (
 )
 from .registry import DECLARED_METRICS, DECLARED_SPANS
 from .state import (
-    apply_config,
     disable,
     enable,
     enabled,
@@ -179,7 +178,6 @@ __all__ = [
     "shard_dir",
     "export_config",
     "restore_config",
-    "apply_config",
     "shard_path",
     "write_shard",
     "discover_shards",

@@ -8,7 +8,7 @@ single module-attribute check while disabled.  It turns on three ways:
 * programmatically — :func:`enable` / the :func:`use` context manager,
   which composes with ``fftlib.use()``;
 * cross-process — the harness forwards :func:`export_config` through
-  its worker initializer and workers call :func:`apply_config`.
+  its worker initializer and workers call :func:`restore_config`.
 
 This module is the designated raw reader for ``REPRO_TRACE`` /
 ``REPRO_METRICS`` (declared in :mod:`repro.analysis.registry`; the R2
@@ -146,11 +146,6 @@ def restore_config(config: Dict[str, object]) -> None:
     _SHARD_DIR = str(raw_dir) if raw_dir else None
 
 
-def apply_config(config: Dict[str, object]) -> None:
-    """Worker-side hook: adopt the parent process's observability state."""
-    restore_config(config)
-
-
 __all__ = [
     "trace_enabled",
     "metrics_enabled",
@@ -162,5 +157,4 @@ __all__ = [
     "use",
     "export_config",
     "restore_config",
-    "apply_config",
 ]

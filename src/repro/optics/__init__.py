@@ -33,7 +33,7 @@ from .pupil import (
     pupil,
     pupil_crops,
 )
-from .engine import ImagingEngine, as_tile_batch, engine_for
+from .engine import ImagingEngine, as_tile_batch
 from .abbe import AbbeImaging
 from .hopkins import HopkinsImaging, build_tcc, socs_kernels
 from .resist import binarize, calibrate_threshold, printed_area_nm2, resist_image
@@ -65,7 +65,6 @@ __all__ = [
     "wavefront_to_defocus_nm",
     "ImagingEngine",
     "as_tile_batch",
-    "engine_for",
     "AbbeImaging",
     "HopkinsImaging",
     "build_tcc",

@@ -34,13 +34,12 @@ field images at intensity 1 for any source shape; this keeps a single
 resist threshold meaningful while the source is being optimized.
 
 ``AbbeImaging`` implements the :class:`repro.optics.engine.ImagingEngine`
-protocol; pupil crops come from the shared :mod:`repro.optics.cache`
-unless a custom source grid is supplied.
+protocol; every condition's pupil crops, the nominal one included, come
+from the shared :mod:`repro.optics.cache`.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Optional
 
 import numpy as np
@@ -49,7 +48,6 @@ from .. import autodiff as ad
 from ..autodiff import functional as F
 from .config import OpticalConfig
 from .engine import ImagingEngine, as_tile_batch
-from .source import SourceGrid
 
 __all__ = ["AbbeImaging"]
 
@@ -62,11 +60,9 @@ class AbbeImaging(ImagingEngine):
     Parameters
     ----------
     config:
-        Optical configuration; grids are derived from it.
-    source_grid:
-        Optional pre-built :class:`SourceGrid`.  When omitted, the grid
-        and the pupil crops are fetched from the shared optics cache, so
-        engines with equal configs share one crop stack.
+        Optical configuration.  The source grid and every condition's
+        pupil crops come from the shared optics cache, so engines with
+        equal configs share one crop stack per condition.
 
     Both :meth:`aerial_conditions` arguments are autodiff tensors, so
     gradients flow to the mask *and* the source — the property that
@@ -74,120 +70,40 @@ class AbbeImaging(ImagingEngine):
     discussion).
     """
 
-    def __init__(
-        self,
-        config: OpticalConfig,
-        source_grid: Optional[SourceGrid] = None,
-        defocus_nm: float = 0.0,
-        aberration=None,
-    ):
-        from .zernike import PupilAberration
+    def __init__(self, config: OpticalConfig):
+        from . import cache
 
         config.validate_sampling()
         self.config = config
-        # The engine's own pupil condition: the legacy defocus knob plus
-        # an optional general aberration spec, canonicalized into one
-        # PupilAberration (Z4 == wafer defocus).
-        own = PupilAberration.coerce(aberration)
-        if float(defocus_nm) != 0.0:
-            own = own.add_defocus(float(defocus_nm))
-        self.aberration = own
-        self.defocus_nm = float(own.defocus_nm)
-        self._custom_grid = source_grid is not None
-        if source_grid is None:
-            from . import cache
-
-            self.source_grid = cache.source_grid(config)
-            self._geometry = cache.pupil_geometry(config)
-            self._pupil_stack, self._valid_index = cache.pupil_stack(
-                config, own
-            )
-            self._conj_pairs = cache.conj_pairs(config, own)
-        else:
-            from .pupil import conj_pair_indices, crop_geometry, pupil_crops
-
-            self.source_grid = source_grid
-            self._geometry = crop_geometry(config, source_grid)
-            crops, valid_index = pupil_crops(
-                config, source_grid, own, self._geometry
-            )
-            self._pupil_stack = ad.Tensor(crops)
-            self._valid_index = valid_index
-            self._conj_pairs = conj_pair_indices(
-                crops, self._geometry[1], valid_index, source_grid
-            )
+        self.source_grid = cache.source_grid(config)
+        #: The nominal condition's crops and pairing (what
+        #: :meth:`source_intensity_basis` defaults to).
+        self._pupil_stack, self._valid_index = cache.pupil_stack(config)
+        self._conj_pairs = cache.conj_pairs(config)
         #: ``(S, 2)`` integer (row, col) centre bin of every pupil crop
         #: (all zero when the crop is the whole grid).
-        self.pupil_centres = self._geometry[1]
+        self.pupil_centres = cache.pupil_geometry(config)[1]
         self.num_source_points = self._pupil_stack.shape[0]
-        #: Per-condition (stack, conj_pairs) memo for custom-grid engines
-        #: (cache-backed engines resolve through repro.optics.cache).
-        #: Guarded by a lock: cached engines are shared across threads,
-        #: and the condition axis now fans out concurrently.
-        self._condition_memo: dict = {}
-        self._memo_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def condition_stacks(self, conditions):
         """Per-condition ``(pupil_crops_tensor, conj_pairs)`` pairs.
 
         The condition axis of a process window: one entry per distinct
-        pupil aberration, shared through :mod:`repro.optics.cache` (or a
-        per-engine memo when a custom source grid is in play).  Entries
-        of ``conditions`` are anything
-        :meth:`repro.optics.zernike.PupilAberration.coerce` accepts —
-        plain defocus floats keep working.  Every condition shares the
-        engine's crop geometry (:attr:`pupil_centres`).  The null
-        condition keeps its real crops and verified ``+/-sigma``
+        pupil aberration, the nominal one included, each shared through
+        :mod:`repro.optics.cache`.  Entries of ``conditions`` are
+        anything :meth:`repro.optics.zernike.PupilAberration.coerce`
+        accepts — plain defocus floats keep working.  Every condition
+        shares the engine's crop geometry (:attr:`pupil_centres`).  The
+        null condition keeps its real crops and verified ``+/-sigma``
         pairing; aberrated crops are complex and opt out of pairing.
         """
-        from .zernike import PupilAberration
+        from . import cache
 
-        out = []
-        for condition in conditions:
-            ab = PupilAberration.coerce(condition)
-            if ab.cache_key == self.aberration.cache_key:
-                out.append((self._pupil_stack, self._conj_pairs))
-            elif not self._custom_grid:
-                from . import cache
-
-                stack_t, _ = cache.pupil_stack(self.config, ab)
-                out.append((stack_t, cache.conj_pairs(self.config, ab)))
-            else:
-                key = ab.cache_key
-                with self._memo_lock:
-                    entry = self._condition_memo.get(key)
-                if entry is None:
-                    from .engine import CONDITION_MEMO_MAX
-                    from .pupil import conj_pair_indices, pupil_crops
-
-                    # Build outside the lock (stacks are heavy); insert
-                    # under it, first build wins (values are
-                    # deterministic, so concurrent builders agree).
-                    crops, valid_index = pupil_crops(
-                        self.config, self.source_grid, ab, self._geometry
-                    )
-                    built = (
-                        ad.Tensor(crops),
-                        conj_pair_indices(
-                            crops, self.pupil_centres, valid_index,
-                            self.source_grid,
-                        ),
-                    )
-                    with self._memo_lock:
-                        entry = self._condition_memo.get(key)
-                        if entry is None:
-                            if len(self._condition_memo) >= CONDITION_MEMO_MAX:
-                                # Bounded FIFO: cached engines are shared,
-                                # so the memo must not grow with every
-                                # condition ever seen.
-                                del self._condition_memo[
-                                    next(iter(self._condition_memo))
-                                ]
-                            self._condition_memo[key] = built
-                            entry = built
-                out.append(entry)
-        return out
+        return [
+            (cache.pupil_stack(self.config, c)[0], cache.conj_pairs(self.config, c))
+            for c in conditions
+        ]
 
     def source_weights(self, source: ad.Tensor) -> ad.Tensor:
         """Extract the valid-point weight vector ``j_s`` from a source image."""
@@ -255,8 +171,9 @@ class AbbeImaging(ImagingEngine):
         pairing and ``size=N`` is the aerial image (see
         :func:`repro.autodiff.functional.incoherent_basis`).
         ``pupil_stack``/``conj_pairs`` substitute one condition's crops
-        and pairing (from :meth:`condition_stacks`) for the engine's own
-        — the process-window objective builds one basis per condition.
+        and pairing (from :meth:`condition_stacks`) for the nominal
+        condition's — the process-window objective builds one basis per
+        condition.
         """
         tiles, _ = as_tile_batch(masks, self.config.mask_size)
         if pupil_stack is None:
@@ -264,11 +181,3 @@ class AbbeImaging(ImagingEngine):
         return F.incoherent_basis(
             tiles, pupil_stack, self.pupil_centres, conj_pairs
         )
-
-    # ------------------------------------------------------------------
-    def clear_field_intensity(self, source: np.ndarray) -> float:
-        """Nominal intensity of a fully open mask (sanity-check helper)."""
-        img = self.aerial_fast(
-            np.ones((self.config.mask_size,) * 2), np.asarray(source)
-        )
-        return float(img.mean())

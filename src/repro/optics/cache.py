@@ -230,11 +230,12 @@ def pupil_stack(config: OpticalConfig, aberration=0.0):
     *same* ``(S, K, K)`` crops.
 
     ``aberration`` is anything
-    :meth:`repro.optics.zernike.PupilAberration.coerce` accepts; a plain
-    float keeps the legacy ``defocus_nm`` meaning.  Keys are the spec's
-    canonical identity, so ``ProcessCorner(defocus_nm=f)`` and
-    ``ProcessCorner(aberrations={"Z4": f})`` resolve to one cache entry
-    — the same array object, hence bitwise-identical crops.
+    :meth:`repro.optics.zernike.PupilAberration.coerce` accepts (a plain
+    float is a wafer defocus in nm); the default is the nominal
+    condition.  Keys are the spec's canonical identity, so
+    ``ProcessCorner(defocus_nm=f)`` and ``ProcessCorner(aberrations=
+    {"Z4": f})`` resolve to one cache entry — the same array object,
+    hence bitwise-identical crops.
     """
     from .. import autodiff as ad
     from .zernike import PupilAberration
@@ -317,7 +318,7 @@ def socs(
 # ----------------------------------------------------------------------
 # shared engine instances
 # ----------------------------------------------------------------------
-def abbe_engine(config: OpticalConfig, defocus_nm: float = 0.0):
+def abbe_engine(config: OpticalConfig):
     """Shared :class:`AbbeImaging` instance for a configuration.
 
     Engines are stateless after construction, so one instance can back
@@ -325,20 +326,15 @@ def abbe_engine(config: OpticalConfig, defocus_nm: float = 0.0):
     """
     from .abbe import AbbeImaging
 
-    return _lookup(
-        "abbe_engine",
-        (config, float(defocus_nm)),
-        lambda: AbbeImaging(config, defocus_nm=defocus_nm),
-    )
+    return _lookup("abbe_engine", config, lambda: AbbeImaging(config))
 
 
 def hopkins_engine(
     config: OpticalConfig,
     source: np.ndarray,
     num_kernels: Optional[int] = None,
-    defocus_nm: float = 0.0,
 ):
-    """Shared :class:`HopkinsImaging` for (config, source, Q, defocus)."""
+    """Shared :class:`HopkinsImaging` for (config, source, Q)."""
     from .hopkins import HopkinsImaging
 
     q = num_kernels or config.socs_terms
@@ -346,16 +342,14 @@ def hopkins_engine(
     # budget — otherwise evicted decompositions would stay alive here.
     return _lookup(
         "hopkins_engine",
-        (config, q, float(defocus_nm)) + _source_key(source),
-        lambda: HopkinsImaging(config, source, q, defocus_nm=defocus_nm),
+        (config, q) + _source_key(source),
+        lambda: HopkinsImaging(config, source, q),
         weigh=lambda engine: engine._kernel_stack.data.nbytes,
         budget=SOCS_BUDGET_BYTES,
     )
 
 
-def warmup(
-    config: OpticalConfig, defocus_nm: float = 0.0, process_window=None
-) -> None:
+def warmup(config: OpticalConfig, process_window=None) -> None:
     """Pre-build every config-keyed entry (grids, pupil stack, engine).
 
     Parallel harness workers call this once at start-up so all
@@ -379,9 +373,9 @@ def warmup(
         freq_grid(config)
         source_grid(config)
         pupil_geometry(config)
-        pupil_stack(config, defocus_nm)
-        conj_pairs(config, defocus_nm)
-        abbe_engine(config, defocus_nm)
+        pupil_stack(config)
+        conj_pairs(config)
+        abbe_engine(config)
         if process_window is not None:
             from . import fftlib
 

@@ -15,7 +15,7 @@ the paper-scale preset remains available.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, ClassVar, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -239,9 +239,10 @@ class ProcessWindow:
     pass each) and :meth:`condition_index` maps every corner to its
     pass, so a C-corner window with F distinct specs costs F aerial
     evaluations — dose corners are free (an exact post-aerial
-    ``dose**2`` scaling).  :meth:`focus_values` / :meth:`focus_index`
-    are the legacy defocus-only views, valid while every condition is a
-    pure-defocus spec.
+    ``dose**2`` scaling).  A window is the only way a pupil condition
+    reaches an imaging engine: engines image the nominal condition in
+    ``aerial`` and any other through ``aerial_conditions(mask, source,
+    window.conditions())``.
     """
 
     corners: Tuple[ProcessCorner, ...]
@@ -286,28 +287,6 @@ class ProcessWindow:
         """Corner -> index into :meth:`conditions`, shape ``(C,)``."""
         order = {ab.cache_key: i for i, ab in enumerate(self.conditions())}
         return np.array([order[c.aberrations.cache_key] for c in self.corners])
-
-    def focus_values(self) -> Tuple[float, ...]:
-        """Distinct defocus settings — the legacy defocus-only view.
-
-        Valid while every condition is a pure-defocus spec; windows with
-        astigmatism / coma / spherical (or raw-map) conditions raise a
-        pointer to :meth:`conditions`.
-        """
-        vals: List[float] = []
-        for ab in self.conditions():
-            if not ab.is_pure_defocus:
-                raise ValueError(
-                    "window has non-defocus aberration conditions "
-                    f"({ab.label}); use conditions()/condition_index()"
-                )
-            vals.append(float(ab.defocus_nm))
-        return tuple(vals)
-
-    def focus_index(self) -> np.ndarray:
-        """Corner -> index into :meth:`focus_values`, shape ``(C,)``."""
-        self.focus_values()  # validate the defocus-only view applies
-        return self.condition_index()
 
     def intensity_thresholds(self, config: OpticalConfig) -> np.ndarray:
         """Per-corner resist thresholds ``(C,)``, resolved against the

@@ -24,7 +24,10 @@ An engine defines ONE imaging method:
 and inherits the rest from the protocol, each derived from it:
 
 ``aerial(mask, source=None)``
-    The engine's own condition, shaped like ``mask``.
+    The nominal (aberration-free, in-focus) condition, shaped like
+    ``mask``.  Engines carry no pupil condition of their own: every
+    other condition reaches them through ``aerial_conditions``, from a
+    window's :meth:`~repro.optics.config.ProcessWindow.conditions`.
 
 ``aerial_fast(mask, source=None)`` / ``aerial_conditions_fast(...)``
     :meth:`aerial` / :meth:`aerial_conditions` on plain arrays, returning
@@ -34,7 +37,8 @@ and inherits the rest from the protocol, each derived from it:
     evaluation and the harness judge.
 
 Routing every consumer through this protocol is what lets batching and
-caching (:mod:`repro.optics.cache`) land everywhere at once.
+caching (:mod:`repro.optics.cache`, which also hands out the shared
+engine instances) land everywhere at once.
 """
 
 from __future__ import annotations
@@ -47,22 +51,9 @@ from .. import autodiff as ad
 from ..autodiff import functional as F
 from .config import OpticalConfig
 
-__all__ = [
-    "ImagingEngine",
-    "MaskLike",
-    "as_tile_batch",
-    "engine_for",
-    "CONDITION_MEMO_MAX",
-]
+__all__ = ["ImagingEngine", "MaskLike", "as_tile_batch"]
 
 MaskLike = Union[np.ndarray, "ad.Tensor"]
-
-#: Per-engine bound on memoized per-focus kernel/pupil stacks.  Cached
-#: engine instances are shared module-wide, so an unbounded memo would
-#: grow outside the optics cache's byte accounting; real windows use a
-#: handful of focus values, so a small FIFO (an engine's own focus is
-#: never evicted) keeps memory flat without thrashing.
-CONDITION_MEMO_MAX = 8
 
 
 @runtime_checkable
@@ -75,8 +66,6 @@ class ImagingEngine(Protocol):
     """
 
     config: OpticalConfig
-    #: The engine's own pupil condition (what :meth:`aerial` images at).
-    aberration: Any
 
     def aerial_conditions(
         self,
@@ -92,16 +81,16 @@ class ImagingEngine(Protocol):
     def aerial(
         self, mask: MaskLike, source: Optional[MaskLike] = None
     ) -> "ad.Tensor":
-        """Differentiable aerial image at the engine's own condition, for
+        """Differentiable aerial image at the nominal condition, for
         ``(N, N)`` or ``(B, N, N)`` masks."""
-        stack = self.aerial_conditions(mask, source, (self.aberration,))
+        stack = self.aerial_conditions(mask, source, (0.0,))
         return F.reshape(stack, stack.shape[1:])
 
     def aerial_fast(
         self, mask: MaskLike, source: Optional[MaskLike] = None
     ) -> np.ndarray:
         """Graph-free :meth:`aerial`, as a numpy array."""
-        return self.aerial_conditions_fast(mask, source, (self.aberration,))[0]
+        return self.aerial_conditions_fast(mask, source, (0.0,))[0]
 
     def aerial_conditions_fast(
         self,
@@ -148,27 +137,3 @@ def as_tile_batch(mask: MaskLike, mask_size: int) -> Tuple[np.ndarray, bool]:
             f"mask tiles must be ({mask_size}, {mask_size}); got {arr.shape[-2:]}"
         )
     return arr, single
-
-
-def engine_for(
-    config: OpticalConfig,
-    model: str = "abbe",
-    source: Optional[np.ndarray] = None,
-    num_kernels: Optional[int] = None,
-    defocus_nm: float = 0.0,
-) -> "ImagingEngine":
-    """Resolve a shared engine instance from the module-level optics cache.
-
-    ``model="abbe"`` ignores ``source``/``num_kernels`` (the source stays
-    a free, differentiable input); ``model="hopkins"`` requires the
-    ``source`` it bakes into the TCC.
-    """
-    from . import cache
-
-    if model == "abbe":
-        return cache.abbe_engine(config, defocus_nm=defocus_nm)
-    if model == "hopkins":
-        if source is None:
-            raise ValueError("hopkins engines require a fixed source image")
-        return cache.hopkins_engine(config, source, num_kernels, defocus_nm)
-    raise KeyError(f"unknown imaging model {model!r}; choose 'abbe' or 'hopkins'")

@@ -22,7 +22,6 @@ engine's only imaging method; the rest derive from it
 
 from __future__ import annotations
 
-import threading
 from typing import Optional, Tuple
 
 import numpy as np
@@ -33,7 +32,7 @@ from .. import autodiff as ad
 from ..autodiff import functional as F
 from ..utils.seed import seeded_rng
 from .config import OpticalConfig
-from .engine import CONDITION_MEMO_MAX, ImagingEngine
+from .engine import ImagingEngine
 from .source import SourceGrid
 
 __all__ = ["HopkinsImaging", "build_tcc", "socs_kernels"]
@@ -132,17 +131,16 @@ class HopkinsImaging(ImagingEngine):
     num_kernels:
         SOCS truncation order Q; ``None`` uses ``config.socs_terms``;
         pass the full support size for a lossless (test) decomposition.
-    defocus_nm:
-        Wafer-plane focus offset.  For *any* unit-modulus pupil-phase
-        factor ``D`` (defocus, astigmatism, coma, spherical, or a raw
-        map — see :class:`repro.optics.zernike.PupilAberration`) the
-        aberrated TCC is the nominal TCC conjugated by ``D``:
-        ``TCC_D[p, q] = D(f_p) conj(D(f_q)) TCC_0[p, q]`` — a unitary
-        diagonal congruence, so the eigenvalues are unchanged and the
-        aberrated SOCS kernels are exactly ``Phi_q * D``.  An aberration
-        condition therefore costs one elementwise phase multiply, never
-        a TCC re-assembly or re-decomposition (the identity behind
-        :meth:`condition_kernels`).
+
+    For *any* unit-modulus pupil-phase factor ``D`` (defocus,
+    astigmatism, coma, spherical, or a raw map — see
+    :class:`repro.optics.zernike.PupilAberration`) the aberrated TCC is
+    the nominal TCC conjugated by ``D``: ``TCC_D[p, q] = D(f_p)
+    conj(D(f_q)) TCC_0[p, q]`` — a unitary diagonal congruence, so the
+    eigenvalues are unchanged and the aberrated SOCS kernels are
+    exactly ``Phi_q * D``.  A process-window condition therefore costs
+    one elementwise phase multiply, never a TCC re-assembly or
+    re-decomposition (the identity behind :meth:`condition_kernels`).
     """
 
     def __init__(
@@ -150,66 +148,33 @@ class HopkinsImaging(ImagingEngine):
         config: OpticalConfig,
         source: np.ndarray,
         num_kernels: Optional[int] = None,
-        defocus_nm: float = 0.0,
     ):
-        from .zernike import PupilAberration
+        from . import cache
 
         config.validate_sampling()
         self.config = config
-        self.aberration = PupilAberration.defocus(float(defocus_nm))
-        self.defocus_nm = float(defocus_nm)
-        from . import cache
-
-        self.weights, self._base_kernel_stack, self.tcc_trace = cache.socs(
+        self.weights, self._kernel_stack, self.tcc_trace = cache.socs(
             config, source, num_kernels
         )
-        self._kernel_stack = self._aberrated_kernels(self.aberration)
         self.num_kernels = self._kernel_stack.shape[0]
         self._weight_tensor = ad.Tensor(self.weights)
-        #: Per-condition kernel-stack memo for the condition axis.
-        self._condition_memo: dict = {
-            self.aberration.cache_key: self._kernel_stack
-        }
-        #: Guards the memo against concurrent condition-axis builds.
-        self._memo_lock = threading.Lock()
-
-    def _aberrated_kernels(self, aberration) -> "ad.Tensor":
-        """Nominal SOCS kernels phased to an aberration condition (exact
-        for any unit-modulus ``D``, see class docstring); the null spec
-        shares the cached base stack."""
-        from .zernike import PupilAberration
-
-        ab = PupilAberration.coerce(aberration)
-        if ab.is_null:
-            return self._base_kernel_stack
-        phase = ab.phase(self.config)
-        return ad.Tensor(self._base_kernel_stack.data * phase[None, :, :])
 
     def condition_kernels(self, conditions):
-        """Per-condition SOCS kernel tensors (memoized phase multiplies,
-        bounded by ``CONDITION_MEMO_MAX``).  Entries are defocus floats
-        or any :meth:`PupilAberration.coerce` argument."""
+        """Per-condition SOCS kernel tensors: the cached nominal stack for
+        the null spec, otherwise that stack phased to the condition on
+        each call (exact for any unit-modulus ``D``, see the class
+        docstring).  Entries are defocus floats or any
+        :meth:`PupilAberration.coerce` argument."""
         from .zernike import PupilAberration
 
         out = []
         for condition in conditions:
             ab = PupilAberration.coerce(condition)
-            key = ab.cache_key
-            with self._memo_lock:
-                entry = self._condition_memo.get(key)
-            if entry is None:
-                built = self._aberrated_kernels(ab)
-                with self._memo_lock:
-                    entry = self._condition_memo.get(key)
-                    if entry is None:
-                        if len(self._condition_memo) >= CONDITION_MEMO_MAX:
-                            for memo_key in self._condition_memo:
-                                if memo_key != self.aberration.cache_key:
-                                    del self._condition_memo[memo_key]
-                                    break
-                        self._condition_memo[key] = built
-                        entry = built
-            out.append(entry)
+            if ab.is_null:
+                out.append(self._kernel_stack)
+            else:
+                phase = ab.phase(self.config)
+                out.append(ad.Tensor(self._kernel_stack.data * phase[None, :, :]))
         return out
 
     def aerial_conditions(

@@ -108,17 +108,16 @@ class HypergradientContext:
         self.basis = basis
         tj = ad.Tensor(theta_j, requires_grad=True)
         jn = basis.weights(tj)
-        aerials = basis.aerials(jn)
-        loss = basis.tail(aerials)
+        self._a = basis.aerials(jn)
+        loss = basis.tail(self._a)
         self.loss_value = float(loss.data)
-        # HVP graph theta_J -> jhat -> A -> T: FFT-free.
-        (gj,) = ad.grad(loss, [tj], create_graph=True)
+        # One backward over theta_J -> jhat -> A -> T, FFT-free: grad_j
+        # with its graph for the HVPs, and G = dT/dA with its graph for
+        # G' = (d^2 T / dA^2) A(M, delta) in mixed_vjp, whose second
+        # backward stops at the aerials.
+        gj, *self._g = ad.grad(loss, [tj, *self._a], create_graph=True)
         self._tj, self._gj = tj, gj
         self.grad_j = gj.data.copy()
-        # The tail alone, from leaf aerials: G = dT/dA with its graph, for
-        # G' = (d^2 T / dA^2) A(M, delta) in mixed_vjp.
-        self._a = [ad.Tensor(a.data, requires_grad=True) for a in aerials]
-        self._g = ad.grad(basis.tail(self._a), self._a, create_graph=True)
         # J_jhat^T u for a free leaf u: differentiating <J^T u, w> in u
         # gives the forward product J_jhat w from two reverse passes.
         self._u = ad.Tensor(np.zeros(jn.shape), requires_grad=True)

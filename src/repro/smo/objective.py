@@ -47,12 +47,7 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import functional as F
-from ..optics import (
-    ImagingEngine,
-    OpticalConfig,
-    ProcessWindow,
-    engine_for,
-)
+from ..optics import ImagingEngine, OpticalConfig, ProcessWindow, cache
 from .parametrization import mask_from_theta, source_from_theta
 
 __all__ = [
@@ -657,7 +652,7 @@ class ProcessWindowSMOObjective(_WindowObjective):
         tau: float = 1.0,
     ):
         super().__init__(config, target, window, robust, tau)
-        self.engine = engine or engine_for(config, "abbe")
+        self.engine = engine or cache.abbe_engine(config)
         if not hasattr(self.engine, "source_weights"):
             raise ValueError(
                 "ProcessWindowSMOObjective needs a source-differentiable "
@@ -808,9 +803,7 @@ class HopkinsMOObjective(_WindowObjective):
         self.engine = engine or self._build_engine(source)
 
     def _build_engine(self, source: np.ndarray) -> ImagingEngine:
-        return engine_for(
-            self.config, "hopkins", source=source, num_kernels=self._num_kernels
-        )
+        return cache.hopkins_engine(self.config, source, self._num_kernels)
 
     def rebuild_source(self, source: np.ndarray) -> None:
         """Re-derive TCC + SOCS kernels for a new source (slow path)."""

@@ -15,10 +15,16 @@ from repro.optics import (
     OpticalConfig,
     PupilAberration,
     SourceGrid,
-    engine_for,
+    cache,
     fftlib,
 )
-from repro.smo import bismo, mask_from_theta, smo_loss_from_aerial, source_from_theta
+from repro.smo import (
+    bismo,
+    dose_resist,
+    mask_from_theta,
+    smo_loss_from_aerial,
+    source_from_theta,
+)
 from repro.utils.memory import require_memory
 
 
@@ -87,15 +93,16 @@ class FullGridAbbeImaging(AbbeImaging):
     """The Abbe engine on whole-grid ``(S, N, N)`` pupils: every field an
     N-point transform, no crop and no resample — the parity oracle of
     the cropped engine (same primitive at K == N, so the two differ
-    only by the band-limited crop)."""
+    only by the band-limited crop).  ``aberration`` sets the stack that
+    :meth:`aerial_loop` sums over; every other method takes its
+    conditions like the engine does."""
 
-    def __init__(self, config: OpticalConfig, source_grid=None, aberration=None):
-        grid = source_grid or SourceGrid.from_config(config)
-        super().__init__(config, source_grid=grid, aberration=aberration)
+    def __init__(self, config: OpticalConfig, aberration=None):
+        super().__init__(config)
         self.pupil_centres = np.zeros((self.num_source_points, 2), dtype=np.intp)
-        stack, _ = full_pupil_stack(config, grid, self.aberration)
+        stack, _ = full_pupil_stack(config, self.source_grid, aberration)
         self._pupil_stack = ad.Tensor(stack)
-        self._conj_pairs = full_conj_pairs(stack, grid)
+        self._conj_pairs = full_conj_pairs(stack, self.source_grid)
         self._full: dict = {}
 
     def condition_stacks(self, conditions):
@@ -173,6 +180,23 @@ def per_condition_loss(objective):
         )
 
     return loss
+
+
+def per_corner_losses(engine, config, mask, source, target, window):
+    """The per-corner loop oracle of the fused condition axis: each
+    corner of ``window`` images in its own ``engine.aerial_conditions(
+    mask, source, (corner.aberrations,))`` pass — its own mask spectrum
+    and kernel pass, with nothing shared even where corners share a
+    condition — then the composed ``dose_resist`` and its squared error
+    against ``target``.  Returns the ``C`` corner losses."""
+    target = ad.as_tensor(target)
+    losses = []
+    for corner in window.corners:
+        stack = engine.aerial_conditions(mask, source, (corner.aberrations,))
+        aerial = F.reshape(stack, stack.shape[1:])
+        z = dose_resist(aerial, config, corner.dose, corner.intensity_threshold)
+        losses.append(F.sum(F.power(F.sub(z, target), 2.0)))
+    return losses
 
 
 def composed_condition_stack(mask, stacks, weights) -> ad.Tensor:
@@ -343,7 +367,7 @@ class LoopedSMOObjective:
         self.config = config
         self.target = ad.Tensor(targets)
         self.num_tiles = targets.shape[0]
-        self.engine = engine or engine_for(config, "abbe")
+        self.engine = engine or cache.abbe_engine(config)
         #: Per-tile loss vector of the most recent :meth:`loss` call.
         self.last_tile_losses: Optional[np.ndarray] = None
 

@@ -240,7 +240,8 @@ class TestConjugatePairStreaming:
         s = engine.num_source_points
         assert np.array_equal(pairs[pairs], np.arange(s))
         # Defocused stacks are complex: pairing must opt out.
-        assert AbbeImaging(cfg, defocus_nm=80.0)._conj_pairs is None
+        ((_, defocused),) = engine.condition_stacks((80.0,))
+        assert defocused is None
 
 
 class TestZeroWeightPruning:

@@ -98,3 +98,68 @@ class TestMeasureEPE:
         ]
         assert np.all(np.array(right) < -15)
         assert np.abs(np.array(others)).max() < 5.0
+
+
+def _two_sample_epe(printed, site, grid, threshold, step_nm, n_steps, max_search_nm):
+    """The march as it read when the start point was sampled twice (once
+    for the side, once as the first interpolation end): the reference
+    the one-sample march is held to bitwise."""
+    from repro.geometry.edges import _sample
+
+    nx, ny = site.normal
+    inside = _sample(printed, grid, site.x_nm, site.y_nm) >= threshold
+    direction = 1.0 if inside else -1.0
+    prev_val = _sample(printed, grid, site.x_nm, site.y_nm)
+    for k in range(1, n_steps + 1):
+        d = k * step_nm * direction
+        val = _sample(printed, grid, site.x_nm + nx * d, site.y_nm + ny * d)
+        crossed = (val < threshold) if inside else (val >= threshold)
+        if crossed:
+            lo, hi = prev_val, val
+            frac = 0.5 if hi == lo else (threshold - lo) / (hi - lo)
+            return ((k - 1) + frac) * step_nm * direction
+        prev_val = val
+    return max_search_nm * direction
+
+
+class TestEPEMarch:
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_crossing_at_step_k_takes_k_plus_one_samples(
+        self, monkeypatch, k, inside
+    ):
+        """One sample at the site, then one per step up to the crossing."""
+        from repro.geometry import edges
+
+        grid = GridSpec(64, 5.0)
+        step = grid.pixel_nm / 2.0
+        site = EPESite(100.0, 150.0, (1.0, 0.0))
+        direction = 1.0 if inside else -1.0
+        edge = site.x_nm + direction * (k - 0.5) * step
+        calls = []
+
+        def sample(printed, grid, x_nm, y_nm):
+            calls.append(x_nm)
+            before = (x_nm - edge) * direction < 0.0
+            return 1.0 if before == inside else 0.0
+
+        monkeypatch.setattr(edges, "_sample", sample)
+        (epe,) = measure_epe(np.zeros((64, 64)), [site], grid)
+        assert len(calls) == k + 1
+        assert epe == (k - 0.5) * step * direction
+
+    def test_values_bitwise_equal_to_the_two_sample_march(self):
+        grid = GridSpec(64, 5.0)
+        rng = np.random.default_rng(3)
+        printed = rasterize([Rect(95, 105, 305, 195), Rect(40, 40, 90, 260)], grid)
+        printed = 0.8 * printed + 0.2 * rng.random(printed.shape)
+        sites = edge_sites(
+            [Rect(100, 100, 300, 200), Rect(40, 40, 90, 260)], spacing_nm=20
+        )
+        step = grid.pixel_nm / 2.0
+        n_steps = int(80.0 / step)
+        expected = [
+            _two_sample_epe(printed, s, grid, 0.5, step, n_steps, 80.0)
+            for s in sites
+        ]
+        np.testing.assert_array_equal(measure_epe(printed, sites, grid), expected)

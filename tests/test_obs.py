@@ -284,7 +284,7 @@ class TestConfigForwarding:
             config = obs.export_config()
         assert config["trace"] and config["metrics"]
         assert config["shard_dir"] == str(tmp_path)
-        obs.apply_config(config)
+        obs.restore_config(config)
         try:
             assert obs.trace_enabled() and obs.metrics_enabled()
             assert obs.shard_dir() == str(tmp_path)

@@ -15,7 +15,6 @@ from repro.optics import (
     ImagingEngine,
     OpticalConfig,
     as_tile_batch,
-    engine_for,
 )
 
 
@@ -45,16 +44,6 @@ class TestProtocol:
     def test_both_engines_satisfy_protocol(self, abbe, hopkins):
         assert isinstance(abbe, ImagingEngine)
         assert isinstance(hopkins, ImagingEngine)
-
-    def test_engine_for_dispatch(self, cfg, tiny_source):
-        assert isinstance(engine_for(cfg, "abbe"), AbbeImaging)
-        assert isinstance(
-            engine_for(cfg, "hopkins", source=tiny_source), HopkinsImaging
-        )
-        with pytest.raises(ValueError):
-            engine_for(cfg, "hopkins")
-        with pytest.raises(KeyError):
-            engine_for(cfg, "kirchhoff")
 
     def test_abbe_requires_source(self, abbe, tiles):
         with pytest.raises(ValueError):
@@ -178,13 +167,16 @@ class TestFastPathParity:
             hopkins.aerial_fast(tiles), graph_all, atol=1e-12
         )
 
-    def test_defocused_fast_parity(self, cfg, tiles, tiny_source):
+    def test_defocused_fast_parity(self, abbe, tiles, tiny_source):
         """Complex (defocused) pupil stacks ride the same fast path."""
-        engine = AbbeImaging(cfg, defocus_nm=120.0)
         with ad.no_grad():
-            graph = engine.aerial(ad.Tensor(tiles[0]), ad.Tensor(tiny_source)).data
+            graph = abbe.aerial_conditions(
+                ad.Tensor(tiles[0]), ad.Tensor(tiny_source), (120.0,)
+            ).data
         np.testing.assert_allclose(
-            engine.aerial_fast(tiles[0], tiny_source), graph, atol=1e-12
+            abbe.aerial_conditions_fast(tiles[0], tiny_source, (120.0,)),
+            graph,
+            atol=1e-12,
         )
 
     def test_condition_stack_fast_matches_graph(

@@ -77,8 +77,9 @@ class TestPupil:
 
 
 class TestAbbePhysics:
-    def test_clear_field_is_one(self, abbe, src):
-        assert abbe.clear_field_intensity(src) == pytest.approx(1.0, abs=1e-6)
+    def test_clear_field_is_one(self, cfg, abbe, src):
+        clear = abbe.aerial_fast(np.ones((cfg.mask_size,) * 2), src).mean()
+        assert clear == pytest.approx(1.0, abs=1e-6)
 
     def test_dark_field_is_zero(self, cfg, abbe, src):
         with ad.no_grad():

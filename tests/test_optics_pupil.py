@@ -152,7 +152,8 @@ class TestCropGeometry:
         engine = AbbeImaging(cfg)
         assert engine._pupil_stack.shape == (901, 56, 56)
         source = annular(engine.source_grid, cfg.sigma_out, cfg.sigma_in)
-        assert abs(engine.clear_field_intensity(source) - 1.0) <= 1e-12
+        clear = engine.aerial_fast(np.ones((cfg.mask_size,) * 2), source).mean()
+        assert abs(clear - 1.0) <= 1e-12
 
 
 class TestConjugatePairing:
@@ -187,8 +188,8 @@ class TestConjugatePairing:
         _, centres = crop_geometry(tiny_config, grid)
         stack, idx = pupil_crops(tiny_config, grid, 65.0)
         assert conj_pair_indices(stack, centres, idx, grid) is None
-        engine = AbbeImaging(tiny_config, defocus_nm=65.0)
-        assert engine._conj_pairs is None
+        ((_, pairs),) = AbbeImaging(tiny_config).condition_stacks((65.0,))
+        assert pairs is None
 
     def test_fused_streaming_stays_valid_under_defocus(
         self, tiny_config, tiny_source
@@ -198,12 +199,14 @@ class TestConjugatePairing:
         not the half-FFT pairing is available."""
         import repro.autodiff as ad
 
-        engine = AbbeImaging(tiny_config, defocus_nm=65.0)
+        engine = AbbeImaging(tiny_config)
         oracle = FullGridAbbeImaging(tiny_config, aberration=65.0)
         rng = np.random.default_rng(5)
         mask = rng.random((tiny_config.mask_size,) * 2)
         with ad.no_grad():
-            fused = engine.aerial(ad.Tensor(mask), ad.Tensor(tiny_source)).data
+            (fused,) = engine.aerial_conditions(
+                ad.Tensor(mask), ad.Tensor(tiny_source), (65.0,)
+            ).data
             loop = oracle.aerial_loop(
                 ad.Tensor(mask), ad.Tensor(tiny_source)
             ).data

@@ -22,7 +22,7 @@ from repro.optics import (
     OpticalConfig,
     ProcessCorner,
     ProcessWindow,
-    engine_for,
+    cache,
 )
 from repro.smo import (
     AbbeMO,
@@ -38,9 +38,11 @@ from repro.smo import (
 from repro.smo.bismo import HypergradientContext
 from tests.oracles import (
     ComposedAbbeImaging,
+    FullGridAbbeImaging,
     composed_condition_stack,
     incoherent_image_composed,
     per_condition_loss,
+    per_corner_losses,
 )
 
 S, N = 6, 12
@@ -65,8 +67,8 @@ class TestProcessWindowConfig:
         pw = ProcessWindow.from_grid((0.96, 1.04), (0.0, 50.0))
         assert pw.num_corners == 4
         np.testing.assert_array_equal(pw.doses, [0.96, 0.96, 1.04, 1.04])
-        assert pw.focus_values() == (0.0, 50.0)
-        np.testing.assert_array_equal(pw.focus_index(), [0, 1, 0, 1])
+        assert [ab.defocus_nm for ab in pw.conditions()] == [0.0, 50.0]
+        np.testing.assert_array_equal(pw.condition_index(), [0, 1, 0, 1])
 
     def test_from_grid_weight_validation(self):
         with pytest.raises(ValueError):
@@ -84,7 +86,7 @@ class TestProcessWindowConfig:
             pw.weights,
             [tiny_config.gamma, tiny_config.eta, tiny_config.eta],
         )
-        assert pw.focus_values() == (0.0,)
+        assert [ab.is_null for ab in pw.conditions()] == [True]
         assert tiny_config.process_window() == pw
 
     def test_hashable_and_picklable(self):
@@ -284,11 +286,9 @@ class TestProcessWindowObjective:
 
     def test_reference_loop_honors_custom_engine(self, tiny_config, tiny_source):
         """loss_reference must evaluate the objective's own engine (its
-        pupil stacks / source grid), not rebuild cache defaults."""
-        from repro.optics import SourceGrid
-
+        whole-grid pupil stacks), not rebuild cache defaults."""
         cfg = tiny_config
-        engine = AbbeImaging(cfg, source_grid=SourceGrid.from_config(cfg))
+        engine = FullGridAbbeImaging(cfg)
         rng = np.random.default_rng(8)
         target = (rng.random((cfg.mask_size,) * 2) > 0.6).astype(np.float64)
         window = ProcessWindow.from_grid((0.97, 1.03), (0.0, 50.0))
@@ -391,7 +391,7 @@ class TestProcessWindowObjective:
         (source baked into the TCC) must be rejected up front with a
         pointer to HopkinsMOObjective(window=...)."""
         cfg, targets, source, *_ = pw_setup
-        hopkins = engine_for(cfg, "hopkins", source=source)
+        hopkins = cache.hopkins_engine(cfg, source)
         with pytest.raises(ValueError, match="HopkinsMOObjective"):
             ProcessWindowSMOObjective(cfg, targets, engine=hopkins)
 
@@ -400,7 +400,7 @@ class TestProcessWindowObjective:
         pwo = ProcessWindowSMOObjective(cfg, targets, window)
         images = pwo.images(theta_j, theta_m)
         c = window.num_corners
-        f = len(window.focus_values())
+        f = len(window.conditions())
         assert images["corner_resists"].shape == (c, 2, cfg.mask_size, cfg.mask_size)
         assert images["corner_aerials"].shape == (f, 2, cfg.mask_size, cfg.mask_size)
         for key in ("aerial", "resist", "resist_min", "resist_max"):
@@ -459,13 +459,13 @@ class TestHopkinsWindow:
         cfg = tiny_config
         fx, fy = cfg.freq_grid()
         support = int((np.hypot(fx, fy) <= 2 * cfg.cutoff_freq + 1e-15).sum())
-        hop = HopkinsImaging(cfg, tiny_source, num_kernels=support, defocus_nm=70.0)
-        abbe = AbbeImaging(cfg, defocus_nm=70.0)
+        hop = HopkinsImaging(cfg, tiny_source, num_kernels=support)
+        abbe = AbbeImaging(cfg)
         rng = np.random.default_rng(9)
         mask = rng.random((cfg.mask_size,) * 2)
         np.testing.assert_allclose(
-            hop.aerial_fast(mask),
-            abbe.aerial_fast(mask, tiny_source),
+            hop.aerial_conditions_fast(mask, conditions=(70.0,)),
+            abbe.aerial_conditions_fast(mask, tiny_source, (70.0,)),
             atol=1e-10,
         )
 
@@ -479,49 +479,42 @@ class TestHopkinsWindow:
         tm = ad.Tensor(theta_m, requires_grad=True)
         loss = obj.loss(tm)
         (gm,) = ad.grad(loss, [tm])
-        # reference: per-corner loop over per-focus Hopkins engines
-        from repro.smo.objective import dose_resist
-
+        # reference: one Hopkins imaging pass per corner
         tm2 = ad.Tensor(theta_m, requires_grad=True)
-        from repro.smo.parametrization import mask_from_theta
-
         mask = mask_from_theta(tm2, cfg)
+        losses = per_corner_losses(
+            obj.engine, cfg, mask, None, tiny_target, window
+        )
         total = None
-        for corner in window.corners:
-            eng = engine_for(
-                cfg, "hopkins", source=tiny_source, defocus_nm=corner.defocus_nm
-            )
-            z = dose_resist(eng.aerial(mask), cfg, corner.dose)
-            li = F.mul(
-                F.sum(F.power(F.sub(z, ad.Tensor(tiny_target)), 2.0)),
-                corner.weight,
-            )
+        for corner, loss_c in zip(window.corners, losses):
+            li = F.mul(loss_c, corner.weight)
             total = li if total is None else F.add(total, li)
         (gm2,) = ad.grad(total, [tm2])
         np.testing.assert_allclose(float(loss.data), float(total.data), rtol=1e-10)
         np.testing.assert_allclose(gm.data, gm2.data, atol=1e-12)
         assert obj.last_corner_losses.shape == (4, 1)
 
-    def test_condition_memo_is_bounded(self, tiny_config, tiny_source):
-        """Cached engines are shared module-wide; the per-focus memo must
-        stay bounded however many focus values are ever requested."""
-        from repro.optics.engine import CONDITION_MEMO_MAX
+    def test_condition_kernels_phase_the_cached_stack_per_call(
+        self, tiny_config, tiny_source
+    ):
+        """The null spec gets the cached SOCS stack itself; any other
+        condition gets that stack times the condition's pupil phase,
+        built afresh on every call (no per-engine memo) and bitwise
+        equal from call to call."""
+        from repro.optics import PupilAberration
 
-        engine = HopkinsImaging(tiny_config, tiny_source, num_kernels=4)
-        for focus in np.linspace(5.0, 150.0, CONDITION_MEMO_MAX * 2):
-            engine.condition_kernels((float(focus),))
-        assert len(engine._condition_memo) <= CONDITION_MEMO_MAX
-        # the engine's own condition (memo keys are canonical aberration
-        # cache keys since the Zernike subsystem) is never evicted
-        assert engine.aberration.cache_key in engine._condition_memo
-        from repro.optics import SourceGrid
-
-        abbe = AbbeImaging(
-            tiny_config, source_grid=SourceGrid.from_config(tiny_config)
-        )
-        for focus in np.linspace(5.0, 150.0, CONDITION_MEMO_MAX * 2):
-            abbe.condition_stacks((float(focus),))
-        assert len(abbe._condition_memo) <= CONDITION_MEMO_MAX
+        hop = cache.hopkins_engine(tiny_config, tiny_source, 6)
+        _, socs_stack, _ = cache.socs(tiny_config, tiny_source, 6)
+        conditions = (0.0, 45.0, {"Z5": 20.0, "Z7": -12.0})
+        first = hop.condition_kernels(conditions)
+        second = hop.condition_kernels(conditions)
+        assert first[0] is socs_stack and second[0] is socs_stack
+        for condition, k1, k2 in zip(conditions[1:], first[1:], second[1:]):
+            phase = PupilAberration.coerce(condition).phase(tiny_config)
+            expected = socs_stack.data * phase[None, :, :]
+            assert k1 is not k2
+            np.testing.assert_array_equal(k1.data, expected)
+            np.testing.assert_array_equal(k2.data, expected)
 
     def test_hopkins_unfused_condition_stack_matches(
         self, tiny_config, tiny_source
@@ -547,13 +540,6 @@ class TestHopkinsWindow:
             outs.append((stack.data, gm.data))
         np.testing.assert_allclose(outs[0][0], outs[1][0], atol=1e-12)
         np.testing.assert_allclose(outs[0][1], outs[1][1], atol=1e-10)
-
-    def test_engine_for_hopkins_defocus_cached(self, tiny_config, tiny_source):
-        e1 = engine_for(tiny_config, "hopkins", source=tiny_source, defocus_nm=50.0)
-        e2 = engine_for(tiny_config, "hopkins", source=tiny_source, defocus_nm=50.0)
-        assert e1 is e2
-        e3 = engine_for(tiny_config, "hopkins", source=tiny_source)
-        assert e3 is not e1
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,7 @@ import repro.autodiff as ad
 from repro.autodiff import functional as F
 from repro.harness.runner import _annular_source
 from repro.layouts import dataset_by_name, tile_stack
-from repro.optics import OpticalConfig, ProcessWindow, engine_for, fftlib
+from repro.optics import OpticalConfig, ProcessWindow, cache, fftlib
 from repro.smo import BiSMO, ProcessWindowSMOObjective, dose_resist
 from repro.smo.objective import robust_corner_loss
 from repro.smo.parametrization import (
@@ -37,7 +37,12 @@ from repro.smo.parametrization import (
     mask_from_theta,
     source_from_theta,
 )
-from tests.oracles import ComposedAbbeImaging, FullGridAbbeImaging, per_condition_loss
+from tests.oracles import (
+    ComposedAbbeImaging,
+    FullGridAbbeImaging,
+    per_condition_loss,
+    per_corner_losses,
+)
 
 CFG = OpticalConfig.preset("small")
 SOURCE = _annular_source(CFG)
@@ -115,17 +120,13 @@ class TestFusedVsComposed:
 
 
 def _per_corner_engine_loss(window, targets):
-    """One whole engine pass per corner (``engine_for`` at the corner's
-    defocus), even where corners share a focus value."""
-    targets_t = ad.Tensor(targets)
+    """One whole engine pass per corner (``aerial_conditions`` at the
+    corner's condition alone), even where corners share a focus value."""
+    engine = cache.abbe_engine(CFG)
 
     def loss_fn(tj, tm):
         source, mask = source_from_theta(tj, CFG), mask_from_theta(tm, CFG)
-        losses = []
-        for corner in window.corners:
-            engine = engine_for(CFG, "abbe", defocus_nm=corner.defocus_nm)
-            z = dose_resist(engine.aerial(mask, source), CFG, corner.dose)
-            losses.append(F.sum(F.power(F.sub(z, targets_t), 2.0)))
+        losses = per_corner_losses(engine, CFG, mask, source, targets, window)
         return robust_corner_loss(losses, window)
 
     return loss_fn
@@ -187,7 +188,7 @@ def test_dose_aberration_window_matches_per_corner_and_composed():
 
 def test_aerial_fast_matches_per_tile_loops():
     tiles = _tiles(8)
-    engine = engine_for(CFG, "abbe")
+    engine = cache.abbe_engine(CFG)
     fast = engine.aerial_fast(tiles, SOURCE)
     for loop_engine in (engine, ComposedAbbeImaging(CFG)):
         with ad.no_grad():

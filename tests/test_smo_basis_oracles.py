@@ -462,6 +462,86 @@ class TestFoldedHypergradient:
             assert _rel_err(hyper, two_pass) <= FOLD_RTOL, strategy.__name__
 
 
+def _two_tail_context(basis, theta_j, p, w):
+    """A context's numbers built with the loss tail run twice: once on
+    the combined aerials for the HVP graph, and once on leaf copies of
+    them for ``G = dT/dA`` and its second backward ``G'``.  Returns
+    ``(loss, grad_j, hvp(p), delta, G, G')`` for the mixed product
+    along ``w``."""
+    tj = ad.Tensor(theta_j, requires_grad=True)
+    jn = basis.weights(tj)
+    aerials = basis.aerials(jn)
+    loss = basis.tail(aerials)
+    (gj,) = ad.grad(loss, [tj], create_graph=True)
+    (hv,) = ad.grad(F.dot(gj, ad.Tensor(p)), [tj])
+    leaves = [ad.Tensor(a.data, requires_grad=True) for a in aerials]
+    g = ad.grad(basis.tail(leaves), leaves, create_graph=True)
+    u = ad.Tensor(np.zeros(jn.shape), requires_grad=True)
+    (jt_u,) = ad.grad(jn, [tj], grad_output=u, create_graph=True)
+    (delta,) = ad.grad(F.dot(jt_u, ad.Tensor(w)), [u])
+    inner = None
+    for gf, a_delta in zip(g, basis.aerials(delta)):
+        term = F.dot(gf, a_delta)
+        inner = term if inner is None else F.add(inner, term)
+    g2 = ad.grad(inner, leaves, allow_unused=True)
+    g_prime = [
+        np.zeros_like(a.data) if x is None else x.data
+        for x, a in zip(g2, leaves)
+    ]
+    return (
+        float(loss.data), gj.data, hv.data, delta.data,
+        [x.data for x in g], g_prime,
+    )
+
+
+#: Three pupil conditions: in focus, 40 nm defocus and Z5 astigmatism.
+WINDOW3 = ProcessWindow.from_grid(
+    (0.97, 1.0, 1.03), (0.0, 40.0), aberrations=({"Z5": 20.0},)
+)
+
+
+class TestOneTailEvaluation:
+    """A context evaluates the loss tail once: ``grad_j`` and ``G =
+    dT/dA`` come from one backward to ``theta_J`` and the aerials, and
+    ``G'`` from a second backward that stops at those aerials.  Every
+    number is bitwise the two-evaluation construction's."""
+
+    @pytest.mark.parametrize("robust", ["sum", "max", "adaptive"])
+    @pytest.mark.parametrize("window", [None, WINDOW3], ids=["1cond", "3cond"])
+    def test_bitwise_equal_to_two_evaluations(
+        self, tiny, monkeypatch, window, robust
+    ):
+        cfg, targets, _, theta_j, theta_m = tiny
+        objective = ProcessWindowSMOObjective(
+            cfg, targets, window, robust=robust, tau=50.0
+        )
+        basis = objective.source_only_loss(theta_m)
+        rng = seeded_rng("one-tail", robust, window is None)
+        p, w = rng.standard_normal((2,) + theta_j.shape)
+        calls = []
+        tail_node = F.resist_corner_losses
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return tail_node(*args, **kwargs)
+
+        monkeypatch.setattr(F, "resist_corner_losses", counting)
+        ctx = HypergradientContext(basis, theta_j)
+        assert len(calls) == 1
+        (delta, g), (jn, g_prime) = ctx.mixed_terms(w)
+        hv = ctx.hvp(p)
+        assert len(calls) == 1
+        ref = _two_tail_context(basis, theta_j, p, w)
+        assert ctx.loss_value == ref[0]
+        np.testing.assert_array_equal(ctx.grad_j, ref[1])
+        np.testing.assert_array_equal(hv, ref[2])
+        np.testing.assert_array_equal(delta, ref[3])
+        assert len(g) == len(ref[4]) == len(g_prime) == len(ref[5])
+        for actual, expected in zip(g + g_prime, ref[4] + ref[5]):
+            np.testing.assert_array_equal(actual, expected)
+        np.testing.assert_array_equal(jn, ctx.grad_m_term[0])
+
+
 class TestOnePassPerIteration:
     """Each outer iteration of the IFT strategies runs one streamed
     mask-adjoint pass: the direct term rides the mixed product's."""

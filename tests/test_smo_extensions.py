@@ -92,38 +92,41 @@ class TestUnrolledHypergradient:
 
 class TestDefocusImaging:
     def test_zero_defocus_matches_baseline(self, tiny_config, tiny_target, tiny_source):
-        base = AbbeImaging(tiny_config)
-        zero = AbbeImaging(tiny_config, defocus_nm=0.0)
+        engine = AbbeImaging(tiny_config)
+        m, s = ad.Tensor(tiny_target), ad.Tensor(tiny_source)
         with ad.no_grad():
-            i0 = base.aerial(ad.Tensor(tiny_target), ad.Tensor(tiny_source)).data
-            i1 = zero.aerial(ad.Tensor(tiny_target), ad.Tensor(tiny_source)).data
+            i0 = engine.aerial(m, s).data
+            i1 = engine.aerial_conditions(m, s, (0.0,)).data[0]
         np.testing.assert_allclose(i0, i1)
 
     def test_defocus_symmetric_in_sign(self, tiny_config, tiny_target, tiny_source):
         """+z and -z defocus give the same intensity for a real mask and
         this symmetric (aberration-free) pupil."""
-        plus = AbbeImaging(tiny_config, defocus_nm=100.0)
-        minus = AbbeImaging(tiny_config, defocus_nm=-100.0)
+        engine = AbbeImaging(tiny_config)
         with ad.no_grad():
-            ip = plus.aerial(ad.Tensor(tiny_target), ad.Tensor(tiny_source)).data
-            im = minus.aerial(ad.Tensor(tiny_target), ad.Tensor(tiny_source)).data
+            ip, im = engine.aerial_conditions(
+                ad.Tensor(tiny_target), ad.Tensor(tiny_source), (100.0, -100.0)
+            ).data
         np.testing.assert_allclose(ip, im, atol=1e-10)
 
     def test_defocus_gradients_still_flow(self, tiny_config, tiny_target, tiny_source):
-        engine = AbbeImaging(tiny_config, defocus_nm=80.0)
+        engine = AbbeImaging(tiny_config)
         m = ad.Tensor(tiny_target, requires_grad=True)
         s = ad.Tensor(tiny_source + 0.05, requires_grad=True)
         from repro.autodiff import functional as F
 
-        gm, gs = ad.grad(F.sum(engine.aerial(m, s)), [m, s])
+        gm, gs = ad.grad(F.sum(engine.aerial_conditions(m, s, (80.0,))), [m, s])
         assert np.all(np.isfinite(gm.data))
         assert np.all(np.isfinite(gs.data))
 
     def test_defocus_preserves_energy_of_clear_field(self, tiny_config, tiny_source):
         """Defocus is a pure phase factor: the DC (clear-field) response
         is unchanged."""
-        engine = AbbeImaging(tiny_config, defocus_nm=120.0)
-        assert engine.clear_field_intensity(tiny_source) == pytest.approx(1.0, abs=1e-6)
+        engine = AbbeImaging(tiny_config)
+        (clear,) = engine.aerial_conditions_fast(
+            np.ones((tiny_config.mask_size,) * 2), tiny_source, (120.0,)
+        )
+        assert clear.mean() == pytest.approx(1.0, abs=1e-6)
 
 
 class TestGLPDatasetLoader:

@@ -2,8 +2,8 @@
 
 Two families of guarantee:
 
-* **Cache safety** — many threads racing the optics cache and the
-  engines' per-condition memos build each entry exactly once
+* **Cache safety** — many threads racing the optics cache (directly
+  or through an engine's condition axis) build each entry exactly once
   (single-flight), every thread observes the same shared object, and
   nothing is orphaned or duplicated.
 * **Bitwise determinism** — ``incoherent_image_stack`` forward and VJP
@@ -30,7 +30,6 @@ from repro.optics import (
     AbbeImaging,
     HopkinsImaging,
     OpticalConfig,
-    SourceGrid,
     cache,
     fftlib,
 )
@@ -99,24 +98,30 @@ class TestCacheStress:
         assert not cache._BUILDING
 
     def test_concurrent_abbe_condition_stacks_memo(self, tiny_config):
-        """The custom-grid memo path: one insert per condition key."""
-        grid = SourceGrid.from_config(tiny_config)
-        engine = AbbeImaging(tiny_config, source_grid=grid)
+        """The engine's condition axis resolves through the one memo, the
+        cache: one build per condition, the nominal one included, and
+        every thread holds the cache's shared tensors."""
+        engine = AbbeImaging(tiny_config)
 
         def worker():
             return engine.condition_stacks(CONDITIONS)
 
         results = _fan_out(worker)
-        base = results[0]
-        for res in results[1:]:
-            for (t1, _), (t2, _) in zip(base, res):
-                assert t1 is t2  # first-build-wins entry shared by all
-        # nominal entry + one per non-nominal condition, nothing extra
-        assert len(engine._condition_memo) <= len(CONDITIONS) + 1
+        for res in results:
+            for (t, pairs), c in zip(res, CONDITIONS):
+                assert t is cache.pupil_stack(tiny_config, c)[0]
+                assert pairs is cache.conj_pairs(tiny_config, c)
+        assert results[0][0][0] is engine._pupil_stack
+        assert cache.stats()["pupil_stack"]["misses"] == len(CONDITIONS)
+        assert len(cache._CACHES["pupil_stack"]) == len(CONDITIONS)
+        assert not cache._BUILDING
 
     def test_concurrent_hopkins_condition_kernels_memo(
         self, tiny_config, tiny_source
     ):
+        """No memo: every thread gets the cached SOCS stack for the
+        nominal condition and its own phased copy, bitwise equal across
+        threads, for the others."""
         engine = HopkinsImaging(tiny_config, tiny_source, num_kernels=6)
 
         def worker():
@@ -125,9 +130,10 @@ class TestCacheStress:
         results = _fan_out(worker)
         base = results[0]
         for res in results[1:]:
-            for t1, t2 in zip(base, res):
-                assert t1 is t2
-        assert len(engine._condition_memo) <= len(CONDITIONS) + 1
+            assert res[0] is engine._kernel_stack
+            for t1, t2 in zip(base[1:], res[1:]):
+                assert t1 is not t2
+                assert np.array_equal(t1.data, t2.data)
 
 
 class TestBitwiseParity:

@@ -245,10 +245,6 @@ class TestPupilAberration:
         np.testing.assert_array_equal(
             window.condition_index(), [0, 1, 2, 0, 1, 2, 0, 1, 2]
         )
-        with pytest.raises(ValueError):
-            window.focus_values()
-        with pytest.raises(ValueError):
-            window.focus_index()
 
 
 # ----------------------------------------------------------------------
@@ -327,9 +323,9 @@ class TestAberratedImaging:
                 ad.Tensor(mask), ad.Tensor(tiny_source), conditions
             ).data
             per = [
-                AbbeImaging(tiny_config, aberration=ab)
-                .aerial(ad.Tensor(mask), ad.Tensor(tiny_source))
-                .data
+                engine.aerial_conditions(
+                    ad.Tensor(mask), ad.Tensor(tiny_source), (ab,)
+                ).data[0]
                 for ab in conditions
             ]
         for fi, ref in enumerate(per):
@@ -385,14 +381,14 @@ class TestAberratedImaging:
         support = int((np.hypot(fx, fy) <= 2 * cfg.cutoff_freq + 1e-15).sum())
         spec = {"Z5": 22.0, "Z7": -14.0}
         hop = HopkinsImaging(cfg, tiny_source, num_kernels=support)
-        abbe = AbbeImaging(cfg, aberration=spec)
+        abbe = AbbeImaging(cfg)
         rng = np.random.default_rng(9)
         mask = rng.random((cfg.mask_size,) * 2)
         with ad.no_grad():
             hop_stack = hop.aerial_conditions(ad.Tensor(mask), conditions=(spec,)).data
         np.testing.assert_allclose(
             hop_stack[0],
-            abbe.aerial_fast(mask, tiny_source),
+            abbe.aerial_conditions_fast(mask, tiny_source, (spec,))[0],
             atol=1e-10,
         )
 
