@@ -11,17 +11,15 @@ violations (the paper's Definitions 1-3).
 Run:  PYTHONPATH=src python examples/process_window_study.py
 """
 
-import numpy as np
-
 from repro.geometry import GridSpec, rasterize
 from repro.harness import (
     RunSettings,
+    evaluate_final,
     evaluate_process_window,
     process_window_table,
     render_table,
 )
 from repro.layouts import iccad13
-from repro.metrics import epe_report, l2_error_nm2, pvb_nm2
 from repro.optics import (
     OpticalConfig,
     ProcessWindow,
@@ -29,7 +27,7 @@ from repro.optics import (
     annular,
     binarize,
 )
-from repro.smo import AbbeMO, ProcessWindowSMOObjective, init_theta_source
+from repro.smo import AbbeMO
 
 
 def main() -> None:
@@ -69,17 +67,15 @@ def main() -> None:
     )
 
     # ---- the paper's metrics at the nominal condition ----------------
-    judge = ProcessWindowSMOObjective(config, target)
-    theta_j = init_theta_source(source, config)
+    # evaluate_final judges the binary mask at the paper's own window
+    # (nominal and +/-2 % dose, no defocus), whatever the settings' window.
     print(f"\n{'mask':<16} {'L2 (nm^2)':>10} {'PVB (nm^2)':>11} {'EPE viol.':>9}")
     for rec, result in zip(records, (nominal, robust)):
-        # +/-1e3 drives the mask sigmoid to exactly 0/1: the binary mask.
-        theta_m = np.where(result.theta_m >= 0.0, 1e3, -1e3)
-        images = judge.images(theta_j, theta_m)
-        l2 = l2_error_nm2(images["resist"], target, config)
-        pvb = pvb_nm2(images["resist_min"], images["resist_max"], config)
-        epe = epe_report(images["resist"], clip.rects, config)
-        print(f"{rec.method:<16} {l2:>10,.0f} {pvb:>11,.0f} {epe.violations:>9d}")
+        m = evaluate_final(result, clip, settings, source)
+        print(
+            f"{rec.method:<16} {m['l2_nm2']:>10,.0f} {m['pvb_nm2']:>11,.0f} "
+            f"{m['epe_violations']:>9d}"
+        )
 
 
 if __name__ == "__main__":

@@ -113,12 +113,6 @@ class Project:
     root: Path
     modules: List[Module]
 
-    def by_module(self, name: str) -> Optional[Module]:
-        for mod in self.modules:
-            if mod.module == name:
-                return mod
-        return None
-
 
 @dataclass
 class Report:

@@ -47,7 +47,6 @@ from ..optics import fftlib
 from ..optics.backend import HOST
 
 __all__ = [
-    "tensor",
     "zeros",
     "ones",
     "zeros_like",
@@ -87,6 +86,7 @@ __all__ = [
     "kernel_offsets",
     "basis_combine",
     "basis_contract",
+    "corner_resist",
     "resist_corner_losses",
     "getitem",
     "scatter",
@@ -102,11 +102,6 @@ ArrayLike = Union[Tensor, np.ndarray, float, int, complex, list, tuple]
 # ----------------------------------------------------------------------
 # construction helpers
 # ----------------------------------------------------------------------
-def tensor(data: Any, requires_grad: bool = False) -> Tensor:
-    """Create a new leaf tensor from ``data``."""
-    return Tensor(data, requires_grad=requires_grad)
-
-
 def zeros(shape: Union[int, Tuple[int, ...]], dtype: Any = np.float64) -> Tensor:
     return Tensor(np.zeros(shape, dtype=dtype))
 
@@ -1087,8 +1082,8 @@ GRAPH_FREE_VJPS: Dict[str, str] = {
         "a create_graph backward through resist_corner_grad (the resist "
         "tail's recorded gradient) is not supported: the tail "
         "differentiates twice, not three times.  A third derivative of "
-        "the loss needs the composed resist chain "
-        "(repro.smo.objective.dose_resist)"
+        "the loss needs the composed resist chain, as the reference "
+        "dose_resist in tests/oracles.py builds it"
     ),
 }
 
@@ -1397,6 +1392,24 @@ def basis_contract(
 # ----------------------------------------------------------------------
 # resist tail (the SMO loss below the aerial images)
 # ----------------------------------------------------------------------
+def corner_resist(
+    aerial: np.ndarray, dose_scale: float, threshold: float, beta: float
+) -> np.ndarray:
+    """One corner's resist image ``sigmoid(beta * (k A - threshold))``.
+
+    The resist model (Eq. (6)) at a dose corner, graph-free: ``k`` is
+    the dose squared, an exact post-aerial scaling because the aerial
+    intensity is quadratic in the mask.  The forward of
+    :func:`resist_corner_losses` and the judge's corner stack
+    (:meth:`repro.smo.ProcessWindowSMOObjective.images`) both call it,
+    so the loss and the judged resists agree bit for bit.
+    """
+    x = aerial * dose_scale
+    x -= threshold
+    x *= beta
+    return expit(x, out=x)
+
+
 def resist_corner_losses(
     aerials: Sequence[ArrayLike],
     target: ArrayLike,
@@ -1467,10 +1480,7 @@ def resist_corner_losses(
     err: List[np.ndarray] = []
     out = np.empty((corners,) + shape[:-2])
     for c in range(corners):
-        x = aerials[fidx[c]].data * scales[c]
-        x -= thr[c]
-        x *= beta
-        s = expit(x, out=x)
+        s = corner_resist(aerials[fidx[c]].data, scales[c], thr[c], beta)
         sig.append(s)
         err.append(s - z)
         out[c] = np.square(err[c]).sum(axis=(-2, -1))

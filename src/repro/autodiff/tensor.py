@@ -144,10 +144,6 @@ class Tensor:
     # ------------------------------------------------------------------
     # conversions
     # ------------------------------------------------------------------
-    def numpy(self) -> np.ndarray:
-        """Return the underlying ndarray (shared, do not mutate)."""
-        return self.data
-
     def item(self) -> float:
         return float(self.data.item())
 
@@ -160,9 +156,6 @@ class Tensor:
         from . import functional as F
 
         return F.identity(self)
-
-    def copy_data(self) -> np.ndarray:
-        return self.data.copy()
 
     # ------------------------------------------------------------------
     # operator sugar — all delegate to the functional layer

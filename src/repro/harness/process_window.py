@@ -22,7 +22,7 @@ import numpy as np
 from ..layouts import Clip
 from ..metrics import epe_report, l2_error_nm2, pvb_band_nm2
 from ..optics import ProcessWindow
-from ..smo import SMOResult, ProcessWindowSMOObjective, init_theta_source
+from ..smo import SMOResult
 from ..smo.objective import robust_tile_losses
 from .. import obs
 from ..utils.faultinject import fault_point
@@ -30,6 +30,7 @@ from .runner import (
     RunSettings,
     _annular_source,
     _dispatch,
+    _judge,
     _run_sweep,
     _target_image,
 )
@@ -137,45 +138,29 @@ def evaluate_process_window(
     result: SMOResult,
     clip: Clip,
     settings: RunSettings,
-    window: Optional[ProcessWindow] = None,
     source_fallback: Optional[np.ndarray] = None,
-    binary_mask: bool = True,
 ) -> ProcessWindowRecord:
-    """Judge a finished run at every corner of ``window``.
+    """Judge a finished run at every corner of the settings' window
+    (the paper's default window when ``settings.process_window`` is
+    None).
 
-    Mirrors :func:`repro.harness.evaluate_final` (lossless Abbe judge,
-    hard-thresholded mask by default) but sweeps the whole corner grid:
-    the per-corner resist images come from one fused condition-axis
-    evaluation (shared mask spectrum across the window's pupil
-    conditions — defocus and general Zernike aberrations alike — dose
-    corners free), not C independent simulations.  Per-corner calibrated
-    resist thresholds are honored and reported.  The robust column is
-    reduced under the *settings'* regime (static window weights for
-    ``"sum"`` / ``"max"``) so records judged with one settings object
-    stay comparable across methods; only ``settings.robust="adaptive"``
-    reduces with a run's final minimax weights — which ride the
-    record's ``corner_weights`` either way for inspection.
+    The same judge as :func:`repro.harness.evaluate_final` (lossless
+    Abbe model, binarized mask, the same source fallback) over the
+    whole corner grid: the per-corner resist images come from one fused
+    condition-axis evaluation (shared mask spectrum across the window's
+    pupil conditions — defocus and general Zernike aberrations alike —
+    dose corners free), not C independent simulations.  Per-corner
+    calibrated resist thresholds are honored and reported.  The robust
+    column is reduced under the *settings'* regime (static window
+    weights for ``"sum"`` / ``"max"``) so records judged with one
+    settings object stay comparable across methods; only
+    ``settings.robust="adaptive"`` reduces with a run's final minimax
+    weights — which ride the record's ``corner_weights`` either way for
+    inspection.
     """
     cfg = settings.config
-    window = window or settings.process_window or ProcessWindow.from_config(cfg)
-    target = _target_image(clip, cfg)
-    judge = ProcessWindowSMOObjective(
-        cfg,
-        target,
-        window,
-        robust=settings.robust,
-        tau=settings.robust_tau,
-    )
-    theta_j = result.theta_j
-    if theta_j is None:
-        src = source_fallback if source_fallback is not None else _annular_source(cfg)
-        theta_j = init_theta_source(src, cfg)
-    theta_m = result.theta_m
-    if binary_mask:
-        # +/-1e3 drives the sigmoid to exactly 0/1 in float64.
-        theta_m = np.where(theta_m >= 0.0, 1e3, -1e3)
-    images = judge.images(theta_j, theta_m)
-    resists = images["corner_resists"]  # (C, N, N)
+    window = settings.process_window or ProcessWindow.from_config(cfg)
+    target, resists = _judge(result, clip, settings, window, source_fallback)
     corner_l2 = np.array(
         [l2_error_nm2(z, target, cfg) for z in resists]
     )

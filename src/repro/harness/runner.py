@@ -271,41 +271,53 @@ def _dispatch(
     raise KeyError(f"unknown method {method!r}")
 
 
+def _judge(
+    result: SMOResult,
+    clip: Clip,
+    settings: RunSettings,
+    window: Optional[ProcessWindow],
+    source_fallback: Optional[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(target, corner_resists)`` of a finished run, judged under the
+    lossless Abbe model across ``window`` (``None``: the paper's
+    default window, whose corners are nominal, dose- and dose+).
+
+    The mask is binarized first: manufactured masks are binary
+    (Section 3.1), so metrics are reported for the manufacturable mask,
+    not the sigmoid relaxation.  A run without a source (``theta_j``
+    None, the fixed-source methods) is judged at ``source_fallback``,
+    else at the paper's annular source.  The judge engine comes from the
+    optics cache: one pupil stack for every evaluation in a sweep.
+    """
+    cfg = settings.config
+    target = _target_image(clip, cfg)
+    theta_j = result.theta_j
+    if theta_j is None:
+        src = source_fallback if source_fallback is not None else _annular_source(cfg)
+        theta_j = init_theta_source(src, cfg)
+    # +/-1e3 drives the sigmoid to exactly 0/1 in float64.
+    theta_m = np.where(result.theta_m >= 0.0, 1e3, -1e3)
+    judge = ProcessWindowSMOObjective(cfg, target, window)
+    return target, judge.images(theta_j, theta_m)["corner_resists"]
+
+
 def evaluate_final(
     result: SMOResult,
     clip: Clip,
     settings: RunSettings,
     source_fallback: Optional[np.ndarray] = None,
-    objective: Optional[ProcessWindowSMOObjective] = None,
-    binary_mask: bool = True,
 ) -> Dict[str, float]:
-    """Judge a finished run's (mask, source) under the lossless Abbe model.
-
-    ``binary_mask=True`` hard-thresholds the optimized mask before the
-    judging simulation: manufactured masks are binary (Section 3.1), so
-    metrics are reported for the manufacturable mask, not the sigmoid
-    relaxation.
-    """
+    """The paper's metrics of a finished run's binarized (mask, source):
+    L2 and EPE at the nominal corner, PVB between the dose corners
+    (Eqs. (7)-(8)), all read from the default window's corner stack."""
     cfg = settings.config
-    target = _target_image(clip, cfg)
-    # The default judge engine comes from the optics cache: one pupil
-    # stack for every evaluation in a sweep, however many objectives exist.
-    objective = objective or ProcessWindowSMOObjective(cfg, target)
-    theta_j = result.theta_j
-    if theta_j is None:
-        src = source_fallback if source_fallback is not None else _annular_source(cfg)
-        theta_j = init_theta_source(src, cfg)
-    theta_m = result.theta_m
-    if binary_mask:
-        # +/-1e3 drives the sigmoid to exactly 0/1 in float64.
-        theta_m = np.where(theta_m >= 0.0, 1e3, -1e3)
-    images = objective.images(theta_j, theta_m)
-    l2 = l2_error_nm2(images["resist"], target, cfg)
-    pvb = pvb_nm2(images["resist_min"], images["resist_max"], cfg)
-    epe = epe_report(images["resist"], clip.rects, cfg)
+    target, (nominal, dose_min, dose_max) = _judge(
+        result, clip, settings, None, source_fallback
+    )
+    epe = epe_report(nominal, clip.rects, cfg)
     return {
-        "l2_nm2": l2,
-        "pvb_nm2": pvb,
+        "l2_nm2": l2_error_nm2(nominal, target, cfg),
+        "pvb_nm2": pvb_nm2(dose_min, dose_max, cfg),
         "epe_violations": epe.violations,
         "epe_mean_nm": epe.mean_abs_nm,
     }
@@ -316,7 +328,6 @@ def run_clip(
     clip: Clip,
     settings: RunSettings,
     dataset_name: str = "",
-    objective: Optional[ProcessWindowSMOObjective] = None,
 ) -> RunRecord:
     """Run one method on one clip and evaluate all paper metrics."""
     cfg = settings.config
@@ -325,7 +336,7 @@ def run_clip(
     start = time.perf_counter()
     result = _dispatch(method, settings, target, source)
     runtime = time.perf_counter() - start
-    metrics = evaluate_final(result, clip, settings, source, objective)
+    metrics = evaluate_final(result, clip, settings, source)
     return RunRecord(
         method=method,
         dataset=dataset_name,

@@ -29,10 +29,6 @@ class TableData:
     columns: List[str]
     rows: List[Tuple[str, List[float]]]
 
-    def column(self, name: str) -> List[float]:
-        idx = self.columns.index(name)
-        return [cells[idx] for _, cells in self.rows]
-
     def row(self, label: str) -> List[float]:
         for lbl, cells in self.rows:
             if lbl == label:

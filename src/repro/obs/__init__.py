@@ -61,7 +61,7 @@ from .state import (
     trace_enabled,
     use,
 )
-from .trace import Span, current_span_name, drain_events, peek_events, span, traced
+from .trace import Span, current_span_name, drain_events, span, traced
 
 
 def flush_shard(label: str = WARMUP_LABEL) -> None:
@@ -155,7 +155,6 @@ __all__ = [
     "traced",
     "current_span_name",
     "drain_events",
-    "peek_events",
     "counter",
     "gauge",
     "histogram",

@@ -50,11 +50,6 @@ def is_declared_span(name: str) -> bool:
     return name in DECLARED_SPANS
 
 
-def is_declared_metric(name: str) -> bool:
-    """Return True if *name* is a registered metric name."""
-    return name in DECLARED_METRICS
-
-
 def metric_kind(name: str) -> Optional[str]:
     """Return the declared kind of *name* (``counter``/``gauge``/``histogram``)."""
     entry = DECLARED_METRICS.get(name)
@@ -65,6 +60,5 @@ __all__ = [
     "DECLARED_SPANS",
     "DECLARED_METRICS",
     "is_declared_span",
-    "is_declared_metric",
     "metric_kind",
 ]

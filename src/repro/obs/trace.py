@@ -158,12 +158,6 @@ def drain_events() -> List[Dict[str, Any]]:
     return out
 
 
-def peek_events() -> List[Dict[str, Any]]:
-    """Return a copy of the buffer without clearing it."""
-    with _BUFFER_LOCK:
-        return list(_EVENTS)
-
-
 __all__ = [
     "Span",
     "SpanLike",
@@ -171,5 +165,4 @@ __all__ = [
     "traced",
     "current_span_name",
     "drain_events",
-    "peek_events",
 ]

@@ -2,7 +2,8 @@
 templates, pupil, the unified :class:`ImagingEngine` protocol with its
 Abbe and Hopkins/SOCS implementations, the shared optics cache, the
 FFT seam (:mod:`repro.optics.backend`) with its thread policy
-(:mod:`repro.optics.fftlib`), and the resist model."""
+(:mod:`repro.optics.fftlib`), and the resist helpers (binarize,
+threshold calibration)."""
 
 from . import fftlib
 from . import backend
@@ -19,10 +20,8 @@ from .zernike import (
     NOLL_INDICES,
     ZERNIKE_TERMS,
     PupilAberration,
-    defocus_to_wavefront_nm,
     parse_aberration_spec,
     term_parity,
-    wavefront_to_defocus_nm,
     zernike_polynomial,
     zernike_radial,
 )
@@ -36,7 +35,7 @@ from .pupil import (
 from .engine import ImagingEngine, as_tile_batch
 from .abbe import AbbeImaging
 from .hopkins import HopkinsImaging, build_tcc, socs_kernels
-from .resist import binarize, calibrate_threshold, printed_area_nm2, resist_image
+from .resist import binarize, calibrate_threshold
 from . import cache
 
 __all__ = [
@@ -61,17 +60,13 @@ __all__ = [
     "zernike_radial",
     "term_parity",
     "parse_aberration_spec",
-    "defocus_to_wavefront_nm",
-    "wavefront_to_defocus_nm",
     "ImagingEngine",
     "as_tile_batch",
     "AbbeImaging",
     "HopkinsImaging",
     "build_tcc",
     "socs_kernels",
-    "resist_image",
     "binarize",
-    "printed_area_nm2",
     "calibrate_threshold",
     "cache",
     "fftlib",

@@ -306,6 +306,23 @@ def _condition_pool() -> ThreadPoolExecutor:
         return _POOL
 
 
+def _forget_pool_in_child() -> None:
+    """Drop the parent's executor in a forked child (a harness worker).
+
+    The child inherits the executor object but none of its threads, so
+    its first fan-out would queue blocks that never run; the child
+    builds its own pool on first use instead.  The lock is replaced too:
+    the fork may have caught another thread holding it.
+    """
+    global _POOL, _POOL_LOCK
+    _POOL = None
+    _POOL_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX; spawned children start clean
+    os.register_at_fork(after_in_child=_forget_pool_in_child)
+
+
 def map_conditions(fn: Callable[[int], Any], num_tasks: int) -> Iterator[Any]:
     """Yield ``fn(0) .. fn(num_tasks - 1)`` in index order: the one
     fan-out of independent blocks onto the condition pool.

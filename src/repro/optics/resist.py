@@ -1,40 +1,23 @@
-"""Resist model — Equation (6): a differentiable sigmoid threshold.
+"""Resist-side helpers: hard thresholds and threshold calibration.
 
-The printed (resist) pattern is ``Z = sigmoid(beta * (I - I_tr))``:
-a constant-threshold resist with steepness ``beta`` keeping the model
-differentiable for gradient-based SMO.  Dose variation for the process
-window enters by scaling the *mask transmission* before imaging
-(Section 3.1: ``M_min = d_min * sigma(alpha_m * theta_M)``), handled by
-the SMO objective; this module only maps aerial intensity to resist.
+The resist model itself (Eq. (6), ``Z = sigmoid(beta * (k I - I_tr))``
+at a dose corner with ``k`` the dose squared) lives with the loss tail
+that differentiates it: :func:`repro.autodiff.functional.corner_resist`,
+which both :func:`repro.autodiff.functional.resist_corner_losses` and
+the judge's corner stack
+(:meth:`repro.smo.ProcessWindowSMOObjective.images`) call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .. import autodiff as ad
-from ..autodiff import functional as F
-from .config import OpticalConfig
-
-__all__ = ["resist_image", "binarize", "printed_area_nm2", "calibrate_threshold"]
-
-
-def resist_image(
-    aerial: ad.Tensor, config: OpticalConfig, threshold: float | None = None
-) -> ad.Tensor:
-    """Differentiable resist pattern Z = sigmoid(beta * (I - I_tr))."""
-    tr = config.intensity_threshold if threshold is None else float(threshold)
-    return F.sigmoid(F.mul(F.sub(aerial, tr), config.beta))
+__all__ = ["binarize", "calibrate_threshold"]
 
 
 def binarize(image: np.ndarray, threshold: float = 0.5) -> np.ndarray:
     """Hard-threshold a (resist or mask) image to {0, 1}."""
     return (np.asarray(image) >= threshold).astype(np.float64)
-
-
-def printed_area_nm2(resist: np.ndarray, config: OpticalConfig) -> float:
-    """Printed feature area implied by a resist image."""
-    return float(binarize(resist).sum() * config.pixel_area_nm2)
 
 
 def calibrate_threshold(

@@ -29,12 +29,10 @@ the Fresnel factor of :func:`repro.optics.pupil.defocus_phase` — so
 ``ProcessCorner(aberrations={"Z4": f})`` and both compile to
 bitwise-identical pupil stacks (they canonicalize to one spec and share
 one cached stack).  On the unit disk the Fresnel map is the Noll Z4
-polynomial plus a piston term (a global phase, invisible in intensity);
-:func:`defocus_to_wavefront_nm` converts to the Noll wavefront
-coefficient when needed.  Every other term's coefficient is **nm of
-wavefront error** under the Noll normalization, entering the pupil as
-``exp(-i 2 pi c Z(rho, theta) / lambda)`` — the same retardation sign as
-defocus.
+polynomial plus a piston term (a global phase, invisible in intensity).
+Every other term's coefficient is **nm of wavefront error** under the
+Noll normalization, entering the pupil as ``exp(-i 2 pi c Z(rho,
+theta) / lambda)`` — the same retardation sign as defocus.
 
 Frequency parity matters for the fused streaming: terms with even
 azimuthal order m (Z4 defocus, Z5/Z6 astigmatism, Z11 spherical) are
@@ -72,8 +70,6 @@ __all__ = [
     "zernike_polynomial",
     "term_parity",
     "defocus_exponent",
-    "defocus_to_wavefront_nm",
-    "wavefront_to_defocus_nm",
     "PupilAberration",
     "parse_aberration_spec",
 ]
@@ -162,22 +158,6 @@ def defocus_exponent(config: OpticalConfig, defocus_nm: float) -> np.ndarray:
     """
     fx, fy = config.freq_grid()
     return -np.pi * config.wavelength_nm * defocus_nm * (fx**2 + fy**2)
-
-
-def defocus_to_wavefront_nm(config: OpticalConfig, defocus_nm: float) -> float:
-    """Noll-Z4 RMS wavefront coefficient equivalent to a wafer defocus.
-
-    The Fresnel map restricted to the unit pupil disk is ``W(rho) =
-    z NA^2 rho^2 / 2 = c4 * Z4(rho) + piston`` with ``c4 = z NA^2 /
-    (4 sqrt(3))``; the piston is a global phase with no effect on
-    intensity.
-    """
-    return float(defocus_nm) * config.na**2 / (4.0 * np.sqrt(3.0))
-
-
-def wavefront_to_defocus_nm(config: OpticalConfig, c4_nm: float) -> float:
-    """Inverse of :func:`defocus_to_wavefront_nm`."""
-    return float(c4_nm) * 4.0 * np.sqrt(3.0) / config.na**2
 
 
 def _build_freq_map(config: OpticalConfig, term: str) -> np.ndarray:
@@ -351,31 +331,6 @@ class PupilAberration:
             if name == "Z4":
                 return coeff
         return 0.0
-
-    def magnitude_nm(self, config: Optional[OpticalConfig] = None) -> float:
-        """Heuristic distance from the nominal (null) condition.
-
-        Sum of absolute term coefficients in a common unit, plus the
-        custom map's RMS; used only to pick the "most nominal" condition
-        of a window for the legacy single-condition image keys.  With a
-        ``config`` every contribution is RMS wavefront nm (the Z4
-        wafer-defocus coefficient converted via
-        :func:`defocus_to_wavefront_nm`, the radian map scaled by
-        ``lambda / 2 pi``); without one the raw coefficients are summed
-        (exact for comparing pure-defocus conditions).
-        """
-        total = 0.0
-        for name, coeff in self.terms:
-            if name == "Z4" and config is not None:
-                total += abs(defocus_to_wavefront_nm(config, coeff))
-            else:
-                total += abs(coeff)
-        if self.custom is not None:
-            rms_rad = float(np.sqrt(np.mean(self.custom**2)))
-            if config is not None:
-                rms_rad *= config.wavelength_nm / (2.0 * np.pi)
-            total += rms_rad
-        return total
 
     @property
     def label(self) -> str:

@@ -17,9 +17,7 @@ from .objective import (
     HopkinsMOObjective,
     ProcessWindowSMOObjective,
     SourceBasisLoss,
-    dose_resist,
     robust_corner_loss,
-    smo_loss_from_aerial,
 )
 from .state import IterationRecord, SMOResult
 from .mo_only import AbbeMO, HopkinsMO
@@ -44,9 +42,7 @@ __all__ = [
     "ROBUST_MODES",
     "AdaptiveCornerWeights",
     "adaptive_corner_update",
-    "dose_resist",
     "robust_corner_loss",
-    "smo_loss_from_aerial",
     "IterationRecord",
     "SMOResult",
     "AbbeMO",

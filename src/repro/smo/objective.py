@@ -17,19 +17,20 @@ I_tr))``, which is algebraically identical to three forward passes but
 The paper's loss is one process window: the nominal corner at weight
 ``gamma`` plus the two dose corners at weight ``eta``
 (:meth:`repro.optics.ProcessWindow.from_config`).  Every SMO loss, Abbe
-and Hopkins, therefore runs through one window path,
-:func:`windowed_corner_loss`: :class:`ProcessWindowSMOObjective` is the
-one Abbe SMO objective (single tile or a ``(B, N, N)`` stack, the
-default window or any dose x aberration grid) and
-:class:`HopkinsMOObjective` its baked-source counterpart.
-:func:`dose_resist` and :func:`smo_loss_from_aerial` keep the
-Eq. (6)-(8) formula as the composed reference the parity tests compare
-against.
+and Hopkins, therefore runs through one window walk: the shared loss
+tail ``_WindowObjective._tail`` below the per-condition aerials, and
+:func:`repro.autodiff.functional.corner_resist`, the one spelling of the
+resist model, for both the tail's forward and the judged corner stack
+(:meth:`ProcessWindowSMOObjective.images`).
+:class:`ProcessWindowSMOObjective` is the one Abbe SMO objective (single
+tile or a ``(B, N, N)`` stack, the default window or any dose x
+aberration grid) and :class:`HopkinsMOObjective` its baked-source
+counterpart.
 
 Objectives consume any :class:`repro.optics.ImagingEngine`; default
-engines come from the shared optics cache, and every inference-only
-entry point (``images()``) rides the engines' graph-free fast path.  A
-loss evaluation is two fused nodes: one
+engines come from the shared optics cache, and the inference-only
+``images()`` rides the engines' graph-free fast path.  A loss
+evaluation is two fused nodes: one
 :func:`repro.autodiff.functional.incoherent_image_stack` (streamed
 forward, hand-written VJP), so neither the loss nor its backward
 retains a ``(B, S, N, N)`` field stack, and one
@@ -51,11 +52,8 @@ from ..optics import ImagingEngine, OpticalConfig, ProcessWindow, cache
 from .parametrization import mask_from_theta, source_from_theta
 
 __all__ = [
-    "dose_resist",
-    "smo_loss_from_aerial",
     "robust_corner_loss",
     "robust_tile_losses",
-    "windowed_corner_loss",
     "AdaptiveCornerWeights",
     "adaptive_corner_update",
     "HopkinsMOObjective",
@@ -63,61 +61,6 @@ __all__ = [
     "SourceBasisLoss",
     "ROBUST_MODES",
 ]
-
-
-def dose_resist(
-    aerial: ad.Tensor,
-    config: OpticalConfig,
-    dose: float,
-    intensity_threshold: Optional[float] = None,
-) -> ad.Tensor:
-    """Resist image at a given dose: sigmoid(beta * (dose^2 * I - I_tr)).
-
-    ``intensity_threshold`` overrides the config's shared ``I_tr`` —
-    the per-corner resist calibration a
-    :class:`repro.optics.ProcessCorner` can carry; ``None`` keeps the
-    config value.
-    """
-    threshold = (
-        config.intensity_threshold
-        if intensity_threshold is None
-        else float(intensity_threshold)
-    )
-    scaled = F.mul(aerial, dose * dose) if dose != 1.0 else aerial
-    return F.sigmoid(F.mul(F.sub(scaled, threshold), config.beta))
-
-
-def smo_loss_from_aerial(
-    aerial: ad.Tensor, target: ad.Tensor, config: OpticalConfig
-) -> ad.Tensor:
-    """gamma * L2 + eta * L_pvb evaluated from one aerial image.
-
-    Shapes broadcast: a ``(B, N, N)`` aerial/target pair yields the summed
-    loss over the whole batch (one scalar, one graph).
-    """
-    z_nom = dose_resist(aerial, config, 1.0)
-    z_min = dose_resist(aerial, config, config.dose_min)
-    z_max = dose_resist(aerial, config, config.dose_max)
-    l2 = F.sum(F.power(F.sub(z_nom, target), 2.0))
-    pvb = F.add(
-        F.sum(F.power(F.sub(z_max, target), 2.0)),
-        F.sum(F.power(F.sub(z_min, target), 2.0)),
-    )
-    return F.add(F.mul(l2, config.gamma), F.mul(pvb, config.eta))
-
-
-def _resist_images_fast(
-    aerial_np: np.ndarray, config: OpticalConfig
-) -> Dict[str, np.ndarray]:
-    """Dose-corner resist images from a numpy aerial (no graph)."""
-    with ad.no_grad():
-        aerial = ad.Tensor(aerial_np)
-        return {
-            "aerial": aerial_np,
-            "resist": dose_resist(aerial, config, 1.0).data,
-            "resist_min": dose_resist(aerial, config, config.dose_min).data,
-            "resist_max": dose_resist(aerial, config, config.dose_max).data,
-        }
 
 
 def _check_target(target: np.ndarray, config: OpticalConfig) -> np.ndarray:
@@ -262,53 +205,6 @@ def robust_tile_losses(
     return tau * np.log(
         (w[:, None] * np.exp((matrix - shift) / tau)).sum(axis=0)
     ) + shift
-
-
-def windowed_corner_loss(
-    engine: ImagingEngine,
-    config: OpticalConfig,
-    mask: ad.Tensor,
-    target: ad.Tensor,
-    window: ProcessWindow,
-    robust: str = "sum",
-    tau: float = 1.0,
-    source: Optional[ad.Tensor] = None,
-    weights: Optional[np.ndarray] = None,
-) -> Tuple[ad.Tensor, np.ndarray]:
-    """One fused condition-axis evaluation of a robust window loss.
-
-    The single shared implementation behind every SMO loss
-    (:class:`ProcessWindowSMOObjective` and :class:`HopkinsMOObjective`,
-    which the NILT and MILT baselines run on; the paper's loss is the
-    default window): one
-    ``engine.aerial_conditions`` stack (shared mask spectrum across the
-    window's distinct pupil conditions — defocus *and* general Zernike
-    aberrations), per-corner ``dose**2`` resists with per-corner
-    thresholds, and the robust reduction.  Pass ``source=None`` for
-    baked-source (Hopkins) engines and ``weights`` for live adaptive
-    corner weights.  Returns ``(robust_loss, corner_matrix)`` with the
-    matrix shaped ``(C, B)``.
-    """
-    conditions = window.conditions()
-    stack = engine.aerial_conditions(mask, source, conditions)
-    aerials = [F.getitem(stack, fi) for fi in range(len(conditions))]
-    return _robust_window_loss(
-        aerials, target, window, config, robust, tau, weights
-    )
-
-
-def _robust_window_loss(
-    aerials: Sequence[ad.Tensor],
-    target: ad.Tensor,
-    window: ProcessWindow,
-    config: OpticalConfig,
-    robust: str,
-    tau: float,
-    weights: Optional[np.ndarray],
-) -> Tuple[ad.Tensor, np.ndarray]:
-    """``(robust_loss, corner_matrix)`` from per-condition aerials."""
-    losses, matrix = _corner_loss_terms(aerials, target, window, config)
-    return robust_corner_loss(losses, window, robust, tau, weights), matrix
 
 
 class AdaptiveCornerWeights:
@@ -524,8 +420,9 @@ class SourceBasisLoss:
 class _WindowObjective:
     """What both SMO objectives share below their engines: the target, a
     process window under one robust reduction (``robust``, ``tau``),
-    optional live adaptive corner weights, and the stash of every
-    evaluation's diagnostics that solvers read.
+    optional live adaptive corner weights, the one loss tail below the
+    aerial images (:meth:`_tail`), and the stash of every evaluation's
+    diagnostics that solvers read.
 
     ``adaptive_weights`` lets a solver like AM-SMO or MILT share one
     live :class:`AdaptiveCornerWeights` across objectives; otherwise
@@ -589,24 +486,31 @@ class _WindowObjective:
             else None
         )
 
-    def _window_loss(
-        self, mask: ad.Tensor, source: Optional[ad.Tensor] = None
-    ) -> ad.Tensor:
-        """The robust window loss of ``mask`` (one fused condition
-        stack; ``source=None`` for baked-source engines), stashed."""
-        total, matrix = windowed_corner_loss(
-            self.engine,
-            self.config,
-            mask,
-            self.target,
-            self.window,
-            self.robust,
-            self.tau,
-            source=source,
-            weights=self._robust_weights(),
+    def _tail(self, aerials: Sequence[ad.Tensor]) -> ad.Tensor:
+        """The loss below the per-condition aerial images: one
+        :func:`~repro.autodiff.functional.resist_corner_losses` node for
+        every corner's resist and squared error, then the robust
+        reduction under the live corner weights.  Stashes the corner
+        matrix and per-tile losses."""
+        losses, matrix = _corner_loss_terms(
+            aerials, self.target, self.window, self.config
+        )
+        total = robust_corner_loss(
+            losses, self.window, self.robust, self.tau, self._robust_weights()
         )
         self._stash(matrix)
         return total
+
+    def _window_loss(
+        self, mask: ad.Tensor, source: Optional[ad.Tensor] = None
+    ) -> ad.Tensor:
+        """The robust window loss of ``mask``: one fused
+        ``engine.aerial_conditions`` stack over the window's distinct
+        pupil conditions (``source=None`` for baked-source engines), then
+        :meth:`_tail`."""
+        conditions = self.window.conditions()
+        stack = self.engine.aerial_conditions(mask, source, conditions)
+        return self._tail([F.getitem(stack, fi) for fi in range(len(conditions))])
 
 
 class ProcessWindowSMOObjective(_WindowObjective):
@@ -662,17 +566,6 @@ class ProcessWindowSMOObjective(_WindowObjective):
             )
 
     # ------------------------------------------------------------------
-    def _tail(self, aerials: Sequence[ad.Tensor]) -> ad.Tensor:
-        """The loss below the per-condition aerial images: per-corner
-        resists and the robust reduction.  Stashes the corner matrix and
-        per-tile losses."""
-        total, matrix = _robust_window_loss(
-            aerials, self.target, self.window, self.config,
-            self.robust, self.tau, self._robust_weights(),
-        )
-        self._stash(matrix)
-        return total
-
     def loss(self, theta_j: ad.Tensor, theta_m: ad.Tensor) -> ad.Tensor:
         """L_smo across the window (one fused condition stack)."""
         _check_theta_m(theta_m, self.target)
@@ -712,49 +605,35 @@ class ProcessWindowSMOObjective(_WindowObjective):
     def images(
         self, theta_j: np.ndarray, theta_m: np.ndarray
     ) -> Dict[str, np.ndarray]:
-        """Nominal-dose images plus the full per-corner resist stack.
+        """The window's images of ``(theta_J, theta_M)``, graph-free.
 
-        The nominal keys (``aerial``/``resist``/``resist_min``/
-        ``resist_max``, as :meth:`HopkinsMOObjective.images` returns
-        them) are what every downstream consumer (harness judge,
-        metrics) reads: they are evaluated at the window's pupil
-        condition *closest to nominal* (smallest aberration magnitude —
-        exactly the unaberrated condition whenever the window contains
-        one) and at the config's nominal/min/max doses;
-        ``corner_resists`` adds the ``(C, [B,] N, N)`` stack across the
-        window's actual corners (honoring per-corner resist thresholds)
-        and ``corner_aerials`` the per-condition aerial stack.
+        Keys: the ``source`` and ``mask``, the ``target``,
+        ``corner_aerials``, the ``(F, [B,] N, N)`` aerial stack over the
+        window's distinct pupil conditions, and ``corner_resists``, the
+        ``(C, [B,] N, N)`` resist stack in ``window.corners`` order (each
+        corner's dose and resist threshold).  For the default window the
+        corners are the nominal, dose- and dose+ images the paper's
+        metrics read (Eqs. (7)-(8)).
         """
         with ad.no_grad():
             source = source_from_theta(ad.Tensor(theta_j), self.config).data
             mask = mask_from_theta(ad.Tensor(theta_m), self.config).data
-        conditions = self.window.conditions()
-        stack = self.engine.aerial_conditions_fast(mask, source, conditions)
-        nominal_fi = int(
-            np.argmin([ab.magnitude_nm(self.config) for ab in conditions])
+        stack = self.engine.aerial_conditions_fast(
+            mask, source, self.window.conditions()
         )
-        images = _resist_images_fast(stack[nominal_fi], self.config)
-        fidx = self.window.condition_index()
-        with ad.no_grad():
-            corner_resists = np.stack(
-                [
-                    dose_resist(
-                        ad.Tensor(stack[int(fidx[ci])]),
-                        self.config,
-                        c.dose,
-                        c.intensity_threshold,
-                    ).data
-                    for ci, c in enumerate(self.window.corners)
-                ]
-            )
-        images.update(
-            source=source,
-            mask=mask,
-            target=self.target.data,
-            corner_aerials=stack,
-            corner_resists=corner_resists,
-        )
-        return images
+        scales = self.window.doses**2
+        thresholds = self.window.intensity_thresholds(self.config)
+        resists = [
+            F.corner_resist(stack[f], scales[c], thresholds[c], self.config.beta)
+            for c, f in enumerate(self.window.condition_index())
+        ]
+        return {
+            "source": source,
+            "mask": mask,
+            "target": self.target.data,
+            "corner_aerials": stack,
+            "corner_resists": np.stack(resists),
+        }
 
 
 class HopkinsMOObjective(_WindowObjective):
@@ -813,10 +692,3 @@ class HopkinsMOObjective(_WindowObjective):
         """The window loss of ``theta_m`` (one fused condition stack)."""
         _check_theta_m(theta_m, self.target)
         return self._window_loss(mask_from_theta(theta_m, self.config))
-
-    def images(self, theta_m: np.ndarray) -> Dict[str, np.ndarray]:
-        with ad.no_grad():
-            mask = mask_from_theta(ad.Tensor(theta_m), self.config).data
-        images = _resist_images_fast(self.engine.aerial_fast(mask), self.config)
-        images.update(mask=mask, target=self.target.data)
-        return images

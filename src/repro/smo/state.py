@@ -1,28 +1,13 @@
-"""Result containers shared by every SMO/MO/SO solver.
-
-Both containers serialize to plain-``json`` dictionaries
-(:meth:`SMOResult.to_json` / :meth:`SMOResult.from_json`) for the
-harness checkpoint journal.  Python's ``json`` writes doubles via
-``repr``, which round-trips float64 bitwise, so a revived result is
-numerically identical to the original — arrays included.
-"""
+"""Result containers shared by every SMO/MO/SO solver."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 __all__ = ["IterationRecord", "SMOResult"]
-
-
-def _array_to_json(arr: Optional[np.ndarray]) -> Optional[List[Any]]:
-    return None if arr is None else np.asarray(arr, dtype=np.float64).tolist()
-
-
-def _array_from_json(data: Optional[List[Any]]) -> Optional[np.ndarray]:
-    return None if data is None else np.asarray(data, dtype=np.float64)
 
 
 @dataclass
@@ -42,28 +27,6 @@ class IterationRecord:
     #: otherwise.  The trajectory shows which corners dominated the
     #: worst-case objective over the run.
     corner_weights: Optional[np.ndarray] = None
-
-    def to_json(self) -> Dict[str, Any]:
-        """Plain-``json`` form (float64 round-trips bitwise via repr)."""
-        return {
-            "iteration": self.iteration,
-            "loss": self.loss,
-            "seconds": self.seconds,
-            "phase": self.phase,
-            "tile_losses": _array_to_json(self.tile_losses),
-            "corner_weights": _array_to_json(self.corner_weights),
-        }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "IterationRecord":
-        return cls(
-            iteration=int(data["iteration"]),
-            loss=float(data["loss"]),
-            seconds=float(data["seconds"]),
-            phase=str(data.get("phase", "")),
-            tile_losses=_array_from_json(data.get("tile_losses")),
-            corner_weights=_array_from_json(data.get("corner_weights")),
-        )
 
 
 @dataclass
@@ -131,29 +94,3 @@ class SMOResult:
     def log_losses(self) -> np.ndarray:
         """log10 of the loss trace — the quantity plotted in Figure 3."""
         return np.log10(np.maximum(self.losses, 1e-30))
-
-    def to_json(self) -> Dict[str, Any]:
-        """Plain-``json`` form: parameters, trace and extras, exactly."""
-        return {
-            "method": self.method,
-            "theta_m": _array_to_json(self.theta_m),
-            "theta_m_shape": list(self.theta_m.shape),
-            "theta_j": _array_to_json(self.theta_j),
-            "history": [r.to_json() for r in self.history],
-            "runtime_seconds": self.runtime_seconds,
-            "extra": dict(self.extra),
-        }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "SMOResult":
-        theta_m = np.asarray(data["theta_m"], dtype=np.float64)
-        theta_m = theta_m.reshape(tuple(data["theta_m_shape"]))
-        theta_j = _array_from_json(data.get("theta_j"))
-        return cls(
-            method=str(data["method"]),
-            theta_m=theta_m,
-            theta_j=theta_j,
-            history=[IterationRecord.from_json(r) for r in data.get("history", [])],
-            runtime_seconds=float(data.get("runtime_seconds", 0.0)),
-            extra={k: float(v) for k, v in data.get("extra", {}).items()},
-        )

@@ -211,11 +211,6 @@ class FaultPlan:
         self._rngs: Dict[str, "object"] = {}
         self._lock = threading.Lock()
 
-    def visits(self, point: str) -> int:
-        """How many times this process has visited ``point`` so far."""
-        with self._lock:
-            return self._counters.get(point, 0)
-
     def _claim_fuse(self, path: str) -> bool:
         """Atomically claim a single-shot fuse file; False if burnt."""
         try:

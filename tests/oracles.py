@@ -18,14 +18,45 @@ from repro.optics import (
     cache,
     fftlib,
 )
-from repro.smo import (
-    bismo,
-    dose_resist,
-    mask_from_theta,
-    smo_loss_from_aerial,
-    source_from_theta,
-)
+from repro.smo import bismo, mask_from_theta, source_from_theta
 from repro.utils.memory import require_memory
+
+
+def dose_resist(
+    aerial: ad.Tensor,
+    config: OpticalConfig,
+    dose: float,
+    intensity_threshold: Optional[float] = None,
+) -> ad.Tensor:
+    """The composed resist chain at a dose corner (Eqs. (6), (8)):
+    ``sigmoid(beta * (dose^2 * I - I_tr))`` from ``mul``/``sub``/
+    ``sigmoid`` nodes, so it differentiates any number of times.
+    ``intensity_threshold`` overrides the config's ``I_tr`` (a corner's
+    calibrated threshold); ``None`` keeps the config value."""
+    threshold = (
+        config.intensity_threshold
+        if intensity_threshold is None
+        else float(intensity_threshold)
+    )
+    scaled = F.mul(aerial, dose * dose) if dose != 1.0 else aerial
+    return F.sigmoid(F.mul(F.sub(scaled, threshold), config.beta))
+
+
+def smo_loss_from_aerial(
+    aerial: ad.Tensor, target: ad.Tensor, config: OpticalConfig
+) -> ad.Tensor:
+    """The paper's loss ``gamma * L2 + eta * L_pvb`` (Eqs. (7)-(8)) from
+    one aerial image, composed.  A ``(B, N, N)`` aerial/target pair gives
+    the loss summed over the batch."""
+    z_nom = dose_resist(aerial, config, 1.0)
+    z_min = dose_resist(aerial, config, config.dose_min)
+    z_max = dose_resist(aerial, config, config.dose_max)
+    l2 = F.sum(F.power(F.sub(z_nom, target), 2.0))
+    pvb = F.add(
+        F.sum(F.power(F.sub(z_max, target), 2.0)),
+        F.sum(F.power(F.sub(z_min, target), 2.0)),
+    )
+    return F.add(F.mul(l2, config.gamma), F.mul(pvb, config.eta))
 
 
 def full_pupil_stack(

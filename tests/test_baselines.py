@@ -20,7 +20,7 @@ class TestNILT:
         gamma * L2 with no eta term."""
         import repro.autodiff as ad
         from repro.smo import init_theta_mask
-        from repro.smo.objective import dose_resist
+        from tests.oracles import dose_resist
 
         objective = NILTBaseline(
             tiny_config, tiny_target, tiny_source, num_kernels=8

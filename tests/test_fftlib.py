@@ -4,6 +4,7 @@ knobs, and the autodiff FFTs and the optics cache on the seam."""
 
 from __future__ import annotations
 
+import multiprocessing
 import re
 
 import numpy as np
@@ -262,3 +263,30 @@ class TestMapConditions:
             with pytest.raises(MemoryError, match="injected"):
                 list(fftlib.map_conditions(fn, 6))
         self._assert_none_outlived(state)
+
+    @pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")
+    def test_forked_child_fans_out_on_its_own_pool(self):
+        """A process forked after this one fanned out (a harness worker
+        forked after the parent ran the judge) inherits the pool object
+        but none of its threads: its own 4-block fan-out at budget 2 must
+        still finish, on a pool of its own."""
+        with fftlib.use(condition_workers=2, budget=2):
+            assert list(fftlib.map_conditions(lambda i: i, 4)) == [0, 1, 2, 3]
+        assert fftlib._POOL is not None  # the parent's fan-out used the pool
+
+        def child(conn) -> None:
+            with fftlib.use(condition_workers=2, budget=2):
+                conn.send(list(fftlib.map_conditions(lambda i: i * i, 4)))
+
+        ctx = multiprocessing.get_context("fork")
+        ours, theirs = ctx.Pipe(duplex=False)
+        proc = ctx.Process(target=child, args=(theirs,))
+        proc.start()
+        try:
+            assert ours.poll(30), "the forked child's fan-out never finished"
+            assert ours.recv() == [0, 1, 4, 9]
+        finally:
+            proc.join(timeout=5)
+            if proc.is_alive():
+                proc.kill()
+                proc.join()

@@ -17,7 +17,6 @@ from repro.optics import (
     coherent_point,
     pupil,
     pupil_crops,
-    resist_image,
     socs_kernels,
 )
 from tests.oracles import FullGridAbbeImaging, expand_kernels
@@ -219,15 +218,14 @@ class TestHopkins:
 
 class TestResist:
     def test_threshold_behaviour(self, cfg):
-        aerial = ad.Tensor(np.array([[0.0, cfg.intensity_threshold, 1.0]]))
-        z = resist_image(aerial, cfg).data
+        aerial = np.array([[0.0, cfg.intensity_threshold, 1.0]])
+        z = F.corner_resist(aerial, 1.0, cfg.intensity_threshold, cfg.beta)
         assert z[0, 0] < 0.01
         assert z[0, 1] == pytest.approx(0.5)
         assert z[0, 2] > 0.99
 
     def test_custom_threshold(self, cfg):
-        aerial = ad.Tensor(np.array([[0.5]]))
-        z = resist_image(aerial, cfg, threshold=0.5).data
+        z = F.corner_resist(np.array([[0.5]]), 1.0, 0.5, cfg.beta)
         assert z[0, 0] == pytest.approx(0.5)
 
     def test_calibrate_threshold(self, cfg):

@@ -34,7 +34,7 @@ from repro.smo import (
     mask_from_theta_cosine,
     source_from_theta,
 )
-from repro.smo.objective import smo_loss_from_aerial
+from tests.oracles import smo_loss_from_aerial
 
 ITERATIONS = 25
 SETTINGS = RunSettings.preset("small", iterations=ITERATIONS)

@@ -32,7 +32,6 @@ from repro.smo import (
     init_theta_mask,
     init_theta_source,
     mask_from_theta,
-    smo_loss_from_aerial,
     source_from_theta,
 )
 from repro.smo.bismo import HypergradientContext
@@ -43,6 +42,7 @@ from tests.oracles import (
     incoherent_image_composed,
     per_condition_loss,
     per_corner_losses,
+    smo_loss_from_aerial,
 )
 
 S, N = 6, 12
@@ -403,8 +403,10 @@ class TestProcessWindowObjective:
         f = len(window.conditions())
         assert images["corner_resists"].shape == (c, 2, cfg.mask_size, cfg.mask_size)
         assert images["corner_aerials"].shape == (f, 2, cfg.mask_size, cfg.mask_size)
-        for key in ("aerial", "resist", "resist_min", "resist_max"):
-            assert images[key].shape == targets.shape
+        assert set(images) == {
+            "source", "mask", "target", "corner_aerials", "corner_resists"
+        }
+        assert images["mask"].shape == targets.shape
         band = pvb_band_nm2(images["corner_resists"][:, 0], cfg)
         assert band >= 0.0
 

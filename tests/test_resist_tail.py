@@ -33,8 +33,9 @@ from repro.optics import (
 from repro.smo import ProcessWindowSMOObjective, init_theta_mask, init_theta_source
 from repro.smo import objective as objective_module
 from repro.smo.bismo import HypergradientContext
-from repro.smo.objective import dose_resist, robust_corner_loss
+from repro.smo.objective import robust_corner_loss
 from repro.utils.seed import seeded_rng
+from tests.oracles import dose_resist
 
 RTOL = 1e-12
 
@@ -142,6 +143,44 @@ def test_tail_matches_composed_chain(tiny_config, kind, robust, tiles):
         _close(a.data, b.data)
     for a, b in zip(h1, h2):
         _close(a.data, b.data)
+
+
+def test_corner_resist_is_the_composed_chain(tiny_config):
+    """The one resist function, behind the fused tail's forward and the
+    judged corner stack, equals the composed ``dose_resist`` per corner
+    bit for bit on a 3 x 3 dose x condition window with per-corner
+    thresholds; so does ``images()``' stack on its own aerials."""
+    cfg = tiny_config
+    window = ProcessWindow(
+        tuple(
+            ProcessCorner(
+                dose, aberrations=ab, intensity_threshold=0.2 + 0.01 * (3 * i + j)
+            )
+            for i, dose in enumerate((0.97, 1.0, 1.03))
+            for j, ab in enumerate((None, {"Z4": 40.0}, {"Z5": 15.0}))
+        )
+    )
+    rng = seeded_rng("corner-resist")
+    n = cfg.mask_size
+    target = (rng.random((n, n)) > 0.6).astype(np.float64)
+    source = annular(SourceGrid.from_config(cfg), cfg.sigma_out, cfg.sigma_in)
+    theta_m = init_theta_mask(target, cfg) + 0.3 * rng.standard_normal((n, n))
+    images = ProcessWindowSMOObjective(cfg, target, window).images(
+        init_theta_source(source, cfg), theta_m
+    )
+    fidx = window.condition_index()
+    assert images["corner_aerials"].shape == (3, n, n)
+    for c, corner in enumerate(window.corners):
+        aerial = images["corner_aerials"][fidx[c]]
+        with ad.no_grad():
+            ref = dose_resist(
+                ad.Tensor(aerial), cfg, corner.dose, corner.intensity_threshold
+            ).data
+        z = F.corner_resist(
+            aerial, corner.dose * corner.dose, corner.intensity_threshold, cfg.beta
+        )
+        np.testing.assert_array_equal(z, ref)
+        np.testing.assert_array_equal(images["corner_resists"][c], ref)
 
 
 @pytest.fixture(scope="module")

@@ -29,7 +29,7 @@ from repro.autodiff import functional as F
 from repro.harness.runner import _annular_source
 from repro.layouts import dataset_by_name, tile_stack
 from repro.optics import OpticalConfig, ProcessWindow, cache, fftlib
-from repro.smo import BiSMO, ProcessWindowSMOObjective, dose_resist
+from repro.smo import BiSMO, ProcessWindowSMOObjective
 from repro.smo.objective import robust_corner_loss
 from repro.smo.parametrization import (
     init_theta_mask,
@@ -40,6 +40,7 @@ from repro.smo.parametrization import (
 from tests.oracles import (
     ComposedAbbeImaging,
     FullGridAbbeImaging,
+    dose_resist,
     per_condition_loss,
     per_corner_losses,
 )

@@ -85,8 +85,12 @@ class TestBatchedObjective:
         tj, tm = thetas
         images = ProcessWindowSMOObjective(cfg, targets).images(tj, tm)
         b, n = len(targets), cfg.mask_size
-        for key in ("aerial", "resist", "resist_min", "resist_max", "mask"):
-            assert images[key].shape == (b, n, n), key
+        assert set(images) == {
+            "source", "mask", "target", "corner_aerials", "corner_resists"
+        }
+        assert images["mask"].shape == images["target"].shape == (b, n, n)
+        assert images["corner_aerials"].shape == (1, b, n, n)
+        assert images["corner_resists"].shape == (3, b, n, n)
         assert images["source"].shape == (cfg.source_size,) * 2
 
     def test_shape_validation(self, cfg, targets, thetas):

@@ -25,11 +25,9 @@ from repro.optics import (
     ZERNIKE_TERMS,
     cache,
     defocus_phase,
-    defocus_to_wavefront_nm,
     fftlib,
     parse_aberration_spec,
     term_parity,
-    wavefront_to_defocus_nm,
     zernike_polynomial,
 )
 from repro.smo import (
@@ -38,11 +36,10 @@ from repro.smo import (
     ProcessWindowSMOObjective,
     SourceOptimizer,
     adaptive_corner_update,
-    dose_resist,
     init_theta_mask,
     init_theta_source,
 )
-from tests.oracles import per_condition_loss
+from tests.oracles import dose_resist, per_condition_loss
 
 
 @pytest.fixture(autouse=True)
@@ -114,31 +111,6 @@ class TestZernikePolynomials:
             zernike_polynomial("Z12", np.zeros(1), np.zeros(1))
         with pytest.raises(KeyError):
             PupilAberration(terms={"Z99": 1.0})
-
-    def test_defocus_wavefront_roundtrip(self, tiny_config):
-        z = 80.0
-        c4 = defocus_to_wavefront_nm(tiny_config, z)
-        assert c4 == pytest.approx(z * tiny_config.na**2 / (4 * np.sqrt(3)))
-        assert wavefront_to_defocus_nm(tiny_config, c4) == pytest.approx(z)
-
-    def test_magnitude_compares_in_wavefront_units(self, tiny_config):
-        """magnitude_nm(config) converts the Z4 wafer-defocus coefficient
-        to RMS wavefront, so nominal-condition ranking is not skewed by
-        the unit mismatch (40 nm defocus ~ 10 nm wavefront at NA 1.35 —
-        smaller than a 15 nm spherical term, despite the bigger raw
-        coefficient)."""
-        z4 = PupilAberration(terms={"Z4": 40.0})
-        z11 = PupilAberration(terms={"Z11": 15.0})
-        assert z4.magnitude_nm() > z11.magnitude_nm()  # raw coefficients
-        assert z4.magnitude_nm(tiny_config) == pytest.approx(
-            defocus_to_wavefront_nm(tiny_config, 40.0)
-        )
-        assert z4.magnitude_nm(tiny_config) < z11.magnitude_nm(tiny_config)
-        rad_map = np.full((8, 8), 0.5)
-        custom = PupilAberration(custom=rad_map)
-        assert custom.magnitude_nm(tiny_config) == pytest.approx(
-            0.5 * tiny_config.wavelength_nm / (2 * np.pi)
-        )
 
 
 # ----------------------------------------------------------------------
