@@ -13,9 +13,10 @@ under the same iteration budget:
   soft-minimax loop that keeps shifting effort onto whichever corner is
   currently worst.
 
-The harness process-window report judges all three masks at every
-corner (per-corner L2/EPE plus the window-wide variation band), and the
-script prints the adaptive weight trajectory.  The closing check is the
+The harness judge (:func:`repro.harness.evaluate_final`) judges all
+three masks at every corner, and the process-window report renders its
+records (per-corner L2/EPE plus the window-wide variation band); the
+script also prints the adaptive weight trajectory.  The closing check is the
 acceptance bar of the aberration issue: the adaptive run's worst-corner
 loss must be strictly below the static-sum run's.
 
@@ -26,8 +27,9 @@ import numpy as np
 
 from repro.geometry import GridSpec, rasterize
 from repro.harness import (
+    RunRecord,
     RunSettings,
-    evaluate_process_window,
+    evaluate_final,
     process_window_table,
     render_table,
 )
@@ -88,13 +90,18 @@ def main() -> None:
     settings = RunSettings(
         config=config, iterations=ITERATIONS, process_window=window
     )
-    records = []
-    for name, result in results.items():
-        rec = evaluate_process_window(
-            result, clip, settings, source_fallback=source
+    records = [
+        RunRecord(
+            method=name,
+            dataset="",
+            clip=clip.name,
+            runtime_s=result.runtime_seconds,
+            final_loss=result.final_loss,
+            losses=result.losses,
+            **evaluate_final(result, clip, settings, source),
         )
-        rec.method = name
-        records.append(rec)
+        for name, result in results.items()
+    ]
     print()
     print(render_table(process_window_table(records, value="l2")))
     print()

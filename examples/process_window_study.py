@@ -1,21 +1,23 @@
 """Process-window study: robust SMO vs nominal MO across dose x focus.
 
-Uses the first-class condition axis (PR 4): build a
+Uses the first-class condition axis: build a
 :class:`repro.optics.ProcessWindow`, optimize one mask *robustly across
 the whole window* (``process_window=`` on any solver), then judge both
-the nominal and the robust mask at every corner with the harness
-process-window report — per-corner L2/EPE matrix plus the window-wide
-variation band.  Ends with each mask's nominal L2, PVB and EPE
-violations (the paper's Definitions 1-3).
+the nominal and the robust mask with the harness judge,
+:func:`repro.harness.evaluate_final`, into one record each.  The
+process-window report renders the records' per-corner L2/EPE matrix
+plus the window-wide variation band.  Ends with each mask's nominal L2,
+PVB and EPE violations (the paper's Definitions 1-3), which the same
+records carry.
 
 Run:  PYTHONPATH=src python examples/process_window_study.py
 """
 
 from repro.geometry import GridSpec, rasterize
 from repro.harness import (
+    RunRecord,
     RunSettings,
     evaluate_final,
-    evaluate_process_window,
     process_window_table,
     render_table,
 )
@@ -49,13 +51,18 @@ def main() -> None:
     ).run(iterations=40)
 
     settings = RunSettings(config=config, iterations=40, process_window=window)
-    records = []
-    for result in (nominal, robust):
-        rec = evaluate_process_window(
-            result, clip, settings, source_fallback=source
+    records = [
+        RunRecord(
+            method=name,
+            dataset="",
+            clip=clip.name,
+            runtime_s=result.runtime_seconds,
+            final_loss=result.final_loss,
+            losses=result.losses,
+            **evaluate_final(result, clip, settings, source),
         )
-        rec.method = "Abbe-MO" if result is nominal else "Abbe-MO(robust)"
-        records.append(rec)
+        for name, result in (("Abbe-MO", nominal), ("Abbe-MO(robust)", robust))
+    ]
 
     print(render_table(process_window_table(records, value="l2")))
     print()
@@ -67,14 +74,13 @@ def main() -> None:
     )
 
     # ---- the paper's metrics at the nominal condition ----------------
-    # evaluate_final judges the binary mask at the paper's own window
-    # (nominal and +/-2 % dose, no defocus), whatever the settings' window.
+    # Every record also carries the binary mask's metrics at the paper's
+    # own window (nominal and +/-2 % dose, no defocus).
     print(f"\n{'mask':<16} {'L2 (nm^2)':>10} {'PVB (nm^2)':>11} {'EPE viol.':>9}")
-    for rec, result in zip(records, (nominal, robust)):
-        m = evaluate_final(result, clip, settings, source)
+    for rec in records:
         print(
-            f"{rec.method:<16} {m['l2_nm2']:>10,.0f} {m['pvb_nm2']:>11,.0f} "
-            f"{m['epe_violations']:>9d}"
+            f"{rec.method:<16} {rec.l2_nm2:>10,.0f} {rec.pvb_nm2:>11,.0f} "
+            f"{rec.epe_violations:>9d}"
         )
 
 

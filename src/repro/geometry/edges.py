@@ -11,7 +11,7 @@ printed contour position is probed along the edge normal and a site whose
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -91,52 +91,58 @@ def measure_epe(
     (over-print), negative inside (under-print).  Sites where no contour
     crossing is found within ``max_search_nm`` are assigned
     ``+/- max_search_nm`` (catastrophic open/short).
+
+    Every site marches along its normal toward the contour in half-pixel
+    steps, all sites in lockstep: one bilinear gather per step for the
+    sites still searching, until every site has crossed.  A crossing is
+    placed by linear interpolation between its last two samples.
     """
-    out = np.empty(len(sites), dtype=np.float64)
     step_nm = grid.pixel_nm / 2.0
     n_steps = int(max_search_nm / step_nm)
-    for i, site in enumerate(sites):
-        out[i] = _site_epe(printed, site, grid, threshold, step_nm, n_steps, max_search_nm)
+    x = np.array([s.x_nm for s in sites], dtype=np.float64)
+    y = np.array([s.y_nm for s in sites], dtype=np.float64)
+    nx = np.array([s.normal[0] for s in sites], dtype=np.float64)
+    ny = np.array([s.normal[1] for s in sites], dtype=np.float64)
+    prev = _sample(printed, grid, x, y)
+    inside = prev >= threshold
+    direction = np.where(inside, 1.0, -1.0)  # march toward the contour
+    out = max_search_nm * direction
+    active = np.arange(len(sites))
+    for k in range(1, n_steps + 1):
+        if not active.size:
+            break
+        d = k * step_nm * direction[active]
+        val = _sample(
+            printed, grid, x[active] + nx[active] * d, y[active] + ny[active] * d
+        )
+        crossed = np.where(inside[active], val < threshold, val >= threshold)
+        done = active[crossed]
+        lo, hi = prev[done], val[crossed]
+        frac = (threshold - lo) / (hi - lo)
+        out[done] = ((k - 1) + frac) * step_nm * direction[done]
+        prev[active] = val
+        active = active[~crossed]
     return out
 
 
-def _sample(printed: np.ndarray, grid: GridSpec, x_nm: float, y_nm: float) -> float:
-    """Bilinear sample of the printed image at a layout coordinate."""
-    col, row = grid.to_pixels(x_nm, y_nm)
-    col -= 0.5  # pixel centres sit at half-integer grid coords
-    row -= 0.5
+def _sample(
+    printed: np.ndarray,
+    grid: GridSpec,
+    x_nm: Union[float, np.ndarray],
+    y_nm: Union[float, np.ndarray],
+) -> np.ndarray:
+    """Bilinear samples of the printed image at layout coordinates
+    (equal-shape arrays, or scalars)."""
+    col, row = grid.to_pixels(
+        np.asarray(x_nm, dtype=np.float64), np.asarray(y_nm, dtype=np.float64)
+    )
     n = grid.size
-    col = min(max(col, 0.0), n - 1.0)
-    row = min(max(row, 0.0), n - 1.0)
-    c0, r0 = int(col), int(row)
-    c1, r1 = min(c0 + 1, n - 1), min(r0 + 1, n - 1)
+    # pixel centres sit at half-integer grid coords
+    col = np.clip(col - 0.5, 0.0, n - 1.0)
+    row = np.clip(row - 0.5, 0.0, n - 1.0)
+    c0, r0 = col.astype(np.intp), row.astype(np.intp)
+    c1, r1 = np.minimum(c0 + 1, n - 1), np.minimum(r0 + 1, n - 1)
     fc, fr = col - c0, row - r0
     top = printed[r0, c0] * (1 - fc) + printed[r0, c1] * fc
     bot = printed[r1, c0] * (1 - fc) + printed[r1, c1] * fc
-    return float(top * (1 - fr) + bot * fr)
-
-
-def _site_epe(
-    printed: np.ndarray,
-    site: EPESite,
-    grid: GridSpec,
-    threshold: float,
-    step_nm: float,
-    n_steps: int,
-    max_search_nm: float,
-) -> float:
-    nx, ny = site.normal
-    prev_val = _sample(printed, grid, site.x_nm, site.y_nm)
-    inside = prev_val >= threshold
-    direction = 1.0 if inside else -1.0  # march toward the contour
-    for k in range(1, n_steps + 1):
-        d = k * step_nm * direction
-        val = _sample(printed, grid, site.x_nm + nx * d, site.y_nm + ny * d)
-        crossed = (val < threshold) if inside else (val >= threshold)
-        if crossed:
-            # linear interpolation between the last two samples
-            lo, hi = prev_val, val
-            frac = 0.5 if hi == lo else (threshold - lo) / (hi - lo)
-            return ((k - 1) + frac) * step_nm * direction
-        prev_val = val
-    return max_search_nm * direction
+    return top * (1 - fr) + bot * fr

@@ -11,12 +11,7 @@ from .runner import (
     run_joint,
     run_matrix,
 )
-from .process_window import (
-    ProcessWindowRecord,
-    evaluate_process_window,
-    process_window_table,
-    run_process_window,
-)
+from .process_window import process_window_table
 from .resilience import (
     CellOutcome,
     CheckpointJournal,
@@ -43,9 +38,6 @@ __all__ = [
     "run_matrix",
     "evaluate_final",
     "batched_objective",
-    "ProcessWindowRecord",
-    "evaluate_process_window",
-    "run_process_window",
     "process_window_table",
     "TableData",
     "table3",

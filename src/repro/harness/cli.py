@@ -26,7 +26,7 @@ from typing import Iterator, List, Optional
 from ..layouts import dataset_by_name, DATASET_NAMES
 from ..optics import OpticalConfig, ProcessWindow
 from .figures import figure3_series, figure5_stats
-from .process_window import process_window_table, run_process_window
+from .process_window import process_window_table
 from .report import (
     ascii_plot,
     render_series,
@@ -51,7 +51,8 @@ def _aberration_spec(text: str) -> dict:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for --clips: a count of at least one."""
+    """argparse type for --clips, --iterations and --steps: a count of
+    at least one."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1; got {value}")
@@ -70,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--clips", type=_positive_int, default=2, help="clips per dataset"
         )
-        p.add_argument("--iterations", type=int, default=30)
+        p.add_argument("--iterations", type=_positive_int, default=30)
         p.add_argument("--lr", type=float, default=0.1)
         p.add_argument("--out", type=Path, default=None, help="directory for CSV output")
         p.add_argument(
@@ -106,7 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="JOURNAL",
             help="JSONL checkpoint journal: completed cells are appended "
             "as they finish and skipped when re-running with the same "
-            "path, so an interrupted sweep resumes where it crashed",
+            "path, so an interrupted sweep resumes where it crashed; a "
+            "journal of other cells or settings is refused",
         )
         p.add_argument(
             "--cell-timeout",
@@ -147,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p3 = sub.add_parser("fig3")
     common(p3)
     p3.add_argument("--dataset", default="ICCAD13", choices=list(DATASET_NAMES))
-    p3.add_argument("--steps", type=int, default=100)
+    p3.add_argument("--steps", type=_positive_int, default=100)
     p3.add_argument("--clip-index", type=int, default=0)
 
     p5 = sub.add_parser("fig5")
@@ -371,19 +373,15 @@ def _run_command(
             robust=args.robust,
             robust_tau=args.tau,
         )
-        ds = dataset_by_name(args.dataset, num_clips=args.clips)
-        clips = list(ds)
-        methods = args.methods or ["Abbe-MO", "BiSMO-NMN"]
-        records = run_process_window(
-            methods,
-            clips,
+        records = run_matrix(
+            [dataset_by_name(args.dataset, num_clips=args.clips)],
             settings,
-            ds.name,
+            methods=args.methods or ["Abbe-MO", "BiSMO-NMN"],
+            progress=progress,
+            workers=args.workers,
             checkpoint=args.resume,
             cell_timeout=args.cell_timeout,
             max_retries=args.max_retries,
-            progress=progress,
-            workers=args.workers,
         )
         if not _report_health(records):
             return 1

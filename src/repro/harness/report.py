@@ -58,11 +58,10 @@ def sweep_health(records: Sequence) -> TableData:
     ok / failed / timed-out records, how many needed retries, and the
     worst attempt count.
 
-    Works on any record type carrying ``status`` / ``attempts`` fields
-    (:class:`~repro.harness.RunRecord`,
-    :class:`~repro.harness.ProcessWindowRecord`).  The metric tables
-    silently skip non-``"ok"`` records; this table is where those cells
-    stay visible.
+    Reads the ``status`` / ``attempts`` fields of
+    :class:`~repro.harness.RunRecord`, or of any record that carries
+    them.  The metric tables and the process-window table silently skip
+    non-``"ok"`` records; this table is where those cells stay visible.
     """
     grouped: Dict[str, List] = defaultdict(list)
     for rec in records:

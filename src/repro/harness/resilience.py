@@ -30,9 +30,9 @@ run restarted from zero.  Because every cell is a *pure function* of
 The executor is generic over the record type: it takes the record
 class, whose ``to_json``/``from_json`` round-trip records bitwise, and
 a failure builder, and writes ``status``/``attempts``/``error`` on the
-records itself.  Every harness sweep — the (method x clip) matrix and
-the process-window report, serial or parallel — runs its cells through
-it, so a failing cell is a ``status="failed"`` record, never an abort.
+records itself.  The harness sweep, ``run_matrix``, runs every cell
+through it, serial or parallel, so a failing cell is a
+``status="failed"`` record, never an abort.
 Worker death, OOM and delays are *injectable* on demand via
 :mod:`repro.utils.faultinject`, which is how the tests drive every path
 deterministically.
@@ -40,6 +40,7 @@ deterministically.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import time
@@ -60,6 +61,7 @@ from typing import (
 )
 
 from .. import obs
+from ..optics import PupilAberration
 from ..utils.seed import seeded_rng
 
 __all__ = [
@@ -77,7 +79,7 @@ __all__ = [
     "default_cell_timeout",
 ]
 
-JOURNAL_VERSION = 1
+JOURNAL_VERSION = 2
 
 
 # ----------------------------------------------------------------------
@@ -234,36 +236,66 @@ class CellOutcome:
 # ----------------------------------------------------------------------
 # the crash-safe journal
 # ----------------------------------------------------------------------
-def sweep_fingerprint(labels: Sequence[str]) -> str:
-    """Stable identity of a sweep: the ordered cell labels, hashed."""
+def sweep_fingerprint(labels: Sequence[str], settings: Any = None) -> str:
+    """Stable identity of a sweep: the ordered cell labels and every
+    field of the settings its cells share, hashed.
+
+    ``settings`` is a (nested) dataclass such as
+    :class:`~repro.harness.RunSettings`, or None.  A pupil aberration
+    is keyed by its ``cache_key``, because a custom phase map's repr is
+    truncated.
+    """
     h = sha256()
     for label in labels:
         h.update(label.encode("utf-8"))
         h.update(b"\x00")
+    h.update(repr(_settings_key(settings)).encode("utf-8"))
     return h.hexdigest()[:16]
+
+
+def _settings_key(value: Any) -> Any:
+    """``value`` as nested tuples of plain values: dataclasses field by
+    field, aberrations by their ``cache_key``."""
+    if isinstance(value, PupilAberration):
+        return value.cache_key
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return tuple(
+            (f.name, _settings_key(getattr(value, f.name)))
+            for f in dataclasses.fields(value)
+        )
+    if isinstance(value, tuple):
+        return tuple(_settings_key(v) for v in value)
+    return value
 
 
 class CheckpointJournal:
     """Append-only JSONL checkpoint of completed sweep cells.
 
     Line 1 is a header carrying the journal version and the sweep
-    fingerprint (hash of the ordered cell labels) — resuming against a
-    *different* sweep raises instead of silently mixing records.  Every
-    later line is one terminal cell outcome.  Appends are
-    flush+fsync'ed, so a crash tears at most the line in progress; a
-    torn final line is ignored on load.  Cells whose last entry is a
-    failure are treated as *not done* — a resumed sweep re-runs them
-    (the failure may have been environmental) and appends the fresh
-    outcome, and the loader keeps the latest word per cell.
+    fingerprint (hash of the ordered cell labels and of every settings
+    field, :func:`sweep_fingerprint`) — resuming against a *different*
+    sweep, or the same cells under other settings, raises instead of
+    silently mixing records.  Every later line is one terminal cell
+    outcome.  Appends are flush+fsync'ed, so a crash tears at most the
+    line in progress; a torn final line is ignored on load.  Cells
+    whose last entry is a failure are treated as *not done* — a resumed
+    sweep re-runs them (the failure may have been environmental) and
+    appends the fresh outcome, and the loader keeps the latest word per
+    cell.
 
     The payload dialect is python's ``json`` (``NaN`` literals allowed),
     with doubles serialized via ``repr`` so records revive bitwise.
     """
 
-    def __init__(self, path: Union[str, os.PathLike], labels: Sequence[str]):
+    def __init__(
+        self,
+        path: Union[str, os.PathLike],
+        labels: Sequence[str],
+        settings: Any = None,
+    ):
         self.path = Path(path)
         self.labels = list(labels)
-        self.fingerprint = sweep_fingerprint(self.labels)
+        self.fingerprint = sweep_fingerprint(self.labels, settings)
         self.completed: Dict[int, Dict[str, Any]] = {}
         self._fh: Optional[IO[str]] = None
         had_header = self._load()
@@ -307,9 +339,9 @@ class CheckpointJournal:
             )
         if header.get("fingerprint") != self.fingerprint:
             raise ValueError(
-                f"journal {self.path} belongs to a different sweep "
-                f"(fingerprint {header.get('fingerprint')} != {self.fingerprint}); "
-                "refusing to resume"
+                f"journal {self.path} belongs to a different sweep: other "
+                f"cells or settings (fingerprint {header.get('fingerprint')} "
+                f"!= {self.fingerprint}); refusing to resume"
             )
         for entry in entries[1:]:
             idx = int(entry["cell"])
@@ -389,6 +421,7 @@ def execute_cells(
     policy: Optional[RetryPolicy] = None,
     cell_timeout: Optional[float] = None,
     checkpoint: Optional[Union[str, os.PathLike]] = None,
+    settings: Any = None,
     progress: Optional[Callable[[CellProgress], None]] = None,
     max_pool_rebuilds: int = 3,
     poll_interval: float = 0.05,
@@ -411,7 +444,9 @@ def execute_cells(
 
     With ``checkpoint`` set, completed cells found in the journal are
     *not* re-run, and every cell reaching a terminal state is journaled
-    the moment its future finishes.
+    the moment its future finishes.  The journal is keyed on the labels
+    and on ``settings``, what every cell shares: a journal written under
+    other settings is refused.
 
     ``progress`` receives structured :class:`CellProgress` events: a
     ``"start"`` event when a cell is first attempted, a terminal
@@ -431,7 +466,7 @@ def execute_cells(
 
     journal: Optional[CheckpointJournal] = None
     if checkpoint is not None:
-        journal = CheckpointJournal(checkpoint, labels)
+        journal = CheckpointJournal(checkpoint, labels, settings)
         for idx, entry in journal.completed.items():
             records = [record_type.from_json(d) for d in entry["records"]]
             outcomes[idx] = CellOutcome(

@@ -2,9 +2,12 @@
 
 This is the engine behind every table/figure reproduction: it rasterizes
 a benchmark clip, runs one of the eight evaluated methods under a common
-iteration budget, evaluates the final (source, mask) pair under the
-*lossless Abbe* model (the common judge, as in the paper's evaluation),
-and returns L2 / PVB / EPE / runtime records.
+iteration budget, judges the final (source, mask) pair under the
+*lossless Abbe* model (the common judge, as in the paper's evaluation,
+:func:`evaluate_final`), and returns one :class:`RunRecord` per clip:
+L2 / PVB / EPE / runtime, and the judgment of the settings' process
+window corner by corner.  The paper's tables read the first, the
+process-window report (:mod:`repro.harness.process_window`) the second.
 
 Two scale axes on top of the per-cell engine:
 
@@ -19,14 +22,16 @@ Two scale axes on top of the per-cell engine:
   submission order, so a parallel sweep returns the records in exactly
   the serial order with identical numeric content.
 
-Every sweep, serial or parallel, runs through the fault-tolerant
-executor of :mod:`repro.harness.resilience`: a dead worker costs a pool
-rebuild and a resubmission, not the sweep; a deterministic solver
-failure becomes a structured ``status="failed"`` record instead of an
-abort; and ``run_matrix(..., checkpoint=path)`` journals completed
-cells so an interrupted sweep resumes where it crashed with
-byte-identical record order.  Because cells are pure, retried and
-resumed cells reproduce their records bitwise.
+:func:`run_matrix` is the harness's one sweep, serial or parallel, and
+runs through the fault-tolerant executor of
+:mod:`repro.harness.resilience`: a dead worker costs a pool rebuild and
+a resubmission, not the sweep; a deterministic solver failure becomes a
+structured ``status="failed"`` record instead of an abort; and
+``run_matrix(..., checkpoint=path)`` journals completed cells so an
+interrupted sweep resumes where it crashed with byte-identical record
+order.  The journal is keyed on the cells and the settings, so it
+cannot resume a different experiment.  Because cells are pure, retried
+and resumed cells reproduce their records bitwise.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -43,7 +48,7 @@ import numpy as np
 
 from ..baselines import MultiLevelILT, NILTBaseline
 from ..layouts import Clip, Dataset, tile_stack
-from ..metrics import epe_report, l2_error_nm2, pvb_nm2
+from ..metrics import epe_reports, l2_error_nm2, pvb_band_nm2, pvb_nm2
 from ..optics import OpticalConfig, ProcessWindow, SourceGrid, annular
 from ..smo import (
     AMSMO,
@@ -54,6 +59,7 @@ from ..smo import (
     SMOResult,
     init_theta_source,
 )
+from ..smo.objective import robust_tile_losses
 from .. import obs
 from ..utils.faultinject import fault_point
 from .resilience import CellProgress, RetryPolicy, execute_cells
@@ -65,6 +71,7 @@ __all__ = [
     "run_clip",
     "run_joint",
     "run_matrix",
+    "evaluate_final",
     "batched_objective",
 ]
 
@@ -96,10 +103,11 @@ class RunSettings:
     #: Optional robust dose x aberration condition axis: when set, every
     #: dispatched solver optimizes the robust corner loss across it —
     #: the window's corners may carry arbitrary Zernike pupil
-    #: aberrations and per-corner resist thresholds — and the
-    #: process-window report judges the same corners.  ``robust`` picks
-    #: the reduction (``"sum"`` / ``"max"`` / ``"adaptive"`` minimax
-    #: ascent); ``robust_tau`` is the LSE temperature or EG rate.
+    #: aberrations and per-corner resist thresholds — and every record
+    #: carries the judgment of the same corners (None: the paper's
+    #: window).  ``robust`` picks the reduction (``"sum"`` / ``"max"`` /
+    #: ``"adaptive"`` minimax ascent); ``robust_tau`` is the LSE
+    #: temperature or EG rate.
     process_window: Optional["ProcessWindow"] = None
     robust: str = "sum"
     robust_tau: float = 1.0
@@ -109,16 +117,32 @@ class RunSettings:
         return cls(config=OpticalConfig.preset(scale), **overrides)
 
 
+#: The record fields that hold arrays, with their journal dtypes.
+_ARRAY_FIELDS = {
+    "losses": np.float64,
+    "corner_loss": np.float64,
+    "corner_l2_nm2": np.float64,
+    "corner_epe": np.int64,
+    "corner_weights": np.float64,
+}
+
+
 @dataclass
 class RunRecord:
     """One (method, clip) evaluation.
 
+    The paper's metrics of the binarized final mask (``l2_nm2``,
+    ``pvb_nm2``, ``epe_*``) are read from the paper's window; the
+    ``corner_*`` fields, ``band_nm2`` and ``robust_loss`` judge the
+    settings' window corner by corner (the paper's own when
+    ``RunSettings.process_window`` is None), see :func:`evaluate_final`.
+
     ``status`` is ``"ok"`` for a completed evaluation; a cell that
     exhausted its retry budget is recorded as ``"failed"`` (solver
-    exception, details in ``error``) or ``"timeout"`` with NaN metrics,
-    so one broken cell no longer aborts a whole sweep.  ``attempts``
-    counts executions of the cell (1 = first try succeeded).  Table
-    builders skip non-``"ok"`` records.
+    exception, details in ``error``) or ``"timeout"`` with NaN metrics
+    and no corners, so one broken cell no longer aborts a whole sweep.
+    ``attempts`` counts executions of the cell (1 = first try
+    succeeded).  Table builders skip non-``"ok"`` records.
     """
 
     method: str
@@ -131,6 +155,22 @@ class RunRecord:
     runtime_s: float
     final_loss: float
     losses: np.ndarray = field(repr=False, default_factory=lambda: np.empty(0))
+    corner_labels: Tuple[str, ...] = ()
+    corner_loss: np.ndarray = field(default_factory=lambda: np.empty(0))
+    corner_l2_nm2: np.ndarray = field(default_factory=lambda: np.empty(0))
+    corner_epe: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.int64)
+    )
+    #: Per-corner resist thresholds the judge applied (config default
+    #: unless the corner carries a calibrated override).
+    corner_thresholds: Tuple[float, ...] = ()
+    #: Variation band across *all* corners of the window.
+    band_nm2: float = math.nan
+    #: The settings' robust reduction of ``corner_loss``.
+    robust_loss: float = math.nan
+    #: Final adaptive corner weights of the run (``robust="adaptive"``
+    #: solves only), else None.
+    corner_weights: Optional[np.ndarray] = None
     status: str = "ok"
     error: str = ""
     attempts: int = 1
@@ -143,42 +183,26 @@ class RunRecord:
         """Plain-``json`` form for the checkpoint journal.
 
         Python's ``json`` writes doubles via ``repr``, so every float —
-        the loss trace included — revives bitwise in
-        :meth:`from_json`.
+        the loss trace and the corner arrays included — revives bitwise
+        in :meth:`from_json`.
         """
-        return {
-            "method": self.method,
-            "dataset": self.dataset,
-            "clip": self.clip,
-            "l2_nm2": self.l2_nm2,
-            "pvb_nm2": self.pvb_nm2,
-            "epe_violations": self.epe_violations,
-            "epe_mean_nm": self.epe_mean_nm,
-            "runtime_s": self.runtime_s,
-            "final_loss": self.final_loss,
-            "losses": np.asarray(self.losses, dtype=np.float64).tolist(),
-            "status": self.status,
-            "error": self.error,
-            "attempts": self.attempts,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name in _ARRAY_FIELDS:
+            if data[name] is not None:
+                data[name] = np.asarray(data[name]).tolist()
+        data["corner_labels"] = list(self.corner_labels)
+        data["corner_thresholds"] = [float(v) for v in self.corner_thresholds]
+        return data
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "RunRecord":
-        return cls(
-            method=str(data["method"]),
-            dataset=str(data["dataset"]),
-            clip=str(data["clip"]),
-            l2_nm2=float(data["l2_nm2"]),
-            pvb_nm2=float(data["pvb_nm2"]),
-            epe_violations=int(data["epe_violations"]),
-            epe_mean_nm=float(data["epe_mean_nm"]),
-            runtime_s=float(data["runtime_s"]),
-            final_loss=float(data["final_loss"]),
-            losses=np.asarray(data["losses"], dtype=np.float64),
-            status=str(data.get("status", "ok")),
-            error=str(data.get("error", "")),
-            attempts=int(data.get("attempts", 1)),
-        )
+        data = dict(data)
+        for name, dtype in _ARRAY_FIELDS.items():
+            if data[name] is not None:
+                data[name] = np.asarray(data[name], dtype=dtype)
+        data["corner_labels"] = tuple(data["corner_labels"])
+        data["corner_thresholds"] = tuple(data["corner_thresholds"])
+        return cls(**data)
 
 
 def _target_image(clip: Clip, config: OpticalConfig) -> np.ndarray:
@@ -271,16 +295,14 @@ def _dispatch(
     raise KeyError(f"unknown method {method!r}")
 
 
-def _judge(
+def evaluate_final(
     result: SMOResult,
     clip: Clip,
     settings: RunSettings,
-    window: Optional[ProcessWindow],
-    source_fallback: Optional[np.ndarray],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(target, corner_resists)`` of a finished run, judged under the
-    lossless Abbe model across ``window`` (``None``: the paper's
-    default window, whose corners are nominal, dose- and dose+).
+    source_fallback: Optional[np.ndarray] = None,
+) -> Dict[str, Any]:
+    """Judge a finished run under the lossless Abbe model: the paper's
+    metrics and the settings' window, corner by corner.
 
     The mask is binarized first: manufactured masks are binary
     (Section 3.1), so metrics are reported for the manufacturable mask,
@@ -288,6 +310,19 @@ def _judge(
     None, the fixed-source methods) is judged at ``source_fallback``,
     else at the paper's annular source.  The judge engine comes from the
     optics cache: one pupil stack for every evaluation in a sweep.
+
+    Returns the paper's metrics, read from the paper's window (nominal,
+    dose- and dose+ corners): L2 and EPE at the nominal corner, PVB
+    between the dose corners (Eqs. (7)-(8)).  Also the judgment of the
+    settings' window, the paper's own when ``settings.process_window``
+    is None (then one corner stack serves both): per corner its label,
+    squared-error loss, L2, EPE violations and resist threshold, the
+    variation band across all corners, and the robust reduction of the
+    corner losses.  That reduction follows the *settings'* regime
+    (static window weights for ``"sum"`` / ``"max"``), so records judged
+    with one settings object stay comparable across methods; only
+    ``settings.robust="adaptive"`` reduces with the run's final minimax
+    weights, which ride ``corner_weights`` either way.
     """
     cfg = settings.config
     target = _target_image(clip, cfg)
@@ -297,29 +332,40 @@ def _judge(
         theta_j = init_theta_source(src, cfg)
     # +/-1e3 drives the sigmoid to exactly 0/1 in float64.
     theta_m = np.where(result.theta_m >= 0.0, 1e3, -1e3)
-    judge = ProcessWindowSMOObjective(cfg, target, window)
-    return target, judge.images(theta_j, theta_m)["corner_resists"]
 
+    def corner_resists(window: ProcessWindow) -> np.ndarray:
+        judge = ProcessWindowSMOObjective(cfg, target, window)
+        return judge.images(theta_j, theta_m)["corner_resists"]
 
-def evaluate_final(
-    result: SMOResult,
-    clip: Clip,
-    settings: RunSettings,
-    source_fallback: Optional[np.ndarray] = None,
-) -> Dict[str, float]:
-    """The paper's metrics of a finished run's binarized (mask, source):
-    L2 and EPE at the nominal corner, PVB between the dose corners
-    (Eqs. (7)-(8)), all read from the default window's corner stack."""
-    cfg = settings.config
-    target, (nominal, dose_min, dose_max) = _judge(
-        result, clip, settings, None, source_fallback
+    paper = ProcessWindow.from_config(cfg)
+    window = settings.process_window or paper
+    resists = corner_resists(window)
+    same = window == paper
+    nominal, dose_min, dose_max = resists if same else corner_resists(paper)
+    # The EPE sites depend on the clip alone: one sampling per judgment.
+    reports = epe_reports(resists if same else [*resists, nominal], clip.rects, cfg)
+    epe = reports[0] if same else reports[-1]
+    matrix = ((resists - target[None]) ** 2).sum(axis=(-2, -1))[:, None]
+    final_weights = None
+    if result.history and result.history[-1].corner_weights is not None:
+        final_weights = np.asarray(result.history[-1].corner_weights)
+    judge_weights = final_weights if settings.robust == "adaptive" else None
+    robust = robust_tile_losses(
+        matrix, window, settings.robust, settings.robust_tau, weights=judge_weights
     )
-    epe = epe_report(nominal, clip.rects, cfg)
     return {
         "l2_nm2": l2_error_nm2(nominal, target, cfg),
         "pvb_nm2": pvb_nm2(dose_min, dose_max, cfg),
         "epe_violations": epe.violations,
         "epe_mean_nm": epe.mean_abs_nm,
+        "corner_labels": window.labels,
+        "corner_loss": matrix[:, 0],
+        "corner_l2_nm2": np.array([l2_error_nm2(z, target, cfg) for z in resists]),
+        "corner_epe": np.array([r.violations for r in reports[: len(resists)]]),
+        "corner_thresholds": tuple(window.intensity_thresholds(cfg)),
+        "band_nm2": pvb_band_nm2(resists, cfg),
+        "robust_loss": float(robust[0]),
+        "corner_weights": final_weights,
     }
 
 
@@ -329,25 +375,21 @@ def run_clip(
     settings: RunSettings,
     dataset_name: str = "",
 ) -> RunRecord:
-    """Run one method on one clip and evaluate all paper metrics."""
+    """Run one method on one clip and judge it (:func:`evaluate_final`)."""
     cfg = settings.config
     target = _target_image(clip, cfg)
     source = _annular_source(cfg)
     start = time.perf_counter()
     result = _dispatch(method, settings, target, source)
     runtime = time.perf_counter() - start
-    metrics = evaluate_final(result, clip, settings, source)
     return RunRecord(
         method=method,
         dataset=dataset_name,
         clip=clip.name,
-        l2_nm2=metrics["l2_nm2"],
-        pvb_nm2=metrics["pvb_nm2"],
-        epe_violations=int(metrics["epe_violations"]),
-        epe_mean_nm=metrics["epe_mean_nm"],
         runtime_s=runtime,
         final_loss=result.final_loss,
         losses=result.losses,
+        **evaluate_final(result, clip, settings, source),
     )
 
 
@@ -388,20 +430,16 @@ def run_joint(
             history=result.history,
             runtime_seconds=result.runtime_seconds,
         )
-        metrics = evaluate_final(tile_result, clip, settings, source)
         losses = tile_matrix[:, i] if tile_matrix is not None else result.losses
         records.append(
             RunRecord(
                 method=method,
                 dataset=dataset_name,
                 clip=clip.name,
-                l2_nm2=metrics["l2_nm2"],
-                pvb_nm2=metrics["pvb_nm2"],
-                epe_violations=int(metrics["epe_violations"]),
-                epe_mean_nm=metrics["epe_mean_nm"],
                 runtime_s=runtime / len(clips),
                 final_loss=float(losses[-1]),
                 losses=losses,
+                **evaluate_final(tile_result, clip, settings, source),
             )
         )
     return records
@@ -454,7 +492,6 @@ def _failure_records(cell: _Cell) -> List[RunRecord]:
             epe_mean_nm=nan,
             runtime_s=nan,
             final_loss=nan,
-            losses=np.empty(0),
         )
         for clip_name in _cell_clip_names(cell)
     ]
@@ -495,63 +532,6 @@ def _worker_warmup(
     obs.flush_shard()
 
 
-def _run_sweep(
-    cells: Sequence[Any],
-    labels: Sequence[str],
-    run_one: Callable[..., List[Any]],
-    record_type: Any,
-    failure: Callable[[Any], List[Any]],
-    settings: RunSettings,
-    *,
-    workers: int,
-    checkpoint: Optional[Union[str, os.PathLike]],
-    cell_timeout: Optional[float],
-    max_retries: Optional[int],
-    progress: Optional[Callable[[CellProgress], None]],
-) -> List[Any]:
-    """The one harness sweep driver: run ``cells`` through
-    :func:`~repro.harness.resilience.execute_cells` and flatten the
-    outcomes into records, in submission order.
-
-    ``run_one(cell, settings=...)`` is a module-level cell body (a pool
-    pickles it).  ``workers > 1`` shards the cells over a process pool
-    whose workers split the thread budget and warm the optics cache once
-    (:func:`_worker_warmup`); ``workers=1`` runs them in this process.
-    Either way a cell that raises is retried under ``max_retries``
-    (``None``: ``REPRO_MAX_RETRIES``) and then stands as its
-    ``failure(cell)`` records.
-    """
-    worker_budget = max(1, (os.cpu_count() or 1) // max(1, workers))
-
-    def pool_factory() -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_warmup,
-            initargs=(
-                settings.config,
-                worker_budget,
-                settings.process_window,
-                obs.export_config(),
-            ),
-        )
-
-    policy = None if max_retries is None else RetryPolicy(max_retries=max_retries)
-    outcomes = execute_cells(
-        cells,
-        labels,
-        partial(run_one, settings=settings),
-        record_type,
-        failure,
-        workers=workers,
-        pool_factory=pool_factory if workers > 1 else None,
-        policy=policy,
-        cell_timeout=cell_timeout,
-        checkpoint=checkpoint,
-        progress=progress,
-    )
-    return [rec for outcome in outcomes for rec in outcome.records]
-
-
 def _matrix_cells(
     datasets: Sequence[Dataset],
     methods: Sequence[str],
@@ -583,8 +563,11 @@ def run_matrix(
     cell_timeout: Optional[float] = None,
     max_retries: Optional[int] = None,
 ) -> List[RunRecord]:
-    """Full (method x dataset x clip) sweep — the shared input of
-    Table 3 and Table 4.
+    """Full (method x dataset x clip) sweep — the harness's one sweep,
+    the shared input of Table 3, Table 4 and the process-window report.
+
+    Every record is judged across the settings' window (the paper's
+    when ``settings.process_window`` is None) by :func:`evaluate_final`.
 
     Parameters
     ----------
@@ -604,7 +587,9 @@ def run_matrix(
         Path of a JSONL checkpoint journal.  Completed cells are
         appended as their futures finish; re-running with the same path
         skips them and reproduces the full record list in the original
-        order, byte-identical to an uninterrupted run.
+        order, byte-identical to an uninterrupted run.  The journal is
+        keyed on the cell labels and every ``settings`` field: resuming
+        it with other cells or settings raises ``ValueError``.
     cell_timeout:
         Per-cell wall-clock budget in seconds (parallel sweeps only; an
         in-process cell cannot be preempted).  ``None`` defers to
@@ -627,16 +612,33 @@ def run_matrix(
     renders the printable line).
     """
     cells = _matrix_cells(datasets, methods, clips_per_dataset, joint)
-    return _run_sweep(
+    worker_budget = max(1, (os.cpu_count() or 1) // max(1, workers))
+
+    def pool_factory() -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_worker_warmup,
+            initargs=(
+                settings.config,
+                worker_budget,
+                settings.process_window,
+                obs.export_config(),
+            ),
+        )
+
+    policy = None if max_retries is None else RetryPolicy(max_retries=max_retries)
+    outcomes = execute_cells(
         cells,
         [_cell_label(cell) for cell in cells],
-        _run_cell,
+        partial(_run_cell, settings=settings),
         RunRecord,
         _failure_records,
-        settings,
         workers=workers,
-        checkpoint=checkpoint,
+        pool_factory=pool_factory if workers > 1 else None,
+        policy=policy,
         cell_timeout=cell_timeout,
-        max_retries=max_retries,
+        checkpoint=checkpoint,
+        settings=settings,
         progress=progress,
     )
+    return [rec for outcome in outcomes for rec in outcome.records]

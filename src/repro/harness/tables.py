@@ -107,7 +107,8 @@ def table3(records: Sequence[RunRecord]) -> TableData:
 
 
 def table4(records: Sequence[RunRecord]) -> TableData:
-    """Average EPE violations and turn-around time (s) + ratios."""
+    """Average EPE violations and turn-around time (s) + ratios (NaN
+    when the reference method's average is 0, as in :func:`table3`)."""
     records = _ok_only(records)
     methods = _methods_present(records)
     by_method: Dict[str, List[RunRecord]] = defaultdict(list)
@@ -117,13 +118,12 @@ def table4(records: Sequence[RunRecord]) -> TableData:
     tat = [float(np.mean([r.runtime_s for r in by_method[m]])) for m in methods]
     ref = _REFERENCE_METHOD if _REFERENCE_METHOD in methods else methods[-1]
     ridx = methods.index(ref)
-    epe_ref = epe[ridx] or 1.0
-    tat_ref = tat[ridx] or 1.0
+    epe_ref, tat_ref = epe[ridx], tat[ridx]
     rows = [
         ("EPE avg.", epe),
-        ("EPE ratio", [e / epe_ref for e in epe]),
+        ("EPE ratio", [e / epe_ref if epe_ref else float("nan") for e in epe]),
         ("TAT avg. (s)", tat),
-        ("TAT ratio", [t / tat_ref for t in tat]),
+        ("TAT ratio", [t / tat_ref if tat_ref else float("nan") for t in tat]),
     ]
     return TableData(
         title="Table 4: EPE and runtime comparison",

@@ -128,7 +128,7 @@ class TestEPEMarch:
     def test_crossing_at_step_k_takes_k_plus_one_samples(
         self, monkeypatch, k, inside
     ):
-        """One sample at the site, then one per step up to the crossing."""
+        """One gather at the site, then one per step up to the crossing."""
         from repro.geometry import edges
 
         grid = GridSpec(64, 5.0)
@@ -141,7 +141,7 @@ class TestEPEMarch:
         def sample(printed, grid, x_nm, y_nm):
             calls.append(x_nm)
             before = (x_nm - edge) * direction < 0.0
-            return 1.0 if before == inside else 0.0
+            return np.where(before == inside, 1.0, 0.0)
 
         monkeypatch.setattr(edges, "_sample", sample)
         (epe,) = measure_epe(np.zeros((64, 64)), [site], grid)

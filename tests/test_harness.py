@@ -25,7 +25,7 @@ from repro.harness.figures import FigureSeries
 from repro.layouts import Clip, Dataset, iccad13
 from repro.geometry import GridSpec, Rect, rasterize
 from repro.layouts.synth import ClipStyle
-from repro.metrics import epe_report, l2_error_nm2, pvb_nm2
+from repro.metrics import epe_report, l2_error_nm2, pvb_band_nm2, pvb_nm2
 from repro.optics import OpticalConfig, SourceGrid, annular, binarize, cache
 from repro.smo import (
     SMOResult,
@@ -35,6 +35,8 @@ from repro.smo import (
     source_from_theta,
 )
 from tests.oracles import dose_resist
+
+PAPER_KEYS = ("l2_nm2", "pvb_nm2", "epe_violations", "epe_mean_nm")
 
 
 def _tiny_clip() -> Clip:
@@ -136,12 +138,45 @@ class TestJudge:
                 for dose in (1.0, cfg.dose_min, cfg.dose_max)
             )
         epe = epe_report(z_nom, clip.rects, cfg)
-        assert got == {
+        paper = {key: got.pop(key) for key in PAPER_KEYS}
+        assert paper == {
             "l2_nm2": l2_error_nm2(z_nom, target, cfg),
             "pvb_nm2": pvb_nm2(z_min, z_max, cfg),
             "epe_violations": epe.violations,
             "epe_mean_nm": epe.mean_abs_nm,
         }
+        # ... and the default window's judgment, corner by corner
+        corners = np.stack([z_nom, z_min, z_max])
+        loss = ((corners - target) ** 2).sum(axis=(-2, -1))
+        assert got.pop("corner_labels") == ("nominal", "dose-", "dose+")
+        assert got.pop("corner_loss").tobytes() == loss.tobytes()
+        assert got.pop("corner_l2_nm2").tolist() == [
+            l2_error_nm2(z, target, cfg) for z in corners
+        ]
+        assert got.pop("corner_epe").tolist() == [
+            epe_report(z, clip.rects, cfg).violations for z in corners
+        ]
+        assert got.pop("corner_thresholds") == (cfg.intensity_threshold,) * 3
+        assert got.pop("band_nm2") == pvb_band_nm2(corners, cfg)
+        assert got.pop("robust_loss") == pytest.approx(
+            cfg.gamma * loss[0] + cfg.eta * (loss[1] + loss[2]), rel=1e-14
+        )
+        assert got == {"corner_weights": None}
+
+    @pytest.mark.parametrize("scale", ["small", "default"])
+    def test_paper_window_identities(self, scale):
+        """At the paper's window the corner fields restate the paper's
+        metrics: nominal-corner L2 and EPE are ``l2_nm2`` and
+        ``epe_violations``, and the band across the three corners is the
+        PVB (dose response is monotone, so the band is the XOR of the
+        dose corners)."""
+        settings = RunSettings.preset(scale, iterations=2)
+        ds = iccad13(num_clips=2)
+        for rec in run_matrix([ds], settings, methods=("Abbe-MO", "BiSMO-NMN")):
+            assert rec.corner_labels == ("nominal", "dose-", "dose+")
+            assert rec.corner_l2_nm2[0] == rec.l2_nm2
+            assert rec.corner_epe[0] == rec.epe_violations
+            assert rec.band_nm2 == rec.pvb_nm2
 
 
 class TestTables:
@@ -187,6 +222,22 @@ class TestTables:
         path = tmp_path / "t3.csv"
         table_to_csv(t, path)
         assert path.read_text().startswith("Table 3")
+
+    def test_table4_ratios_are_nan_for_a_zero_reference(self):
+        """A reference average of 0 leaves every ratio undefined, as in
+        Table 3's Ratio row; raw counts would pass for ratios."""
+
+        def record(method, epe):
+            return RunRecord(
+                method=method, dataset="TINY", clip="c0", l2_nm2=1.0,
+                pvb_nm2=1.0, epe_violations=epe, epe_mean_nm=0.0,
+                runtime_s=0.0, final_loss=1.0,
+            )
+
+        t = table4([record("Abbe-MO", 7), record("BiSMO-NMN", 0)])
+        assert t.row("EPE avg.") == [7.0, 0.0]
+        assert np.isnan(t.row("EPE ratio")).all()
+        assert np.isnan(t.row("TAT ratio")).all()
 
     @pytest.mark.parametrize("table", [table3, table4])
     def test_no_ok_record_raises(self, table):
@@ -274,6 +325,21 @@ class TestCLI:
             build_parser().parse_args([command, "--clips", value])
         assert exc.value.code == 2
         assert "--clips" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table3", "--iterations", "0"],
+            ["pwindow", "--iterations", "-1"],
+            ["fig3", "--steps", "0"],
+        ],
+        ids=["table3-iterations", "pwindow-iterations", "fig3-steps"],
+    )
+    def test_parser_refuses_a_non_positive_iteration_count(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert argv[1] in capsys.readouterr().err
 
     def test_main_refuses_a_preset_whose_tile_the_clips_do_not_use(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.geometry import Rect
-from repro.harness import RunSettings, run_joint, run_matrix, run_process_window
+from repro.harness import RunSettings, run_joint, run_matrix
 from repro.harness.cli import build_parser
 from repro.layouts import Clip, Dataset
 from repro.layouts.synth import ClipStyle
@@ -72,10 +72,8 @@ class TestParallelSweep:
             process_window=ProcessWindow.from_grid((0.98, 1.0, 1.02), (0.0, 60.0)),
         )
         methods = METHODS[1:]
-        serial = run_process_window(methods, list(ds), settings, ds.name)
-        parallel = run_process_window(
-            methods, list(ds), settings, ds.name, workers=2
-        )
+        serial = run_matrix([ds], settings, methods=methods)
+        parallel = run_matrix([ds], settings, methods=methods, workers=2)
         assert [(r.method, r.clip) for r in parallel] == [
             (r.method, r.clip) for r in serial
         ] == [("Abbe-MO", "c0"), ("BiSMO-NMN", "c0")]

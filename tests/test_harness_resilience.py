@@ -27,7 +27,6 @@ from repro.geometry import Rect
 from repro.harness import (
     RunSettings,
     run_matrix,
-    run_process_window,
     sweep_health,
     table3,
 )
@@ -42,7 +41,7 @@ from repro.harness.resilience import (
     execute_cells,
     sweep_fingerprint,
 )
-from repro.harness.runner import RunRecord
+from repro.harness.runner import RunRecord, _failure_records
 from repro.layouts import Clip, Dataset
 from repro.layouts.synth import ClipStyle
 from repro.optics import OpticalConfig, ProcessWindow, fftlib
@@ -324,6 +323,37 @@ class TestCheckpointJournal:
     def test_fingerprint_is_order_sensitive(self):
         assert sweep_fingerprint(["a", "b"]) != sweep_fingerprint(["b", "a"])
 
+    def test_fingerprint_keys_every_settings_field(self):
+        base = _settings()
+        window = ProcessWindow.from_grid((0.98, 1.02), (0.0,))
+        key = sweep_fingerprint(["a"], base)
+        assert sweep_fingerprint(["a"], _settings()) == key
+        for other in (
+            dataclasses.replace(base, iterations=3),
+            dataclasses.replace(base, config=base.config.with_(beta=31.0)),
+            dataclasses.replace(base, process_window=window),
+            dataclasses.replace(base, robust="max"),
+        ):
+            assert sweep_fingerprint(["a"], other) != key
+
+    def test_fingerprint_keys_custom_phase_maps_by_content(self):
+        """Two phase maps whose reprs are equal (numpy elides the middle
+        of a large array) are still two sweeps."""
+        maps = np.zeros((2, 32, 32))
+        maps[1, 16, 16] = 0.1
+        assert repr(maps[0]) == repr(maps[1])
+        keys = {
+            sweep_fingerprint(
+                ["a"],
+                dataclasses.replace(
+                    _settings(),
+                    process_window=ProcessWindow.from_grid((1.0,), aberrations=(m,)),
+                ),
+            )
+            for m in maps
+        }
+        assert len(keys) == 2
+
 
 class TestRecordSerialization:
     def test_run_record_round_trips_bitwise(self):
@@ -350,6 +380,42 @@ class TestRecordSerialization:
         assert revived.final_loss == rec.final_loss
         assert revived.losses.tobytes() == rec.losses.tobytes()
         assert revived.attempts == 2 and revived.status == "ok"
+
+    @staticmethod
+    def _round_trip(rec: RunRecord) -> RunRecord:
+        return RunRecord.from_json(json.loads(json.dumps(rec.to_json())))
+
+    @staticmethod
+    def _assert_bitwise(a: RunRecord, b: RunRecord) -> None:
+        for f in dataclasses.fields(RunRecord):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(x, np.ndarray):
+                assert x.dtype == y.dtype and x.shape == y.shape, f.name
+                assert x.tobytes() == y.tobytes(), f.name
+            elif isinstance(x, float) and np.isnan(x):
+                assert np.isnan(y), f.name
+            else:
+                assert x == y and type(x) is type(y), f.name
+
+    def test_record_with_corners_round_trips_bitwise(self):
+        """A window's judgment, with adaptive corner weights."""
+        ds = _tiny_dataset(1)
+        settings = dataclasses.replace(
+            _settings(),
+            process_window=ProcessWindow.from_grid((0.98, 1.02), (0.0, 60.0)),
+            robust="adaptive",
+        )
+        (rec,) = run_matrix([ds], settings, methods=["Abbe-MO"])
+        assert rec.corner_weights is not None and rec.corner_weights.shape == (4,)
+        assert rec.corner_epe.dtype == np.int64
+        self._assert_bitwise(rec, self._round_trip(rec))
+
+    def test_failure_record_round_trips_bitwise(self):
+        cell = ("clip", "Abbe-MO", "TINY", _tiny_dataset(1)[0])
+        (rec,) = _failure_records(cell)
+        rec.status, rec.error, rec.attempts = "failed", "KeyError: 'x'", 2
+        assert np.isnan(rec.band_nm2) and rec.corner_weights is None
+        self._assert_bitwise(rec, self._round_trip(rec))
 
 
 # ----------------------------------------------------------------------
@@ -421,16 +487,17 @@ class TestSerialSweepRecordsFailures:
     executor as a parallel or journaled one: a failing cell is retried
     and recorded, never raised."""
 
-    @pytest.fixture(params=["run_matrix", "run_process_window"])
+    @pytest.fixture(params=["paper-window", "settings-window"])
     def sweep(self, request, monkeypatch):
         monkeypatch.delenv("REPRO_MAX_RETRIES", raising=False)
         ds = _tiny_dataset(1)
-        if request.param == "run_matrix":
-            return lambda methods: run_matrix([ds], _settings(), methods=methods)
-        settings = dataclasses.replace(
-            _settings(), process_window=ProcessWindow.from_grid((0.98, 1.02), (0.0,))
-        )
-        return lambda methods: run_process_window(methods, list(ds), settings, ds.name)
+        settings = _settings()
+        if request.param == "settings-window":
+            settings = dataclasses.replace(
+                settings,
+                process_window=ProcessWindow.from_grid((0.98, 1.02), (0.0,)),
+            )
+        return lambda methods: run_matrix([ds], settings, methods=methods)
 
     def test_failing_cell_is_recorded_and_the_rest_is_bitwise(self, sweep):
         records = sweep(["Abbe-MO", "Bogus-SMO"])
@@ -491,6 +558,24 @@ class TestRunMatrixResilience:
         _assert_records_identical(baseline, resumed)
         # only the 2 un-journaled cells re-ran (one start event each)
         assert len([e for e in seen if e.status == "start"]) == 2
+
+    def test_resume_under_other_settings_is_refused(self, tmp_path):
+        ds = _tiny_dataset(1)
+        settings = _settings()
+        path = tmp_path / "sweep.jsonl"
+        first = run_matrix([ds], settings, methods=METHODS, checkpoint=path)
+        seen = []
+        again = run_matrix(
+            [ds], settings, methods=METHODS, checkpoint=path,
+            progress=seen.append,
+        )
+        assert not [e for e in seen if e.status == "start"]  # no cell re-ran
+        _assert_records_identical(first, again)
+        with pytest.raises(ValueError, match="different sweep"):
+            run_matrix(
+                [ds], dataclasses.replace(settings, iterations=3),
+                methods=METHODS, checkpoint=path,
+            )
 
     @pytest.mark.fault_injection
     def test_worker_death_recovers_bitwise(self, tmp_path, monkeypatch):

@@ -580,12 +580,9 @@ class TestRobustSolversAndHarness:
             pvb_band_pixels(a)
 
     def test_evaluate_and_table(self, tiny_config, tiny_rects, tiny_source):
-        from repro.harness import (
-            RunSettings,
-            evaluate_process_window,
-            process_window_table,
-            run_process_window,
-        )
+        from repro.harness import RunSettings, process_window_table, run_matrix
+        from repro.layouts import Dataset
+        from repro.layouts.synth import ClipStyle
 
         cfg = tiny_config
         clip = Clip(
@@ -598,7 +595,9 @@ class TestRobustSolversAndHarness:
         settings = RunSettings(
             config=cfg, iterations=2, process_window=window
         )
-        records = run_process_window(["Abbe-MO"], [clip], settings, "unit-ds")
+        style = ClipStyle(name="U", cd_nm=40, tile_nm=int(cfg.tile_nm), target_area_nm2=1)
+        ds = Dataset(name="unit-ds", clips=(clip,), style=style)
+        records = run_matrix([ds], settings, methods=["Abbe-MO"])
         assert len(records) == 1
         rec = records[0]
         assert rec.corner_loss.shape == (4,)
@@ -610,11 +609,3 @@ class TestRobustSolversAndHarness:
         assert len(table.rows) == 1
         with pytest.raises(KeyError):
             process_window_table(records, value="nope")
-
-    def test_run_process_window_requires_window(self, tiny_config):
-        from repro.harness import RunSettings, run_process_window
-
-        with pytest.raises(ValueError):
-            run_process_window(
-                ["Abbe-MO"], [], RunSettings(config=tiny_config)
-            )

@@ -457,8 +457,9 @@ class TestPerCornerThreshold:
     def test_harness_report_carries_thresholds(
         self, tiny_config, tiny_rects, tiny_source
     ):
-        from repro.harness import RunSettings, run_process_window
-        from repro.layouts import Clip
+        from repro.harness import RunSettings, run_matrix
+        from repro.layouts import Clip, Dataset
+        from repro.layouts.synth import ClipStyle
 
         cfg = tiny_config
         clip = Clip(
@@ -474,7 +475,9 @@ class TestPerCornerThreshold:
             )
         )
         settings = RunSettings(config=cfg, iterations=2, process_window=window)
-        (rec,) = run_process_window(["Abbe-MO"], [clip], settings, "unit-ds")
+        style = ClipStyle(name="U", cd_nm=40, tile_nm=int(cfg.tile_nm), target_area_nm2=1)
+        ds = Dataset(name="unit-ds", clips=(clip,), style=style)
+        (rec,) = run_matrix([ds], settings, methods=["Abbe-MO"])
         assert rec.corner_thresholds == (cfg.intensity_threshold, 0.3)
 
 
